@@ -57,6 +57,7 @@ from .hierarchy import (
     CycleError,
     DuplicateNodeError,
     MultipleRootsError,
+    PathError,
     SingleChildError,
     TaxonomyError,
     Tree,

@@ -65,13 +65,14 @@ def _augment(X: np.ndarray) -> np.ndarray:
 class LabeledDataset:
     """Feature matrix plus leaf labels tied to a taxonomy.
 
-    ``X`` has one row per sample; ``labels`` are leaf ids of ``tree``.
-    A zero-column ``X`` is allowed (intercept-only models).
+    ``X`` has one row per sample, zero columns for intercept-only models;
+    ``labels`` are leaf ids of ``tree`` and ``codes`` their leaf codes.
     """
 
     X: np.ndarray
     labels: tuple[str, ...]
     tree: Tree
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X = _as_matrix(self.X)
@@ -84,9 +85,12 @@ class LabeledDataset:
             raise ValueError("dataset needs at least one sample")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("features contain NaN or infinity")
-        for label in self.labels:
-            if label not in self.tree or not self.tree.is_leaf(label):
-                raise ValueError(f"label {label!r} is not a leaf of the tree")
+        leaf_codes = self.tree.leaf_codes
+        try:
+            self.codes = np.array([leaf_codes[label] for label in self.labels])
+        except KeyError as exc:
+            label = exc.args[0]
+            raise ValueError(f"label {label!r} is not a leaf of the tree") from None
 
     @property
     def n(self) -> int:
@@ -97,7 +101,8 @@ class LabeledDataset:
         return self.X.shape[1]
 
     def paths(self) -> list[tuple[str, ...]]:
-        return [self.tree.path_of_leaf(label) for label in self.labels]
+        leaf_paths = self.tree.leaf_paths
+        return [leaf_paths[c] for c in self.codes.tolist()]
 
 
 @dataclass
@@ -149,6 +154,9 @@ class LinearModel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"feature row {bad[0]} contains NaN or infinity")
         return _augment(X) @ self.coef.T
 
 
@@ -160,49 +168,45 @@ def decision_values(
     return np.array([float(f @ model.table.vector(c)) for c in candidates])
 
 
-def _descend(table: EmbeddingTable, F: np.ndarray) -> list[tuple[str, ...]]:
-    """Top-down paths for every row of the score matrix ``F``.
+def _descend(table: EmbeddingTable, F: np.ndarray) -> np.ndarray:
+    """Leaf code the top-down walk reaches for every row of the scores ``F``.
 
     Walks all rows layer by layer, grouping them by their current node so
     each group costs one small matrix product.  Ties pick the first child
     in document order.
     """
     tree = table.tree
-    n = F.shape[0]
-    paths: list[list[str]] = [[tree.root] for _ in range(n)]
-    child_mats: dict[str, np.ndarray] = {}
-    groups: dict[str, np.ndarray] = {tree.root: np.arange(n)}
+    leaf_codes = tree.leaf_codes
+    out = np.empty(F.shape[0], dtype=np.intp)
+    groups = [(tree.root, np.arange(F.shape[0]))]
     while groups:
-        nxt: dict[str, list[np.ndarray]] = {}
-        for node, idx in groups.items():
-            kids = tree.children(node)
-            mat = child_mats.get(node)
-            if mat is None:
-                mat = np.stack([table.vector(c) for c in kids])
-                child_mats[node] = mat
-            choice = np.argmax(F[idx] @ mat.T, axis=1)
-            for j, child in enumerate(kids):
+        nxt = []
+        for node, idx in groups:
+            choice = np.argmax(F[idx] @ table.child_matrices[node].T, axis=1)
+            for j, child in enumerate(tree.children(node)):
                 sub = idx[choice == j]
-                if sub.size == 0:
-                    continue
-                for i in sub:
-                    paths[i].append(child)
-                if not tree.is_leaf(child):
-                    nxt.setdefault(child, []).append(sub)
-        groups = {
-            node: np.concatenate(parts) for node, parts in nxt.items()
-        }
-    return [tuple(p) for p in paths]
+                if child in leaf_codes:
+                    out[sub] = leaf_codes[child]
+                elif sub.size:
+                    nxt.append((child, sub))
+        groups = nxt
+    return out
 
 
 def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
     """Full root-to-leaf path predicted for one feature vector."""
-    return _descend(model.table, model.scores(x).reshape(1, -1))[0]
+    return predict_paths(model, np.reshape(x, (1, -1)))[0]
+
+
+def predict_codes(model: LinearModel, X) -> np.ndarray:
+    """Predicted leaf codes (positions in ``tree.leaves``) for every row."""
+    return _descend(model.table, model.score_matrix(X))
 
 
 def predict_paths(model: LinearModel, X) -> list[tuple[str, ...]]:
     """Predicted paths for every row of a feature matrix."""
-    return _descend(model.table, model.score_matrix(X))
+    leaf_paths = model.tree.leaf_paths
+    return [leaf_paths[c] for c in predict_codes(model, X).tolist()]
 
 
 def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
@@ -212,18 +216,8 @@ def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
     across all siblings of the path node at that layer.  Positive exactly
     when the top-down walk recovers the path with room to spare.
     """
-    path = tuple(path)
-    if not model.tree.is_path(path):
-        raise ValueError(f"{path!r} is not a root-to-leaf path of the tree")
-    f = model.scores(x)
-    table = model.table
-    gaps = []
-    for parent, node in zip(path, path[1:]):
-        own = float(f @ table.vector(node))
-        for sib in model.tree.children(parent):
-            if sib != node:
-                gaps.append(own - float(f @ table.vector(sib)))
-    return min(gaps)
+    D, _ = _hinge_terms(model.table, model.tree.leaf_codes_of([path]))
+    return float(np.min(D @ model.scores(x)))
 
 
 _LOSSES = {
@@ -239,19 +233,12 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_compatible(model.table, dataset)
-    fn = _LOSSES[loss]
-    table = model.table
-    F = model.score_matrix(dataset.X)
+    F, codes = model.score_matrix(dataset.X), dataset.codes
     out = np.zeros(dataset.n)
-    for i, label in enumerate(dataset.labels):
-        path = dataset.tree.path_of_leaf(label)
-        total = 0.0
-        for parent, node in zip(path, path[1:]):
-            own = float(F[i] @ table.vector(node))
-            for sib in dataset.tree.children(parent):
-                if sib != node:
-                    total += float(fn(own - float(F[i] @ table.vector(sib))))
-        out[i] = total
+    for code in np.unique(codes).tolist():
+        rows = codes == code
+        D, _ = _hinge_terms(model.table, np.array([code]))
+        out[rows] = _LOSSES[loss](F[rows] @ D.T).sum(axis=1)
     return out
 
 
@@ -267,23 +254,12 @@ def _check_compatible(table: EmbeddingTable, dataset: LabeledDataset) -> None:
         raise ValueError("dataset and embedding table use different trees")
 
 
-def _label_coefficients(table: EmbeddingTable, dataset: LabeledDataset) -> np.ndarray:
-    """(n, dimension) matrix of summed sibling differences per sample.
-
-    Row ``i`` is ``sum_layers sum_siblings (xi_sibling - xi_true)`` for the
-    sample's label path; it depends on the label only.
-    """
-    tree = dataset.tree
-    per_leaf: dict[str, np.ndarray] = {}
-    for leaf in set(dataset.labels):
-        u = np.zeros(table.dimension)
-        path = tree.path_of_leaf(leaf)
-        for parent, node in zip(path, path[1:]):
-            for sib in tree.children(parent):
-                if sib != node:
-                    u += table.vector(sib) - table.vector(node)
-        per_leaf[leaf] = u
-    return np.stack([per_leaf[label] for label in dataset.labels])
+def _closed_form(table, U, Xa, lam, fit_intercept, **meta) -> LinearModel:
+    """Model ``-B / (2 * lam)``, ``B`` the mean of ``U[i] Xa[i]^T``."""
+    B = U.T @ Xa / Xa.shape[0]
+    if not fit_intercept:
+        B[:, 0] = 0.0
+    return LinearModel(coef=-B / (2.0 * lam), table=table, **meta)
 
 
 def train_linear(
@@ -310,11 +286,8 @@ def train_linear(
     _check_compatible(table, dataset)
     if not np.all(np.isfinite(dataset.X)):
         raise ValueError("features contain NaN or infinity")
-    U = _label_coefficients(table, dataset)
-    B = U.T @ _augment(dataset.X) / dataset.n
-    if not fit_intercept:
-        B[:, 0] = 0.0
-    return LinearModel(coef=-B / (2.0 * lam), table=table, loss="linear")
+    Xa, U = _augment(dataset.X), table.sibling_differences[dataset.codes]
+    return _closed_form(table, U, Xa, lam, fit_intercept, loss="linear")
 
 
 def adaptive_weights(model: LinearModel, X, gamma: float) -> np.ndarray:
@@ -325,8 +298,7 @@ def adaptive_weights(model: LinearModel, X, gamma: float) -> np.ndarray:
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    norms = np.linalg.norm(model.score_matrix(X), axis=1)
-    return 1.0 / (1.0 + norms**gamma)
+    return 1.0 / (1.0 + np.linalg.norm(model.score_matrix(X), axis=1) ** gamma)
 
 
 def train_weighted_linear(
@@ -343,49 +315,61 @@ def train_weighted_linear(
     weights reproduce a positively rescaled :func:`train_linear` model,
     hence identical predictions.
     """
+    return next(weighted_linear_fits(dataset, table, (gamma,), lam, fit_intercept))[1]
+
+
+def weighted_linear_fits(
+    dataset: LabeledDataset,
+    table: EmbeddingTable,
+    gammas: Sequence[float],
+    lam: float = 1.0,
+    fit_intercept: bool = True,
+):
+    """Yield ``(gamma, weighted-linear model)`` for each of ``gammas``.
+
+    All models share one base fit, so each gamma costs its weights and
+    one product.
+    """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     base = train_linear(dataset, table, fit_intercept=fit_intercept)
-    w = adaptive_weights(base, dataset.X, gamma)
-    U = _label_coefficients(table, dataset)
-    B = (w[:, None] * U).T @ _augment(dataset.X) / dataset.n
-    if not fit_intercept:
-        B[:, 0] = 0.0
-    return LinearModel(
-        coef=-B / (2.0 * lam), table=table, loss="weighted-linear", gamma=gamma
-    )
+    U = table.sibling_differences[dataset.codes]
+    Xa = _augment(dataset.X)
+    for gamma in gammas:
+        w = adaptive_weights(base, dataset.X, gamma)
+        yield gamma, _closed_form(
+            table, w[:, None] * U, Xa, lam, fit_intercept,
+            loss="weighted-linear", gamma=gamma,
+        )
 
 
 def _hinge_terms(
-    table: EmbeddingTable, dataset: LabeledDataset
+    table: EmbeddingTable, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Difference stack and ownership mask for the hinge solver.
+    """Difference stack and ownership mask of the samples' sibling gaps.
 
     Returns a ``(terms, dimension)`` stack of ``xi_true - xi_sibling``
-    rows, one block per distinct label, and a boolean ``(terms, n)`` mask
-    marking which samples carry each row.
+    rows, one block per distinct leaf code in ``codes``, and a boolean
+    ``(terms, n)`` mask marking which samples carry each row.
     """
-    tree = dataset.tree
-    leaves = sorted(set(dataset.labels), key=tree.order_index)
+    tree = table.tree
     rows, owners = [], []
-    for leaf in leaves:
-        path = tree.path_of_leaf(leaf)
+    for code in np.unique(codes).tolist():
+        path = tree.leaf_paths[code]
         for parent, node in zip(path, path[1:]):
             for sib in tree.children(parent):
                 if sib != node:
                     rows.append(table.vector(node) - table.vector(sib))
-                    owners.append(leaf)
+                    owners.append(code)
     D = np.stack(rows)
-    labels = np.array(dataset.labels)
-    mask = np.stack([labels == leaf for leaf in owners])
-    return D, mask
+    return D, np.array(owners)[:, None] == codes
 
 
 def hinge_objective(
     A: np.ndarray, dataset: LabeledDataset, table: EmbeddingTable, lam: float
 ) -> float:
     """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
-    D, mask = _hinge_terms(table, dataset)
+    D, mask = _hinge_terms(table, dataset.codes)
     margins = D @ A @ _augment(dataset.X).T
     slack = np.where(mask, np.maximum(1.0 - margins, 0.0), 0.0)
     return float(slack.sum()) / dataset.n + lam * float(np.sum(A * A))
@@ -419,7 +403,7 @@ def train_hinge(
         raise ValueError(f"lam must be positive, got {lam}")
     _check_compatible(table, dataset)
     Xa = _augment(dataset.X)
-    D, mask = _hinge_terms(table, dataset)
+    D, mask = _hinge_terms(table, dataset.codes)
     n = dataset.n
 
     row_norm = np.linalg.norm(Xa, axis=1)

@@ -23,11 +23,12 @@ from .classifier import (
     LabeledDataset,
     LinearModel,
     load_model,
+    predict_codes,
     predict_paths,
     save_model,
     train_hinge,
     train_linear,
-    train_weighted_linear,
+    weighted_linear_fits,
 )
 from .datagen import (
     SyntheticSpec,
@@ -127,9 +128,28 @@ def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...
 
 
 def _validation_error(model: LinearModel, val: LabeledDataset) -> float:
-    pred = predict_paths(model, val.X)
-    true = val.paths()
-    return float(np.mean([p != t for p, t in zip(pred, true)]))
+    return float(np.mean(predict_codes(model, val.X) != val.codes))
+
+
+def _select(
+    name: str, fits, val: LabeledDataset | None, grid
+) -> tuple[float, LinearModel]:
+    """Pick the ``(value, model)`` of ``fits`` minimizing validation zero-one loss.
+
+    ``fits`` yields one pair per value of ``grid`` in ascending order, and
+    only strict improvements move the incumbent, so ties resolve to the
+    smaller value.  A one-point grid needs no validation set.
+    """
+    if len(grid) == 1:
+        return next(iter(fits))
+    if val is None:
+        raise ValueError(f"{name} selection needs a validation set")
+    best = None
+    for value, model in fits:
+        err = _validation_error(model, val)
+        if best is None or err < best[0]:
+            best = (err, value, model)
+    return best[1], best[2]
 
 
 def select_gamma(
@@ -137,33 +157,27 @@ def select_gamma(
 ) -> tuple[float, LinearModel]:
     """Pick the weighted-linear gamma minimizing validation zero-one loss.
 
-    The grid is scanned in ascending order and only strict improvements
-    move the incumbent, so ties resolve to the smaller gamma.
+    All grid points share one base linear fit; ties resolve to the
+    smaller gamma.
     """
-    best = None
-    for gamma in sorted(grid):
-        model = train_weighted_linear(
-            train, table, gamma=gamma, fit_intercept=fit_intercept
-        )
-        err = _validation_error(model, val)
-        if best is None or err < best[0]:
-            best = (err, gamma, model)
-    return best[1], best[2]
+    fits = weighted_linear_fits(
+        train, table, sorted(grid), fit_intercept=fit_intercept
+    )
+    return _select("gamma", fits, val, grid)
 
 
 def select_lambda(
     train, val, table, grid, max_iter: int = 5000, fit_intercept: bool = True
 ) -> tuple[float, LinearModel]:
     """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller)."""
-    best = None
-    for lam in sorted(grid):
-        model = train_hinge(
-            train, table, lam=lam, max_iter=max_iter, fit_intercept=fit_intercept
-        )
-        err = _validation_error(model, val)
-        if best is None or err < best[0]:
-            best = (err, lam, model)
-    return best[1], best[2]
+
+    def fits():
+        for lam in sorted(grid):
+            yield lam, train_hinge(
+                train, table, lam=lam, max_iter=max_iter, fit_intercept=fit_intercept
+            )
+
+    return _select("lambda", fits(), val, grid)
 
 
 def fit(
@@ -176,35 +190,18 @@ def fit(
     hinge_max_iter: int = 5000,
     fit_intercept: bool = True,
 ) -> tuple[LinearModel, dict]:
-    """Train one loss, tuning on ``val`` where the loss has a parameter."""
+    """Train one loss, tuning on ``val`` where the loss has a parameter.
+
+    ``val`` may be ``None`` when the parameter's grid has a single point.
+    """
     if loss == "linear":
         return train_linear(train, table, fit_intercept=fit_intercept), {}
     if loss == "wlinear":
-        if len(gamma_grid) == 1:
-            gamma = gamma_grid[0]
-            model = train_weighted_linear(
-                train, table, gamma=gamma, fit_intercept=fit_intercept
-            )
-            return model, {"gamma": gamma}
-        if val is None:
-            raise ValueError("gamma selection needs a validation set")
         gamma, model = select_gamma(
             train, val, table, gamma_grid, fit_intercept=fit_intercept
         )
         return model, {"gamma": gamma}
     if loss == "hinge":
-        if len(lambda_grid) == 1:
-            lam = lambda_grid[0]
-            model = train_hinge(
-                train,
-                table,
-                lam=lam,
-                max_iter=hinge_max_iter,
-                fit_intercept=fit_intercept,
-            )
-            return model, {"lambda": lam}
-        if val is None:
-            raise ValueError("lambda selection needs a validation set")
         lam, model = select_lambda(
             train,
             val,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -149,6 +150,41 @@ class EmbeddingTable:
 
     def vector(self, node: str) -> np.ndarray:
         return self.vectors[node]
+
+    @cached_property
+    def sibling_differences(self) -> np.ndarray:
+        """Read-only ``(n_leaf, dimension)`` matrix over leaf codes.
+
+        Row ``c`` is ``sum_layers sum_siblings (xi_sibling - xi_true)``
+        along leaf ``c``'s path, the label term of the linear closed forms.
+        Terms are added one at a time, layer by layer and siblings in
+        document order, and every trainer reads its rows from here, so
+        their bits do not depend on the caller.
+        """
+        tree = self.tree
+        out = np.zeros((tree.n_leaf, self.dimension))
+        for u, path in zip(out, tree.leaf_paths):
+            for parent, node in zip(path, path[1:]):
+                for sib in tree.children(parent):
+                    if sib != node:
+                        u += self.vectors[sib] - self.vectors[node]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def child_matrices(self) -> Mapping[str, np.ndarray]:
+        """Non-leaf node id to the read-only stack of its children's vectors.
+
+        Each stack has shape ``(fanout, dimension)``, rows in document order.
+        """
+        tree = self.tree
+        out = {}
+        for parent in tree.nodes:
+            kids = tree.children(parent)
+            if kids:
+                out[parent] = np.stack([self.vectors[c] for c in kids])
+                out[parent].setflags(write=False)
+        return MappingProxyType(out)
 
     def offset(self, node: str) -> np.ndarray:
         """Sibling-simplex offset of ``node`` relative to its parent."""

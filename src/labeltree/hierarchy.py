@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "CycleError",
     "MultipleRootsError",
     "UnknownParentError",
+    "PathError",
 ]
 
 
@@ -50,6 +52,15 @@ class UnknownParentError(TaxonomyError):
     """A line declares children under a node that is not part of the tree."""
 
 
+class PathError(ValueError, KeyError):
+    """A node sequence is not a full root-to-leaf path of the tree.
+
+    Also a :class:`KeyError`, as a lookup of an unknown node id raises.
+    """
+
+    __str__ = ValueError.__str__  # KeyError's would quote the message
+
+
 class Tree:
     """Immutable rooted taxonomy.
 
@@ -67,6 +78,11 @@ class Tree:
     root, at least two children per non-leaf node, one parent per node, and
     acyclicity.  Instances are immutable afterwards and safe to share
     across threads.
+
+    Leaves also carry integer *leaf codes*, their positions in
+    :attr:`leaves`; :attr:`leaf_paths` and :attr:`leaf_ancestors` are
+    indexed by code, so hot loops work on integer arrays and node ids are
+    needed only at the file and CLI boundary.
     """
 
     __slots__ = (
@@ -80,6 +96,9 @@ class Tree:
         "_leaves",
         "_depth",
         "_subtree_size",
+        "_leaf_code",
+        "_leaf_paths",
+        "_leaf_ancestors",
     )
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
@@ -158,6 +177,20 @@ class Tree:
             self._subtree_size[c] for c in self._children[root]
         )
 
+        self._leaf_code = {leaf: i for i, leaf in enumerate(self._leaves)}
+        paths = []
+        for leaf in self._leaves:
+            path = [leaf]
+            while path[-1] != root:
+                path.append(self._parent[path[-1]])
+            paths.append(tuple(reversed(path)))
+        self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(paths)
+        ancestors = np.full((len(paths), self._depth), -1, dtype=np.intp)
+        for code, path in enumerate(paths):
+            ancestors[code, : len(path)] = [self.order_index(n) for n in path]
+        ancestors.setflags(write=False)
+        self._leaf_ancestors = ancestors
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -191,6 +224,27 @@ class Tree:
     def nodes(self) -> tuple[str, ...]:
         """All nodes, root first, then in node order."""
         return (self._root,) + self._node_order
+
+    @property
+    def leaf_codes(self) -> Mapping[str, int]:
+        """Leaf id to its code, the leaf's position in :attr:`leaves`."""
+        return MappingProxyType(self._leaf_code)
+
+    @property
+    def leaf_paths(self) -> tuple[tuple[str, ...], ...]:
+        """Root-to-leaf path of each leaf code, root included."""
+        return self._leaf_paths
+
+    @property
+    def leaf_ancestors(self) -> np.ndarray:
+        """Read-only ``(n_leaf, depth)`` ancestor matrix over leaf codes.
+
+        Entry ``[c, t-1]`` is the :meth:`order_index` of leaf ``c``'s
+        ancestor at layer ``t`` (0 for the root) and ``-1`` below the leaf's
+        own layer.  Two distinct leaves first differ in column
+        ``lca_layer(a, b)``.
+        """
+        return self._leaf_ancestors
 
     def __contains__(self, node: str) -> bool:
         return node in self._layer
@@ -255,25 +309,36 @@ class Tree:
 
     def path_of_leaf(self, leaf: str) -> tuple[str, ...]:
         """Root-to-leaf path, root included."""
-        self._require(leaf)
-        if leaf in self._children:
+        code = self._leaf_code.get(leaf)
+        if code is None:
+            self._require(leaf)
             raise ValueError(f"node {leaf!r} is not a leaf")
-        path = [leaf]
-        while path[-1] != self._root:
-            path.append(self._parent[path[-1]])
-        return tuple(reversed(path))
+        return self._leaf_paths[code]
+
+    def leaf_codes_of(
+        self, paths: Iterable[Iterable[str]], what: str = "path"
+    ) -> np.ndarray:
+        """Leaf code of each full root-to-leaf path in ``paths``.
+
+        Raises :class:`PathError` for the first sequence that is not a full
+        root-to-leaf path of this tree, naming it as ``what`` and its
+        position.
+        """
+        codes = []
+        for i, path in enumerate(paths):
+            path = tuple(path)
+            if not self.is_path(path):
+                raise PathError(
+                    f"{what} {i} {path!r} is not a root-to-leaf path of the tree"
+                )
+            codes.append(self._leaf_code[path[-1]])
+        return np.array(codes, dtype=np.intp)
 
     def is_path(self, path: Iterable[str]) -> bool:
         """True when ``path`` is a full root-to-leaf path of this tree."""
         seq = tuple(path)
-        if not seq or seq[0] != self._root or seq[-1] not in self._layer:
-            return False
-        if seq[-1] in self._children:
-            return False
-        for parent, child in zip(seq, seq[1:]):
-            if self._parent.get(child) != parent:
-                return False
-        return True
+        code = self._leaf_code.get(seq[-1]) if seq else None
+        return code is not None and self._leaf_paths[code] == seq
 
     def lca_layer(self, a: str, b: str) -> int:
         """Layer of the latest (deepest) common ancestor of two nodes.

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .hierarchy import Tree
 
 __all__ = [
@@ -47,6 +49,15 @@ def symmetric_loss(pairs: Sequence[Pair]) -> float:
     return total / len(pairs)
 
 
+def _pair_codes(pairs: Sequence[Pair], tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    _check_pairs(pairs)
+    true, pred = zip(*pairs)
+    return (
+        tree.leaf_codes_of(true, "true path of pair"),
+        tree.leaf_codes_of(pred, "predicted path of pair"),
+    )
+
+
 def hierarchical_loss(
     pairs: Sequence[Pair], tree: Tree, weighting: str = "sib"
 ) -> float:
@@ -63,29 +74,9 @@ def hierarchical_loss(
     * ``"sub"``: subtree size (node plus offspring) over the number of
       non-root nodes.
     """
-    _check_pairs(pairs)
     if weighting not in ("sib", "sub"):
         raise ValueError(f"weighting must be 'sib' or 'sub', got {weighting!r}")
-    if weighting == "sib":
-        coef = {}
-        for node in tree.node_order:
-            parent = tree.parent(node)
-            parent_coef = 1.0 if parent == tree.root else coef[parent]
-            coef[node] = parent_coef / len(tree.children(parent))
-    else:
-        coef = {
-            node: tree.subtree_size(node) / tree.q for node in tree.node_order
-        }
-
-    total = 0.0
-    for true, pred in pairs:
-        true_idx = {tree.order_index(node) for node in true[1:]}
-        pred_idx = {tree.order_index(node) for node in pred[1:]}
-        diverging = true_idx ^ pred_idx
-        if diverging:
-            first = min(diverging)
-            total += coef[tree.node_order[first - 1]]
-    return total / len(pairs)
+    return getattr(evaluate(pairs, tree), f"l_h_{weighting}")
 
 
 def h_fmeasure(pairs: Sequence[Pair], tree: Tree) -> tuple[float, float, float]:
@@ -96,20 +87,8 @@ def h_fmeasure(pairs: Sequence[Pair], tree: Tree) -> tuple[float, float, float]:
     intersection sizes over samples against the predicted and true
     augmented sizes respectively.
     """
-    _check_pairs(pairs)
-    inter = pred_size = true_size = 0
-    for true, pred in pairs:
-        for node in (*true, *pred):
-            if node not in tree:
-                raise ValueError(f"node {node!r} is not in the tree")
-        true_set, pred_set = set(true[1:]), set(pred[1:])
-        inter += len(true_set & pred_set)
-        pred_size += len(pred_set)
-        true_size += len(true_set)
-    hp = inter / pred_size if pred_size else 0.0
-    hr = inter / true_size if true_size else 0.0
-    hf = 2.0 * hp * hr / (hp + hr) if hp + hr > 0 else 0.0
-    return hp, hr, hf
+    report = evaluate(pairs, tree)
+    return report.hp, report.hr, report.hf
 
 
 @dataclass
@@ -158,16 +137,41 @@ class EvaluationReport:
 def evaluate(
     pairs: Sequence[Pair], tree: Tree, wall_time_seconds: float = 0.0
 ) -> EvaluationReport:
-    """Compute every measure on the given pairs."""
-    hp, hr, hf = h_fmeasure(pairs, tree)
+    """Compute every measure on the given pairs.
+
+    Every path must be a full root-to-leaf path of ``tree``; otherwise
+    :class:`~labeltree.hierarchy.PathError` (a ``ValueError``) names the
+    first bad pair.  Each pair is mapped to leaf codes, and every measure
+    follows from the two non-root path lengths and the layer of the
+    deepest common ancestor.
+    """
+    true, pred = _pair_codes(pairs, tree)
+    a, b = tree.leaf_ancestors[true], tree.leaf_ancestors[pred]
+    t_len, p_len = (a > 0).sum(axis=1), (b > 0).sum(axis=1)
+    wrong = np.flatnonzero(true != pred)
+    # an exact pair shares its whole path; distinct leaves first differ in
+    # the column numbered by their LCA layer
+    lca = t_len + 1
+    lca[wrong] = np.argmin(a[wrong] == b[wrong], axis=1)
+    # node order is breadth-first, so the first diverging node in that
+    # order is the earlier of the two nodes just below the common ancestor
+    first = np.minimum(a[wrong, lca[wrong]], b[wrong, lca[wrong]])
+    sib = {tree.root: 1.0}
+    for node in tree.node_order:
+        parent = tree.parent(node)
+        sib[node] = sib[parent] / len(tree.children(parent))
+    coef = [(sib[v], tree.subtree_size(v) / tree.q) for v in tree.nodes]
+    h_sib, h_sub = np.array(coef)[first].sum(axis=0)
+    n, shared = len(pairs), int((lca - 1).sum())
+    hp, hr = shared / int(p_len.sum()), shared / int(t_len.sum())
     return EvaluationReport(
-        l01=zero_one_loss(pairs),
-        l_delta=symmetric_loss(pairs),
-        l_h_sib=hierarchical_loss(pairs, tree, "sib"),
-        l_h_sub=hierarchical_loss(pairs, tree, "sub"),
+        l01=len(wrong) / n,
+        l_delta=(int((t_len + p_len).sum()) - 2 * shared) / n,
+        l_h_sib=float(h_sib) / n,
+        l_h_sub=float(h_sub) / n,
         hp=hp,
         hr=hr,
-        hf=hf,
-        n_te=len(pairs),
+        hf=2.0 * hp * hr / (hp + hr) if hp + hr > 0 else 0.0,
+        n_te=n,
         wall_time_seconds=wall_time_seconds,
     )

@@ -128,6 +128,16 @@ class TestPredictTopdown:
         with pytest.raises(ValueError):
             predict_topdown(model, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, ref, bad):
+        model = LinearModel(np.zeros((5, 3)), ref, "linear")
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2"):
+            predict_paths(model, X)
+        with pytest.raises(ValueError, match="row 2"):
+            model.score_matrix(X)
+
 
 class TestHierarchyMargin:
     def test_zero_model_zero_margin(self, ref, reference_tree):

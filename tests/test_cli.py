@@ -269,6 +269,23 @@ class TestTrainPredictEvaluate:
         leftmost = ("animal", "feline", "lynx", "iberian_lynx")
         assert read_predictions(pred_path) == [leftmost] * 4
 
+    def test_non_finite_features_exit_2(
+        self, tmp_path, tree_file, reference_tree, capsys
+    ):
+        model = LinearModel(np.zeros((5, 3)), embed_tree(reference_tree), "linear")
+        model_path = tmp_path / "zero.json"
+        save_model(model, model_path)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("f1,f2\n0.5,1.0\n0.0,nan\n")
+        pred_path = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--tree", tree_file, "--model", model_path,
+            "--data", data_path, "--out", pred_path,
+        )
+        assert code == 2
+        assert "row 1" in capsys.readouterr().err
+        assert not pred_path.exists()
+
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):
         model = tmp_path / "model.json"
         run_cli(
@@ -417,6 +434,21 @@ class TestEvaluateCommand:
             )
             == 2
         )
+
+    def test_invalid_path_exits_2(self, tmp_path, tree_file, reference_tree, capsys):
+        pred = tmp_path / "pred.csv"
+        truth = tmp_path / "truth.csv"
+        bad = [("animal", "raptor", "kestrel"), ("animal", "feline")]
+        write_predictions(bad, pred)
+        write_predictions([reference_tree.path_of_leaf("kestrel")] * 2, truth)
+        out = tmp_path / "rep"
+        code = run_cli(
+            "evaluate", "--tree", tree_file, "--pred", pred, "--truth", truth,
+            "--out", out,
+        )
+        assert code == 2
+        assert "pair 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_empty_predictions_exit_2(self, tmp_path, tree_file):
         pred = tmp_path / "pred.csv"

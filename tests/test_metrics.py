@@ -176,6 +176,22 @@ class TestEvaluate:
         text = report.to_text()
         assert "zero-one loss" in text and "1.000000" in text
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("animal", "feline", "kestrel"),  # kestrel sits under raptor
+            ("animal", "feline"),  # stops at an inner node
+            ("animal", "raptor", "dragon"),  # unknown id
+            ("raptor", "kestrel"),  # no root
+            (),
+        ],
+    )
+    def test_invalid_paths_rejected(self, reference_tree, paths, bad):
+        good = (paths["kestrel"], paths["kestrel"])
+        for pairs in ([good, (paths["osprey"], bad)], [good, (bad, paths["osprey"])]):
+            with pytest.raises(ValueError, match="pair 1"):
+                evaluate(pairs, reference_tree)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 5_000))
     def test_random_tree_zero_iff_exact(self, seed):
