@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingTable, embed_tree
+from .embedding import EmbeddingTable, _json_float_list, embed_tree
 from .hierarchy import Tree
 
 __all__ = [
@@ -486,8 +486,12 @@ MODEL_FORMAT = "labeltree-linear-model/1"
 
 
 def save_model(model: LinearModel, path) -> None:
-    """Serialize a model to JSON; floats round-trip exactly."""
-    doc = {
+    """Serialize a model to JSON; floats round-trip exactly.
+
+    The text is what ``json.dump(doc, fh, indent=2)`` writes, with the
+    ``coef`` list laid out by the same helper as the embedding export.
+    """
+    head = {
         "format": MODEL_FORMAT,
         "tree_sha256": model.tree.sha256(),
         "base_norm": model.table.base_norm,
@@ -497,11 +501,13 @@ def save_model(model: LinearModel, path) -> None:
         "lambda": model.lam,
         "dimension": model.table.dimension,
         "n_features": model.n_features,
-        "coef": [float(v) for v in model.coef.ravel(order="C")],
     }
+    coef = _json_float_list(model.coef.ravel(order="C"), 1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n")
+        for key, value in head.items():
+            fh.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
+        fh.write(f'  "coef": {coef}\n}}\n')
 
 
 def load_model(path, tree: Tree) -> LinearModel:

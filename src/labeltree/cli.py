@@ -104,14 +104,31 @@ def read_predictions(path) -> list[tuple[str, ...]]:
 
 
 def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
-    """Read true paths from a predictions-format or labeled-dataset CSV."""
+    """Read true paths from a predictions-format or labeled-dataset CSV.
+
+    Of a labeled dataset only the trailing ``label`` column is read; the
+    feature cells are not parsed, since they are no part of the truth.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip().split(",")
-    if header[:2] == ["index", "path"]:
-        return read_predictions(path)
-    _, labels = read_feature_csv(path)
-    if labels is None:
-        raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if header[:2] == ["index", "path"]:
+            return read_predictions(path)
+        if not header or header[-1] != "label":
+            raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
+        labels = []
+        for record in reader:
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: row with {len(record)} fields, expected {len(header)}"
+                )
+            labels.append(record[-1])
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
     return [tree.path_of_leaf(label) for label in labels]
 
 

@@ -160,16 +160,9 @@ def dissimilarity_matrix(tree: Tree, schedule: WeightSchedule) -> np.ndarray:
         if not tree.is_leaf(node):
             psi[i] = schedule.sibling_weight[node]
     psi[-1] = schedule.sibling_weight[tree.root]
-    # anc_pos[i, t] = node-order position of i's ancestor at layer t
-    # (-1 for the root at layer 1, so psi[-1] resolves to the root).
-    pos = {node: i for i, node in enumerate(order)}
-    anc_pos = np.full((q, tree.depth + 1), -1, dtype=np.int64)
-    for i, node in enumerate(order):
-        cur = node
-        while cur != tree.root:
-            anc_pos[i, tree.layer(cur)] = pos[cur]
-            cur = tree.parent(cur)
-    anc_idx = anc_pos[np.arange(q)[:, None], lca]
+    # Node-order position of each pair's common ancestor; the root's
+    # order index 0 becomes -1, so psi[-1] resolves to the root.
+    anc_idx = tree.node_ancestors[np.arange(q)[:, None], lca - 1] - 1
     sib = psi[anc_idx]
     sq_cross = sib**2 + cum[layers[:, None] - 1] + cum[layers[None, :] - 1] - 2 * cum[lca]
 
@@ -301,33 +294,47 @@ def consistency_report_from_matrix(
             )
 
     # Symmetry: for a fixed anchor, partners at one layer sharing the
-    # common-ancestor layer must all sit at the same dissimilarity.
-    sym: list[SymmetryViolation] = []
-    for i in range(q):
-        row = dist[i]
-        keys = {}
-        for j in range(q):
-            if j == i:
-                continue
-            key = (layers[j], lca[i, j])
-            keys.setdefault(key, []).append(j)
-        for (other_layer, t), js in keys.items():
-            if len(js) < 2:
-                continue
-            vals = row[js]
-            j_min, j_max = js[int(np.argmin(vals))], js[int(np.argmax(vals))]
-            if row[j_max] - row[j_min] > tol:
-                sym.append(
-                    SymmetryViolation(
-                        anchor=order[i],
-                        other_layer=int(other_layer),
-                        lca=int(t),
-                        node_a=order[j_min],
-                        value_a=float(row[j_min]),
-                        node_b=order[j_max],
-                        value_b=float(row[j_max]),
-                    )
-                )
+    # common-ancestor layer must all sit at the same dissimilarity.  Each
+    # (partner layer, ancestor layer) group is a mask over the matrix, and
+    # each anchor's extremes in it are masked row reductions; argmin and
+    # argmax return first occurrences, as a scan in node order does.
+    found = []
+    for other_layer in np.unique(layers).tolist():
+        cols = np.flatnonzero(layers == other_layer)
+        part = dist[:, cols]
+        part_lca = lca[:, cols]
+        part_lca[cols, np.arange(cols.size)] = 0  # a node is not its own partner
+        for t in range(1, other_layer + 1):
+            member = part_lca == t
+            rows = np.flatnonzero(np.count_nonzero(member, axis=1) >= 2)
+            member, vals = member[rows], part[rows]
+            lo = np.where(member, vals, np.inf)
+            hi = np.where(member, vals, -np.inf)
+            k_min, k_max = np.argmin(lo, axis=1), np.argmax(hi, axis=1)
+            pick = np.arange(rows.size)
+            bad = hi[pick, k_max] - lo[pick, k_min] > tol
+            first = np.argmax(member[bad], axis=1)
+            for i, j0, a, b in zip(
+                rows[bad].tolist(),
+                cols[first].tolist(),
+                cols[k_min[bad]].tolist(),
+                cols[k_max[bad]].tolist(),
+            ):
+                found.append((i, j0, other_layer, t, a, b))
+    # anchors in node order, then each anchor's groups by first partner
+    found.sort()
+    sym = [
+        SymmetryViolation(
+            anchor=order[i],
+            other_layer=other_layer,
+            lca=t,
+            node_a=order[a],
+            value_a=float(dist[i, a]),
+            node_b=order[b],
+            value_b=float(dist[i, b]),
+        )
+        for i, _, other_layer, t, a, b in found
+    ]
 
     return ConsistencyReport(
         n_pairs=n_pairs,

@@ -314,13 +314,15 @@ def embedded_consistency_check(
 
 
 def write_matrix_csv(table: EmbeddingTable, path) -> None:
-    """Write the embedding as CSV: one row per coordinate, node-order columns."""
-    mat = table.matrix()
+    """Write the embedding as CSV: one row per coordinate, node-order columns.
+
+    The header goes through :mod:`csv`, which quotes node ids as needed;
+    coordinate rows are written as the same text, one ``repr`` per float.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", *table.tree.node_order])
-        for i, row in enumerate(mat, start=1):
-            writer.writerow([i, *[repr(float(v)) for v in row]])
+        csv.writer(fh).writerow(["coordinate", *table.tree.node_order])
+        for i, row in enumerate(table.matrix().tolist(), start=1):
+            fh.write(f"{i},{','.join(map(repr, row))}\r\n")
 
 
 def table_to_json_dict(table: EmbeddingTable) -> dict:
@@ -336,7 +338,34 @@ def table_to_json_dict(table: EmbeddingTable) -> dict:
     }
 
 
+def _json_float_list(values: np.ndarray, level: int) -> str:
+    """A float array as ``json.dump(..., indent=2)`` lays out its list.
+
+    ``level`` is the list's nesting depth in the document.  :mod:`json`
+    writes finite floats with ``float.__repr__``, so the text is the same
+    without the pure-Python encoder's per-item cost.
+    """
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return "[]"
+    fmt = repr if np.isfinite(values).all() else json.dumps
+    inner = "\n" + "  " * (level + 1)
+    return f"[{inner}{(',' + inner).join(map(fmt, values.tolist()))}\n{'  ' * level}]"
+
+
 def write_json(table: EmbeddingTable, path) -> None:
+    """Write :func:`table_to_json_dict` as ``json.dump(..., indent=2)`` does.
+
+    Written one node at a time, so the file is never held as one string.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_json_dict(table), fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n")
+        for key in ("base_norm", "decay", "dimension"):
+            fh.write(f'  "{key}": {json.dumps(getattr(table, key))},\n')
+        fh.write('  "vectors": {')
+        sep = "\n"
+        for node in table.tree.node_order:
+            vec = _json_float_list(table.vectors[node], 2)
+            fh.write(f"{sep}    {json.dumps(node)}: {vec}")
+            sep = ",\n"
+        fh.write("\n  }\n}\n")

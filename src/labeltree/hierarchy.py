@@ -82,7 +82,8 @@ class Tree:
     Leaves also carry integer *leaf codes*, their positions in
     :attr:`leaves`; :attr:`leaf_paths` and :attr:`leaf_ancestors` are
     indexed by code, so hot loops work on integer arrays and node ids are
-    needed only at the file and CLI boundary.
+    needed only at the file and CLI boundary.  :attr:`leaf_ancestors` is
+    the leaf rows of the one node ancestor matrix, :attr:`node_ancestors`.
     """
 
     __slots__ = (
@@ -98,6 +99,7 @@ class Tree:
         "_subtree_size",
         "_leaf_code",
         "_leaf_paths",
+        "_node_ancestors",
         "_leaf_ancestors",
     )
 
@@ -178,18 +180,23 @@ class Tree:
         )
 
         self._leaf_code = {leaf: i for i, leaf in enumerate(self._leaves)}
-        paths = []
-        for leaf in self._leaves:
-            path = [leaf]
-            while path[-1] != root:
-                path.append(self._parent[path[-1]])
-            paths.append(tuple(reversed(path)))
-        self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(paths)
-        ancestors = np.full((len(paths), self._depth), -1, dtype=np.intp)
-        for code, path in enumerate(paths):
-            ancestors[code, : len(path)] = [self.order_index(n) for n in path]
+        # Order indices from the root down to each node; parents precede
+        # their children in node order.
+        lineage = {root: (0,)}
+        for i, node in enumerate(order, start=1):
+            lineage[node] = lineage[self._parent[node]] + (i,)
+        nodes = (root, *order)
+        self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(
+            tuple(nodes[k] for k in lineage[leaf]) for leaf in self._leaves
+        )
+        ancestors = np.array(
+            [lineage[n] + (-1,) * (self._depth - len(lineage[n])) for n in order],
+            dtype=np.intp,
+        )
         ancestors.setflags(write=False)
-        self._leaf_ancestors = ancestors
+        self._node_ancestors = ancestors
+        self._leaf_ancestors = ancestors[[self._order_pos[n] - 1 for n in self._leaves]]
+        self._leaf_ancestors.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -236,13 +243,23 @@ class Tree:
         return self._leaf_paths
 
     @property
+    def node_ancestors(self) -> np.ndarray:
+        """Read-only ``(q, depth)`` ancestor matrix over node order.
+
+        Entry ``[i, t-1]`` is the :meth:`order_index` of the ancestor at
+        layer ``t`` of the node at position ``i`` of :attr:`node_order` (0
+        for the root, the node itself at its own layer) and ``-1`` below the
+        node's own layer.
+        """
+        return self._node_ancestors
+
+    @property
     def leaf_ancestors(self) -> np.ndarray:
         """Read-only ``(n_leaf, depth)`` ancestor matrix over leaf codes.
 
-        Entry ``[c, t-1]`` is the :meth:`order_index` of leaf ``c``'s
-        ancestor at layer ``t`` (0 for the root) and ``-1`` below the leaf's
-        own layer.  Two distinct leaves first differ in column
-        ``lca_layer(a, b)``.
+        The leaf rows of :attr:`node_ancestors`: entry ``[c, t-1]`` is the
+        :meth:`order_index` of leaf ``c``'s ancestor at layer ``t``.  Two
+        distinct leaves first differ in column ``lca_layer(a, b)``.
         """
         return self._leaf_ancestors
 
@@ -358,19 +375,14 @@ class Tree:
     def lca_layer_matrix(self) -> np.ndarray:
         """(q, q) matrix of ``lca_layer`` over non-root nodes in node order.
 
-        Index tuples are padded with per-node sentinels so equal prefixes
-        never continue past a node's own layer.
+        Counts the layers at which two nodes share an ancestor, one column
+        of :attr:`node_ancestors` at a time; the diagonal is ``layer(x)``.
         """
-        q, k = self.q, self._depth
-        padded = np.zeros((q, k), dtype=np.int64)
-        for i, node in enumerate(self._node_order):
-            tup = self._index_tuple[node]
-            padded[i, : len(tup)] = tup
-            padded[i, len(tup) :] = -(i + 1)
-        eq = padded[:, None, :] == padded[None, :, :]
-        prefix = np.cumprod(eq, axis=2).sum(axis=2)
-        layers = np.array([self._layer[n] for n in self._node_order])
-        return np.minimum(prefix, np.minimum(layers[:, None], layers[None, :]))
+        q = self.q
+        out = np.zeros((q, q), dtype=np.int64)
+        for col in self._node_ancestors.T:
+            out += (col[:, None] == col[None, :]) & (col >= 0)[:, None]
+        return out
 
     # -- serialization -----------------------------------------------------
 

@@ -1,20 +1,33 @@
 """Reference implementations over string node ids, kept as test oracles.
 
 These are the per-sample and per-pair loops the library ran before it
-moved to integer leaf codes.  The property tests in ``test_oracles.py``
-check the fast paths against them on random trees.
+moved to integer leaf codes, the certificate as it ran before the node
+ancestor matrix and the vectorised symmetry audit, and the exports as the
+``csv`` and ``json`` modules wrote them before streaming.  The property
+tests in ``test_oracles.py`` check the fast paths against them on random
+trees.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
 
 from labeltree.classifier import (
+    MODEL_FORMAT,
     LinearModel,
     adaptive_weights,
     predict_paths,
     train_linear,
 )
+from labeltree.dissimilarity import (
+    ConsistencyReport,
+    MonotonicityViolation,
+    SymmetryViolation,
+)
+from labeltree.embedding import table_to_json_dict
 from labeltree.metrics import symmetric_loss, zero_one_loss
 
 
@@ -150,3 +163,163 @@ def evaluate(pairs, tree) -> dict[str, float]:
         "hr": hr,
         "hf": hf,
     }
+
+
+# -- the certificate before the node ancestor matrix ----------------------
+
+
+def lca_layer_matrix(tree) -> np.ndarray:
+    """(q, q) LCA layers from index tuples padded with per-node sentinels."""
+    q, k = tree.q, tree.depth
+    padded = np.zeros((q, k), dtype=np.int64)
+    for i, node in enumerate(tree.node_order):
+        tup = tree.index_tuple(node)
+        padded[i, : len(tup)] = tup
+        padded[i, len(tup) :] = -(i + 1)
+    eq = padded[:, None, :] == padded[None, :, :]
+    prefix = np.cumprod(eq, axis=2).sum(axis=2)
+    layers = np.array([tree.layer(n) for n in tree.node_order])
+    return np.minimum(prefix, np.minimum(layers[:, None], layers[None, :]))
+
+
+def leaf_ancestors(tree) -> np.ndarray:
+    """(n_leaf, depth) order indices along each leaf's path, -1 padded."""
+    out = np.full((tree.n_leaf, tree.depth), -1, dtype=np.intp)
+    for code, path in enumerate(tree.leaf_paths):
+        out[code, : len(path)] = [tree.order_index(n) for n in path]
+    return out
+
+
+def dissimilarity_matrix(tree, schedule) -> np.ndarray:
+    """Closed-form dissimilarities with a per-node ancestor walk."""
+    order = tree.node_order
+    q = len(order)
+    layers = np.array([tree.layer(n) for n in order])
+    lca = lca_layer_matrix(tree)
+    w2 = np.array([w * w for w in schedule.level_weights])
+    cum = np.concatenate([[0.0], np.cumsum(w2), [np.sum(w2)]])
+    lo = np.minimum(layers[:, None], layers[None, :])
+    hi = np.maximum(layers[:, None], layers[None, :])
+    ancestral = lca == lo
+    sq_anc = cum[hi - 1] - cum[lca - 1]
+    psi = np.zeros(q + 1)
+    for i, node in enumerate(order):
+        if not tree.is_leaf(node):
+            psi[i] = schedule.sibling_weight[node]
+    psi[-1] = schedule.sibling_weight[tree.root]
+    pos = {node: i for i, node in enumerate(order)}
+    anc_pos = np.full((q, tree.depth + 1), -1, dtype=np.int64)
+    for i, node in enumerate(order):
+        cur = node
+        while cur != tree.root:
+            anc_pos[i, tree.layer(cur)] = pos[cur]
+            cur = tree.parent(cur)
+    sib = psi[anc_pos[np.arange(q)[:, None], lca]]
+    sq_cross = sib**2 + cum[layers[:, None] - 1] + cum[layers[None, :] - 1] - 2 * cum[lca]
+    out = np.sqrt(np.where(ancestral, sq_anc, np.maximum(sq_cross, 0.0)))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def consistency_report_from_matrix(tree, dist, tol=1e-10, decay_bound_met=True):
+    """Both audits, the symmetry one as a scan of every anchor's row."""
+    order = tree.node_order
+    q = len(order)
+    layers = np.array([tree.layer(n) for n in order])
+    lca = lca_layer_matrix(tree)
+    iu, ju = np.triu_indices(q, k=1)
+    values = dist[iu, ju]
+    pair_lca = lca[iu, ju]
+
+    mono = []
+    groups = sorted(set(pair_lca.tolist()))
+    extremes = {}
+    for t in groups:
+        mask = pair_lca == t
+        vals = values[mask]
+        idx = np.flatnonzero(mask)
+        extremes[t] = (idx[int(np.argmin(vals))], idx[int(np.argmax(vals))])
+    for t_low, t_high in zip(groups, groups[1:]):
+        k_min = extremes[t_low][0]
+        k_max = extremes[t_high][1]
+        if values[k_min] <= values[k_max]:
+            mono.append(
+                MonotonicityViolation(
+                    pair_low=(order[iu[k_min]], order[ju[k_min]]),
+                    lca_low=int(t_low),
+                    value_low=float(values[k_min]),
+                    pair_high=(order[iu[k_max]], order[ju[k_max]]),
+                    lca_high=int(t_high),
+                    value_high=float(values[k_max]),
+                )
+            )
+
+    sym = []
+    for i in range(q):
+        row = dist[i]
+        keys = {}
+        for j in range(q):
+            if j == i:
+                continue
+            keys.setdefault((layers[j], lca[i, j]), []).append(j)
+        for (other_layer, t), js in keys.items():
+            if len(js) < 2:
+                continue
+            vals = row[js]
+            j_min, j_max = js[int(np.argmin(vals))], js[int(np.argmax(vals))]
+            if row[j_max] - row[j_min] > tol:
+                sym.append(
+                    SymmetryViolation(
+                        anchor=order[i],
+                        other_layer=int(other_layer),
+                        lca=int(t),
+                        node_a=order[j_min],
+                        value_a=float(row[j_min]),
+                        node_b=order[j_max],
+                        value_b=float(row[j_max]),
+                    )
+                )
+
+    return ConsistencyReport(
+        n_pairs=len(values),
+        tolerance=tol,
+        decay_bound_met=decay_bound_met,
+        monotonicity_violations=tuple(mono),
+        symmetry_violations=tuple(sym),
+    )
+
+
+# -- exports before streaming ---------------------------------------------
+
+
+def write_matrix_csv(table, path) -> None:
+    mat = table.matrix()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["coordinate", *table.tree.node_order])
+        for i, row in enumerate(mat, start=1):
+            writer.writerow([i, *[repr(float(v)) for v in row]])
+
+
+def write_json(table, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table_to_json_dict(table), fh, indent=2)
+        fh.write("\n")
+
+
+def save_model(model, path) -> None:
+    doc = {
+        "format": MODEL_FORMAT,
+        "tree_sha256": model.tree.sha256(),
+        "base_norm": model.table.base_norm,
+        "decay": model.table.decay,
+        "loss": model.loss,
+        "gamma": model.gamma,
+        "lambda": model.lam,
+        "dimension": model.table.dimension,
+        "n_features": model.n_features,
+        "coef": [float(v) for v in model.coef.ravel(order="C")],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

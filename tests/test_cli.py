@@ -525,6 +525,45 @@ class TestHelpers:
         write_dataset_csv(ds, as_data)
         assert read_truth(as_data, reference_tree) == paths
 
+    def test_read_truth_ignores_feature_cells(self, tmp_path, reference_tree):
+        # features are no part of the truth, so a cell that is not a
+        # number is never parsed
+        path = tmp_path / "truth.csv"
+        path.write_text("f1,f2,label\n0.5,n/a,kestrel\nx,1.0,osprey\n")
+        assert read_truth(path, reference_tree) == [
+            reference_tree.path_of_leaf("kestrel"),
+            reference_tree.path_of_leaf("osprey"),
+        ]
+
+    def test_evaluate_with_non_numeric_feature_in_truth(
+        self, tmp_path, tree_file, reference_tree
+    ):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("f1,label\nnot-a-number,kestrel\n")
+        pred = tmp_path / "pred.csv"
+        write_predictions([reference_tree.path_of_leaf("kestrel")], pred)
+        out = tmp_path / "eval"
+        assert run_cli(
+            "evaluate", "--tree", tree_file, "--pred", pred, "--truth", truth,
+            "--out", out, "--format", "json",
+        ) == 0
+        assert json.loads((out / "report.json").read_text())["l01"] == 0.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("f1,f2\n0.5,1.0\n", "neither a predictions file nor a labeled CSV"),
+            ("f1,label\n0.5,kestrel,extra\n", "row with 3 fields, expected 2"),
+            ("f1,label\n", "no data rows"),
+        ],
+    )
+    def test_read_truth_errors(self, tmp_path, reference_tree, text, message):
+        path = tmp_path / "truth.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_truth(path, reference_tree)
+
     @pytest.mark.filterwarnings("ignore::labeltree.classifier.ConvergenceWarning")
     def test_lambda_selection_matches_exhaustive_search(self, reference_tree):
         # oracle: evaluate every grid point exhaustively, ties -> smaller

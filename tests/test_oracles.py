@@ -1,8 +1,10 @@
-"""Leaf-code fast paths against the string-id oracles on random trees.
+"""Fast paths against the reference implementations on random trees.
 
 ``conftest.random_tree`` draws trees with unbalanced leaf depths, so
 paths of different lengths meet in every check.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,12 +19,26 @@ from labeltree.classifier import (
     _descend,
     per_sample_risk,
     predict_paths,
+    save_model,
     train_linear,
     train_weighted_linear,
     weighted_linear_fits,
 )
 from labeltree.cli import select_gamma
-from labeltree.embedding import embed_tree
+from labeltree.dissimilarity import (
+    DECAY_SQUARED_BOUND,
+    build_schedule,
+    consistency_check,
+    consistency_report_from_matrix,
+    dissimilarity_matrix,
+)
+from labeltree.embedding import (
+    embed_tree,
+    embedded_consistency_check,
+    write_json,
+    write_matrix_csv,
+)
+from labeltree.hierarchy import Tree
 from labeltree.metrics import evaluate, h_fmeasure, hierarchical_loss
 
 seeds = st.integers(0, 100_000)
@@ -149,3 +165,142 @@ def test_evaluate_matches_oracle(seed):
     assert h_fmeasure(pairs, tree) == pytest.approx(
         oracles.h_fmeasure(pairs), rel=0, abs=1e-12
     )
+
+
+# Decays below and above the certification threshold, so that the draws
+# meet monotonicity violations as well as clean trees.
+DECAYS = (1.1, 1.3, 1.6, 2.0, math.sqrt(5.0))
+assert min(DECAYS) ** 2 < DECAY_SQUARED_BOUND < max(DECAYS) ** 2
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert got.summary() == want.summary()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_ancestor_and_lca_matrices_equal_oracle(seed):
+    tree = random_tree(np.random.default_rng(seed))
+    lca, want = tree.lca_layer_matrix(), oracles.lca_layer_matrix(tree)
+    assert lca.dtype == want.dtype
+    np.testing.assert_array_equal(lca, want)
+    want = oracles.leaf_ancestors(tree)
+    assert tree.leaf_ancestors.dtype == want.dtype
+    np.testing.assert_array_equal(tree.leaf_ancestors, want)
+    assert not tree.leaf_ancestors.flags.writeable
+    assert not tree.node_ancestors.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, decay=st.sampled_from(DECAYS))
+def test_certificate_equals_oracle(seed, decay):
+    tree = random_tree(np.random.default_rng(seed))
+    schedule = build_schedule(tree, base_weight=1.5, decay=decay)
+    dist = oracles.dissimilarity_matrix(tree, schedule)
+    np.testing.assert_array_equal(dissimilarity_matrix(tree, schedule), dist)
+    assert_same_report(
+        consistency_check(tree, schedule),
+        oracles.consistency_report_from_matrix(
+            tree, dist, decay_bound_met=schedule.meets_decay_bound
+        ),
+    )
+    table = embed_tree(tree, base_norm=1.5, decay=decay)
+    assert_same_report(
+        embedded_consistency_check(table, tol=1e-12),
+        oracles.consistency_report_from_matrix(
+            tree,
+            table.distance_matrix(),
+            tol=1e-12,
+            decay_bound_met=decay**2 >= DECAY_SQUARED_BOUND,
+        ),
+    )
+
+
+def perturbed_distances(tree, rng):
+    """Dissimilarities with coarse noise, so partners tie or disagree."""
+    dist = dissimilarity_matrix(tree, build_schedule(tree, decay=1.3))
+    return dist + np.round(rng.normal(scale=1e-9, size=dist.shape), 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_symmetry_audit_equals_oracle_on_perturbed_distances(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    dist = perturbed_distances(tree, rng)
+    if rng.random() < 0.5:
+        # infinite anchors, infinite partners and NaN pairs
+        q = tree.q
+        dist[rng.integers(0, q)] = np.inf
+        dist[:, rng.integers(0, q)] = -np.inf
+        dist[rng.integers(0, q, 3), rng.integers(0, q, 3)] = np.nan
+    assert_same_report(
+        consistency_report_from_matrix(tree, dist),
+        oracles.consistency_report_from_matrix(tree, dist),
+    )
+
+
+def test_oracle_draws_meet_both_kinds_of_violation():
+    mono = sym = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng)
+        for decay in DECAYS:
+            report = consistency_check(tree, build_schedule(tree, decay=decay))
+            mono += len(report.monotonicity_violations)
+        sym += len(
+            consistency_report_from_matrix(
+                tree, perturbed_distances(tree, rng)
+            ).symmetry_violations
+        )
+    assert mono > 0 and sym > 0
+
+
+def assert_same_exports(tmp, table):
+    for name, write, oracle_write in (
+        ("e.csv", write_matrix_csv, oracles.write_matrix_csv),
+        ("e.json", write_json, oracles.write_json),
+    ):
+        write(table, tmp / f"got-{name}")
+        oracle_write(table, tmp / f"want-{name}")
+        assert (tmp / f"got-{name}").read_bytes() == (tmp / f"want-{name}").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, decay=st.sampled_from(DECAYS))
+def test_exports_equal_oracle_bytes(tmp_path_factory, seed, decay):
+    rng = np.random.default_rng(seed)
+    base_norm = float(rng.uniform(0.1, 10))
+    table = embed_tree(random_tree(rng), base_norm=base_norm, decay=decay)
+    assert_same_exports(tmp_path_factory.mktemp("exports"), table)
+
+
+def test_exports_quote_and_escape_node_ids_as_before(tmp_path):
+    tree = Tree(
+        "root, top",
+        {
+            "root, top": ["a,b", 'say "hi"', "caf\u00e9"],
+            "caf\u00e9": ["\u00fcn\u00ef", "two\nlines", "tab\tback\\slash"],
+        },
+    )
+    assert_same_exports(tmp_path, embed_tree(tree))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_save_model_equals_json_dump_bytes(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree, decay=float(rng.uniform(1.5, 3.0)))
+    coef = rng.normal(scale=10.0 ** rng.integers(-5, 5), size=(table.dimension, 4))
+    if rng.random() < 0.3:
+        # json writes non-finite floats as NaN and Infinity, not as repr
+        coef[0, 0], coef[-1, -1] = np.nan, -np.inf
+    gamma = None if rng.random() < 0.5 else float(rng.uniform(0, 10))
+    model = LinearModel(coef, table, "weighted-linear", gamma=gamma, lam=0.25)
+    tmp = tmp_path_factory.mktemp("model")
+    save_model(model, tmp / "got.json")
+    oracles.save_model(model, tmp / "want.json")
+    assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
