@@ -4,7 +4,8 @@ A model is a coefficient matrix ``A`` mapping an augmented feature vector
 ``(1, x)`` to a point ``f(x)`` in the embedding space.  Prediction walks
 the tree from the root, at each layer descending into the child whose
 embedded point has the largest inner product with ``f(x)`` (equivalently,
-the smallest Euclidean distance, since siblings share a norm).
+the smallest Euclidean distance, since siblings share a norm), comparing
+siblings on their parent's block only, so exact ties go to the first child.
 
 Training minimizes a per-layer surrogate over sibling gaps
 ``<f(x), xi_true> - <f(x), xi_sibling>``.  Under the linear surrogate
@@ -172,8 +173,8 @@ def _descend(table: EmbeddingTable, F: np.ndarray) -> np.ndarray:
     """Leaf code the top-down walk reaches for every row of the scores ``F``.
 
     Walks all rows layer by layer, grouping them by their current node so
-    each group costs one small matrix product.  Ties pick the first child
-    in document order.
+    each group costs one small product on that node's block.  Exact ties
+    pick the first child in document order, whatever the rest of the batch.
     """
     tree = table.tree
     leaf_codes = tree.leaf_codes
@@ -182,7 +183,8 @@ def _descend(table: EmbeddingTable, F: np.ndarray) -> np.ndarray:
     while groups:
         nxt = []
         for node, idx in groups:
-            choice = np.argmax(F[idx] @ table.child_matrices[node].T, axis=1)
+            start, stack = table.sibling_blocks[node]
+            choice = np.argmax(F[idx, start : start + stack.shape[1]] @ stack.T, axis=1)
             for j, child in enumerate(tree.children(node)):
                 sub = idx[choice == j]
                 if child in leaf_codes:
@@ -233,13 +235,9 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_compatible(model.table, dataset)
-    F, codes = model.score_matrix(dataset.X), dataset.codes
-    out = np.zeros(dataset.n)
-    for code in np.unique(codes).tolist():
-        rows = codes == code
-        D, _ = _hinge_terms(model.table, np.array([code]))
-        out[rows] = _LOSSES[loss](F[rows] @ D.T).sum(axis=1)
-    return out
+    D, mask = _hinge_terms(model.table, dataset.codes)
+    gaps = D @ model.score_matrix(dataset.X).T
+    return np.where(mask, _LOSSES[loss](gaps), 0.0).sum(axis=0)
 
 
 def surrogate_risk(
@@ -281,8 +279,8 @@ def train_linear(
     pure-noise direction under label-balanced designs, so the synthetic
     benchmarks disable it.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     _check_compatible(table, dataset)
     if not np.all(np.isfinite(dataset.X)):
         raise ValueError("features contain NaN or infinity")
@@ -296,8 +294,8 @@ def adaptive_weights(model: LinearModel, X, gamma: float) -> np.ndarray:
     Samples the base linear model maps far from the origin (typically easy
     or outlying ones) are down-weighted; ``gamma`` sharpens the cutoff.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     return 1.0 / (1.0 + np.linalg.norm(model.score_matrix(X), axis=1) ** gamma)
 
 
@@ -330,8 +328,8 @@ def weighted_linear_fits(
     All models share one base fit, so each gamma costs its weights and
     one product.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     base = train_linear(dataset, table, fit_intercept=fit_intercept)
     U = table.sibling_differences[dataset.codes]
     Xa = _augment(dataset.X)
@@ -352,17 +350,14 @@ def _hinge_terms(
     rows, one block per distinct leaf code in ``codes``, and a boolean
     ``(terms, n)`` mask marking which samples carry each row.
     """
-    tree = table.tree
     rows, owners = [], []
     for code in np.unique(codes).tolist():
-        path = tree.leaf_paths[code]
-        for parent, node in zip(path, path[1:]):
-            for sib in tree.children(parent):
-                if sib != node:
-                    rows.append(table.vector(node) - table.vector(sib))
-                    owners.append(code)
-    D = np.stack(rows)
-    return D, np.array(owners)[:, None] == codes
+        for start, stack, j in table.sibling_terms(code):
+            D = np.zeros((len(stack) - 1, table.dimension))
+            D[:, start : start + stack.shape[1]] = stack[j] - np.delete(stack, j, 0)
+            rows.append(D)
+            owners += [code] * len(D)
+    return np.concatenate(rows), np.array(owners)[:, None] == codes
 
 
 def hinge_objective(
@@ -399,8 +394,8 @@ def train_hinge(
     ``fit_intercept=False`` pins the intercept column to zero (projected
     subgradient on that subspace).
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     _check_compatible(table, dataset)
     Xa = _augment(dataset.X)
     D, mask = _hinge_terms(table, dataset.codes)
@@ -468,8 +463,8 @@ def population_direction(
     probs = dict(path_probs)
     total = 0.0
     for path, prob in probs.items():
-        if prob < 0.0:
-            raise ValueError(f"negative probability {prob} for path {path!r}")
+        if not 0.0 <= prob < np.inf:
+            raise ValueError(f"invalid probability {prob} for path {path!r}")
         if not tree.is_path(path):
             raise ValueError(f"{path!r} is not a root-to-leaf path of the tree")
         total += prob

@@ -97,6 +97,10 @@ def read_predictions(path) -> list[tuple[str, ...]]:
         for record in reader:
             if not record:
                 continue
+            if len(record) < 2:
+                raise ValueError(
+                    f"{path}: row {record!r} on line {reader.line_num} has no path"
+                )
             out.append(tuple(record[1].split(PATH_SEP)))
     if not out:
         raise ValueError(f"{path}: no predictions")

@@ -89,10 +89,10 @@ def build_schedule(
     ``level_weight * sqrt(2N/(N-1))`` for ``N`` children, which always
     lands in the admissible interval ``(w, 2w]``.
     """
-    if decay <= 1.0:
-        raise ValueError(f"decay must exceed 1, got {decay}")
-    if base_weight <= 0.0:
-        raise ValueError(f"base weight must be positive, got {base_weight}")
+    if not 1.0 < decay < math.inf:
+        raise ValueError(f"decay must exceed 1 and be finite, got {decay}")
+    if not 0.0 < base_weight < math.inf:
+        raise ValueError(f"base weight must be positive and finite, got {base_weight}")
     levels = tuple(base_weight / decay**i for i in range(tree.depth - 1))
     sibling = {}
     for node in tree.nodes:

@@ -80,13 +80,13 @@ def simplex(
     Raises
     ------
     ValueError
-        If ``count < 2``, ``norm <= 0``, or the ambient dimension cannot
-        hold the block.
+        If ``count < 2``, ``norm`` is not positive and finite, or the ambient
+        dimension cannot hold the block.
     """
     if count < 2:
         raise ValueError(f"a simplex needs at least 2 points, got {count}")
-    if norm <= 0.0:
-        raise ValueError(f"norm must be positive, got {norm}")
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"norm must be positive and finite, got {norm}")
     if offset < 0:
         raise ValueError(f"offset must be nonnegative, got {offset}")
     if ambient is None:
@@ -152,39 +152,44 @@ class EmbeddingTable:
         return self.vectors[node]
 
     @cached_property
+    def sibling_blocks(self) -> Mapping[str, tuple[int, np.ndarray]]:
+        """Non-leaf node id to its block start and its children's offsets there.
+
+        Read-only ``(fanout, width)`` stacks, rows in document order; siblings'
+        vectors agree bit for bit outside their parent's block.
+        """
+        out = {}
+        for parent, (start, stop) in self.block_layout.items():
+            kids = self.tree.children(parent)
+            out[parent] = (start, np.stack([self.vectors[c][start:stop] for c in kids]))
+            out[parent][1].setflags(write=False)
+        return MappingProxyType(out)
+
+    def sibling_terms(self, code: int) -> list[tuple[int, np.ndarray, int]]:
+        """The parent's :attr:`sibling_blocks` entry and the own child's row
+        ``j``, as ``(start, stack, j)``, per layer of leaf ``code``'s path.
+        """
+        path = self.tree.leaf_paths[code]
+        rows = self.tree.index_tuple(path[-1])[1:]
+        return [(*self.sibling_blocks[p], j - 1) for p, j in zip(path, rows)]
+
+    @cached_property
     def sibling_differences(self) -> np.ndarray:
         """Read-only ``(n_leaf, dimension)`` matrix over leaf codes.
 
         Row ``c`` is ``sum_layers sum_siblings (xi_sibling - xi_true)``
         along leaf ``c``'s path, the label term of the linear closed forms.
-        Terms are added one at a time, layer by layer and siblings in
-        document order, and every trainer reads its rows from here, so
-        their bits do not depend on the caller.
+        Each layer adds its siblings one at a time, in document order, on its
+        parent's block: the full-width terms are exactly zero elsewhere.
+        Every trainer reads its rows from here.
         """
-        tree = self.tree
-        out = np.zeros((tree.n_leaf, self.dimension))
-        for u, path in zip(out, tree.leaf_paths):
-            for parent, node in zip(path, path[1:]):
-                for sib in tree.children(parent):
-                    if sib != node:
-                        u += self.vectors[sib] - self.vectors[node]
+        out = np.zeros((self.tree.n_leaf, self.dimension))
+        for code, u in enumerate(out):
+            for start, stack, j in self.sibling_terms(code):
+                for row in stack:
+                    u[start : start + stack.shape[1]] += row - stack[j]
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def child_matrices(self) -> Mapping[str, np.ndarray]:
-        """Non-leaf node id to the read-only stack of its children's vectors.
-
-        Each stack has shape ``(fanout, dimension)``, rows in document order.
-        """
-        tree = self.tree
-        out = {}
-        for parent in tree.nodes:
-            kids = tree.children(parent)
-            if kids:
-                out[parent] = np.stack([self.vectors[c] for c in kids])
-                out[parent].setflags(write=False)
-        return MappingProxyType(out)
 
     def offset(self, node: str) -> np.ndarray:
         """Sibling-simplex offset of ``node`` relative to its parent."""
@@ -222,10 +227,10 @@ def embed_tree(
     simplex offsets, scaled down by ``1/decay`` per layer, and each child
     vector is the parent vector plus its offset.
     """
-    if decay <= 1.0:
-        raise ValueError(f"decay must exceed 1, got {decay}")
-    if base_norm <= 0.0:
-        raise ValueError(f"base norm must be positive, got {base_norm}")
+    if not 1.0 < decay < np.inf:
+        raise ValueError(f"decay must exceed 1 and be finite, got {decay}")
+    if not 0.0 < base_norm < np.inf:
+        raise ValueError(f"base norm must be positive and finite, got {base_norm}")
 
     k = tree.depth
     dim = tree.n_leaf - 1

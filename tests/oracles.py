@@ -1,7 +1,9 @@
 """Reference implementations over string node ids, kept as test oracles.
 
 These are the per-sample and per-pair loops the library ran before it
-moved to integer leaf codes, the certificate as it ran before the node
+moved to integer leaf codes, the hinge rows as full-width differences of
+sibling vectors before siblings were compared on their parent's block
+only, the certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, and the exports as the
 ``csv`` and ``json`` modules wrote them before streaming.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
@@ -72,6 +74,21 @@ def label_coefficients(table, dataset) -> np.ndarray:
                     u += table.vector(sib) - table.vector(node)
         per_leaf[leaf] = u
     return np.stack([per_leaf[label] for label in dataset.labels])
+
+
+def hinge_terms(table, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width ``xi_true - xi_sibling`` rows per distinct code, and their owners."""
+    tree = table.tree
+    rows, owners = [], []
+    for code in np.unique(codes).tolist():
+        path = tree.leaf_paths[code]
+        for parent, node in zip(path, path[1:]):
+            for sib in tree.children(parent):
+                if sib != node:
+                    rows.append(table.vector(node) - table.vector(sib))
+                    owners.append(code)
+    D = np.stack(rows)
+    return D, np.array(owners)[:, None] == codes
 
 
 def train_weighted_linear(dataset, table, gamma, lam=1.0, fit_intercept=True):

@@ -20,6 +20,7 @@ from labeltree.classifier import (
     train_hinge,
     train_linear,
     train_weighted_linear,
+    weighted_linear_fits,
 )
 from labeltree.embedding import embed_tree
 from labeltree.hierarchy import parse_tree
@@ -423,6 +424,31 @@ class TestTrainHinge:
         assert np.all(model.coef[:, 0] == 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+class TestNonFiniteHyperparameters:
+    """NaN and +inf slip past an ``x <= 0`` test; every trainer rejects them."""
+
+    def test_train_linear(self, ref, value):
+        ds = random_dataset(ref, 5, 2, np.random.default_rng(61))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            train_linear(ds, ref, lam=value)
+
+    def test_weighted_linear_fits(self, ref, value):
+        ds = random_dataset(ref, 5, 2, np.random.default_rng(62))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            next(weighted_linear_fits(ds, ref, (1.0,), lam=value))
+
+    def test_train_hinge(self, ref, value):
+        ds = random_dataset(ref, 5, 2, np.random.default_rng(63))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            train_hinge(ds, ref, lam=value, max_iter=10)
+
+    def test_adaptive_weights(self, two, value):
+        model = LinearModel(np.array([[1.0]]), two, "linear")
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            adaptive_weights(model, np.zeros((1, 0)), gamma=value)
+
+
 class TestPopulationDirection:
     def test_point_mass_recovers_each_path(self, ref, reference_tree):
         for leaf in reference_tree.leaves:
@@ -453,6 +479,13 @@ class TestPopulationDirection:
             population_direction({path: -0.2, ("x",): 1.2}, ref)
         with pytest.raises(ValueError):
             population_direction({("animal", "feline"): 1.0}, ref)
+
+    def test_nan_probability_rejected(self, ref, reference_tree):
+        # NaN fails ``prob < 0`` and makes ``abs(total - 1) > tol`` false, so
+        # only a range test on each probability catches it
+        path = reference_tree.path_of_leaf("kestrel")
+        with pytest.raises(ValueError, match="invalid probability nan"):
+            population_direction({path: np.nan}, ref)
 
 
 class TestPersistence:

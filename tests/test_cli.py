@@ -464,6 +464,42 @@ class TestEvaluateCommand:
         )
 
 
+    def test_short_prediction_row_exits_2(self, tmp_path, tree_file, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("index,path\n0,animal/raptor/kestrel\n1\n")
+        truth = tmp_path / "truth.csv"
+        write_predictions([("animal", "raptor", "kestrel")] * 2, truth)
+        code = run_cli(
+            "evaluate", "--tree", tree_file, "--pred", pred, "--truth", truth,
+            "--out", tmp_path / "rep",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(pred) in err and "['1'] on line 3 has no path" in err
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "loss, flag, name",
+        [("wlinear", "--gamma-grid", "gamma"), ("hinge", "--lambda-grid", "lam")],
+    )
+    def test_train_nan_grid_exits_2(self, tmp_path, sim_dir, capsys, loss, flag, name):
+        model = tmp_path / "model.json"
+        code = run_cli(
+            "train", "--tree", sim_dir / "tree.txt", "--data", sim_dir / "data.csv",
+            "--loss", loss, flag, "nan", "--out", model,
+        )
+        assert code == 2
+        assert f"{name} must be positive and finite, got nan" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_embed_nan_t1_exits_2(self, tmp_path, tree_file, capsys):
+        out = tmp_path / "emb"
+        assert run_cli("embed", "--tree", tree_file, "--t1", "nan", "--out", out) == 2
+        assert "positive and finite, got nan" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+
 class TestBenchmarkCommand:
     def test_small_run_outputs_and_determinism(self, tmp_path, capsys):
         args = [

@@ -86,6 +86,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(reference_tree, 0.0)
 
+    @pytest.mark.parametrize("param", ["decay", "base_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, reference_tree, param, value):
+        with pytest.raises(ValueError, match="finite"):
+            build_schedule(reference_tree, **{param: value})
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_sibling_weights_in_admissible_interval(self, seed):

@@ -104,6 +104,11 @@ class TestSimplex:
         with pytest.raises(ValueError):
             simplex(3, 1.0, offset=-1)
 
+    @pytest.mark.parametrize("norm", [math.nan, math.inf])
+    def test_non_finite_norm_rejected(self, norm):
+        with pytest.raises(ValueError, match="positive and finite"):
+            simplex(3, norm)
+
 
 class TestEmbedTree:
     def test_reference_matrix(self, reference_tree):
@@ -175,6 +180,13 @@ class TestEmbedTree:
             embed_tree(reference_tree, decay=1.0)
         with pytest.raises(ValueError):
             embed_tree(reference_tree, base_norm=-1.0)
+
+    @pytest.mark.parametrize("param", ["decay", "base_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, two_leaf_tree, param, value):
+        # a two-leaf tree has one layer, so an infinite decay shrinks no norm
+        with pytest.raises(ValueError, match="finite"):
+            embed_tree(two_leaf_tree, **{param: value})
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
