@@ -4,14 +4,15 @@ A model is a coefficient matrix ``A`` mapping an augmented feature vector
 ``(1, x)`` to a point ``f(x)`` in the embedding space.  Prediction walks
 the tree from the root, at each layer descending into the child whose
 embedded point has the largest inner product with ``f(x)`` (equivalently,
-the smallest Euclidean distance, since siblings share a norm), comparing
-siblings on their parent's block only, so exact ties go to the first child.
+the nearest one, since siblings share a norm), comparing siblings on their
+parent's block only, so exact ties go to the first child.
 
 Training minimizes a per-layer surrogate over sibling gaps
 ``<f(x), xi_true> - <f(x), xi_sibling>``.  Under the linear surrogate
 ``u -> -u`` (optionally with per-sample weights) the ridge-penalized
 minimizer has a closed form; the hinge surrogate is solved by full-batch
-subgradient descent.
+subgradient descent.  Descent, label terms and hinge rows all read one
+sibling structure, :attr:`EmbeddingTable.sibling_blocks`.
 """
 
 from __future__ import annotations
@@ -141,15 +142,15 @@ class LinearModel:
 
     def scores(self, x) -> np.ndarray:
         """Embedded image ``f(x)`` of a single raw feature vector."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {x.shape[0]}"
-            )
+        x = self._features(np.reshape(x, -1))[0]
         return self.coef @ np.concatenate([[1.0], x])
 
     def score_matrix(self, X) -> np.ndarray:
         """(n, dimension) embedded images of a feature matrix."""
+        return _augment(self._features(X)) @ self.coef.T
+
+    def _features(self, X) -> np.ndarray:
+        """``X`` as a float matrix, checked for its width and finite entries."""
         X = _as_matrix(X)
         if X.shape[1] != self.n_features:
             raise ValueError(
@@ -158,7 +159,7 @@ class LinearModel:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"feature row {bad[0]} contains NaN or infinity")
-        return _augment(X) @ self.coef.T
+        return X
 
 
 def decision_values(
@@ -235,9 +236,13 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_compatible(model.table, dataset)
-    D, mask = _hinge_terms(model.table, dataset.codes)
-    gaps = D @ model.score_matrix(dataset.X).T
-    return np.where(mask, _LOSSES[loss](gaps), 0.0).sum(axis=0)
+    F = model.score_matrix(dataset.X)
+    out = np.zeros(dataset.n)
+    for code in np.unique(dataset.codes).tolist():
+        rows = np.flatnonzero(dataset.codes == code)
+        D, _ = _hinge_terms(model.table, np.array([code]))
+        out[rows] = _LOSSES[loss](F[rows] @ D.T).sum(axis=1)
+    return out
 
 
 def surrogate_risk(
@@ -284,7 +289,7 @@ def train_linear(
     _check_compatible(table, dataset)
     if not np.all(np.isfinite(dataset.X)):
         raise ValueError("features contain NaN or infinity")
-    Xa, U = _augment(dataset.X), table.sibling_differences[dataset.codes]
+    Xa, U = _augment(dataset.X), _label_terms(table, dataset.codes)
     return _closed_form(table, U, Xa, lam, fit_intercept, loss="linear")
 
 
@@ -331,8 +336,7 @@ def weighted_linear_fits(
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     base = train_linear(dataset, table, fit_intercept=fit_intercept)
-    U = table.sibling_differences[dataset.codes]
-    Xa = _augment(dataset.X)
+    U, Xa = _label_terms(table, dataset.codes), _augment(dataset.X)
     for gamma in gammas:
         w = adaptive_weights(base, dataset.X, gamma)
         yield gamma, _closed_form(
@@ -341,20 +345,45 @@ def weighted_linear_fits(
         )
 
 
+def _label_terms(table: EmbeddingTable, codes: np.ndarray) -> np.ndarray:
+    """Per code, ``sum_layers sum_siblings (xi_sibling - xi_true)`` on its path.
+
+    Each parent's per-child sums are formed once on its block, adding its
+    children in document order, and copied to the paths crossing it.
+    """
+    tree = table.tree
+    leaves, inverse = np.unique(codes, return_inverse=True)
+    ancestors = tree.leaf_ancestors[leaves]
+    U = np.zeros((len(leaves), table.dimension))
+    for parent, (start, stack) in table.sibling_blocks.items():
+        t = tree.layer(parent)
+        rows = np.flatnonzero(ancestors[:, t - 1] == tree.order_index(parent))
+        sums = np.zeros_like(stack)
+        for row in stack:
+            sums += row - stack
+        first = tree.order_index(tree.children(parent)[0])
+        U[rows, start : start + stack.shape[1]] = sums[ancestors[rows, t] - first]
+    return U[inverse]
+
+
 def _hinge_terms(
     table: EmbeddingTable, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Difference stack and ownership mask of the samples' sibling gaps.
 
     Returns a ``(terms, dimension)`` stack of ``xi_true - xi_sibling``
-    rows, one block per distinct leaf code in ``codes``, and a boolean
-    ``(terms, n)`` mask marking which samples carry each row.
+    rows on their parent's block, one group per distinct leaf code in
+    ``codes``, and a ``(terms, n)`` mask marking which samples carry each.
     """
+    tree = table.tree
     rows, owners = [], []
     for code in np.unique(codes).tolist():
-        for start, stack, j in table.sibling_terms(code):
-            D = np.zeros((len(stack) - 1, table.dimension))
-            D[:, start : start + stack.shape[1]] = stack[j] - np.delete(stack, j, 0)
+        path = tree.leaf_paths[code]
+        for parent, j in zip(path, tree.index_tuple(path[-1])[1:]):
+            start, stack = table.sibling_blocks[parent]
+            others = np.delete(stack, j - 1, 0)
+            D = np.zeros((len(others), table.dimension))
+            D[:, start : start + stack.shape[1]] = stack[j - 1] - others
             rows.append(D)
             owners += [code] * len(D)
     return np.concatenate(rows), np.array(owners)[:, None] == codes
@@ -370,13 +399,15 @@ def hinge_objective(
     return float(slack.sum()) / dataset.n + lam * float(np.sum(A * A))
 
 
+HINGE_TOL = 1e-8  # relative objective gain train_hinge counts as progress
+HINGE_PATIENCE = 50  # iterations without progress before train_hinge stops
+
+
 def train_hinge(
     dataset: LabeledDataset,
     table: EmbeddingTable,
     lam: float,
     max_iter: int = 5000,
-    tol: float = 1e-8,
-    patience: int = 50,
     fit_intercept: bool = True,
 ) -> LinearModel:
     """Hinge-surrogate trainer by full-batch subgradient descent.
@@ -386,10 +417,10 @@ def train_hinge(
     ``|x~| * sum_terms |xi_true - xi_sibling|``, a data-driven bound on the
     data-term subgradient scale.  The incumbent best iterate is tracked
     and returned, so the recorded objective history is non-increasing.
-    Stops once the incumbent objective improves by less than ``tol``
-    (relatively) for ``patience`` consecutive iterations; hitting
-    ``max_iter`` first raises :class:`ConvergenceWarning` with the final
-    objective.
+    Stops once the incumbent objective improves by less than
+    ``HINGE_TOL`` (relatively) for ``HINGE_PATIENCE`` consecutive
+    iterations; hitting ``max_iter`` first raises
+    :class:`ConvergenceWarning` with the final objective.
 
     ``fit_intercept=False`` pins the intercept column to zero (projected
     subgradient on that subspace).
@@ -406,12 +437,10 @@ def train_hinge(
     L = float(np.mean(row_norm * diff_scale))
     step = 1.0 / (L + 2.0 * lam * n)
 
-    A = np.zeros((table.dimension, Xa.shape[1]))
-    best_A = A.copy()
-    best_obj = hinge_objective(A, dataset, table, lam)
+    A = best_A = np.zeros((table.dimension, Xa.shape[1]))
+    best_obj = float(mask.sum()) / n  # every slack is 1 at A = 0
     history = [best_obj]
     stalled = 0
-    converged = False
     for _ in range(max_iter):
         margins = D @ A @ Xa.T
         slack = 1.0 - margins
@@ -424,15 +453,14 @@ def train_hinge(
             gain = (best_obj - obj) / max(1.0, abs(best_obj))
             best_obj = obj
             best_A = A.copy()
-            stalled = 0 if gain > tol else stalled + 1
+            stalled = 0 if gain > HINGE_TOL else stalled + 1
         else:
             stalled += 1
         history.append(best_obj)
-        if stalled >= patience:
-            converged = True
+        if stalled >= HINGE_PATIENCE:
             break
         A = A - step * grad
-    if not converged:
+    else:
         warnings.warn(
             f"hinge solver hit the {max_iter}-iteration budget; "
             f"final objective {best_obj:.8g}",
@@ -440,11 +468,7 @@ def train_hinge(
             stacklevel=2,
         )
     return LinearModel(
-        coef=best_A,
-        table=table,
-        loss="hinge",
-        lam=lam,
-        history=np.array(history),
+        coef=best_A, table=table, loss="hinge", lam=lam, history=np.array(history)
     )
 
 

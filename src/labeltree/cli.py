@@ -97,9 +97,10 @@ def read_predictions(path) -> list[tuple[str, ...]]:
         for record in reader:
             if not record:
                 continue
-            if len(record) < 2:
+            if len(record) != 2:
+                what = "has no path" if len(record) < 2 else "has more than two fields"
                 raise ValueError(
-                    f"{path}: row {record!r} on line {reader.line_num} has no path"
+                    f"{path}: row {record!r} on line {reader.line_num} {what}"
                 )
             out.append(tuple(record[1].split(PATH_SEP)))
     if not out:
@@ -208,7 +209,6 @@ def fit(
     table,
     gamma_grid: Sequence[float] = TUNING_GRID,
     lambda_grid: Sequence[float] = HINGE_LAMBDA_GRID,
-    hinge_max_iter: int = 5000,
     fit_intercept: bool = True,
 ) -> tuple[LinearModel, dict]:
     """Train one loss, tuning on ``val`` where the loss has a parameter.
@@ -224,12 +224,7 @@ def fit(
         return model, {"gamma": gamma}
     if loss == "hinge":
         lam, model = select_lambda(
-            train,
-            val,
-            table,
-            lambda_grid,
-            max_iter=hinge_max_iter,
-            fit_intercept=fit_intercept,
+            train, val, table, lambda_grid, fit_intercept=fit_intercept
         )
         return model, {"lambda": lam}
     raise ValueError(f"unknown loss {loss!r}")
@@ -305,7 +300,6 @@ def run_benchmark(
     noise: float | None = None,
     gamma_grid: Sequence[float] = TUNING_GRID,
     lambda_grid: Sequence[float] = HINGE_LAMBDA_GRID,
-    hinge_max_iter: int = 5000,
     fit_intercept: bool = False,
 ) -> BenchmarkResult:
     """Replicate generate -> split 1:1:2 -> train each loss -> evaluate.
@@ -354,7 +348,6 @@ def run_benchmark(
                 table,
                 gamma_grid=gamma_grid,
                 lambda_grid=lambda_grid,
-                hinge_max_iter=hinge_max_iter,
                 fit_intercept=fit_intercept,
             )
             pred = predict_paths(model, test.X)
@@ -436,21 +429,18 @@ def cmd_train(args) -> int:
     needs_val = (args.loss == "wlinear" and len(gamma_grid) > 1) or (
         args.loss == "hinge" and len(lambda_grid) > 1
     )
-    if needs_val:
-        if args.val_data:
-            train, val = data, read_dataset_csv(args.val_data, tree)
-        else:
-            # no validation file: deterministic front/back halves of the data
-            half = data.n // 2
-            if half < 1 or data.n - half < 1:
-                raise ValueError("too few samples to split for validation")
-            train = LabeledDataset(data.X[:half], data.labels[:half], tree)
-            val = LabeledDataset(data.X[half:], data.labels[half:], tree)
+    if needs_val and not args.val_data:
+        # no validation file: select on the front half against the back
+        # half, then refit on all of the data with the selected parameter
+        half = data.n // 2
+        if half < 1 or data.n - half < 1:
+            raise ValueError("too few samples to split for validation")
+        train = LabeledDataset(data.X[:half], data.labels[:half], tree)
+        val = LabeledDataset(data.X[half:], data.labels[half:], tree)
         _, chosen = fit(
             args.loss, train, val, table, gamma_grid, lambda_grid,
             fit_intercept=fit_intercept,
         )
-        # refit on everything with the selected parameter
         model, _ = fit(
             args.loss,
             data,
@@ -461,8 +451,11 @@ def cmd_train(args) -> int:
             fit_intercept=fit_intercept,
         )
     else:
+        # a validation file selects among fits on all of the data, so the
+        # selected fit is the model; no second fit repeats it
+        val = read_dataset_csv(args.val_data, tree) if needs_val else None
         model, chosen = fit(
-            args.loss, data, None, table, gamma_grid, lambda_grid,
+            args.loss, data, val, table, gamma_grid, lambda_grid,
             fit_intercept=fit_intercept,
         )
     elapsed = time.perf_counter() - t0

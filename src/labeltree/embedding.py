@@ -155,8 +155,9 @@ class EmbeddingTable:
     def sibling_blocks(self) -> Mapping[str, tuple[int, np.ndarray]]:
         """Non-leaf node id to its block start and its children's offsets there.
 
-        Read-only ``(fanout, width)`` stacks, rows in document order; siblings'
-        vectors agree bit for bit outside their parent's block.
+        Read-only ``(fanout, width)`` stacks, rows in document order.  Siblings
+        agree bit for bit off their parent's block, so this is the table's one
+        sibling structure: descent, label terms and hinge rows read only it.
         """
         out = {}
         for parent, (start, stop) in self.block_layout.items():
@@ -164,32 +165,6 @@ class EmbeddingTable:
             out[parent] = (start, np.stack([self.vectors[c][start:stop] for c in kids]))
             out[parent][1].setflags(write=False)
         return MappingProxyType(out)
-
-    def sibling_terms(self, code: int) -> list[tuple[int, np.ndarray, int]]:
-        """The parent's :attr:`sibling_blocks` entry and the own child's row
-        ``j``, as ``(start, stack, j)``, per layer of leaf ``code``'s path.
-        """
-        path = self.tree.leaf_paths[code]
-        rows = self.tree.index_tuple(path[-1])[1:]
-        return [(*self.sibling_blocks[p], j - 1) for p, j in zip(path, rows)]
-
-    @cached_property
-    def sibling_differences(self) -> np.ndarray:
-        """Read-only ``(n_leaf, dimension)`` matrix over leaf codes.
-
-        Row ``c`` is ``sum_layers sum_siblings (xi_sibling - xi_true)``
-        along leaf ``c``'s path, the label term of the linear closed forms.
-        Each layer adds its siblings one at a time, in document order, on its
-        parent's block: the full-width terms are exactly zero elsewhere.
-        Every trainer reads its rows from here.
-        """
-        out = np.zeros((self.tree.n_leaf, self.dimension))
-        for code, u in enumerate(out):
-            for start, stack, j in self.sibling_terms(code):
-                for row in stack:
-                    u[start : start + stack.shape[1]] += row - stack[j]
-        out.setflags(write=False)
-        return out
 
     def offset(self, node: str) -> np.ndarray:
         """Sibling-simplex offset of ``node`` relative to its parent."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -23,7 +25,7 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree.embedding import embed_tree
-from labeltree.hierarchy import parse_tree
+from labeltree.hierarchy import Tree, parse_tree
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,27 @@ class TestPredictTopdown:
             predict_topdown(model, [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_single_row_rejected(self, ref, reference_tree, bad):
+        # the single-row path behind decision_values and hierarchy_margin
+        model = LinearModel(np.ones((5, 3)), ref, "linear")
+        path = reference_tree.path_of_leaf("kestrel")
+        for call in (
+            model.scores,
+            lambda x: decision_values(model, x, ["feline"]),
+            lambda x: hierarchy_margin(model, x, path),
+        ):
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                call([0.5, bad])
+
+    def test_single_row_scores_keep_their_expression(self, ref):
+        coef = np.random.default_rng(4).normal(size=(5, 3))
+        model = LinearModel(coef, ref, "linear")
+        x = np.array([0.3, -1.7])
+        np.testing.assert_array_equal(
+            model.scores(x), coef @ np.concatenate([[1.0], x])
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, ref, bad):
         model = LinearModel(np.zeros((5, 3)), ref, "linear")
         X = np.zeros((4, 2))
@@ -201,6 +224,32 @@ class TestSurrogateRisk:
         model = LinearModel(np.array([[0.0]]), two, "linear")
         with pytest.raises(ValueError):
             surrogate_risk(model, ds, "exponential")
+
+    def test_per_sample_risk_memory_linear_in_samples(self):
+        # 1000 leaves (fan-out 10, four layers): 300 samples over ~260
+        # distinct codes must not meet every code's sibling rows at once
+        children, frontier = {}, ["r"]
+        for _ in range(3):
+            for node in frontier:
+                children[node] = [f"{node}.{j}" for j in range(10)]
+            frontier = [kid for node in frontier for kid in children[node]]
+        tree = Tree("r", children)
+        table = embed_tree(tree)
+        rng = np.random.default_rng(6)
+        n = 300
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=n)]
+        ds = LabeledDataset(rng.normal(size=(n, 5)), labels, tree)
+        model = LinearModel(rng.normal(size=(table.dimension, 6)), table, "linear")
+        per_sample_risk(model, ds, "hinge")  # builds the cached block table
+        scores_bytes = n * table.dimension * 8
+        for loss in ("linear", "hinge"):
+            tracemalloc.start()
+            try:
+                per_sample_risk(model, ds, loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * scores_bytes, (loss, peak)
 
 
 class TestTrainLinear:

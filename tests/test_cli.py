@@ -341,6 +341,46 @@ class TestTrainPredictEvaluate:
         )
         assert doc["gamma"] == 1.0
 
+    @pytest.mark.filterwarnings("ignore::labeltree.classifier.ConvergenceWarning")
+    def test_validation_file_selects_without_refit(
+        self, tmp_path, sim_dir, monkeypatch
+    ):
+        import labeltree.cli as cli
+
+        lams = []
+
+        def counting(train, table, lam, **kwargs):
+            lams.append((train.n, lam))
+            return real(train, table, lam, **kwargs)
+
+        real = cli.train_hinge
+        monkeypatch.setattr(cli, "train_hinge", counting)
+        val_dir = tmp_path / "val"
+        assert run_cli(
+            "simulate", "--example", "1", "--n-total", "60", "--seed", "10",
+            "--out", val_dir,
+        ) == 0
+        tree_path, data_path = sim_dir / "tree.txt", sim_dir / "data.csv"
+        args = ["train", "--tree", tree_path, "--data", data_path, "--loss", "hinge",
+                "--lambda-grid", "0.1,1"]
+        model = tmp_path / "model.json"
+        assert run_cli(*args, "--val-data", val_dir / "data.csv", "--out", model) == 0
+        # one fit per grid point on all 160 rows; the winner is the model
+        assert lams == [(160, 0.1), (160, 1.0)]
+        tree = load_tree(tree_path)
+        data = read_dataset_csv(data_path, tree)
+        val = read_dataset_csv(val_dir / "data.csv", tree)
+        lam, chosen = select_lambda(data, val, embed_tree(tree), (0.1, 1.0))
+        again = tmp_path / "again.json"
+        save_model(chosen, again)
+        assert model.read_bytes() == again.read_bytes()
+
+        # without a validation file: select on the front half, refit on all
+        lams.clear()
+        assert run_cli(*args, "--out", tmp_path / "split.json") == 0
+        assert [n for n, _ in lams] == [80, 80, 160]
+        assert lams[2][1] in (0.1, 1.0)
+
     def test_feature_mismatch_exits_2(self, tmp_path, sim_dir, capsys):
         model = tmp_path / "model.json"
         run_cli(
@@ -476,6 +516,29 @@ class TestEvaluateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert str(pred) in err and "['1'] on line 3 has no path" in err
+
+    def test_long_prediction_row_exits_2(self, tmp_path, tree_file, capsys):
+        # a third field is not dropped: the row could be read as either path
+        long = tmp_path / "long.csv"
+        long.write_text(
+            "index,path\n0,animal/raptor/kestrel\n"
+            "1,animal/raptor/kestrel,animal/feline/panther\n"
+        )
+        with pytest.raises(ValueError, match="line 3 has more than two fields"):
+            read_predictions(long)
+        good = tmp_path / "good.csv"
+        write_predictions([("animal", "raptor", "kestrel")] * 2, good)
+        for pred, truth in ((long, good), (good, long)):
+            out = tmp_path / "rep"
+            code = run_cli(
+                "evaluate", "--tree", tree_file, "--pred", pred, "--truth", truth,
+                "--out", out,
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(long) in err and "animal/feline/panther" in err
+            assert "on line 3 has more than two fields" in err
+            assert not (out / "report.json").exists()
 
 
 class TestNonFiniteArguments:

@@ -18,6 +18,7 @@ from labeltree.classifier import (
     LinearModel,
     _descend,
     _hinge_terms,
+    _label_terms,
     per_sample_risk,
     predict_paths,
     save_model,
@@ -72,7 +73,7 @@ def test_sibling_differences_equal_oracle_bitwise(seed):
     table = embed_tree(tree)
     ds = random_dataset(tree, rng, n=25)
     U = oracles.label_coefficients(table, ds)
-    np.testing.assert_array_equal(table.sibling_differences[ds.codes], U)
+    np.testing.assert_array_equal(_label_terms(table, ds.codes), U)
     fit_intercept = bool(rng.integers(2))
     B = U.T @ np.hstack([np.ones((ds.n, 1)), ds.X]) / ds.n
     if not fit_intercept:
