@@ -3,7 +3,8 @@
 These are the per-sample and per-pair loops the library ran before it
 moved to integer leaf codes, the hinge rows as full-width differences of
 sibling vectors before siblings were compared on their parent's block
-only, the certificate as it ran before the node
+only, the subgradient hinge solver that ran before the dual solver, the
+certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, and the exports as the
 ``csv`` and ``json`` modules wrote them before streaming.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
@@ -14,12 +15,16 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 
 from labeltree.classifier import (
     MODEL_FORMAT,
+    ConvergenceWarning,
     LinearModel,
+    _augment,
+    _check_dataset,
     adaptive_weights,
     predict_paths,
     train_linear,
@@ -89,6 +94,79 @@ def hinge_terms(table, codes) -> tuple[np.ndarray, np.ndarray]:
                     owners.append(code)
     D = np.stack(rows)
     return D, np.array(owners)[:, None] == codes
+
+
+SUBGRADIENT_TOL = 1e-8  # relative objective gain the subgradient solver counts as progress
+SUBGRADIENT_PATIENCE = 50  # iterations without progress before it stops
+
+
+def train_hinge_subgradient(
+    dataset,
+    table,
+    lam: float,
+    max_iter: int = 5000,
+    fit_intercept: bool = True,
+) -> LinearModel:
+    """Hinge-surrogate trainer by full-batch subgradient descent.
+
+    Deterministic: starts from zero and takes constant steps
+    ``1 / (L + 2 * lam * n)`` where ``L`` is the mean over samples of
+    ``|x~| * sum_terms |xi_true - xi_sibling|``, a data-driven bound on the
+    data-term subgradient scale.  The incumbent best iterate is tracked
+    and returned, so the recorded objective history is non-increasing.
+    Stops once the incumbent objective improves by less than
+    ``SUBGRADIENT_TOL`` (relatively) for ``SUBGRADIENT_PATIENCE``
+    consecutive iterations; hitting ``max_iter`` first raises
+    :class:`ConvergenceWarning` with the final objective.
+
+    ``fit_intercept=False`` pins the intercept column to zero (projected
+    subgradient on that subspace).
+    """
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_dataset(table, dataset)
+    Xa = _augment(dataset.X)
+    D, mask = hinge_terms(table, dataset.codes)
+    n = dataset.n
+
+    row_norm = np.linalg.norm(Xa, axis=1)
+    diff_scale = mask.T @ np.linalg.norm(D, axis=1)
+    L = float(np.mean(row_norm * diff_scale))
+    step = 1.0 / (L + 2.0 * lam * n)
+
+    A = best_A = np.zeros((table.dimension, Xa.shape[1]))
+    best_obj = float(mask.sum()) / n  # every slack is 1 at A = 0
+    history = [best_obj]
+    stalled = 0
+    for _ in range(max_iter):
+        margins = D @ A @ Xa.T
+        slack = 1.0 - margins
+        active = mask & (slack > 0.0)
+        obj = float(slack[active].sum()) / n + lam * float(np.sum(A * A))
+        grad = 2.0 * lam * A - D.T @ (active.astype(float) @ Xa) / n
+        if not fit_intercept:
+            grad[:, 0] = 0.0
+        if obj < best_obj:
+            gain = (best_obj - obj) / max(1.0, abs(best_obj))
+            best_obj = obj
+            best_A = A.copy()
+            stalled = 0 if gain > SUBGRADIENT_TOL else stalled + 1
+        else:
+            stalled += 1
+        history.append(best_obj)
+        if stalled >= SUBGRADIENT_PATIENCE:
+            break
+        A = A - step * grad
+    else:
+        warnings.warn(
+            f"hinge solver hit the {max_iter}-iteration budget; "
+            f"final objective {best_obj:.8g}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    return LinearModel(
+        coef=best_A, table=table, loss="hinge", lam=lam, history=np.array(history)
+    )
 
 
 def train_weighted_linear(dataset, table, gamma, lam=1.0, fit_intercept=True):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import oracles
+from conftest import random_tree
 from labeltree.classifier import (
+    HINGE_TOL,
     ConvergenceWarning,
     LabeledDataset,
     LinearModel,
@@ -471,6 +474,74 @@ class TestTrainHinge:
         ds = random_dataset(ref, 10, 2, np.random.default_rng(46))
         model = train_hinge(ds, ref, lam=0.5, fit_intercept=False)
         assert np.all(model.coef[:, 0] == 0.0)
+
+
+def box_dual(ds, table, lam, fit_intercept):
+    """The hinge dual over the oracle's full-width gap rows, one variable a pair.
+
+    Returns the number of pairs and functions for ``A(alpha)``, the primal
+    objective at ``A``, the dual objective and its negation with gradient.
+    """
+    D, mask = oracles.hinge_terms(table, ds.codes)
+    term, sample = np.nonzero(mask)
+    d = D[term]
+    x = np.hstack([np.ones((ds.n, 1)), ds.X])[sample]
+    if not fit_intercept:
+        x[:, 0] = 0.0
+
+    def coef(alpha):
+        return (alpha[:, None] * d).T @ x / (2.0 * lam)
+
+    def margins(A):
+        return np.einsum("pk,kj,pj->p", d, A, x)
+
+    def primal(A):
+        slack = np.maximum(1.0 - margins(A), 0.0)
+        return float(slack.sum()) / ds.n + lam * float(np.sum(A * A))
+
+    def dual(alpha):
+        A = coef(alpha)
+        return float(alpha.sum()) - lam * float(np.sum(A * A))
+
+    def neg_dual(alpha):
+        return -dual(alpha), margins(coef(alpha)) - 1.0
+
+    return len(term), coef, primal, dual, neg_dual
+
+
+class TestHingeCertificate:
+    """The returned model against an independent solve of the box-constrained dual."""
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_generic_dual_solve(self, seed, lam, fit_intercept):
+        rng = np.random.default_rng(seed)
+        table = embed_tree(random_tree(rng, max_depth=3))
+        ds = random_dataset(table, 8, 2, rng)
+        pairs, coef, primal, dual, neg_dual = box_dual(ds, table, lam, fit_intercept)
+        res = optimize.minimize(
+            neg_dual,
+            np.zeros(pairs),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, 1.0 / ds.n)] * pairs,
+            options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        alpha = np.clip(res.x, 0.0, 1.0 / ds.n)
+        tol = HINGE_TOL * pairs / ds.n  # the objective at A = 0 is pairs / n
+
+        model = train_hinge(ds, table, lam, fit_intercept=fit_intercept)
+        achieved = hinge_objective(model.coef, ds, table, lam)
+        assert achieved == pytest.approx(primal(model.coef), rel=1e-12)
+        assert achieved >= dual(alpha) - 1e-12  # weak duality
+        assert achieved <= primal(coef(alpha)) + tol
+
+    def test_budget_warning_reports_gap(self, two, two_leaf_tree):
+        ds = separable_two_leaf(two_leaf_tree)
+        with pytest.warns(ConvergenceWarning, match="duality gap"):
+            model = train_hinge(ds, two, lam=0.01, max_iter=3)
+        assert len(model.history) == 4
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

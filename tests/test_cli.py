@@ -710,3 +710,10 @@ def test_run_benchmark_structure():
     csv_text = result.to_csv_text()
     assert csv_text.count("\n") == 6
     assert "linear" in result.to_table_text()
+
+
+@pytest.mark.filterwarnings("error::labeltree.classifier.ConvergenceWarning")
+def test_hinge_protocol_certifies_at_defaults():
+    """Every hinge fit of a design-1 replication meets its gap within the budget."""
+    result = run_benchmark(example=1, reps=2, seed=7, losses=("hinge",))
+    assert result.metrics["hinge"]["l01"].shape == (2,)

@@ -5,6 +5,7 @@ paths of different lengths meet in every check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +15,18 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_tree
 from labeltree.classifier import (
+    HINGE_TOL,
+    ConvergenceWarning,
     LabeledDataset,
     LinearModel,
     _descend,
     _hinge_terms,
     _label_terms,
+    hinge_objective,
     per_sample_risk,
     predict_paths,
     save_model,
+    train_hinge,
     train_linear,
     train_weighted_linear,
     weighted_linear_fits,
@@ -178,6 +183,35 @@ def test_per_sample_risk_matches_oracle(seed):
             rtol=1e-12,
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_train_hinge_no_worse_than_subgradient_oracle(seed, lam, fit_intercept):
+    """The certified solve is at most the oracle's objective plus the gap tolerance."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=4)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, 30)
+    # Nearly separable draws at lam=0.01 take up to ~4k iterations to
+    # certify, so the budget leaves room: the comparison needs a certified fit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        model = train_hinge(
+            ds, table, lam, max_iter=20_000, fit_intercept=fit_intercept
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        oracle = oracles.train_hinge_subgradient(
+            ds, table, lam, fit_intercept=fit_intercept
+        )
+    zero_obj = model.history[0]
+    assert zero_obj == oracle.history[0]  # mean number of gaps per sample
+    achieved = hinge_objective(model.coef, ds, table, lam)
+    assert achieved == pytest.approx(model.history[-1], rel=1e-12)
+    assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * zero_obj
 
 
 @settings(max_examples=30, deadline=None)
