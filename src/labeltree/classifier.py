@@ -5,17 +5,18 @@ A model is a coefficient matrix ``A`` mapping an augmented feature vector
 the tree from the root, at each layer descending into the child whose
 embedded point has the largest inner product with ``f(x)`` (equivalently,
 the nearest one, since siblings share a norm), comparing siblings on their
-parent's block only, so exact ties go to the first child.
+parent's block only (:attr:`EmbeddingTable.sibling_blocks`), so exact ties
+go to the first child.
 
 Training minimizes a per-layer surrogate over sibling gaps
-``<f(x), xi_true> - <f(x), xi_sibling>``.  Under the linear surrogate
-``u -> -u`` (optionally with per-sample weights) the ridge-penalized
-minimizer has a closed form; the hinge surrogate is solved through its
-box-constrained dual by accelerated projected gradient, in node-score
-space, until a duality gap certifies the objective.  Descent, label terms
-and hinge rows all read one sibling structure,
-:attr:`EmbeddingTable.sibling_blocks`; the hinge solver indexes gaps by
-node instead.
+``<f(x), xi_true> - <f(x), xi_sibling>``.  The hinge surrogate is solved
+through its box-constrained dual by accelerated projected gradient until a
+duality gap certifies the objective.  Under the linear surrogate ``u -> -u``
+(optionally with per-sample weights) the ridge-penalized minimizer is that
+dual's coefficient map at a fixed dual point, so both trainers share it.
+Every loss reads one list of sibling gaps, :func:`_sibling_pairs`, against
+:attr:`EmbeddingTable.node_matrix`: a gap is ``N[i, true] - N[i, sibling]``
+of the node scores ``N = X~ (V A)^T``.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
     across all siblings of the path node at that layer.  Positive exactly
     when the top-down walk recovers the path with room to spare.
     """
-    D, _ = _hinge_terms(model.table, model.tree.leaf_codes_of([path]))
-    return float(np.min(D @ model.scores(x)))
+    pairs = _sibling_pairs(model.tree, model.tree.leaf_codes_of([path]))
+    x = model._features(np.reshape(x, -1))
+    return float(np.min(_margins(model.coef, model.table, _augment(x), pairs)))
 
 
 _LOSSES = {
@@ -239,13 +241,10 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_dataset(model.table, dataset)
-    F = model.score_matrix(dataset.X)
-    out = np.zeros(dataset.n)
-    for code in np.unique(dataset.codes).tolist():
-        rows = np.flatnonzero(dataset.codes == code)
-        D, _ = _hinge_terms(model.table, np.array([code]))
-        out[rows] = _LOSSES[loss](F[rows] @ D.T).sum(axis=1)
-    return out
+    pairs = _sibling_pairs(model.tree, dataset.codes)
+    Xa = _augment(model._features(dataset.X))
+    losses = _LOSSES[loss](_margins(model.coef, model.table, Xa, pairs))
+    return np.bincount(pairs[0], losses, dataset.n)
 
 
 def surrogate_risk(
@@ -263,12 +262,33 @@ def _check_dataset(table: EmbeddingTable, dataset: LabeledDataset) -> None:
         raise ValueError("features contain NaN or infinity")
 
 
-def _closed_form(table, U, Xa, lam, fit_intercept, **meta) -> LinearModel:
-    """Model ``-B / (2 * lam)``, ``B`` the mean of ``U[i] Xa[i]^T``."""
-    B = U.T @ Xa / Xa.shape[0]
+def _linear_fitter(
+    dataset: LabeledDataset, table: EmbeddingTable, fit_intercept: bool
+):
+    """Closed-form fitter ``(w, lam, **meta) -> LinearModel`` for sample weights ``w``.
+
+    The weighted linear objective's minimizer is the hinge dual's
+    coefficient map (:func:`_coefficients`) at the fixed dual point
+    ``alpha = w_i / n`` on every pair of every sample.  Samples of one leaf
+    share its pairs, so the map runs on the per-leaf sums of ``w x~ / n``
+    with ``alpha = 1`` on the distinct leaves' pairs.
+    """
+    _check_dataset(table, dataset)
+    order = np.argsort(dataset.codes, kind="stable")
+    leaves, starts = np.unique(dataset.codes[order], return_index=True)
+    Xa = _augment(dataset.X[order])
     if not fit_intercept:
-        B[:, 0] = 0.0
-    return LinearModel(coef=-B / (2.0 * lam), table=table, **meta)
+        Xa[:, 0] = 0.0
+    leaf, _, true, sib = _sibling_pairs(table.tree, leaves)
+    m, ones = len(leaves), np.ones(len(leaf))
+    scatter = np.concatenate([true * m + leaf, sib * m + leaf])
+
+    def fit(w, lam, **meta):
+        sums = np.add.reduceat((w[order] / dataset.n)[:, None] * Xa, starts)
+        coef = _coefficients(table.node_matrix, scatter, ones, sums, lam)
+        return LinearModel(coef=coef, table=table, **meta)
+
+    return fit
 
 
 def train_linear(
@@ -280,21 +300,24 @@ def train_linear(
     """Closed-form trainer under the linear surrogate ``u -> -u``.
 
     The ridge-penalized objective is linear in ``A`` plus ``lam * |A|_F**2``,
-    so the minimizer is ``A = -B / (2 * lam)`` with ``B`` the mean of
-    ``(xi_sibling - xi_true) x~^T`` over samples, layers, and siblings.
-    ``lam`` rescales ``A`` without changing any predicted path.
+    so the minimizer is ``A = B / (2 * lam)`` with ``B`` the mean of
+    ``(xi_true - xi_sibling) x~^T`` over samples, layers, and siblings.
+    ``B`` is formed from the per-leaf feature sums, scattered to nodes
+    through the distinct leaves' sibling pairs (:func:`_sibling_pairs`)
+    and mapped through :attr:`EmbeddingTable.node_matrix`; descent reads
+    :attr:`EmbeddingTable.sibling_blocks`.  ``lam`` rescales ``A`` without
+    changing any predicted path.
 
-    With ``fit_intercept=False`` the intercept column is pinned to zero;
-    because the objective separates per column, the result is exactly the
-    constrained minimizer.  At small sample sizes the free intercept is a
-    pure-noise direction under label-balanced designs, so the synthetic
-    benchmarks disable it.
+    With ``fit_intercept=False`` the intercept column of ``X~`` is zeroed,
+    which pins the intercept column of ``A`` to zero; because the objective
+    separates per column, the result is exactly the constrained minimizer.
+    At small sample sizes the free intercept is a pure-noise direction
+    under label-balanced designs, so the synthetic benchmarks disable it.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    _check_dataset(table, dataset)
-    Xa, U = _augment(dataset.X), _label_terms(table, dataset.codes)
-    return _closed_form(table, U, Xa, lam, fit_intercept, loss="linear")
+    fit = _linear_fitter(dataset, table, fit_intercept)
+    return fit(np.ones(dataset.n), lam, loss="linear")
 
 
 def adaptive_weights(model: LinearModel, X, gamma: float) -> np.ndarray:
@@ -334,98 +357,65 @@ def weighted_linear_fits(
 ):
     """Yield ``(gamma, weighted-linear model)`` for each of ``gammas``.
 
-    All models share one base fit, the :func:`train_linear` model, and its
-    label terms, so each gamma costs its weights and one product.
+    All models share one base fit, the :func:`train_linear` model, and one
+    list of sibling pairs over the distinct leaves, so each gamma costs its
+    weights, its per-leaf sums of ``w x~ / n``, and their scatter to nodes
+    mapped through :attr:`EmbeddingTable.node_matrix` (descent reads
+    :attr:`EmbeddingTable.sibling_blocks`).
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    _check_dataset(table, dataset)
-    U, Xa = _label_terms(table, dataset.codes), _augment(dataset.X)
-    base = _closed_form(table, U, Xa, 1.0, fit_intercept, loss="linear")
+    fit = _linear_fitter(dataset, table, fit_intercept)
+    base = fit(np.ones(dataset.n), 1.0, loss="linear")
     for gamma in gammas:
         w = adaptive_weights(base, dataset.X, gamma)
-        yield gamma, _closed_form(
-            table, w[:, None] * U, Xa, lam, fit_intercept,
-            loss="weighted-linear", gamma=gamma,
-        )
+        yield gamma, fit(w, lam, loss="weighted-linear", gamma=gamma)
 
 
-def _label_terms(table: EmbeddingTable, codes: np.ndarray) -> np.ndarray:
-    """Per code, ``sum_layers sum_siblings (xi_sibling - xi_true)`` on its path.
-
-    Each parent's per-child sums are formed once on its block, adding its
-    children in document order, and copied to the paths crossing it.
-    """
-    tree = table.tree
-    leaves, inverse = np.unique(codes, return_inverse=True)
-    ancestors = tree.leaf_ancestors[leaves]
-    U = np.zeros((len(leaves), table.dimension))
-    for parent, (start, stack) in table.sibling_blocks.items():
-        t = tree.layer(parent)
-        rows = np.flatnonzero(ancestors[:, t - 1] == tree.order_index(parent))
-        sums = np.zeros_like(stack)
-        for row in stack:
-            sums += row - stack
-        first = tree.order_index(tree.children(parent)[0])
-        U[rows, start : start + stack.shape[1]] = sums[ancestors[rows, t] - first]
-    return U[inverse]
-
-
-def _hinge_terms(
-    table: EmbeddingTable, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Difference stack and ownership mask of the samples' sibling gaps.
-
-    Returns a ``(terms, dimension)`` stack of ``xi_true - xi_sibling``
-    rows on their parent's block, one group per distinct leaf code in
-    ``codes``, and a ``(terms, n)`` mask marking which samples carry each.
-    """
-    tree = table.tree
-    rows, owners = [], []
-    for code in np.unique(codes).tolist():
-        path = tree.leaf_paths[code]
-        for parent, j in zip(path, tree.index_tuple(path[-1])[1:]):
-            start, stack = table.sibling_blocks[parent]
-            others = np.delete(stack, j - 1, 0)
-            D = np.zeros((len(others), table.dimension))
-            D[:, start : start + stack.shape[1]] = stack[j - 1] - others
-            rows.append(D)
-            owners += [code] * len(D)
-    return np.concatenate(rows), np.array(owners)[:, None] == codes
-
-
-def _hinge_pairs(
-    table: EmbeddingTable, codes: np.ndarray
+def _sibling_pairs(
+    tree: Tree, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sample, parent, true node and sibling of every sibling gap of the samples.
 
-    One entry per (sample, sibling) pair on every layer of the sample's
-    path, samples in order; nodes are :meth:`Tree.order_index` values.
+    The package's one list of sibling gaps: one entry per (sample, sibling)
+    pair on every layer of the sample's path, samples in order, layers top
+    down and siblings in document order; nodes are :meth:`Tree.order_index`
+    values.  Siblings are consecutive in node order, so the padded child
+    table is each node's first child plus ``0 .. fanout - 1``.
     """
-    tree = table.tree
-    leaves, inverse = np.unique(codes, return_inverse=True)
-    per_leaf = []
-    for code in leaves.tolist():
-        path = tree.leaf_paths[code]
-        per_leaf.append([
-            (tree.order_index(parent), tree.order_index(node), tree.order_index(sib))
-            for parent, node in zip(path, path[1:])
-            for sib in tree.children(parent)
-            if sib != node
-        ])
-    counts = np.array([len(t) for t in per_leaf])
-    triples = np.array([t for leaf in per_leaf for t in leaf], dtype=np.intp)
-    first = np.cumsum(counts) - counts
-    each = counts[inverse]
-    sample = np.repeat(np.arange(len(codes)), each)
-    within = np.arange(sample.size) - np.repeat(np.cumsum(each) - each, each)
-    parent, true, sib = triples[np.repeat(first[inverse], each) + within].T
-    return sample, parent, true, sib
+    ancestors = tree.node_ancestors
+    up = ancestors[np.arange(tree.q), (ancestors >= 0).sum(axis=1) - 2]
+    fanout = np.bincount(up, minlength=tree.q + 1)
+    slots = np.arange(fanout.max())
+    kids = np.searchsorted(up, np.arange(tree.q + 1))[:, None] + 1 + slots
+    kids[slots >= fanout[:, None]] = -1
+    path = tree.leaf_ancestors[codes]
+    # Past a leaf's own layer the parent is -1, and kids[-1] is the row of
+    # the last node in order, a leaf, so such layers contribute no pairs.
+    parent, node = path[:, :-1], path[:, 1:]
+    sibs = kids[parent]
+    sample, layer, slot = np.nonzero((sibs >= 0) & (sibs != node[..., None]))
+    return sample, parent[sample, layer], node[sample, layer], sibs[sample, layer, slot]
 
 
-def _node_vectors(table: EmbeddingTable) -> np.ndarray:
-    """``(q + 1, dimension)`` node vectors by order index, a zero row for the root."""
-    return np.vstack([np.zeros((1, table.dimension)), table.matrix().T])
+def _coefficients(V, scatter, alpha, rows, lam) -> np.ndarray:
+    """The hinge dual's coefficient map ``(1 / 2 lam) V^T (W rows)`` at ``alpha``.
+
+    ``W`` is the signed ``(nodes, len(rows))`` scatter of ``alpha``: each
+    pair adds its ``alpha`` at its true node and subtracts it at its
+    sibling, in its owner's column; ``scatter`` holds those flat indices,
+    the ``+`` terms first.
+    """
+    nodes, m = len(V), len(rows)
+    W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * m)
+    return V.T @ (W.reshape(nodes, m) @ rows) / (2.0 * lam)
+
+
+def _margins(A, table: EmbeddingTable, Xa, pairs) -> np.ndarray:
+    """Gap ``N[i, true] - N[i, sib]`` of each pair; ``N = X~ (V A)^T`` scores nodes."""
+    sample, _, true, sib = pairs
+    N = Xa @ (table.node_matrix @ A).T
+    return N[sample, true] - N[sample, sib]
 
 
 def _primal(A: np.ndarray, margins: np.ndarray, n: int, lam: float) -> float:
@@ -437,9 +427,8 @@ def hinge_objective(
     A: np.ndarray, dataset: LabeledDataset, table: EmbeddingTable, lam: float
 ) -> float:
     """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
-    sample, _, true, sib = _hinge_pairs(table, dataset.codes)
-    N = _augment(dataset.X) @ (_node_vectors(table) @ A).T
-    return _primal(A, N[sample, true] - N[sample, sib], dataset.n, lam)
+    pairs = _sibling_pairs(table.tree, dataset.codes)
+    return _primal(A, _margins(A, table, _augment(dataset.X), pairs), dataset.n, lam)
 
 
 def _dual_steps(
@@ -484,9 +473,11 @@ def train_hinge(
     Solves the box-constrained dual: one variable ``0 <= alpha <= 1/n``
     per (sample, sibling) pair, and
     ``A = (1 / 2 lam) sum alpha (xi_true - xi_sibling) x~^T``.  Margins
-    come from node scores ``N = X~ A^T V^T`` (``V`` the node vectors) as
-    ``N[i, true] - N[i, sibling]``, and ``A`` from a signed node-by-sample
-    scatter of ``alpha``, so no pair-by-sample matrix is formed.  Gaps of
+    come from node scores ``N = X~ (V A)^T`` (``V`` the
+    :attr:`EmbeddingTable.node_matrix`) as ``N[i, true] - N[i, sibling]``
+    over the pairs of :func:`_sibling_pairs`, and ``A`` from a signed
+    node-by-sample scatter of ``alpha`` (:func:`_coefficients`), so no
+    pair-by-sample matrix is formed.  Gaps of
     different parents live on disjoint coordinate blocks, so the dual
     separates by parent and each pair steps by ``1 / L_P`` of its own
     block (:func:`_dual_steps`) in one accelerated projected-gradient loop
@@ -511,8 +502,8 @@ def train_hinge(
     Xa = _augment(dataset.X)
     if not fit_intercept:
         Xa[:, 0] = 0.0
-    V = _node_vectors(table)
-    sample, parent, true, sib = _hinge_pairs(table, dataset.codes)
+    V = table.node_matrix
+    sample, parent, true, sib = _sibling_pairs(table.tree, dataset.codes)
     nodes = len(V)
     score_true, score_sib = sample * nodes + true, sample * nodes + sib
     scatter = np.concatenate([true * n + sample, sib * n + sample])
@@ -520,8 +511,7 @@ def train_hinge(
 
     def solve(alpha):
         """Coefficients and pair margins at the dual point ``alpha``."""
-        W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
-        A = V.T @ (W.reshape(nodes, n) @ Xa) / (2.0 * lam)
+        A = _coefficients(V, scatter, alpha, Xa, lam)
         N = Xa @ (V @ A).T
         return A, N.take(score_true) - N.take(score_sib)
 
@@ -622,10 +612,13 @@ def load_model(path, tree: Tree) -> LinearModel:
 
     The tree must hash to the value recorded at save time; the embedding
     is rebuilt from the stored parameters, so predictions reproduce the
-    original model's bit for bit.
+    original model's bit for bit.  A file that is not a JSON object, or
+    whose coefficients are not all finite, raises :class:`ValueError`.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file holds a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unrecognized model format {doc.get('format')!r}")
     if doc["tree_sha256"] != tree.sha256():
@@ -634,6 +627,8 @@ def load_model(path, tree: Tree) -> LinearModel:
     coef = np.array(doc["coef"], dtype=float).reshape(
         doc["dimension"], doc["n_features"] + 1
     )
+    if not np.all(np.isfinite(coef)):
+        raise ValueError(f"{path}: model coefficients contain NaN or infinity")
     return LinearModel(
         coef=coef,
         table=table,

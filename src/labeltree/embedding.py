@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -117,8 +117,11 @@ class EmbeddingTable:
         Per-layer shrink ratio of the sibling-offset norms.
     dimension:
         Ambient dimension, always ``tree.n_leaf - 1``.
+    node_matrix:
+        Read-only ``(q + 1, dimension)`` node vectors by
+        :meth:`Tree.order_index`, a zero row for the root.
     vectors:
-        Node id to read-only vector of length ``dimension``.
+        Node id to its read-only row of ``node_matrix``.
     layer_norms:
         ``layer_norms[m-1]`` is the offset norm used for children of
         layer-``m`` parents.
@@ -134,15 +137,16 @@ class EmbeddingTable:
     base_norm: float
     decay: float
     dimension: int
-    vectors: Mapping[str, np.ndarray]
+    node_matrix: np.ndarray = field(repr=False)
     layer_norms: tuple[float, ...]
     block_layout: Mapping[str, tuple[int, int]]
     layer_dims: Mapping[int, int]
+    vectors: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for v in self.vectors.values():
-            v.setflags(write=False)
-        object.__setattr__(self, "vectors", MappingProxyType(dict(self.vectors)))
+        self.node_matrix.setflags(write=False)
+        rows = dict(zip(self.tree.node_order, self.node_matrix[1:]))
+        object.__setattr__(self, "vectors", MappingProxyType(rows))
         object.__setattr__(
             self, "block_layout", MappingProxyType(dict(self.block_layout))
         )
@@ -156,8 +160,8 @@ class EmbeddingTable:
         """Non-leaf node id to its block start and its children's offsets there.
 
         Read-only ``(fanout, width)`` stacks, rows in document order.  Siblings
-        agree bit for bit off their parent's block, so this is the table's one
-        sibling structure: descent, label terms and hinge rows read only it.
+        agree bit for bit off their parent's block, so descent compares them
+        on it alone and sends exact ties to the first child.
         """
         out = {}
         for parent, (start, stop) in self.block_layout.items():
@@ -180,7 +184,7 @@ class EmbeddingTable:
 
     def matrix(self) -> np.ndarray:
         """(dimension, q) matrix; columns follow the tree's node order."""
-        return np.column_stack([self.vectors[n] for n in self.tree.node_order])
+        return np.ascontiguousarray(self.node_matrix[1:].T)
 
     def distance_matrix(self) -> np.ndarray:
         """(q, q) Euclidean distances between embedded points, node order."""
@@ -210,19 +214,11 @@ def embed_tree(
     k = tree.depth
     dim = tree.n_leaf - 1
     layer_norms = tuple(base_norm / decay**i for i in range(k - 1))
-    vectors: dict[str, np.ndarray] = {}
+    M = np.zeros((tree.q + 1, dim))  # the root's row stays zero
     block_layout: dict[str, tuple[int, int]] = {}
     layer_dims: dict[int, int] = {}
-
-    root_kids = tree.children(tree.root)
-    block = simplex(len(root_kids), layer_norms[0], offset=0, ambient=dim)
-    for row, child in zip(block, root_kids):
-        vectors[child] = row
-    block_layout[tree.root] = (0, len(root_kids) - 1)
-    cursor = len(root_kids) - 1
-    layer_dims[2] = cursor
-
-    for m in range(3, k + 1):
+    cursor = 0
+    for m in range(2, k + 1):
         parents = [n for n in tree.nodes_at_layer(m - 1) if not tree.is_leaf(n)]
         for parent in parents:
             kids = tree.children(parent)
@@ -230,8 +226,8 @@ def embed_tree(
             offsets = simplex(
                 len(kids), layer_norms[m - 2], offset=cursor, ambient=dim
             )
-            for row, child in zip(offsets, kids):
-                vectors[child] = vectors[parent] + row
+            rows = [tree.order_index(c) for c in kids]
+            M[rows] = M[tree.order_index(parent)] + offsets
             block_layout[parent] = (cursor, cursor + width)
             cursor += width
         layer_dims[m] = cursor
@@ -241,7 +237,7 @@ def embed_tree(
         base_norm=base_norm,
         decay=decay,
         dimension=dim,
-        vectors=vectors,
+        node_matrix=M,
         layer_norms=layer_norms,
         block_layout=block_layout,
         layer_dims=layer_dims,

@@ -636,6 +636,23 @@ class TestPersistence:
             load_model(path, reference_tree)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, tmp_path, bad):
+        tree = parse_tree("r: a b c\na: a1 a2\n")
+        coef = np.zeros((3, 2))
+        coef[1, 1] = bad
+        path = tmp_path / "model.json"
+        save_model(LinearModel(coef, embed_tree(tree), "linear"), path)
+        with pytest.raises(ValueError, match="model.json.*NaN or infinity"):
+            load_model(path, tree)
+
+    def test_non_object_rejected(self, reference_tree, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="model.json"):
+            load_model(path, reference_tree)
+
+
 class TestScaleInvariance:
     def test_positive_rescaling_preserves_paths(self, ref):
         rng = np.random.default_rng(61)

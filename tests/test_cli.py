@@ -286,6 +286,29 @@ class TestTrainPredictEvaluate:
         assert "row 1" in capsys.readouterr().err
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "[]"])
+    def test_bad_model_file_exits_2(self, tmp_path, bad, capsys):
+        tree_path = tmp_path / "tree.txt"
+        tree_path.write_text("r: a b c\na: a1 a2\n")
+        model_path = tmp_path / "model.json"
+        if bad == "nan":
+            coef = np.zeros((3, 2))
+            coef[:, 1] = np.nan
+            table = embed_tree(load_tree(tree_path))
+            save_model(LinearModel(coef, table, "linear"), model_path)
+        else:
+            model_path.write_text(bad)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("f1\n0.5\n-1.0\n")
+        pred_path = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--tree", tree_path, "--model", model_path,
+            "--data", data_path, "--out", pred_path,
+        )
+        assert code == 2
+        assert "model.json" in capsys.readouterr().err
+        assert not pred_path.exists()
+
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):
         model = tmp_path / "model.json"
         run_cli(
