@@ -124,7 +124,18 @@ class LinearModel:
     loss: str
     gamma: float | None = None
     lam: float | None = None
-    history: np.ndarray | None = field(default=None, repr=False, compare=False)
+    history: np.ndarray | None = field(default=None, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        # defined here, so the class keeps ``__hash__ = None``: models are mutable
+        if not isinstance(other, LinearModel):
+            return NotImplemented
+        return (self.table, self.loss, self.gamma, self.lam) == (
+            other.table,
+            other.loss,
+            other.gamma,
+            other.lam,
+        ) and np.array_equal(self.coef, other.coef)
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=float)

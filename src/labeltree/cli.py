@@ -39,14 +39,8 @@ from .datagen import (
     write_dataset_csv,
     write_tree,
 )
-from .dissimilarity import DEFAULT_DECAY, build_schedule, consistency_check
-from .embedding import (
-    embed_tree,
-    embedded_consistency_check,
-    verify_isometry,
-    write_json,
-    write_matrix_csv,
-)
+from .dissimilarity import DEFAULT_DECAY, build_schedule
+from .embedding import _certify, embed_tree, write_json, write_matrix_csv
 from .hierarchy import TaxonomyError, Tree, load_tree
 from .metrics import evaluate
 
@@ -85,7 +79,12 @@ def write_predictions(paths: Sequence[tuple[str, ...]], out_path) -> None:
             writer.writerow([i, PATH_SEP.join(path)])
 
 
-def read_predictions(path) -> list[tuple[str, ...]]:
+def read_predictions(path, tree: Tree) -> list[tuple[str, ...]]:
+    """Read predicted paths written by :func:`write_predictions`.
+
+    Every path must be a root-to-leaf path of ``tree``; the first that is
+    not raises a ``ValueError`` naming the file, the row and its line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -102,7 +101,13 @@ def read_predictions(path) -> list[tuple[str, ...]]:
                 raise ValueError(
                     f"{path}: row {record!r} on line {reader.line_num} {what}"
                 )
-            out.append(tuple(record[1].split(PATH_SEP)))
+            pred = tuple(record[1].split(PATH_SEP))
+            if not tree.is_path(pred):
+                raise ValueError(
+                    f"{path}: row {record!r} on line {reader.line_num} "
+                    f"(pair {len(out)}) is not a root-to-leaf path of the tree"
+                )
+            out.append(pred)
     if not out:
         raise ValueError(f"{path}: no predictions")
     return out
@@ -120,7 +125,7 @@ def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
         if header is None:
             raise ValueError(f"{path}: empty file")
         if header[:2] == ["index", "path"]:
-            return read_predictions(path)
+            return read_predictions(path, tree)
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
         labels = []
@@ -387,9 +392,7 @@ def cmd_embed(args) -> int:
     tree = load_tree(args.tree)
     table = embed_tree(tree, base_norm=args.t1, decay=args.delta)
     schedule = build_schedule(tree, base_weight=args.t1, decay=args.delta)
-    max_err = verify_isometry(tree, schedule, table)
-    tree_report = consistency_check(tree, schedule)
-    point_report = embedded_consistency_check(table)
+    max_err, tree_report, point_report = _certify(tree, schedule, table)
 
     out = _out_dir(args)
     write_matrix_csv(table, out / "embedding.csv")
@@ -487,7 +490,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     tree = load_tree(args.tree)
-    pred = read_predictions(args.pred)
+    pred = read_predictions(args.pred, tree)
     truth = read_truth(args.truth, tree)
     if len(pred) != len(truth):
         raise ValueError(

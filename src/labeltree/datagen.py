@@ -207,8 +207,8 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
-        for row, label in zip(dataset.X, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+        for row, label in zip(dataset.X.tolist(), dataset.labels):
+            writer.writerow([*map(repr, row), label])
 
 
 def read_dataset_csv(path, tree: Tree) -> LabeledDataset:

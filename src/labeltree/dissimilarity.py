@@ -132,27 +132,31 @@ def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float
     return math.sqrt(s * s + sum(w2[: m - 1]) + sum(w2[: l - 1]) - 2 * sum(w2[:t]))
 
 
-def dissimilarity_matrix(tree: Tree, schedule: WeightSchedule) -> np.ndarray:
+def dissimilarity_matrix(
+    tree: Tree, schedule: WeightSchedule, *, _lca: np.ndarray | None = None
+) -> np.ndarray:
     """(q, q) matrix of pairwise dissimilarities in node order.
 
     Vectorized evaluation of the same closed form as
     :func:`dissimilarity`; the two agree to floating-point accuracy.
+    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal
+    callers that already hold it.
+
+    Each q-by-q temporary is updated in place and released after its last
+    use; the operations and their order, and so every bit, are those of
+    the closed form written out in one expression.
     """
+    lca = tree.lca_layer_matrix() if _lca is None else _lca
     order = tree.node_order
     q = len(order)
     layers = np.array([tree.layer(n) for n in order])
-    lca = tree.lca_layer_matrix()
 
     w2 = np.array([w * w for w in schedule.level_weights])
     # cum[t] = sum of squared level weights for layers 1..t; one padding
     # entry because cum[lca] is evaluated (then masked) on the diagonal,
     # where lca can equal the tree depth.
     cum = np.concatenate([[0.0], np.cumsum(w2), [np.sum(w2)]])
-
-    lo = np.minimum(layers[:, None], layers[None, :])
-    hi = np.maximum(layers[:, None], layers[None, :])
-    ancestral = lca == lo
-    sq_anc = cum[hi - 1] - cum[lca - 1]
+    below = cum[layers - 1]  # squared weight summed above each node's layer
 
     # Sibling weight of the common ancestor at layer lca (root included).
     psi = np.zeros(q + 1)
@@ -162,11 +166,33 @@ def dissimilarity_matrix(tree: Tree, schedule: WeightSchedule) -> np.ndarray:
     psi[-1] = schedule.sibling_weight[tree.root]
     # Node-order position of each pair's common ancestor; the root's
     # order index 0 becomes -1, so psi[-1] resolves to the root.
-    anc_idx = tree.node_ancestors[np.arange(q)[:, None], lca - 1] - 1
-    sib = psi[anc_idx]
-    sq_cross = sib**2 + cum[layers[:, None] - 1] + cum[layers[None, :] - 1] - 2 * cum[lca]
+    lca_above = lca - 1
+    anc_idx = tree.node_ancestors[np.arange(q)[:, None], lca_above]
+    anc_idx -= 1
+    out = psi[anc_idx]
+    del anc_idx
+    # s**2 + cum[m-1] + cum[l-1] - 2*cum[t]
+    np.multiply(out, out, out=out)
+    out += below[:, None]
+    out += below[None, :]
+    twice = cum[lca]
+    twice *= 2
+    out -= twice
+    del twice
+    np.maximum(out, 0.0, out=out)
 
-    out = np.sqrt(np.where(ancestral, sq_anc, np.maximum(sq_cross, 0.0)))
+    # One node ancestral to the other: cum[max(m,l)-1] - cum[t-1].
+    ancestral = lca == np.minimum(layers[:, None], layers[None, :])
+    hi = np.maximum(layers[:, None], layers[None, :])
+    hi -= 1
+    sq_anc = cum[hi]
+    del hi
+    sq_anc -= cum[lca_above]
+    del lca_above
+    np.copyto(out, sq_anc, where=ancestral)
+    del sq_anc, ancestral
+
+    np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -249,16 +275,19 @@ def consistency_report_from_matrix(
     dist: np.ndarray,
     tol: float = 1e-10,
     decay_bound_met: bool = True,
+    *,
+    _lca: np.ndarray | None = None,
 ) -> ConsistencyReport:
     """Run both consistency checks against a precomputed distance matrix.
 
     Shared by :func:`consistency_check` (tree dissimilarity) and the
-    embedded-point check in :mod:`labeltree.embedding`.
+    embedded-point check in :mod:`labeltree.embedding`.  ``_lca`` is as
+    in :func:`dissimilarity_matrix`.
     """
+    lca = tree.lca_layer_matrix() if _lca is None else _lca
     order = tree.node_order
     q = len(order)
     layers = np.array([tree.layer(n) for n in order])
-    lca = tree.lca_layer_matrix()
     iu, ju = np.triu_indices(q, k=1)
     values = dist[iu, ju]
     pair_lca = lca[iu, ju]
@@ -356,7 +385,11 @@ def consistency_check(
     equal dissimilarities (within ``tol``).  Both hold whenever
     ``schedule.meets_decay_bound`` is true.
     """
-    dist = dissimilarity_matrix(tree, schedule)
+    lca = tree.lca_layer_matrix()
     return consistency_report_from_matrix(
-        tree, dist, tol=tol, decay_bound_met=schedule.meets_decay_bound
+        tree,
+        dissimilarity_matrix(tree, schedule, _lca=lca),
+        tol,
+        schedule.meets_decay_bound,
+        _lca=lca,
     )

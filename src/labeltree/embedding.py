@@ -131,17 +131,20 @@ class EmbeddingTable:
     layer_dims:
         Highest coordinate in use after processing each layer, keyed by
         layer; the deepest entry equals ``dimension``.
+
+    ``tree``, ``base_norm`` and ``decay`` determine the rest, so equality
+    and the hash compare those three alone.
     """
 
     tree: Tree
     base_norm: float
     decay: float
-    dimension: int
-    node_matrix: np.ndarray = field(repr=False)
-    layer_norms: tuple[float, ...]
-    block_layout: Mapping[str, tuple[int, int]]
-    layer_dims: Mapping[int, int]
-    vectors: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    dimension: int = field(compare=False)
+    node_matrix: np.ndarray = field(repr=False, compare=False)
+    layer_norms: tuple[float, ...] = field(compare=False)
+    block_layout: Mapping[str, tuple[int, int]] = field(compare=False)
+    layer_dims: Mapping[int, int] = field(compare=False)
+    vectors: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.node_matrix.setflags(write=False)
@@ -190,9 +193,16 @@ class EmbeddingTable:
         """(q, q) Euclidean distances between embedded points, node order."""
         pts = self.matrix().T
         sq = np.sum(pts**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+        # |a|^2 + |b|^2 - 2<a, b>, the Gram matrix doubled and subtracted
+        # in place: the same operations in the same order, so the same bits
+        d2 = np.add.outer(sq, sq)
+        gram = pts @ pts.T
+        gram *= 2.0
+        d2 -= gram
+        del gram
         np.fill_diagonal(d2, 0.0)
-        return np.sqrt(np.maximum(d2, 0.0))
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2, out=d2)
 
 
 def embed_tree(
@@ -259,6 +269,15 @@ def verify_isometry(
     ValueError
         If the schedule and table disagree on the tree or the decay.
     """
+    _check_schedule(tree, schedule, table)
+    return _isometry_error(
+        schedule, table, dissimilarity_matrix(tree, schedule), table.distance_matrix()
+    )
+
+
+def _check_schedule(
+    tree: Tree, schedule: WeightSchedule, table: EmbeddingTable
+) -> None:
     if table.tree != tree:
         raise ValueError("embedding table was built for a different tree")
     if schedule.decay != table.decay:
@@ -267,10 +286,18 @@ def verify_isometry(
         )
     if len(schedule.level_weights) != tree.depth - 1:
         raise ValueError("schedule was built for a different tree depth")
-    ratio = schedule.level_weights[0] / table.layer_norms[0]
-    target = dissimilarity_matrix(tree, schedule)
-    actual = ratio * table.distance_matrix()
-    return float(np.max(np.abs(target - actual)))
+
+
+def _isometry_error(
+    schedule: WeightSchedule,
+    table: EmbeddingTable,
+    target: np.ndarray,
+    dist: np.ndarray,
+) -> float:
+    """``max |target - ratio * dist|`` with one q-by-q temporary."""
+    gap = dist * (schedule.level_weights[0] / table.layer_norms[0])
+    gap -= target  # the negated difference, bit for bit; its magnitude agrees
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def embedded_consistency_check(
@@ -285,20 +312,73 @@ def embedded_consistency_check(
         table.tree,
         table.distance_matrix(),
         tol=tol,
-        decay_bound_met=table.decay**2 >= DECAY_SQUARED_BOUND,
+        decay_bound_met=_meets_decay_bound(table),
     )
+
+
+def _meets_decay_bound(table: EmbeddingTable) -> bool:
+    return table.decay**2 >= DECAY_SQUARED_BOUND
+
+
+def _certify(
+    tree: Tree, schedule: WeightSchedule, table: EmbeddingTable
+) -> tuple[float, ConsistencyReport, ConsistencyReport]:
+    """:func:`verify_isometry`, :func:`consistency_check` and
+    :func:`embedded_consistency_check` at their defaults, in one pass.
+
+    The LCA layer matrix, the dissimilarity matrix and the embedded
+    distance matrix are each built once and released after their last
+    use; the distance matrix is built only after the first audit.
+    """
+    _check_schedule(tree, schedule, table)
+    lca = tree.lca_layer_matrix()
+    target = dissimilarity_matrix(tree, schedule, _lca=lca)
+    tree_report = consistency_report_from_matrix(
+        tree, target, decay_bound_met=schedule.meets_decay_bound, _lca=lca
+    )
+    dist = table.distance_matrix()
+    max_err = _isometry_error(schedule, table, target, dist)
+    del target
+    point_report = consistency_report_from_matrix(
+        tree, dist, decay_bound_met=_meets_decay_bound(table), _lca=lca
+    )
+    return max_err, tree_report, point_report
+
+
+def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct float bit patterns of ``values`` and ``fmt`` of each.
+
+    An embedding holds few distinct values, since every block is one
+    simplex pattern times a layer scale, so formatting each once and
+    looking entries up by their bits writes the same text as formatting
+    every entry.  Keys are bits, not values, so ``-0.0`` keeps its own
+    text; the zeros that fill most of the matrix stay out of the sort.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys = np.unique(np.append(bits[bits != 0], 0))
+    texts = np.array([fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return keys, texts
+
+
+def _texts_of(row: np.ndarray, keys: np.ndarray, texts: np.ndarray) -> list[str]:
+    """The text of each entry of ``row``, looked up in :func:`_distinct_texts`."""
+    bits = np.ascontiguousarray(row, dtype=np.float64).view(np.int64)
+    return texts[np.searchsorted(keys, bits)].tolist()
 
 
 def write_matrix_csv(table: EmbeddingTable, path) -> None:
     """Write the embedding as CSV: one row per coordinate, node-order columns.
 
     The header goes through :mod:`csv`, which quotes node ids as needed;
-    coordinate rows are written as the same text, one ``repr`` per float.
+    coordinate rows are written as the same text, one ``repr`` per float,
+    each distinct float formatted once.
     """
+    mat = table.matrix()
+    keys, texts = _distinct_texts(mat, repr)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["coordinate", *table.tree.node_order])
-        for i, row in enumerate(table.matrix().tolist(), start=1):
-            fh.write(f"{i},{','.join(map(repr, row))}\r\n")
+        for i, row in enumerate(mat, start=1):
+            fh.write(f"{i},{','.join(_texts_of(row, keys, texts))}\r\n")
 
 
 def table_to_json_dict(table: EmbeddingTable) -> dict:
@@ -314,34 +394,43 @@ def table_to_json_dict(table: EmbeddingTable) -> dict:
     }
 
 
+def _json_list(items: list[str], level: int) -> str:
+    """Formatted items as ``json.dump(..., indent=2)`` lays out their list.
+
+    ``level`` is the list's nesting depth in the document.
+    """
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * level}]"
+
+
 def _json_float_list(values: np.ndarray, level: int) -> str:
     """A float array as ``json.dump(..., indent=2)`` lays out its list.
 
-    ``level`` is the list's nesting depth in the document.  :mod:`json`
-    writes finite floats with ``float.__repr__``, so the text is the same
-    without the pure-Python encoder's per-item cost.
+    :mod:`json` writes finite floats with ``float.__repr__``, so the text
+    is the same without the pure-Python encoder's per-item cost.
     """
     values = np.asarray(values, dtype=float)
-    if not values.size:
-        return "[]"
     fmt = repr if np.isfinite(values).all() else json.dumps
-    inner = "\n" + "  " * (level + 1)
-    return f"[{inner}{(',' + inner).join(map(fmt, values.tolist()))}\n{'  ' * level}]"
+    return _json_list(list(map(fmt, values.tolist())), level)
 
 
 def write_json(table: EmbeddingTable, path) -> None:
     """Write :func:`table_to_json_dict` as ``json.dump(..., indent=2)`` does.
 
-    Written one node at a time, so the file is never held as one string.
+    Written one node at a time, so the file is never held as one string;
+    each distinct float is formatted once, as :mod:`json` formats it.
     """
+    keys, texts = _distinct_texts(table.node_matrix, json.dumps)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n")
         for key in ("base_norm", "decay", "dimension"):
             fh.write(f'  "{key}": {json.dumps(getattr(table, key))},\n')
         fh.write('  "vectors": {')
         sep = "\n"
-        for node in table.tree.node_order:
-            vec = _json_float_list(table.vectors[node], 2)
+        for node, row in zip(table.tree.node_order, table.node_matrix[1:]):
+            vec = _json_list(_texts_of(row, keys, texts), 2)
             fh.write(f"{sep}    {json.dumps(node)}: {vec}")
             sep = ",\n"
         fh.write("\n  }\n}\n")

@@ -5,8 +5,9 @@ moved to integer leaf codes, the hinge rows as full-width differences of
 sibling vectors before siblings were compared on their parent's block
 only, the subgradient hinge solver that ran before the dual solver, the
 certificate as it ran before the node
-ancestor matrix and the vectorised symmetry audit, and the exports as the
-``csv`` and ``json`` modules wrote them before streaming.  The property
+ancestor matrix and the vectorised symmetry audit, the embedded distance
+matrix as one expression, and the exports as the ``csv`` and ``json``
+modules wrote them, one ``repr`` per entry, before streaming.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -384,6 +385,15 @@ def consistency_report_from_matrix(tree, dist, tol=1e-10, decay_bound_met=True):
     )
 
 
+def distance_matrix(table) -> np.ndarray:
+    """Embedded distances as one expression, before the in-place updates."""
+    pts = table.matrix().T
+    sq = np.sum(pts**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
 # -- exports before streaming ---------------------------------------------
 
 
@@ -400,6 +410,15 @@ def write_json(table, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(table_to_json_dict(table), fh, indent=2)
         fh.write("\n")
+
+
+def write_dataset_csv(dataset, path) -> None:
+    """One ``repr`` per numpy scalar, before rows went through ``tolist``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
+        for row, label in zip(dataset.X, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [label])
 
 
 def save_model(model, path) -> None:

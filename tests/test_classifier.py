@@ -608,6 +608,42 @@ class TestPopulationDirection:
             population_direction({path: np.nan}, ref)
 
 
+class TestModelEquality:
+    def model(self, doc="r: a b c\na: a1 a2\n", coef=None, **kwargs):
+        table = embed_tree(parse_tree(doc))
+        if coef is None:
+            coef = np.arange(table.dimension * 3.0).reshape(table.dimension, 3)
+        kwargs.setdefault("loss", "linear")
+        return LinearModel(coef, table, **kwargs)
+
+    def test_equal_models(self):
+        a, b = self.model(gamma=0.5), self.model(gamma=0.5)
+        assert a == b and not a != b
+        # history records how a fit got there, not the model
+        b.history = np.ones(3)
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"doc": "r: a b c\nb: b1 b2\n"},
+            {"coef": np.zeros((3, 3))},
+            {"loss": "hinge"},
+            {"gamma": 1.0},
+            {"lam": 0.1},
+        ],
+    )
+    def test_unequal_models(self, change):
+        a, b = self.model(), self.model(**change)
+        assert a != b and not a == b
+        assert a != "a model"
+
+    def test_models_are_unhashable(self):
+        # a model is mutable, so equal models could not keep equal hashes
+        with pytest.raises(TypeError):
+            hash(self.model())
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, ref, reference_tree, tmp_path):
         rng = np.random.default_rng(51)

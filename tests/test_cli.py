@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,10 +22,20 @@ from labeltree.cli import (
     write_predictions,
 )
 from labeltree.datagen import read_dataset_csv, write_dataset_csv
-from labeltree.embedding import embed_tree
-from labeltree.hierarchy import load_tree
+from labeltree.dissimilarity import (
+    build_schedule,
+    consistency_check,
+    dissimilarity_matrix,
+)
+from labeltree.embedding import (
+    EmbeddingTable,
+    embed_tree,
+    embedded_consistency_check,
+    verify_isometry,
+)
+from labeltree.hierarchy import Tree, load_tree
 
-from conftest import REFERENCE_DOC
+from conftest import REFERENCE_DOC, random_tree
 
 
 @pytest.fixture()
@@ -58,6 +70,68 @@ class TestEmbedCommand:
         assert run_cli("embed", "--tree", tree, "--out", out) == 0
         lines = (out / "embedding.csv").read_text().splitlines()
         assert lines[1] == "1,-1.0,1.0"
+
+    def test_builds_each_square_matrix_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Tree, "lca_layer_matrix", counted("lca", Tree.lca_layer_matrix)
+        )
+        monkeypatch.setattr(
+            EmbeddingTable,
+            "distance_matrix",
+            counted("distance", EmbeddingTable.distance_matrix),
+        )
+        # every module that binds the function calls it by its own name
+        original = dissimilarity_matrix
+        for name, module in list(sys.modules.items()):
+            if name.startswith("labeltree") and vars(module).get(
+                "dissimilarity_matrix"
+            ) is original:
+                monkeypatch.setattr(
+                    module, "dissimilarity_matrix", counted("dissimilarity", original)
+                )
+        tree = tmp_path / "tree.txt"
+        tree.write_text(random_tree(np.random.default_rng(5)).document())
+        assert run_cli("embed", "--tree", tree, "--out", tmp_path / "emb") == 0
+        assert calls == {"lca": 1, "dissimilarity": 1, "distance": 1}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("delta", [None, 1.3])
+    def test_certificate_matches_the_separate_checks(self, tmp_path, seed, delta):
+        tree = random_tree(np.random.default_rng(seed))
+        path = tmp_path / "tree.txt"
+        path.write_text(tree.document())
+        out = tmp_path / "emb"
+        extra = () if delta is None else ("--delta", delta)
+        assert run_cli("embed", "--tree", path, "--out", out, *extra) == 0
+
+        kwargs = {} if delta is None else {"decay": delta}
+        table = embed_tree(tree, **kwargs)
+        schedule = build_schedule(tree, **kwargs)
+        tree_report = consistency_check(tree, schedule)
+        point_report = embedded_consistency_check(table)
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert == {
+            "base_norm": 1.0,
+            "decay": table.decay,
+            "dimension": table.dimension,
+            "max_isometry_error": verify_isometry(tree, schedule, table),
+            "decay_bound_met": tree_report.decay_bound_met,
+            "dissimilarity_consistent": tree_report.ok,
+            "embedding_consistent": point_report.ok,
+        }
+        assert (out / "consistency.txt").read_text() == (
+            "tree dissimilarity:\n" + tree_report.summary() + "\n\n"
+            "embedded points:\n" + point_report.summary() + "\n"
+        )
 
     def test_malformed_tree_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -167,7 +241,7 @@ class TestTrainPredictEvaluate:
             )
             == 0
         )
-        rows = read_predictions(pred)
+        rows = read_predictions(pred, load_tree(sim_dir / "tree.txt"))
         assert len(rows) == 160
 
         rep_dir = tmp_path / "eval"
@@ -240,7 +314,7 @@ class TestTrainPredictEvaluate:
             "--out",
             pred_path,
         )
-        assert read_predictions(pred_path) == ds.paths()
+        assert read_predictions(pred_path, reference_tree) == ds.paths()
 
     def test_zero_model_predicts_leftmost(self, tmp_path, tree_file, reference_tree):
         table = embed_tree(reference_tree)
@@ -267,7 +341,7 @@ class TestTrainPredictEvaluate:
             pred_path,
         )
         leftmost = ("animal", "feline", "lynx", "iberian_lynx")
-        assert read_predictions(pred_path) == [leftmost] * 4
+        assert read_predictions(pred_path, reference_tree) == [leftmost] * 4
 
     def test_non_finite_features_exit_2(
         self, tmp_path, tree_file, reference_tree, capsys
@@ -513,6 +587,27 @@ class TestEvaluateCommand:
         assert "pair 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_invalid_predicted_path_names_file_row_and_line(
+        self, tmp_path, tree_file, reference_tree, capsys
+    ):
+        pred = tmp_path / "pred.csv"
+        good = tmp_path / "good.csv"
+        write_predictions([("animal", "raptor", "kestrel"), ("animal", "feline")], pred)
+        write_predictions([reference_tree.path_of_leaf("kestrel")] * 2, good)
+        with pytest.raises(ValueError, match="on line 3 .pair 1. is not a root-to-leaf"):
+            read_predictions(pred, reference_tree)
+        # a predictions-format truth file is read through the same check
+        for pred_file, truth_file in ((pred, good), (good, pred)):
+            out = tmp_path / "rep"
+            code = run_cli(
+                "evaluate", "--tree", tree_file, "--pred", pred_file,
+                "--truth", truth_file, "--out", out,
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{pred}: row ['1', 'animal/feline'] on line 3" in err
+            assert not (out / "report.json").exists()
+
     def test_empty_predictions_exit_2(self, tmp_path, tree_file):
         pred = tmp_path / "pred.csv"
         pred.write_text("index,path\n")
@@ -548,7 +643,7 @@ class TestEvaluateCommand:
             "1,animal/raptor/kestrel,animal/feline/panther\n"
         )
         with pytest.raises(ValueError, match="line 3 has more than two fields"):
-            read_predictions(long)
+            read_predictions(long, load_tree(tree_file))
         good = tmp_path / "good.csv"
         write_predictions([("animal", "raptor", "kestrel")] * 2, good)
         for pred, truth in ((long, good), (good, long)):

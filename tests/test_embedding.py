@@ -17,6 +17,7 @@ from labeltree.embedding import (
     write_matrix_csv,
 )
 from labeltree.embedding import _simplex_centered
+from labeltree.hierarchy import parse_tree
 
 from conftest import random_tree
 from test_dissimilarity import REFERENCE_DISTANCES
@@ -108,6 +109,29 @@ class TestSimplex:
     def test_non_finite_norm_rejected(self, norm):
         with pytest.raises(ValueError, match="positive and finite"):
             simplex(3, norm)
+
+
+class TestEquality:
+    DOC = "r: a b c\na: a1 a2\n"
+
+    def test_tables_of_one_tree_are_equal(self):
+        a, b = embed_tree(parse_tree(self.DOC)), embed_tree(parse_tree(self.DOC))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "doc, kwargs",
+        [
+            ("r: a b c\nb: b1 b2\n", {}),
+            (DOC, {"base_norm": 2.0}),
+            (DOC, {"decay": 3.0}),
+        ],
+    )
+    def test_tables_differ_by_tree_norm_or_decay(self, doc, kwargs):
+        a, b = embed_tree(parse_tree(self.DOC)), embed_tree(parse_tree(doc), **kwargs)
+        assert a != b and not a == b
+        assert a != "a table"
 
 
 class TestEmbedTree:

@@ -4,6 +4,7 @@
 paths of different lengths meet in every check.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -33,6 +34,7 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree.cli import select_gamma
+from labeltree.datagen import write_dataset_csv
 from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
     build_schedule,
@@ -383,6 +385,66 @@ def test_exports_quote_and_escape_node_ids_as_before(tmp_path):
         },
     )
     assert_same_exports(tmp_path, embed_tree(tree))
+
+
+# Entries whose text or bits a value-keyed lookup would get wrong: a
+# negative zero, the smallest subnormal and its negative, and values that
+# repeat across rows.
+SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, 0.1, -0.1, 1e100, 2.0 / 3.0)
+
+
+def hand_built_table(rng, finite=True):
+    """A table whose node matrix mixes drawn values with special ones."""
+    table = embed_tree(random_tree(rng))
+    M = rng.choice(SPECIAL_VALUES, size=table.node_matrix.shape)
+    M[rng.random(M.shape) < 0.5] = 0.0
+    M[0] = 0.0  # the root's row
+    M[1:, 0] = rng.normal(size=table.tree.q)
+    if not finite:
+        M[1, -1], M[-1, 0], M[-1, -1] = np.nan, np.inf, -np.inf
+    M[1, 0], M[2, 0] = -0.0, 5e-324
+    return dataclasses.replace(table, node_matrix=M)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_distance_matrix_equals_oracle_bits(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree, base_norm=float(rng.uniform(0.1, 10)))
+    assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
+    table = hand_built_table(rng)
+    assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, finite=st.booleans())
+def test_exports_of_special_values_equal_oracle_bytes(tmp_path_factory, seed, finite):
+    rng = np.random.default_rng(seed)
+    tmp = tmp_path_factory.mktemp("special")
+    assert_same_exports(tmp, hand_built_table(rng, finite))
+    rows = (tmp / "got-e.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].split(",")[1:3] == ["-0.0", "5e-324"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_dataset_csv_equals_oracle_bytes(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    tree = Tree("r", {"r": ["a,b", 'say "hi"', "two\nlines", "plain"]})
+    n, p = int(rng.integers(1, 30)), int(rng.integers(0, 6))
+    X = rng.normal(scale=10.0 ** rng.integers(-8, 8), size=(n, p))
+    X[rng.random(X.shape) < 0.2] = rng.choice(SPECIAL_VALUES)
+    labels = tuple(rng.choice(tree.leaves, size=n).tolist())
+    dataset = LabeledDataset(X, labels, tree)
+    tmp = tmp_path_factory.mktemp("dataset")
+    write_dataset_csv(dataset, tmp / "got.csv")
+    oracles.write_dataset_csv(dataset, tmp / "want.csv")
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
