@@ -273,6 +273,13 @@ def _check_dataset(table: EmbeddingTable, dataset: LabeledDataset) -> None:
         raise ValueError("features contain NaN or infinity")
 
 
+def _check_positive(name: str, *values) -> None:
+    """Reject the first of ``values`` that is not positive and finite."""
+    for value in values:
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _linear_fitter(
     dataset: LabeledDataset, table: EmbeddingTable, fit_intercept: bool
 ):
@@ -325,21 +332,29 @@ def train_linear(
     At small sample sizes the free intercept is a pure-noise direction
     under label-balanced designs, so the synthetic benchmarks disable it.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_positive("lam", lam)
     fit = _linear_fitter(dataset, table, fit_intercept)
     return fit(np.ones(dataset.n), lam, loss="linear")
 
 
-def adaptive_weights(model: LinearModel, X, gamma: float) -> np.ndarray:
+def adaptive_weights(
+    model: LinearModel, X, gamma: float | Sequence[float]
+) -> np.ndarray:
     """Per-sample weights ``1 / (1 + |f(x)|**gamma)`` in ``(0, 1]``.
 
     Samples the base linear model maps far from the origin (typically easy
     or outlying ones) are down-weighted; ``gamma`` sharpens the cutoff.
+    A sequence of ``gamma`` values, all checked before ``model`` scores
+    ``X``, gives one row of weights per value from one scoring pass; each
+    row is the power of the norms by that scalar, so it equals the
+    one-value result bit for bit.
     """
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return 1.0 / (1.0 + np.linalg.norm(model.score_matrix(X), axis=1) ** gamma)
+    scalar = np.ndim(gamma) == 0
+    gammas = (gamma,) if scalar else tuple(gamma)
+    _check_positive("gamma", *gammas)
+    norms = np.linalg.norm(model.score_matrix(X), axis=1)
+    rows = [1.0 / (1.0 + norms**g) for g in gammas]
+    return rows[0] if scalar else np.array(rows).reshape(len(rows), len(norms))
 
 
 def train_weighted_linear(
@@ -368,18 +383,21 @@ def weighted_linear_fits(
 ):
     """Yield ``(gamma, weighted-linear model)`` for each of ``gammas``.
 
-    All models share one base fit, the :func:`train_linear` model, and one
-    list of sibling pairs over the distinct leaves, so each gamma costs its
-    weights, its per-leaf sums of ``w x~ / n``, and their scatter to nodes
-    mapped through :attr:`EmbeddingTable.node_matrix` (descent reads
+    ``lam`` and every gamma are checked before the first fit.  All models
+    share one base fit, the :func:`train_linear` model, one scoring pass
+    of it on the training features (:func:`adaptive_weights` of the whole
+    grid), and one list of sibling pairs over the distinct leaves, so each
+    gamma costs its per-leaf sums of ``w x~ / n`` and their scatter to
+    nodes mapped through :attr:`EmbeddingTable.node_matrix` (descent reads
     :attr:`EmbeddingTable.sibling_blocks`).
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    gammas = tuple(gammas)
+    _check_positive("lam", lam)
+    _check_positive("gamma", *gammas)
     fit = _linear_fitter(dataset, table, fit_intercept)
     base = fit(np.ones(dataset.n), 1.0, loss="linear")
-    for gamma in gammas:
-        w = adaptive_weights(base, dataset.X, gamma)
+    weights = np.atleast_2d(adaptive_weights(base, dataset.X, gammas))
+    for gamma, w in zip(gammas, weights):
         yield gamma, fit(w, lam, loss="weighted-linear", gamma=gamma)
 
 
@@ -506,8 +524,7 @@ def train_hinge(
     ``fit_intercept=False`` zeroes the intercept column of ``X~``, which
     pins the intercept column of ``A`` to zero.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_positive("lam", lam)
     _check_dataset(table, dataset)
     n = dataset.n
     Xa = _augment(dataset.X)

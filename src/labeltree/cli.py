@@ -22,8 +22,10 @@ import numpy as np
 from .classifier import (
     LabeledDataset,
     LinearModel,
+    _augment,
+    _check_positive,
+    _descend,
     load_model,
-    predict_codes,
     predict_paths,
     save_model,
     train_hinge,
@@ -154,10 +156,6 @@ def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...
 # -- hyperparameter selection --------------------------------------------
 
 
-def _validation_error(model: LinearModel, val: LabeledDataset) -> float:
-    return float(np.mean(predict_codes(model, val.X) != val.codes))
-
-
 def _select(
     name: str, fits, val: LabeledDataset | None, grid
 ) -> tuple[float, LinearModel]:
@@ -165,15 +163,21 @@ def _select(
 
     ``fits`` yields one pair per value of ``grid`` in ascending order, and
     only strict improvements move the incumbent, so ties resolve to the
-    smaller value.  A one-point grid needs no validation set.
+    smaller value.  A one-point grid needs no validation set.  The
+    validation features are checked and augmented once, for the first
+    model; every model of the grid shares their width and its table.
     """
+    if not len(grid):
+        raise ValueError(f"{name} grid is empty")
     if len(grid) == 1:
         return next(iter(fits))
     if val is None:
         raise ValueError(f"{name} selection needs a validation set")
-    best = None
+    best = Xa = None
     for value, model in fits:
-        err = _validation_error(model, val)
+        if Xa is None:
+            Xa = _augment(model._features(val.X))
+        err = float(np.mean(_descend(model.table, Xa @ model.coef.T) != val.codes))
         if best is None or err < best[0]:
             best = (err, value, model)
     return best[1], best[2]
@@ -196,7 +200,11 @@ def select_gamma(
 def select_lambda(
     train, val, table, grid, max_iter: int = 5000, fit_intercept: bool = True
 ) -> tuple[float, LinearModel]:
-    """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller)."""
+    """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller).
+
+    Every lambda is checked before the first fit.
+    """
+    _check_positive("lam", *grid)
 
     def fits():
         for lam in sorted(grid):

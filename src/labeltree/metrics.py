@@ -134,6 +134,26 @@ class EvaluationReport:
         return "\n".join(f"{label:<{width}}  {value}" for label, value in rows) + "\n"
 
 
+def _node_coefficients(tree: Tree) -> np.ndarray:
+    """``(q + 1, 2)`` sibling and subtree weights of every node by order index.
+
+    Layer by layer from the ancestor matrix: a node's sibling weight is
+    its parent's divided by the parent's child count, and its subtree
+    weight the size of its subtree over ``q``.  The root's row is never
+    read: no divergence is charged to it.
+    """
+    ancestors = tree.node_ancestors
+    layer = (ancestors >= 0).sum(axis=1)
+    up = ancestors[np.arange(tree.q), layer - 2]
+    fanout = np.bincount(up, minlength=tree.q + 1)
+    sib = np.ones(tree.q + 1)
+    for t in range(2, tree.depth + 1):
+        nodes = np.flatnonzero(layer == t)
+        sib[nodes + 1] = sib[up[nodes]] / fanout[up[nodes]]
+    size = np.bincount(ancestors[ancestors > 0], minlength=tree.q + 1)
+    return np.column_stack([sib, size / tree.q])
+
+
 def evaluate(
     pairs: Sequence[Pair], tree: Tree, wall_time_seconds: float = 0.0
 ) -> EvaluationReport:
@@ -156,12 +176,7 @@ def evaluate(
     # node order is breadth-first, so the first diverging node in that
     # order is the earlier of the two nodes just below the common ancestor
     first = np.minimum(a[wrong, lca[wrong]], b[wrong, lca[wrong]])
-    sib = {tree.root: 1.0}
-    for node in tree.node_order:
-        parent = tree.parent(node)
-        sib[node] = sib[parent] / len(tree.children(parent))
-    coef = [(sib[v], tree.subtree_size(v) / tree.q) for v in tree.nodes]
-    h_sib, h_sub = np.array(coef)[first].sum(axis=0)
+    h_sib, h_sub = _node_coefficients(tree)[first].sum(axis=0)
     n, shared = len(pairs), int((lca - 1).sum())
     hp, hr = shared / int(p_len.sum()), shared / int(t_len.sum())
     return EvaluationReport(

@@ -5,7 +5,8 @@ moved to integer leaf codes, the hinge rows as full-width differences of
 sibling vectors before siblings were compared on their parent's block
 only, the subgradient hinge solver that ran before the dual solver, the
 certificate as it ran before the node
-ancestor matrix and the vectorised symmetry audit, the embedded distance
+ancestor matrix and the vectorised symmetry audit, the hierarchical
+losses' node weights as a per-node loop, the embedded distance
 matrix as one expression, and the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
@@ -214,6 +215,28 @@ def per_sample_risk(model, dataset, fn) -> np.ndarray:
                     total += float(fn(own - float(F[i] @ table.vector(sib))))
         out[i] = total
     return out
+
+
+def hierarchical_losses(pairs, tree) -> tuple[float, float]:
+    """``l_h_sib`` and ``l_h_sub`` with node weights from a per-node loop.
+
+    The weights as ``evaluate`` built them before it read the ancestor
+    matrix, summed over the first diverging node of each wrong pair in
+    pair order, so the sums round as ``evaluate``'s do.
+    """
+    sib = {tree.root: 1.0}
+    for node in tree.node_order:
+        parent = tree.parent(node)
+        sib[node] = sib[parent] / len(tree.children(parent))
+    coef = np.array([(sib[v], tree.subtree_size(v) / tree.q) for v in tree.nodes])
+    first = []
+    for true, pred in pairs:
+        true_idx = {tree.order_index(node) for node in true[1:]}
+        pred_idx = {tree.order_index(node) for node in pred[1:]}
+        if true_idx != pred_idx:
+            first.append(min(true_idx ^ pred_idx))
+    h_sib, h_sub = coef[np.array(first, dtype=np.intp)].sum(axis=0)
+    return float(h_sib) / len(pairs), float(h_sub) / len(pairs)
 
 
 def hierarchical_loss(pairs, tree, weighting: str = "sib") -> float:

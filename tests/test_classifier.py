@@ -345,6 +345,47 @@ class TestAdaptiveWeights:
             adaptive_weights(model, np.zeros((1, 0)), gamma=0.0)
 
 
+    def test_grid_gives_one_row_per_gamma(self, two):
+        model = LinearModel(np.array([[2.0]]), two, "linear")
+        w = adaptive_weights(model, np.zeros((3, 0)), (1.0, 2.0))
+        np.testing.assert_array_equal(w, [[1 / 3] * 3, [0.2] * 3])
+        assert adaptive_weights(model, np.zeros((3, 0)), ()).shape == (0, 3)
+
+    def test_grid_checked_before_scoring(self, two, monkeypatch):
+        model = LinearModel(np.array([[1.0]]), two, "linear")
+        scored = []
+        monkeypatch.setattr(LinearModel, "score_matrix", lambda self, X: scored.append(X))
+        with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
+            adaptive_weights(model, np.zeros((1, 0)), (1.0, np.nan))
+        assert scored == []
+
+
+class TestWeightedLinearGrid:
+    def test_base_model_scores_training_data_once_per_grid(self, ref, monkeypatch):
+        ds = random_dataset(ref, 12, 3, np.random.default_rng(34))
+        score_matrix = LinearModel.score_matrix
+        scored = []
+
+        def spy(model, X):
+            scored.append(X)
+            return score_matrix(model, X)
+
+        monkeypatch.setattr(LinearModel, "score_matrix", spy)
+        fits = list(weighted_linear_fits(ds, ref, (0.5, 1.0, 2.0, 4.0)))
+        assert [g for g, _ in fits] == [0.5, 1.0, 2.0, 4.0]
+        assert len(scored) == 1 and scored[0] is ds.X
+
+    def test_every_gamma_checked_before_the_first_fit(self, ref, monkeypatch):
+        ds = random_dataset(ref, 12, 3, np.random.default_rng(35))
+        import labeltree.classifier as clf
+
+        fitted = []
+        monkeypatch.setattr(clf, "_linear_fitter", lambda *args: fitted.append(args))
+        with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
+            next(weighted_linear_fits(ds, ref, (1.0, 2.0, np.nan)))
+        assert fitted == []
+
+
 class TestTrainWeightedLinear:
     def test_degenerate_base_equals_plain(self, two, two_leaf_tree):
         # two identical samples with opposite labels zero out the base fit,

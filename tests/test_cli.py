@@ -17,7 +17,9 @@ from labeltree.cli import (
     main,
     read_predictions,
     read_truth,
+    fit,
     run_benchmark,
+    select_gamma,
     select_lambda,
     write_predictions,
 )
@@ -819,6 +821,59 @@ class TestHelpers:
         ds = LabeledDataset(X, ("left", "left", "right", "right"), two_leaf_tree)
         lam, _ = select_lambda(ds, ds, table, (0.5, 1.0, 2.0), max_iter=300)
         assert lam == 0.5
+
+
+class TestGrids:
+    @pytest.fixture()
+    def data(self, reference_tree):
+        from labeltree.classifier import LabeledDataset
+
+        rng = np.random.default_rng(23)
+        leaves = reference_tree.leaves
+        idx = rng.integers(0, len(leaves), size=24)
+        X = np.eye(6)[idx] + rng.normal(0, 0.5, size=(24, 6))
+        return LabeledDataset(X, tuple(leaves[i] for i in idx), reference_tree)
+
+    def test_empty_grids_name_their_parameter(self, data):
+        table = embed_tree(data.tree)
+        with pytest.raises(ValueError, match="gamma grid is empty"):
+            select_gamma(data, data, table, ())
+        with pytest.raises(ValueError, match="lambda grid is empty"):
+            select_lambda(data, data, table, ())
+        with pytest.raises(ValueError, match="gamma grid is empty"):
+            fit("wlinear", data, data, table, gamma_grid=())
+        with pytest.raises(ValueError, match="lambda grid is empty"):
+            fit("hinge", data, data, table, lambda_grid=[])
+
+    @pytest.mark.parametrize(
+        "loss, grids, name",
+        [("wlinear", {"gamma_grid": ()}, "gamma"), ("hinge", {"lambda_grid": ()}, "lambda")],
+    )
+    def test_empty_benchmark_grid(self, loss, grids, name):
+        with pytest.raises(ValueError, match=f"{name} grid is empty"):
+            run_benchmark(example=1, reps=1, seed=1, losses=(loss,), n=20, **grids)
+
+    def test_lambda_grid_checked_before_the_first_fit(self, data, monkeypatch):
+        import labeltree.cli as cli
+
+        fitted = []
+        monkeypatch.setattr(cli, "train_hinge", lambda *a, **k: fitted.append(k["lam"]))
+        with pytest.raises(ValueError, match="lam must be positive and finite, got nan"):
+            select_lambda(data, data, embed_tree(data.tree), (0.001, np.nan))
+        assert fitted == []
+
+    def test_gamma_selection_scores_training_data_once(self, data, monkeypatch):
+        score_matrix = LinearModel.score_matrix
+        scored = []
+
+        def spy(model, X):
+            scored.append(X)
+            return score_matrix(model, X)
+
+        monkeypatch.setattr(LinearModel, "score_matrix", spy)
+        gamma, model = select_gamma(data, data, embed_tree(data.tree), TUNING_GRID)
+        assert gamma in TUNING_GRID and model.gamma == gamma
+        assert len(scored) == 1 and scored[0] is data.X
 
 
 def test_run_benchmark_structure():

@@ -22,6 +22,7 @@ from labeltree.classifier import (
     LinearModel,
     _descend,
     _sibling_pairs,
+    adaptive_weights,
     hierarchy_margin,
     hinge_objective,
     per_sample_risk,
@@ -33,7 +34,7 @@ from labeltree.classifier import (
     train_weighted_linear,
     weighted_linear_fits,
 )
-from labeltree.cli import select_gamma
+from labeltree.cli import TUNING_GRID, select_gamma
 from labeltree.datagen import write_dataset_csv
 from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
@@ -189,6 +190,30 @@ def test_select_gamma_same_gamma_and_fits_within_1e12_of_oracle(seed):
     )
 
 
+# The default grid plus the exponents NumPy raises by a fast path.
+GRID_WITH_FAST_POWERS = TUNING_GRID + (0.5, 2.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_grid_fits_equal_one_gamma_fits_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, 30)
+    lam, fit_intercept = float(rng.choice([0.3, 1.0])), bool(rng.integers(2))
+
+    fits = weighted_linear_fits(ds, table, GRID_WITH_FAST_POWERS, lam, fit_intercept)
+    for gamma, (g, fitted) in zip(GRID_WITH_FAST_POWERS, fits, strict=True):
+        single = train_weighted_linear(ds, table, gamma, lam, fit_intercept)
+        assert g == gamma == fitted.gamma
+        assert np.array_equal(fitted.coef, single.coef)
+    base = train_linear(ds, table, fit_intercept=fit_intercept)
+    rows = adaptive_weights(base, ds.X, GRID_WITH_FAST_POWERS)
+    for gamma, row in zip(GRID_WITH_FAST_POWERS, rows, strict=True):
+        assert np.array_equal(row, adaptive_weights(base, ds.X, gamma))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_per_sample_risk_matches_oracle(seed):
@@ -264,6 +289,19 @@ def test_evaluate_matches_oracle(seed):
     assert h_fmeasure(pairs, tree) == pytest.approx(
         oracles.h_fmeasure(pairs), rel=0, abs=1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds)
+def test_hierarchical_losses_equal_per_node_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    leaf_paths = tree.leaf_paths
+    a = rng.integers(0, tree.n_leaf, size=40)
+    b = np.where(rng.random(40) < 0.3, a, rng.integers(0, tree.n_leaf, size=40))
+    pairs = [(leaf_paths[i], leaf_paths[j]) for i, j in zip(a, b)]
+    report = evaluate(pairs, tree)
+    assert (report.l_h_sib, report.l_h_sub) == oracles.hierarchical_losses(pairs, tree)
 
 
 # Decays below and above the certification threshold, so that the draws
