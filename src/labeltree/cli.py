@@ -120,7 +120,10 @@ def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
 
     Of a labeled dataset only the trailing ``label`` column is read; the
     feature cells are not parsed, since they are no part of the truth.
+    The first label that is not a leaf of ``tree`` raises a
+    ``ValueError`` naming the file, the row and its line.
     """
+    leaf_codes = tree.leaf_codes
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -130,18 +133,26 @@ def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
             return read_predictions(path, tree)
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
-        labels = []
+        codes = []
         for record in reader:
             if not record:
                 continue
             if len(record) != len(header):
                 raise ValueError(
-                    f"{path}: row with {len(record)} fields, expected {len(header)}"
+                    f"{path}: row with {len(record)} fields, expected "
+                    f"{len(header)}, on line {reader.line_num}"
                 )
-            labels.append(record[-1])
-    if not labels:
+            code = leaf_codes.get(record[-1])
+            if code is None:
+                raise ValueError(
+                    f"{path}: row {len(codes)} on line {reader.line_num}: label "
+                    f"{record[-1]!r} is not a leaf of the tree"
+                )
+            codes.append(code)
+    if not codes:
         raise ValueError(f"{path}: no data rows")
-    return [tree.path_of_leaf(label) for label in labels]
+    leaf_paths = tree.leaf_paths
+    return [leaf_paths[c] for c in codes]
 
 
 def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...]:

@@ -19,8 +19,12 @@ promised within a single numpy build.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -203,12 +207,36 @@ def split_indices(
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """Write features and labels as CSV: columns ``f1..fp`` then ``label``."""
+    """Write features and labels as CSV: columns ``f1..fp`` then ``label``.
+
+    A row is the ``repr`` of its floats joined by commas, then its label's
+    cell as ``csv.writer`` quotes it; each distinct label is quoted once.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+
+    def row_text(fields) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()
+
+    # a leading empty field quotes the label as the last field of a row
+    # with features and writes the comma before it
+    lead = [""] if dataset.p else []
+    cells = {
+        label: row_text([*lead, label]) for label in dict.fromkeys(dataset.labels)
+    }
+    header = row_text([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
+    rows = "".join(
+        [
+            ",".join(map(repr, row)) + cells[label]
+            for row, label in zip(dataset.X.tolist(), dataset.labels)
+        ]
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
-        for row, label in zip(dataset.X.tolist(), dataset.labels):
-            writer.writerow([*map(repr, row), label])
+        fh.write(header)
+        fh.write(rows)
 
 
 def read_dataset_csv(path, tree: Tree) -> LabeledDataset:
@@ -216,33 +244,76 @@ def read_dataset_csv(path, tree: Tree) -> LabeledDataset:
     X, labels = read_feature_csv(path)
     if labels is None:
         raise ValueError(f"{path}: no 'label' column")
-    return LabeledDataset(X=X, labels=labels, tree=tree)
+    try:
+        return LabeledDataset(X=X, labels=labels, tree=tree)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# How np.loadtxt names a failing row: a cell it cannot read by 0-based data
+# row and 1-based column, a wrong field count by 1-based data row; blank
+# lines are not counted.
+_BAD_CELL = re.compile(r"could not convert .* at row (\d+), column (\d+)\.$", re.S)
+_BAD_COUNT = re.compile(r"requires \d+ columns but \d+ were found at row (\d+)")
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Read a feature CSV; the trailing ``label`` column is optional."""
+    """Read a feature CSV; the trailing ``label`` column is optional.
+
+    The header goes through ``csv`` and the rows through one ``np.loadtxt``
+    call, which reads quoted labels as ``csv.reader`` does.  Every error
+    names the file; a bad row is named by its line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        has_label = header and header[-1] == "label"
-        n_feat = len(header) - (1 if has_label else 0)
-        rows, labels = [], []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ValueError(
-                    f"{path}: row with {len(record)} fields, expected {len(header)}"
+        has_label = bool(header) and header[-1] == "label"
+        fields = [("x", float, (len(header) - has_label,))]
+        if has_label:
+            fields.append(("label", object))
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
                 )
-            rows.append([float(v) for v in record[:n_feat]])
-            if has_label:
-                labels.append(record[-1])
-    if not rows:
+                rows = np.loadtxt(
+                    fh,
+                    dtype=fields,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=1,
+                )
+        except ValueError as exc:
+            raise ValueError(_row_error(path, fh, header, str(exc))) from None
+    if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
-    X = np.array(rows, dtype=float).reshape(len(rows), n_feat)
-    return X, tuple(labels) if has_label else None
+    X = np.ascontiguousarray(rows["x"])
+    return X, tuple(rows["label"].tolist()) if has_label else None
+
+
+def _row_error(path, fh, header: list[str], message: str) -> str:
+    """Name the line and cell behind an ``np.loadtxt`` error message."""
+    cell, count = _BAD_CELL.search(message), _BAD_COUNT.search(message)
+    if cell or count:
+        row = int(cell[1]) if cell else int(count[1]) - 1
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        record = next(islice(filter(None, reader), row, None), None)
+        if record is not None and len(record) != len(header):
+            return (
+                f"{path}: row with {len(record)} fields, expected {len(header)}, "
+                f"on line {reader.line_num}"
+            )
+        if record is not None and cell:
+            col = int(cell[2]) - 1
+            return (
+                f"{path}: row {row} on line {reader.line_num}, column "
+                f"{header[col]!r}: {record[col]!r} is not a number"
+            )
+    return f"{path}: {message}"
 
 
 def write_tree(tree: Tree, path) -> None:

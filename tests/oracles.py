@@ -7,8 +7,10 @@ only, the subgradient hinge solver that ran before the dual solver, the
 certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, the hierarchical
 losses' node weights as a per-node loop, the embedded distance
-matrix as one expression, and the exports as the ``csv`` and ``json``
-modules wrote them, one ``repr`` per entry, before streaming.  The property
+matrix as one expression, the exports as the ``csv`` and ``json``
+modules wrote them, one ``repr`` per entry, before streaming, and the
+dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
+through ``np.loadtxt``.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -442,6 +444,32 @@ def write_dataset_csv(dataset, path) -> None:
         writer.writerow([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
         for row, label in zip(dataset.X, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [label])
+
+
+def read_feature_csv(path):
+    """One ``csv`` record and one ``float()`` per cell, before ``np.loadtxt``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        has_label = header and header[-1] == "label"
+        n_feat = len(header) - (1 if has_label else 0)
+        rows, labels = [], []
+        for record in reader:
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: row with {len(record)} fields, expected {len(header)}"
+                )
+            rows.append([float(v) for v in record[:n_feat]])
+            if has_label:
+                labels.append(record[-1])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    X = np.array(rows, dtype=float).reshape(len(rows), n_feat)
+    return X, tuple(labels) if has_label else None
 
 
 def save_model(model, path) -> None:

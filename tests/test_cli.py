@@ -661,6 +661,73 @@ class TestEvaluateCommand:
             assert not (out / "report.json").exists()
 
 
+class TestDataFileErrors:
+    """Every error in reading a data file names the file, and a bad row its line."""
+
+    CASES = [
+        ("f1,f2,label\n0.5,1.0,kestrel\n\n0.5,osprey\n",
+         "row with 2 fields, expected 3, on line 4"),
+        ("f1,f2,label\n0.5,1.0,kestrel,osprey\n",
+         "row with 4 fields, expected 3, on line 2"),
+        ("f1,f2,label\n0.5,1.0,kestrel\n0.5,n/a,osprey\n",
+         "row 1 on line 3, column 'f2': 'n/a' is not a number"),
+        # float() reads 1_000, numpy's parser does not
+        ("f1,f2,label\n1_000,1.0,kestrel\n",
+         "row 0 on line 2, column 'f1': '1_000' is not a number"),
+        ("f1,f2,label\n", "no data rows"),
+    ]
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_train_exits_2(self, tmp_path, tree_file, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        model = tmp_path / "model.json"
+        code = run_cli(
+            "train", "--tree", tree_file, "--data", data, "--loss", "linear",
+            "--out", model,
+        )
+        assert code == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_predict_exits_2(
+        self, tmp_path, tree_file, reference_tree, capsys, text, message
+    ):
+        model = tmp_path / "zero.json"
+        save_model(
+            LinearModel(np.zeros((5, 3)), embed_tree(reference_tree), "linear"), model
+        )
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        pred = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--tree", tree_file, "--model", model, "--data", data,
+            "--out", pred,
+        )
+        assert code == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("label", ["zzz", "feline"])
+    def test_evaluate_truth_label_not_a_leaf_exits_2(
+        self, tmp_path, tree_file, reference_tree, capsys, label
+    ):
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"f1,label\n0.5,kestrel\n0.5,{label}\n")
+        pred = tmp_path / "pred.csv"
+        write_predictions([reference_tree.path_of_leaf("kestrel")] * 2, pred)
+        out = tmp_path / "rep"
+        code = run_cli(
+            "evaluate", "--tree", tree_file, "--pred", pred, "--truth", truth,
+            "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: row 1 on line 3: label {label!r} is not a leaf" in err
+        assert not (out / "report.json").exists()
+
+
 class TestNonFiniteArguments:
     @pytest.mark.parametrize(
         "loss, flag, name",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from labeltree.datagen import (
     SyntheticSpec,
     example1_tree,
@@ -11,6 +12,7 @@ from labeltree.datagen import (
     gen_example2,
     generate,
     read_dataset_csv,
+    read_feature_csv,
     split_indices,
     write_dataset_csv,
     write_tree,
@@ -198,3 +200,14 @@ class TestSplitAndCsv:
         p.write_text("f1,f2\n")
         with pytest.raises(ValueError):
             read_dataset_csv(p, example1_tree(3))
+        p.write_text("f1,label\n0.5,zzz\n")
+        with pytest.raises(ValueError, match=f"^{p}: label 'zzz' is not a leaf"):
+            read_dataset_csv(p, example1_tree(3))
+
+    def test_unlabeled_csv_equals_oracle(self, tmp_path):
+        p = tmp_path / "features.csv"
+        p.write_bytes(b"f1,f2\r\n1.5,-0.0\r\n\r\n1e-310, -inf \n\nnan,+2.\n")
+        X, labels = read_feature_csv(p)
+        want, _ = oracles.read_feature_csv(p)
+        assert labels is None and X.shape == (3, 2)
+        assert np.array_equal(X.view(np.int64), want.view(np.int64))

@@ -7,6 +7,7 @@ paths of different lengths meet in every check.
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree.cli import TUNING_GRID, select_gamma
-from labeltree.datagen import write_dataset_csv
+from labeltree.datagen import read_feature_csv, write_dataset_csv
 from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
     build_schedule,
@@ -483,6 +484,52 @@ def test_dataset_csv_equals_oracle_bytes(tmp_path_factory, seed):
     write_dataset_csv(dataset, tmp / "got.csv")
     oracles.write_dataset_csv(dataset, tmp / "want.csv")
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+# Labels that need quoting, a comment character and non-ASCII text, and
+# cells beyond SPECIAL_VALUES: a subnormal, the infinities and nan.
+CSV_LABELS = (
+    "a,b", 'say "hi"', "two\nlines", "crlf\r\nlabel", "#tag", "naïve ✓", "plain"
+)
+CSV_CELLS = SPECIAL_VALUES + (2.5e-310, math.inf, -math.inf, math.nan)
+
+
+def csv_with_blank_lines(data, path, rng):
+    """Write the rows of ``data`` one at a time, with blank lines between."""
+    one = path.with_suffix(".row")
+    X, labels, parts = data.X, data.labels, []
+    for i in range(len(labels)):
+        row = SimpleNamespace(X=X[i : i + 1], labels=labels[i : i + 1], p=data.p)
+        write_dataset_csv(row, one)
+        header, text = one.read_bytes().decode("utf-8").split("\r\n", 1)
+        parts.append(text + "".join(rng.choice(["", "\r\n", "\n"], size=2)))
+    path.write_bytes((header + "\r\n" + "".join(parts)).encode("utf-8"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_read_feature_csv_equals_oracle(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 if rng.random() < 0.2 else int(rng.integers(1, 30))
+    p = int(rng.integers(0, 6))
+    X = rng.normal(scale=10.0 ** rng.integers(-8, 8), size=(n, p))
+    special = rng.random(X.shape) < 0.3
+    X[special] = rng.choice(CSV_CELLS, size=int(special.sum()))
+    # LabeledDataset rejects non-finite features, which a feature CSV may hold
+    labels = tuple(rng.choice(CSV_LABELS, size=n).tolist())
+    data = SimpleNamespace(X=X, labels=labels, p=p)
+    tmp = tmp_path_factory.mktemp("read")
+    files = [tmp / "new.csv", tmp / "old.csv", tmp / "blank.csv"]
+    write_dataset_csv(data, files[0])
+    oracles.write_dataset_csv(data, files[1])
+    csv_with_blank_lines(data, files[2], rng)
+    for path in files:
+        got_X, got_labels = read_feature_csv(path)
+        want_X, want_labels = oracles.read_feature_csv(path)
+        assert got_X.shape == want_X.shape == (n, p)
+        assert np.array_equal(got_X.view(np.int64), want_X.view(np.int64))
+        assert np.array_equal(got_X, X, equal_nan=True)
+        assert got_labels == want_labels == data.labels
 
 
 @settings(max_examples=25, deadline=None)
