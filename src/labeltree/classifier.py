@@ -608,6 +608,10 @@ def population_direction(
 
 
 MODEL_FORMAT = "labeltree-linear-model/1"
+_MODEL_KEYS = (
+    "tree_sha256", "base_norm", "decay", "loss", "gamma", "lambda",
+    "dimension", "n_features", "coef",
+)
 
 
 def save_model(model: LinearModel, path) -> None:
@@ -640,21 +644,33 @@ def load_model(path, tree: Tree) -> LinearModel:
 
     The tree must hash to the value recorded at save time; the embedding
     is rebuilt from the stored parameters, so predictions reproduce the
-    original model's bit for bit.  A file that is not a JSON object, or
-    whose coefficients are not all finite, raises :class:`ValueError`.
+    original model's bit for bit.  A file that is not such a model, of
+    another tree, or with coefficients that are not all finite raises a
+    :class:`ValueError` naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a model file holds a JSON object")
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unrecognized model format {doc.get('format')!r}")
+        raise ValueError(f"{path}: unrecognized model format {doc.get('format')!r}")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     if doc["tree_sha256"] != tree.sha256():
-        raise ValueError("model was trained on a different tree")
-    table = embed_tree(tree, base_norm=doc["base_norm"], decay=doc["decay"])
-    coef = np.array(doc["coef"], dtype=float).reshape(
-        doc["dimension"], doc["n_features"] + 1
-    )
+        raise ValueError(f"{path}: model was trained on a different tree")
+    try:
+        table = embed_tree(tree, base_norm=doc["base_norm"], decay=doc["decay"])
+        width = doc["n_features"] + 1
+        coef = np.array(doc["coef"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if doc["dimension"] != table.dimension or coef.size != table.dimension * width:
+        raise ValueError(
+            f"{path}: coefficients are {doc['dimension']} x {width} in "
+            f"{coef.size} entries, expected {table.dimension} x {width}"
+        )
+    coef = coef.reshape(table.dimension, width)
     if not np.all(np.isfinite(coef)):
         raise ValueError(f"{path}: model coefficients contain NaN or infinity")
     return LinearModel(

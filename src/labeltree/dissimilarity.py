@@ -282,74 +282,73 @@ def consistency_report_from_matrix(
 
     Shared by :func:`consistency_check` (tree dissimilarity) and the
     embedded-point check in :mod:`labeltree.embedding`.  ``_lca`` is as
-    in :func:`dissimilarity_matrix`.
+    in :func:`dissimilarity_matrix`; ``tol`` must be non-negative.  Each
+    group of pairs is a boolean mask and its extremes are ``where=``
+    reductions, so no pair list and no float copy of ``dist`` is made; a
+    witness is the first member at an extreme, as a scan finds it.
     """
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
     lca = tree.lca_layer_matrix() if _lca is None else _lca
     order = tree.node_order
     q = len(order)
     layers = np.array([tree.layer(n) for n in order])
-    iu, ju = np.triu_indices(q, k=1)
-    values = dist[iu, ju]
-    pair_lca = lca[iu, ju]
-    n_pairs = len(values)
 
     # Monotonicity: grouped by ancestor layer, every value in a
     # shallower-ancestor group must strictly exceed every value in any
     # deeper-ancestor group; comparing adjacent group extremes is enough.
+    # Group t holds the upper-triangle pairs meeting at layer t; none is
+    # empty, since every layer above the leaves holds a parent.
+    upper = np.arange(q)[:, None] < np.arange(q)
+    extremes = []
+    for t in range(1, tree.depth):
+        member = lca == t
+        member &= upper
+        low = np.min(dist, where=member, initial=np.inf)
+        extremes.append((t, low, np.max(dist, where=member, initial=-np.inf)))
+
+    def first_pair(t, value):
+        return divmod(int(np.argmax((lca == t) & upper & (dist == value))), q)
+
     mono: list[MonotonicityViolation] = []
-    groups = sorted(set(pair_lca.tolist()))
-    extremes = {}
-    for t in groups:
-        mask = pair_lca == t
-        vals = values[mask]
-        idx = np.flatnonzero(mask)
-        extremes[t] = (
-            idx[int(np.argmin(vals))],
-            idx[int(np.argmax(vals))],
-        )
-    for t_low, t_high in zip(groups, groups[1:]):
-        k_min = extremes[t_low][0]
-        k_max = extremes[t_high][1]
-        if values[k_min] <= values[k_max]:
+    for (t_low, low, _), (t_high, _, high) in zip(extremes, extremes[1:]):
+        if low <= high:
+            k_min, k_max = first_pair(t_low, low), first_pair(t_high, high)
             mono.append(
                 MonotonicityViolation(
-                    pair_low=(order[iu[k_min]], order[ju[k_min]]),
-                    lca_low=int(t_low),
-                    value_low=float(values[k_min]),
-                    pair_high=(order[iu[k_max]], order[ju[k_max]]),
-                    lca_high=int(t_high),
-                    value_high=float(values[k_max]),
+                    pair_low=(order[k_min[0]], order[k_min[1]]),
+                    lca_low=t_low,
+                    value_low=float(dist[k_min]),
+                    pair_high=(order[k_max[0]], order[k_max[1]]),
+                    lca_high=t_high,
+                    value_high=float(dist[k_max]),
                 )
             )
 
     # Symmetry: for a fixed anchor, partners at one layer sharing the
-    # common-ancestor layer must all sit at the same dissimilarity.  Each
-    # (partner layer, ancestor layer) group is a mask over the matrix, and
-    # each anchor's extremes in it are masked row reductions; argmin and
-    # argmax return first occurrences, as a scan in node order does.
+    # common-ancestor layer must all sit at the same dissimilarity.  Node
+    # order is sorted by layer, so partner layer m is a column slice, a
+    # view, and each anchor's extremes in a group are masked row
+    # reductions.  At t = m the only node is the anchor's ancestor at m
+    # (or itself), never a group, so t stops below m, where no anchor is
+    # its own partner.  A row of under two members spans 0, NaN or -inf.
     found = []
-    for other_layer in np.unique(layers).tolist():
-        cols = np.flatnonzero(layers == other_layer)
-        part = dist[:, cols]
-        part_lca = lca[:, cols]
-        part_lca[cols, np.arange(cols.size)] = 0  # a node is not its own partner
-        for t in range(1, other_layer + 1):
+    for m in range(2, tree.depth + 1):
+        a, b = np.searchsorted(layers, [m, m + 1]).tolist()
+        part, part_lca = dist[:, a:b], lca[:, a:b]
+        for t in range(1, m):
             member = part_lca == t
-            rows = np.flatnonzero(np.count_nonzero(member, axis=1) >= 2)
+            lo = np.min(part, axis=1, where=member, initial=np.inf)
+            hi = np.max(part, axis=1, where=member, initial=-np.inf)
+            rows = np.flatnonzero(hi - lo > tol)
             member, vals = member[rows], part[rows]
-            lo = np.where(member, vals, np.inf)
-            hi = np.where(member, vals, -np.inf)
-            k_min, k_max = np.argmin(lo, axis=1), np.argmax(hi, axis=1)
-            pick = np.arange(rows.size)
-            bad = hi[pick, k_max] - lo[pick, k_min] > tol
-            first = np.argmax(member[bad], axis=1)
-            for i, j0, a, b in zip(
-                rows[bad].tolist(),
-                cols[first].tolist(),
-                cols[k_min[bad]].tolist(),
-                cols[k_max[bad]].tolist(),
+            first = np.argmax(member, axis=1) + a
+            k_min = np.argmax(member & (vals == lo[rows, None]), axis=1) + a
+            k_max = np.argmax(member & (vals == hi[rows, None]), axis=1) + a
+            for i, j0, j_min, j_max in zip(
+                rows.tolist(), first.tolist(), k_min.tolist(), k_max.tolist()
             ):
-                found.append((i, j0, other_layer, t, a, b))
+                found.append((i, j0, m, t, j_min, j_max))
     # anchors in node order, then each anchor's groups by first partner
     found.sort()
     sym = [
@@ -366,7 +365,7 @@ def consistency_report_from_matrix(
     ]
 
     return ConsistencyReport(
-        n_pairs=n_pairs,
+        n_pairs=q * (q - 1) // 2,
         tolerance=tol,
         decay_bound_met=decay_bound_met,
         monotonicity_violations=tuple(mono),

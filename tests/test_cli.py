@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from labeltree.classifier import (
+    MODEL_FORMAT,
     LinearModel,
     save_model,
     train_weighted_linear,
@@ -35,7 +36,7 @@ from labeltree.embedding import (
     embedded_consistency_check,
     verify_isometry,
 )
-from labeltree.hierarchy import Tree, load_tree
+from labeltree.hierarchy import Tree, load_tree, parse_tree
 
 from conftest import REFERENCE_DOC, random_tree
 
@@ -383,6 +384,34 @@ class TestTrainPredictEvaluate:
         )
         assert code == 2
         assert "model.json" in capsys.readouterr().err
+        assert not pred_path.exists()
+
+    @pytest.mark.parametrize("bad", ["keys", "format", "tree", "short"])
+    def test_malformed_model_exits_2_naming_the_file(self, tmp_path, bad, capsys):
+        tree_path = tmp_path / "tree.txt"
+        tree_path.write_text("r: a b c\na: a1 a2\n")
+        model_path = tmp_path / "model.json"
+        other = "r: a b\n" if bad == "tree" else tree_path.read_text()
+        table = embed_tree(parse_tree(other))
+        coef = np.zeros((table.dimension, 2))
+        save_model(LinearModel(coef, table, "linear"), model_path)
+        doc = json.loads(model_path.read_text())
+        if bad == "keys":
+            doc = {"format": MODEL_FORMAT}
+        elif bad == "format":
+            doc = {"format": "x"}
+        elif bad == "short":
+            doc["coef"].pop()
+        model_path.write_text(json.dumps(doc))
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("f1\n0.5\n-1.0\n")
+        pred_path = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--tree", tree_path, "--model", model_path,
+            "--data", data_path, "--out", pred_path,
+        )
+        assert code == 2
+        assert str(model_path) in capsys.readouterr().err
         assert not pred_path.exists()
 
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):

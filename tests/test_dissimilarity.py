@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,9 +11,11 @@ from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
     build_schedule,
     consistency_check,
+    consistency_report_from_matrix,
     dissimilarity,
     dissimilarity_matrix,
 )
+from labeltree.embedding import embed_tree
 from labeltree.hierarchy import Tree, parse_tree
 
 from conftest import random_tree
@@ -256,3 +259,26 @@ class TestConsistency:
         tree = random_tree(np.random.default_rng(seed))
         report = consistency_check(tree, build_schedule(tree))
         assert report.ok, report.summary()
+
+    def test_negative_tolerance_rejected(self, reference_tree):
+        dist = dissimilarity_matrix(reference_tree, build_schedule(reference_tree))
+        with pytest.raises(ValueError, match="tolerance"):
+            consistency_report_from_matrix(reference_tree, dist, tol=-1e-10)
+
+    def test_audit_traces_less_than_one_float_matrix(self):
+        # complete 10-ary taxonomy, four layers with the root: q = 1110
+        children, frontier = {}, ["r"]
+        for _ in range(3):
+            for node in frontier:
+                children[node] = [f"{node}.{j}" for j in range(10)]
+            frontier = [kid for node in frontier for kid in children[node]]
+        tree = Tree("r", children)
+        dist, lca = embed_tree(tree).distance_matrix(), tree.lca_layer_matrix()
+        tracemalloc.start()
+        try:
+            report = consistency_report_from_matrix(tree, dist, _lca=lca)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 8 * tree.q**2, peak

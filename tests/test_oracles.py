@@ -380,6 +380,32 @@ def test_symmetry_audit_equals_oracle_on_perturbed_distances(seed):
     )
 
 
+@pytest.mark.parametrize("fill", [np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_witnesses_of_an_infinite_group_are_its_members(reference_tree, fill):
+    # +inf fills the shallowest ancestor group and one pair of the next,
+    # -inf the next group and one pair of the shallowest: each extreme is
+    # then infinite and every member attains it
+    tree = reference_tree
+    lca = tree.lca_layer_matrix()
+    dist = dissimilarity_matrix(tree, build_schedule(tree))
+    whole, one = (1, 2) if fill > 0 else (2, 1)
+    dist[lca == whole] = fill
+    i, j = np.argwhere(np.triu(lca == one, k=1))[-1]
+    dist[i, j] = dist[j, i] = fill
+    report = consistency_report_from_matrix(tree, dist)
+    assert_same_report(report, oracles.consistency_report_from_matrix(tree, dist))
+    assert report.monotonicity_violations and report.symmetry_violations
+    pos = {node: k for k, node in enumerate(tree.node_order)}
+    for v in report.monotonicity_violations:
+        for (a, b), t in ((v.pair_low, v.lca_low), (v.pair_high, v.lca_high)):
+            assert pos[a] < pos[b] and lca[pos[a], pos[b]] == t
+    for v in report.symmetry_violations:
+        for node in (v.node_a, v.node_b):
+            assert node != v.anchor and tree.layer(node) == v.other_layer
+            assert lca[pos[v.anchor], pos[node]] == v.lca
+
+
 def test_oracle_draws_meet_both_kinds_of_violation():
     mono = sym = 0
     for seed in range(20):
