@@ -191,24 +191,25 @@ def _descend(table: EmbeddingTable, F: np.ndarray) -> np.ndarray:
     Walks all rows layer by layer, grouping them by their current node so
     each group costs one small product on that node's block.  Exact ties
     pick the first child in document order, whatever the rest of the batch.
+    A leaf's code is its rank among the leaves in node order.
     """
     tree = table.tree
-    leaf_codes = tree.leaf_codes
+    first, fanout = tree.first_children.tolist(), tree.node_fanouts.tolist()
     out = np.empty(F.shape[0], dtype=np.intp)
-    groups = [(tree.root, np.arange(F.shape[0]))]
+    groups = [(0, np.arange(F.shape[0]))]
     while groups:
         nxt = []
         for node, idx in groups:
             start, stack = table.sibling_blocks[node]
             choice = np.argmax(F[idx, start : start + stack.shape[1]] @ stack.T, axis=1)
-            for j, child in enumerate(tree.children(node)):
-                sub = idx[choice == j]
-                if child in leaf_codes:
-                    out[sub] = leaf_codes[child]
+            for j in range(fanout[node]):
+                child, sub = first[node] + j, idx[choice == j]
+                if not fanout[child]:
+                    out[sub] = child
                 elif sub.size:
                     nxt.append((child, sub))
         groups = nxt
-    return out
+    return (np.cumsum(tree.node_fanouts == 0) - 1)[out]
 
 
 def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
@@ -412,11 +413,9 @@ def _sibling_pairs(
     values.  Siblings are consecutive in node order, so the padded child
     table is each node's first child plus ``0 .. fanout - 1``.
     """
-    ancestors = tree.node_ancestors
-    up = ancestors[np.arange(tree.q), (ancestors >= 0).sum(axis=1) - 2]
-    fanout = np.bincount(up, minlength=tree.q + 1)
+    fanout = tree.node_fanouts
     slots = np.arange(fanout.max())
-    kids = np.searchsorted(up, np.arange(tree.q + 1))[:, None] + 1 + slots
+    kids = tree.first_children[:, None] + slots
     kids[slots >= fanout[:, None]] = -1
     path = tree.leaf_ancestors[codes]
     # Past a leaf's own layer the parent is -1, and kids[-1] is the row of
@@ -473,12 +472,11 @@ def _dual_steps(
     A block with all-zero rows has constant zero margins, so its dual is
     linear and its infinite step lands on the bound at once.
     """
-    tree = table.tree
-    ancestors = tree.leaf_ancestors[codes]
-    steps = np.zeros(tree.q + 1)
-    for parent, (_, stack) in table.sibling_blocks.items():
-        P = tree.order_index(parent)
-        rows = Xa[ancestors[:, tree.layer(parent) - 1] == P]
+    ancestors = table.tree.leaf_ancestors[codes]
+    layers = table.tree.node_layers.tolist()
+    steps = np.zeros(len(layers))
+    for P, (_, stack) in table.sibling_blocks.items():
+        rows = Xa[ancestors[:, layers[P] - 1] == P]
         if not len(rows):
             continue
         x2 = np.linalg.norm(rows, 2) ** 2

@@ -333,8 +333,16 @@ def run_benchmark(
     ``n``/``n``/``2n``.  Replication seeds derive deterministically from
     the master seed.  Both designs have label-balanced, zero-mean class
     structure, so the protocol trains without a free intercept; pass
-    ``fit_intercept=True`` to add one.
+    ``fit_intercept=True`` to add one.  ``reps < 1`` or an empty, repeated
+    or unknown loss raises ``ValueError`` before any replication runs.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    if not losses or len(set(losses)) < len(losses):
+        raise ValueError(f"losses must be distinct and at least one, got {losses!r}")
+    for loss in losses:
+        if loss not in ("linear", "wlinear", "hinge"):
+            raise ValueError(f"unknown loss {loss!r}")
     defaults = EXAMPLE_DEFAULTS[example]
     k = defaults["k"] if k is None else k
     p = defaults["p"] if p is None else p
@@ -378,11 +386,8 @@ def run_benchmark(
             report = evaluate(
                 list(zip(true_paths, pred)), tree, time.perf_counter() - t0
             )
-            metrics[loss]["l01"].append(report.l01)
-            metrics[loss]["l_delta"].append(report.l_delta)
-            metrics[loss]["l_h_sib"].append(report.l_h_sib)
-            metrics[loss]["l_h_sub"].append(report.l_h_sub)
-            metrics[loss]["hf"].append(report.hf)
+            for m in METRIC_NAMES:
+                metrics[loss][m].append(getattr(report, m))
             timings[loss].append(report.wall_time_seconds)
 
     return BenchmarkResult(
@@ -557,9 +562,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     losses = tuple(v.strip() for v in args.losses.split(",") if v.strip())
-    for loss in losses:
-        if loss not in ("linear", "wlinear", "hinge"):
-            raise ValueError(f"unknown loss {loss!r}")
     result = run_benchmark(
         example=args.example,
         reps=args.reps,

@@ -150,11 +150,10 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
 
     # mean matrix indexed by leaf: coordinate (order index - 1) of the
     # path's layer-m node carries 1/(m-1)
+    below_root = tree.leaf_ancestors[:, 1:]
+    leaf, col = np.nonzero(below_root > 0)
     means = np.zeros((tree.n_leaf, p))
-    for li, leaf in enumerate(tree.leaves):
-        path = tree.path_of_leaf(leaf)
-        for m, node in enumerate(path[1:], start=2):
-            means[li, tree.order_index(node) - 1] = 1.0 / (m - 1)
+    means[leaf, below_root[leaf, col] - 1] = 1.0 / (col + 1)
 
     X = means[leaf_idx] + NOISE_STD * rng.standard_normal((spec.n_total, p))
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)

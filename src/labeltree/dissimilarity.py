@@ -94,14 +94,12 @@ def build_schedule(
     if not 0.0 < base_weight < math.inf:
         raise ValueError(f"base weight must be positive and finite, got {base_weight}")
     levels = tuple(base_weight / decay**i for i in range(tree.depth - 1))
-    sibling = {}
-    for node in tree.nodes:
-        kids = tree.children(node)
-        if kids:
-            n = len(kids)
-            sibling[node] = levels[tree.layer(node) - 1] * math.sqrt(
-                2.0 * n / (n - 1.0)
-            )
+    fanouts, layers = tree.node_fanouts.tolist(), tree.node_layers.tolist()
+    sibling = {
+        node: levels[m - 1] * math.sqrt(2.0 * n / (n - 1.0))
+        for node, n, m in zip(tree.nodes, fanouts, layers)
+        if n
+    }
     return WeightSchedule(levels, decay, sibling)
 
 
@@ -147,9 +145,7 @@ def dissimilarity_matrix(
     the closed form written out in one expression.
     """
     lca = tree.lca_layer_matrix() if _lca is None else _lca
-    order = tree.node_order
-    q = len(order)
-    layers = np.array([tree.layer(n) for n in order])
+    q, layers = tree.q, tree.node_layers[1:]
 
     w2 = np.array([w * w for w in schedule.level_weights])
     # cum[t] = sum of squared level weights for layers 1..t; one padding
@@ -158,19 +154,12 @@ def dissimilarity_matrix(
     cum = np.concatenate([[0.0], np.cumsum(w2), [np.sum(w2)]])
     below = cum[layers - 1]  # squared weight summed above each node's layer
 
-    # Sibling weight of the common ancestor at layer lca (root included).
-    psi = np.zeros(q + 1)
-    for i, node in enumerate(order):
-        if not tree.is_leaf(node):
-            psi[i] = schedule.sibling_weight[node]
-    psi[-1] = schedule.sibling_weight[tree.root]
-    # Node-order position of each pair's common ancestor; the root's
-    # order index 0 becomes -1, so psi[-1] resolves to the root.
+    # Sibling weight of each pair's common ancestor, by its order index.
+    nodes, psi = tree.nodes, np.zeros(q + 1)
+    for P in np.flatnonzero(tree.node_fanouts).tolist():
+        psi[P] = schedule.sibling_weight[nodes[P]]
     lca_above = lca - 1
-    anc_idx = tree.node_ancestors[np.arange(q)[:, None], lca_above]
-    anc_idx -= 1
-    out = psi[anc_idx]
-    del anc_idx
+    out = psi[tree.node_ancestors[np.arange(q)[:, None], lca_above]]
     # s**2 + cum[m-1] + cum[l-1] - 2*cum[t]
     np.multiply(out, out, out=out)
     out += below[:, None]
@@ -290,9 +279,7 @@ def consistency_report_from_matrix(
     if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
     lca = tree.lca_layer_matrix() if _lca is None else _lca
-    order = tree.node_order
-    q = len(order)
-    layers = np.array([tree.layer(n) for n in order])
+    order, q, layers = tree.node_order, tree.q, tree.node_layers[1:]
 
     # Monotonicity: grouped by ancestor layer, every value in a
     # shallower-ancestor group must strictly exceed every value in any

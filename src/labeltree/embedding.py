@@ -159,18 +159,20 @@ class EmbeddingTable:
         return self.vectors[node]
 
     @cached_property
-    def sibling_blocks(self) -> Mapping[str, tuple[int, np.ndarray]]:
-        """Non-leaf node id to its block start and its children's offsets there.
+    def sibling_blocks(self) -> Mapping[int, tuple[int, np.ndarray]]:
+        """Parent's order index to its block start and its children's offsets there.
 
-        Read-only ``(fanout, width)`` stacks, rows in document order.  Siblings
-        agree bit for bit off their parent's block, so descent compares them
-        on it alone and sends exact ties to the first child.
+        Read-only C-contiguous ``(fanout, width)`` stacks, rows in document
+        order.  Siblings agree bit for bit off their parent's block, so descent
+        compares them on it alone and sends exact ties to the first child.
         """
-        out = {}
-        for parent, (start, stop) in self.block_layout.items():
-            kids = self.tree.children(parent)
-            out[parent] = (start, np.stack([self.vectors[c][start:stop] for c in kids]))
-            out[parent][1].setflags(write=False)
+        tree, out = self.tree, {}
+        nodes, first, fanouts = tree.nodes, tree.first_children, tree.node_fanouts
+        for P in np.flatnonzero(fanouts).tolist():
+            start, stop = self.block_layout[nodes[P]]
+            kids = slice(first[P], first[P] + fanouts[P])
+            out[P] = (start, self.node_matrix[kids, start:stop].copy())
+            out[P][1].setflags(write=False)
         return MappingProxyType(out)
 
     def offset(self, node: str) -> np.ndarray:
@@ -221,26 +223,21 @@ def embed_tree(
     if not 0.0 < base_norm < np.inf:
         raise ValueError(f"base norm must be positive and finite, got {base_norm}")
 
-    k = tree.depth
     dim = tree.n_leaf - 1
-    layer_norms = tuple(base_norm / decay**i for i in range(k - 1))
+    layer_norms = tuple(base_norm / decay**i for i in range(tree.depth - 1))
     M = np.zeros((tree.q + 1, dim))  # the root's row stays zero
     block_layout: dict[str, tuple[int, int]] = {}
     layer_dims: dict[int, int] = {}
+    nodes, layers = tree.nodes, tree.node_layers.tolist()
+    first, fanouts = tree.first_children.tolist(), tree.node_fanouts.tolist()
     cursor = 0
-    for m in range(2, k + 1):
-        parents = [n for n in tree.nodes_at_layer(m - 1) if not tree.is_leaf(n)]
-        for parent in parents:
-            kids = tree.children(parent)
-            width = len(kids) - 1
-            offsets = simplex(
-                len(kids), layer_norms[m - 2], offset=cursor, ambient=dim
-            )
-            rows = [tree.order_index(c) for c in kids]
-            M[rows] = M[tree.order_index(parent)] + offsets
-            block_layout[parent] = (cursor, cursor + width)
-            cursor += width
-        layer_dims[m] = cursor
+    for P in np.flatnonzero(tree.node_fanouts).tolist():
+        count, m = fanouts[P], layers[P]
+        offsets = simplex(count, layer_norms[m - 1], offset=cursor, ambient=dim)
+        M[first[P] : first[P] + count] = M[P] + offsets
+        block_layout[nodes[P]] = (cursor, cursor + count - 1)
+        cursor += count - 1
+        layer_dims[m + 1] = cursor
 
     return EmbeddingTable(
         tree=tree,

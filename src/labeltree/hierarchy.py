@@ -90,17 +90,19 @@ class Tree:
         "_root",
         "_children",
         "_parent",
-        "_layer",
         "_index_tuple",
         "_node_order",
         "_order_pos",
         "_leaves",
-        "_depth",
-        "_subtree_size",
         "_leaf_code",
         "_leaf_paths",
         "_node_ancestors",
         "_leaf_ancestors",
+        "_node_layers",
+        "_node_parents",
+        "_node_fanouts",
+        "_first_children",
+        "_subtree_sizes",
     )
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
@@ -140,8 +142,7 @@ class Tree:
                     "to the tree"
                 )
 
-        # Breadth-first sweep assigns layers and the global node order.
-        self._layer: dict[str, int] = {root: 1}
+        # Breadth-first sweep assigns index paths and the global node order.
         self._index_tuple: dict[str, tuple[int, ...]] = {root: (1,)}
         order: list[str] = []
         frontier = [root]
@@ -149,12 +150,11 @@ class Tree:
             nxt: list[str] = []
             for node in frontier:
                 for j, child in enumerate(self._children.get(node, ()), start=1):
-                    self._layer[child] = self._layer[node] + 1
                     self._index_tuple[child] = self._index_tuple[node] + (j,)
                     nxt.append(child)
             order.extend(nxt)
             frontier = nxt
-        unreachable = set(self._children) - set(self._layer)
+        unreachable = set(self._children) - set(self._index_tuple)
         if unreachable:
             raise CycleError(
                 "nodes not reachable from the root (cycle among "
@@ -162,22 +162,12 @@ class Tree:
             )
 
         self._node_order: tuple[str, ...] = tuple(order)
-        self._order_pos: dict[str, int] = {
-            node: i + 1 for i, node in enumerate(order)
-        }
+        nodes = (root, *order)
+        self._order_pos = {node: i for i, node in enumerate(nodes)}
         self._leaves: tuple[str, ...] = tuple(
             node for node in order if node not in self._children
         )
-        self._depth = max(self._layer.values())
-
-        self._subtree_size: dict[str, int] = {}
-        for node in reversed(order):
-            self._subtree_size[node] = 1 + sum(
-                self._subtree_size[c] for c in self._children.get(node, ())
-            )
-        self._subtree_size[root] = 1 + sum(
-            self._subtree_size[c] for c in self._children[root]
-        )
+        depth = len(self._index_tuple[order[-1]])
 
         self._leaf_code = {leaf: i for i, leaf in enumerate(self._leaves)}
         # Order indices from the root down to each node; parents precede
@@ -185,18 +175,28 @@ class Tree:
         lineage = {root: (0,)}
         for i, node in enumerate(order, start=1):
             lineage[node] = lineage[self._parent[node]] + (i,)
-        nodes = (root, *order)
         self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(
             tuple(nodes[k] for k in lineage[leaf]) for leaf in self._leaves
         )
         ancestors = np.array(
-            [lineage[n] + (-1,) * (self._depth - len(lineage[n])) for n in order],
+            [lineage[n] + (-1,) * (depth - len(lineage[n])) for n in order],
             dtype=np.intp,
         )
-        ancestors.setflags(write=False)
-        self._node_ancestors = ancestors
-        self._leaf_ancestors = ancestors[[self._order_pos[n] - 1 for n in self._leaves]]
-        self._leaf_ancestors.setflags(write=False)
+        # The shape by order index, root first.  Every row of the ancestor
+        # matrix holds the root and the node itself; the root has no row.
+        layers = np.append(1, (ancestors >= 0).sum(axis=1))
+        parents = np.append(-1, ancestors[np.arange(self.q), layers[1:] - 2])
+        fanouts = np.bincount(parents[1:], minlength=1 + self.q)
+        first = np.cumsum(fanouts) - fanouts + 1
+        sizes = np.bincount(ancestors[ancestors >= 0], minlength=1 + self.q)
+        sizes[0] += 1
+        leaf_rows = ancestors[fanouts[1:] == 0]
+        for arr in (ancestors, leaf_rows, layers, parents, fanouts, first, sizes):
+            arr.setflags(write=False)
+        self._node_ancestors, self._leaf_ancestors = ancestors, leaf_rows
+        self._node_layers, self._node_parents = layers, parents
+        self._node_fanouts, self._first_children = fanouts, first
+        self._subtree_sizes = sizes
 
     # -- basic accessors ---------------------------------------------------
 
@@ -207,7 +207,7 @@ class Tree:
     @property
     def depth(self) -> int:
         """Number of layers (root is layer 1)."""
-        return self._depth
+        return int(self._node_layers[-1])
 
     @property
     def node_order(self) -> tuple[str, ...]:
@@ -263,8 +263,37 @@ class Tree:
         """
         return self._leaf_ancestors
 
+    @property
+    def node_layers(self) -> np.ndarray:
+        """Read-only layer of each node by :meth:`order_index`, 1 at the root."""
+        return self._node_layers
+
+    @property
+    def node_parents(self) -> np.ndarray:
+        """Read-only order index of each node's parent, -1 at the root."""
+        return self._node_parents
+
+    @property
+    def node_fanouts(self) -> np.ndarray:
+        """Read-only child count of each node by order index, 0 at a leaf."""
+        return self._node_fanouts
+
+    @property
+    def first_children(self) -> np.ndarray:
+        """Read-only order index of each node's first child.
+
+        Children of ``P`` are ``first_children[P] + range(node_fanouts[P])``;
+        at a leaf, the entry is where the next parent's children start.
+        """
+        return self._first_children
+
+    @property
+    def subtree_sizes(self) -> np.ndarray:
+        """Read-only :meth:`subtree_size` of each node by order index."""
+        return self._subtree_sizes
+
     def __contains__(self, node: str) -> bool:
-        return node in self._layer
+        return node in self._order_pos
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
@@ -283,7 +312,7 @@ class Tree:
         return self._parent.get(node)
 
     def layer(self, node: str) -> int:
-        return self._layer[node]
+        return int(self._node_layers[self._order_pos[node]])
 
     def is_leaf(self, node: str) -> bool:
         self._require(node)
@@ -295,32 +324,24 @@ class Tree:
 
     def order_index(self, node: str) -> int:
         """1-based position in node order; the root maps to 0."""
-        if node == self._root:
-            return 0
-        self._require(node)
         return self._order_pos[node]
 
     def nodes_at_layer(self, m: int) -> tuple[str, ...]:
-        if m == 1:
-            return (self._root,)
-        return tuple(n for n in self._node_order if self._layer[n] == m)
+        a, b = np.searchsorted(self._node_layers, [m, m + 1]).tolist()
+        return self.nodes[a:b]
 
     def subtree_size(self, node: str) -> int:
         """Number of nodes in the subtree rooted at ``node``, itself included."""
-        self._require(node)
-        return self._subtree_size[node]
+        return int(self._subtree_sizes[self._order_pos[node]])
 
     # -- ancestry ----------------------------------------------------------
 
     def ancestor_at_layer(self, node: str, t: int) -> str:
         """Ancestor of ``node`` at layer ``t`` (a node is its own ancestor)."""
-        self._require(node)
-        if not 1 <= t <= self._layer[node]:
-            raise ValueError(
-                f"layer {t} out of range for node {node!r} at layer "
-                f"{self._layer[node]}"
-            )
-        while self._layer[node] > t:
+        m = self.layer(node)
+        if not 1 <= t <= m:
+            raise ValueError(f"layer {t} out of range for node {node!r} at layer {m}")
+        for _ in range(m - t):
             node = self._parent[node]
         return node
 
@@ -400,12 +421,12 @@ class Tree:
 
     def __repr__(self) -> str:
         return (
-            f"Tree(root={self._root!r}, depth={self._depth}, "
+            f"Tree(root={self._root!r}, depth={self.depth}, "
             f"nodes={1 + self.q}, leaves={self.n_leaf})"
         )
 
     def _require(self, node: str) -> None:
-        if node not in self._layer:
+        if node not in self._order_pos:
             raise KeyError(node)
 
 

@@ -137,21 +137,17 @@ class EvaluationReport:
 def _node_coefficients(tree: Tree) -> np.ndarray:
     """``(q + 1, 2)`` sibling and subtree weights of every node by order index.
 
-    Layer by layer from the ancestor matrix: a node's sibling weight is
-    its parent's divided by the parent's child count, and its subtree
+    Layer by layer from the tree's shape arrays: a node's sibling weight
+    is its parent's divided by the parent's child count, and its subtree
     weight the size of its subtree over ``q``.  The root's row is never
     read: no divergence is charged to it.
     """
-    ancestors = tree.node_ancestors
-    layer = (ancestors >= 0).sum(axis=1)
-    up = ancestors[np.arange(tree.q), layer - 2]
-    fanout = np.bincount(up, minlength=tree.q + 1)
+    up = tree.node_parents
     sib = np.ones(tree.q + 1)
     for t in range(2, tree.depth + 1):
-        nodes = np.flatnonzero(layer == t)
-        sib[nodes + 1] = sib[up[nodes]] / fanout[up[nodes]]
-    size = np.bincount(ancestors[ancestors > 0], minlength=tree.q + 1)
-    return np.column_stack([sib, size / tree.q])
+        nodes = np.flatnonzero(tree.node_layers == t)
+        sib[nodes] = sib[up[nodes]] / tree.node_fanouts[up[nodes]]
+    return np.column_stack([sib, tree.subtree_sizes / tree.q])
 
 
 def evaluate(

@@ -807,6 +807,22 @@ class TestBenchmarkCommand:
         )
         assert "unknown loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, msg",
+        [
+            (["--reps", "0"], "reps must be at least 1, got 0"),
+            (["--reps", "-3"], "reps must be at least 1, got -3"),
+            (["--losses", ","], "losses must be distinct and at least one, got ()"),
+            (["--losses", "linear,linear"], "got ('linear', 'linear')"),
+        ],
+    )
+    def test_bad_protocol_exits_2_before_writing(self, tmp_path, capsys, flags, msg):
+        out = tmp_path / "b"
+        args = ["benchmark", "--example", "1", "--reps", "2", "--n", "20", *flags]
+        assert main(args + ["--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHelpers:
     def test_parse_grid(self):

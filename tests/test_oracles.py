@@ -157,6 +157,14 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
             assert path == expected[i], i
         assert _descend(table, F[i : i + 1])[0] == got[i], i
     assert tree.leaf_paths[got[0]] == expected[0] == leftmost_path(tree)
+    # each parent's stack is its children's rows of the node matrix on its block
+    first, fanouts = tree.first_children, tree.node_fanouts
+    assert set(table.sibling_blocks) == set(np.flatnonzero(fanouts).tolist())
+    for P, (start, stack) in table.sibling_blocks.items():
+        stop = table.block_layout[tree.nodes[P]][1]
+        want = table.node_matrix[first[P] : first[P] + fanouts[P], start:stop]
+        assert stack.tobytes() == want.tobytes() and stack.shape == want.shape
+        assert stack.flags.c_contiguous and not stack.flags.writeable
 
     zero = LinearModel(np.zeros((table.dimension, 1)), table, "linear")
     assert predict_paths(zero, np.zeros((3, 0))) == [leftmost_path(tree)] * 3
@@ -318,7 +326,7 @@ def assert_same_report(got, want):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds)
-def test_ancestor_and_lca_matrices_equal_oracle(seed):
+def test_ancestor_and_lca_matrices_equal_oracle(seed, reference_tree, two_leaf_tree):
     tree = random_tree(np.random.default_rng(seed))
     lca, want = tree.lca_layer_matrix(), oracles.lca_layer_matrix(tree)
     assert lca.dtype == want.dtype
@@ -328,6 +336,19 @@ def test_ancestor_and_lca_matrices_equal_oracle(seed):
     np.testing.assert_array_equal(tree.leaf_ancestors, want)
     assert not tree.leaf_ancestors.flags.writeable
     assert not tree.node_ancestors.flags.writeable
+    # the shape arrays agree with the string API, node by node
+    for t in (tree, reference_tree, two_leaf_tree):
+        layers, parents, fanouts = t.node_layers, t.node_parents, t.node_fanouts
+        first, sizes, nodes = t.first_children, t.subtree_sizes, t.nodes
+        for arr in (layers, parents, fanouts, first, sizes):
+            assert arr.shape == (t.q + 1,) and not arr.flags.writeable
+        for i, node in enumerate(nodes):
+            parent = t.parent(node)
+            assert parents[i] == (-1 if parent is None else t.order_index(parent))
+            kids = range(first[i], first[i] + fanouts[i])
+            assert tuple(nodes[k] for k in kids) == t.children(node)
+            assert layers[i] == t.layer(node) == len(t.index_tuple(node))
+            assert sizes[i] == t.subtree_size(node) == 1 + sum(sizes[k] for k in kids)
 
 
 @settings(max_examples=40, deadline=None)
