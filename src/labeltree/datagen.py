@@ -170,10 +170,9 @@ def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
         raise ValueError(
             f"design 2 fixes the feature dimension to {EXAMPLE2_FEATURES}"
         )
-    table = embed_tree(tree)
     rng = np.random.default_rng(spec.seed)
     leaf_idx = _draw_paths(tree, spec.n_total, rng)
-    means = np.stack([table.vector(leaf) for leaf in tree.leaves])
+    means = embed_tree(tree).node_matrix[tree.node_fanouts == 0]  # in leaf-code order
     X = means[leaf_idx] + NOISE_STD * rng.standard_normal(
         (spec.n_total, EXAMPLE2_FEATURES)
     )

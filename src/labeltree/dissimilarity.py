@@ -76,7 +76,22 @@ class WeightSchedule:
     @property
     def meets_decay_bound(self) -> bool:
         """Whether ``decay**2`` reaches the certification threshold."""
-        return self.decay**2 >= DECAY_SQUARED_BOUND
+        return _meets_decay_bound(self.decay)
+
+
+def _meets_decay_bound(decay: float) -> bool:
+    return decay**2 >= DECAY_SQUARED_BOUND
+
+
+def _level_scales(
+    depth: int, base: float, decay: float, what: str
+) -> tuple[float, ...]:
+    """``base / decay**i`` for parent layer ``i + 1``; ``what`` names ``base``."""
+    if not 1.0 < decay < math.inf:
+        raise ValueError(f"decay must exceed 1 and be finite, got {decay}")
+    if not 0.0 < base < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {base}")
+    return tuple(base / decay**i for i in range(depth - 1))
 
 
 def build_schedule(
@@ -89,11 +104,7 @@ def build_schedule(
     ``level_weight * sqrt(2N/(N-1))`` for ``N`` children, which always
     lands in the admissible interval ``(w, 2w]``.
     """
-    if not 1.0 < decay < math.inf:
-        raise ValueError(f"decay must exceed 1 and be finite, got {decay}")
-    if not 0.0 < base_weight < math.inf:
-        raise ValueError(f"base weight must be positive and finite, got {base_weight}")
-    levels = tuple(base_weight / decay**i for i in range(tree.depth - 1))
+    levels = _level_scales(tree.depth, base_weight, decay, "base weight")
     fanouts, layers = tree.node_fanouts.tolist(), tree.node_layers.tolist()
     sibling = {
         node: levels[m - 1] * math.sqrt(2.0 * n / (n - 1.0))

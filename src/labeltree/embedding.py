@@ -21,10 +21,11 @@ from typing import Mapping
 import numpy as np
 
 from .dissimilarity import (
-    DECAY_SQUARED_BOUND,
     DEFAULT_DECAY,
     ConsistencyReport,
     WeightSchedule,
+    _level_scales,
+    _meets_decay_bound,
     consistency_report_from_matrix,
     dissimilarity_matrix,
 )
@@ -107,6 +108,11 @@ def simplex(
 class EmbeddingTable:
     """Embedded points for every non-root node of a tree.
 
+    ``tree``, ``base_norm`` and ``decay`` fix every point: they are the whole
+    state, which equality and the hash compare.  :attr:`sibling_blocks` is the
+    stored form; :attr:`node_matrix`, :attr:`vectors`, :attr:`block_layout`
+    and :attr:`layer_dims` are views of it, each built on first use.
+
     Attributes
     ----------
     tree:
@@ -115,65 +121,81 @@ class EmbeddingTable:
         Norm of the root's child vectors.
     decay:
         Per-layer shrink ratio of the sibling-offset norms.
-    dimension:
-        Ambient dimension, always ``tree.n_leaf - 1``.
-    node_matrix:
-        Read-only ``(q + 1, dimension)`` node vectors by
-        :meth:`Tree.order_index`, a zero row for the root.
-    vectors:
-        Node id to its read-only row of ``node_matrix``.
     layer_norms:
         ``layer_norms[m-1]`` is the offset norm used for children of
         layer-``m`` parents.
-    block_layout:
-        Non-leaf node id to the half-open coordinate range ``(start, stop)``
-        reserved for its children's simplex block.
-    layer_dims:
-        Highest coordinate in use after processing each layer, keyed by
-        layer; the deepest entry equals ``dimension``.
-
-    ``tree``, ``base_norm`` and ``decay`` determine the rest, so equality
-    and the hash compare those three alone.
     """
 
     tree: Tree
     base_norm: float
     decay: float
-    dimension: int = field(compare=False)
-    node_matrix: np.ndarray = field(repr=False, compare=False)
-    layer_norms: tuple[float, ...] = field(compare=False)
-    block_layout: Mapping[str, tuple[int, int]] = field(compare=False)
-    layer_dims: Mapping[int, int] = field(compare=False)
-    vectors: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    layer_norms: tuple[float, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        self.node_matrix.setflags(write=False)
-        rows = dict(zip(self.tree.node_order, self.node_matrix[1:]))
-        object.__setattr__(self, "vectors", MappingProxyType(rows))
-        object.__setattr__(
-            self, "block_layout", MappingProxyType(dict(self.block_layout))
-        )
-        object.__setattr__(self, "layer_dims", MappingProxyType(dict(self.layer_dims)))
+        norms = _level_scales(self.tree.depth, self.base_norm, self.decay, "base norm")
+        object.__setattr__(self, "layer_norms", norms)
+        self.sibling_blocks  # built now, so a layer norm that underflows raises here
 
-    def vector(self, node: str) -> np.ndarray:
-        return self.vectors[node]
+    @property
+    def dimension(self) -> int:
+        """Ambient dimension, always ``tree.n_leaf - 1``."""
+        return self.tree.n_leaf - 1
 
     @cached_property
     def sibling_blocks(self) -> Mapping[int, tuple[int, np.ndarray]]:
         """Parent's order index to its block start and its children's offsets there.
 
-        Read-only C-contiguous ``(fanout, width)`` stacks, rows in document
-        order.  Siblings agree bit for bit off their parent's block, so descent
-        compares them on it alone and sends exact ties to the first child.
+        Parents take ``fanout - 1`` coordinates each, in node order.  The
+        offsets, rows in document order, are the read-only simplex of the
+        layer's norm, one array per (fan-out, layer).  Siblings agree bit for
+        bit off their parent's block, so descent compares them on it alone.
         """
-        tree, out = self.tree, {}
-        nodes, first, fanouts = tree.nodes, tree.first_children, tree.node_fanouts
-        for P in np.flatnonzero(fanouts).tolist():
-            start, stop = self.block_layout[nodes[P]]
-            kids = slice(first[P], first[P] + fanouts[P])
-            out[P] = (start, self.node_matrix[kids, start:stop].copy())
-            out[P][1].setflags(write=False)
+        parents = np.flatnonzero(self.tree.node_fanouts)
+        fanouts = self.tree.node_fanouts[parents]
+        starts = (np.cumsum(fanouts - 1) - (fanouts - 1)).tolist()
+        layers = self.tree.node_layers[parents].tolist()
+        stacks, out = {}, {}
+        for P, start, n, m in zip(parents.tolist(), starts, fanouts.tolist(), layers):
+            if (n, m) not in stacks:
+                stacks[n, m] = simplex(n, self.layer_norms[m - 1])
+                stacks[n, m].setflags(write=False)
+            out[P] = (start, stacks[n, m])
         return MappingProxyType(out)
+
+    @cached_property
+    def node_matrix(self) -> np.ndarray:
+        """Read-only ``(q + 1, dimension)`` node vectors by order index.
+
+        The root's row is zero; a child's is its parent's plus its offset.
+        """
+        M = np.zeros((self.tree.q + 1, self.dimension))
+        first = self.tree.first_children.tolist()
+        for P, (start, stack) in self.sibling_blocks.items():
+            kids = slice(first[P], first[P] + len(stack))
+            M[kids] = M[P]
+            M[kids, start : start + stack.shape[1]] = stack
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        """Node id to its read-only row of :attr:`node_matrix`."""
+        return MappingProxyType(dict(zip(self.tree.node_order, self.node_matrix[1:])))
+
+    @cached_property
+    def block_layout(self) -> Mapping[str, tuple[int, int]]:
+        """Non-leaf node id to the half-open coordinate range of its block."""
+        blocks, nodes = self.sibling_blocks.items(), self.tree.nodes
+        return MappingProxyType({nodes[P]: (a, a + s.shape[1]) for P, (a, s) in blocks})
+
+    @cached_property
+    def layer_dims(self) -> Mapping[int, int]:
+        """Coordinates in use down to each layer; the deepest is :attr:`dimension`."""
+        blocks, layers = self.sibling_blocks.items(), self.tree.node_layers.tolist()
+        return MappingProxyType({layers[P] + 1: a + s.shape[1] for P, (a, s) in blocks})
+
+    def vector(self, node: str) -> np.ndarray:
+        return self.vectors[node]
 
     def offset(self, node: str) -> np.ndarray:
         """Sibling-simplex offset of ``node`` relative to its parent."""
@@ -218,37 +240,7 @@ def embed_tree(
     simplex offsets, scaled down by ``1/decay`` per layer, and each child
     vector is the parent vector plus its offset.
     """
-    if not 1.0 < decay < np.inf:
-        raise ValueError(f"decay must exceed 1 and be finite, got {decay}")
-    if not 0.0 < base_norm < np.inf:
-        raise ValueError(f"base norm must be positive and finite, got {base_norm}")
-
-    dim = tree.n_leaf - 1
-    layer_norms = tuple(base_norm / decay**i for i in range(tree.depth - 1))
-    M = np.zeros((tree.q + 1, dim))  # the root's row stays zero
-    block_layout: dict[str, tuple[int, int]] = {}
-    layer_dims: dict[int, int] = {}
-    nodes, layers = tree.nodes, tree.node_layers.tolist()
-    first, fanouts = tree.first_children.tolist(), tree.node_fanouts.tolist()
-    cursor = 0
-    for P in np.flatnonzero(tree.node_fanouts).tolist():
-        count, m = fanouts[P], layers[P]
-        offsets = simplex(count, layer_norms[m - 1], offset=cursor, ambient=dim)
-        M[first[P] : first[P] + count] = M[P] + offsets
-        block_layout[nodes[P]] = (cursor, cursor + count - 1)
-        cursor += count - 1
-        layer_dims[m + 1] = cursor
-
-    return EmbeddingTable(
-        tree=tree,
-        base_norm=base_norm,
-        decay=decay,
-        dimension=dim,
-        node_matrix=M,
-        layer_norms=layer_norms,
-        block_layout=block_layout,
-        layer_dims=layer_dims,
-    )
+    return EmbeddingTable(tree, base_norm, decay)
 
 
 def verify_isometry(
@@ -309,12 +301,8 @@ def embedded_consistency_check(
         table.tree,
         table.distance_matrix(),
         tol=tol,
-        decay_bound_met=_meets_decay_bound(table),
+        decay_bound_met=_meets_decay_bound(table.decay),
     )
-
-
-def _meets_decay_bound(table: EmbeddingTable) -> bool:
-    return table.decay**2 >= DECAY_SQUARED_BOUND
 
 
 def _certify(
@@ -337,7 +325,7 @@ def _certify(
     max_err = _isometry_error(schedule, table, target, dist)
     del target
     point_report = consistency_report_from_matrix(
-        tree, dist, decay_bound_met=_meets_decay_bound(table), _lca=lca
+        tree, dist, decay_bound_met=_meets_decay_bound(table.decay), _lca=lca
     )
     return max_err, tree_report, point_report
 

@@ -398,9 +398,10 @@ class Tree:
 
         Counts the layers at which two nodes share an ancestor, one column
         of :attr:`node_ancestors` at a time; the diagonal is ``layer(x)``.
+        Entries take the smallest signed type holding ``±depth``, int8 to 127 layers.
         """
         q = self.q
-        out = np.zeros((q, q), dtype=np.int64)
+        out = np.zeros((q, q), dtype=np.min_scalar_type(-1 - self.depth))
         for col in self._node_ancestors.T:
             out += (col[:, None] == col[None, :]) & (col >= 0)[:, None]
         return out

@@ -6,7 +6,9 @@ sibling vectors before siblings were compared on their parent's block
 only, the subgradient hinge solver that ran before the dual solver, the
 certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, the hierarchical
-losses' node weights as a per-node loop, the embedded distance
+losses' node weights as a per-node loop, the embedding as a cursor
+walk that filled every view at once, before the sibling offset stacks
+became the table's stored form, the embedded distance
 matrix as one expression, the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming, and the
 dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,11 +37,12 @@ from labeltree.classifier import (
     train_linear,
 )
 from labeltree.dissimilarity import (
+    DEFAULT_DECAY,
     ConsistencyReport,
     MonotonicityViolation,
     SymmetryViolation,
 )
-from labeltree.embedding import table_to_json_dict
+from labeltree.embedding import simplex, table_to_json_dict
 from labeltree.metrics import symmetric_loss, zero_one_loss
 
 
@@ -284,6 +288,41 @@ def evaluate(pairs, tree) -> dict[str, float]:
         "hr": hr,
         "hf": hf,
     }
+
+
+# -- the embedding before the offset stacks --------------------------------
+
+
+def embed_tree(tree, base_norm=1.0, decay=DEFAULT_DECAY) -> SimpleNamespace:
+    """Every view of the table from one cursor walk over the parents.
+
+    Each parent in node order takes a fresh block at the cursor; its
+    children's rows are its own row plus a full-width simplex there, and
+    its stack is the copy of those rows on its block.
+    """
+    dim = tree.n_leaf - 1
+    layer_norms = tuple(base_norm / decay**i for i in range(tree.depth - 1))
+    M = np.zeros((tree.q + 1, dim))
+    block_layout, layer_dims, sibling_blocks = {}, {}, {}
+    nodes, layers = tree.nodes, tree.node_layers.tolist()
+    first, fanouts = tree.first_children.tolist(), tree.node_fanouts.tolist()
+    cursor = 0
+    for P in np.flatnonzero(tree.node_fanouts).tolist():
+        count, m = fanouts[P], layers[P]
+        offsets = simplex(count, layer_norms[m - 1], offset=cursor, ambient=dim)
+        kids = slice(first[P], first[P] + count)
+        M[kids] = M[P] + offsets
+        block_layout[nodes[P]] = (cursor, cursor + count - 1)
+        sibling_blocks[P] = (cursor, M[kids, cursor : cursor + count - 1].copy())
+        cursor += count - 1
+        layer_dims[m + 1] = cursor
+    return SimpleNamespace(
+        node_matrix=M,
+        layer_norms=layer_norms,
+        block_layout=block_layout,
+        layer_dims=layer_dims,
+        sibling_blocks=sibling_blocks,
+    )
 
 
 # -- the certificate before the node ancestor matrix ----------------------

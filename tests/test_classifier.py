@@ -699,6 +699,14 @@ class TestPersistence:
         probe = rng.normal(size=(25, 3))
         assert predict_paths(loaded, probe) == predict_paths(model, probe)
 
+    def test_prediction_never_builds_the_node_matrix(self, ref, reference_tree, tmp_path):
+        rng = np.random.default_rng(52)
+        path = tmp_path / "model.json"
+        save_model(train_linear(random_dataset(ref, 20, 3, rng), ref), path)
+        loaded = load_model(path, reference_tree)
+        predict_paths(loaded, rng.normal(size=(25, 3)))
+        assert "node_matrix" not in loaded.table.__dict__
+
     def test_wrong_tree_rejected(self, ref, two_leaf_tree, tmp_path):
         model = LinearModel(np.zeros((5, 2)), ref, "linear")
         path = tmp_path / "model.json"

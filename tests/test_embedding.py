@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from labeltree.dissimilarity import build_schedule
 from labeltree.embedding import (
+    EmbeddingTable,
     embed_tree,
     embedded_consistency_check,
     simplex,
@@ -204,6 +205,15 @@ class TestEmbedTree:
             embed_tree(reference_tree, decay=1.0)
         with pytest.raises(ValueError):
             embed_tree(reference_tree, base_norm=-1.0)
+
+    def test_table_rejects_bad_params_at_construction(self, reference_tree):
+        with pytest.raises(ValueError, match="decay must exceed 1 and be finite"):
+            EmbeddingTable(reference_tree, base_norm=1.0, decay=1.0)
+        with pytest.raises(ValueError, match="base norm must be positive and finite"):
+            EmbeddingTable(reference_tree, base_norm=math.nan, decay=2.0)
+        # the layer-3 norm underflows to zero, which no simplex can take
+        with pytest.raises(ValueError, match="norm must be positive and finite, got 0.0"):
+            EmbeddingTable(reference_tree, base_norm=1e-300, decay=1e100)
 
     @pytest.mark.parametrize("param", ["decay", "base_norm"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

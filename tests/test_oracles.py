@@ -4,7 +4,6 @@
 paths of different lengths meet in every check.
 """
 
-import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -36,7 +35,12 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree.cli import TUNING_GRID, select_gamma
-from labeltree.datagen import read_feature_csv, write_dataset_csv
+from labeltree.datagen import (
+    example1_tree,
+    example2_tree,
+    read_feature_csv,
+    write_dataset_csv,
+)
 from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
     build_schedule,
@@ -170,8 +174,29 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
     assert predict_paths(zero, np.zeros((3, 0))) == [leftmost_path(tree)] * 3
 
 
+# Sibling scores this close, relative to the largest either could reach,
+# may order differently under fits that agree to COEF_RTOL only.
+TIE_RTOL = 1e-9
+
+
+def near_tie_rows(model, X) -> set[int]:
+    """Rows whose descent meets a parent with its top two children near a tie."""
+    table, F = model.table, model.score_matrix(X)
+    rows = set()
+    for i, path in enumerate(predict_paths(model, X)):
+        for parent in path[:-1]:
+            start, stack = table.sibling_blocks[table.tree.order_index(parent)]
+            s = np.sort(F[i, start : start + stack.shape[1]] @ stack.T)
+            bound = np.linalg.norm(F[i]) * np.linalg.norm(stack[0])
+            if s[-1] - s[-2] <= TIE_RTOL * bound:
+                rows.add(i)
+    return rows
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
+@example(seed=923)  # near-ties move the oracle's choice from 1.0 to 30.0
+@example(seed=2126)  # one validation row on a near-tie at gamma = 2.5
 def test_select_gamma_same_gamma_and_fits_within_1e12_of_oracle(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
@@ -182,7 +207,24 @@ def test_select_gamma_same_gamma_and_fits_within_1e12_of_oracle(seed):
 
     gamma, model = select_gamma(train, val, table, grid, fit_intercept=fit_intercept)
     want_gamma, want = oracles.select_gamma(train, val, table, grid, fit_intercept)
-    assert gamma == want_gamma
+    if gamma != want_gamma:
+        # The choices may part only where a fit and its oracle predict a
+        # validation row differently, and only on rows at a near-tie.
+        parted = False
+        for g, fitted in weighted_linear_fits(
+            train, table, sorted(grid), fit_intercept=fit_intercept
+        ):
+            direct = oracles.train_weighted_linear(
+                train, table, gamma=g, fit_intercept=fit_intercept
+            )
+            got, ref = predict_paths(fitted, val.X), predict_paths(direct, val.X)
+            differ = {i for i, (a, b) in enumerate(zip(got, ref)) if a != b}
+            assert differ <= near_tie_rows(fitted, val.X) | near_tie_rows(direct, val.X)
+            parted |= bool(differ)
+        assert parted
+        want = oracles.train_weighted_linear(
+            train, table, gamma=gamma, fit_intercept=fit_intercept
+        )
     assert_coef_close(model.coef, want.coef)
     for g, fitted in weighted_linear_fits(
         train, table, grid, lam=0.7, fit_intercept=fit_intercept
@@ -329,7 +371,7 @@ def assert_same_report(got, want):
 def test_ancestor_and_lca_matrices_equal_oracle(seed, reference_tree, two_leaf_tree):
     tree = random_tree(np.random.default_rng(seed))
     lca, want = tree.lca_layer_matrix(), oracles.lca_layer_matrix(tree)
-    assert lca.dtype == want.dtype
+    assert lca.dtype == np.int8  # entries never exceed the depth
     np.testing.assert_array_equal(lca, want)
     want = oracles.leaf_ancestors(tree)
     assert tree.leaf_ancestors.dtype == want.dtype
@@ -480,7 +522,11 @@ SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, 0.1, -0.1, 1e100, 2.0 / 3.0)
 
 
 def hand_built_table(rng, finite=True):
-    """A table whose node matrix mixes drawn values with special ones."""
+    """A table whose node matrix mixes drawn values with special ones.
+
+    The matrix goes in the table's cached slot, so every view read after it,
+    ``vectors`` included, is built from it.
+    """
     table = embed_tree(random_tree(rng))
     M = rng.choice(SPECIAL_VALUES, size=table.node_matrix.shape)
     M[rng.random(M.shape) < 0.5] = 0.0
@@ -489,11 +535,71 @@ def hand_built_table(rng, finite=True):
     if not finite:
         M[1, -1], M[-1, 0], M[-1, -1] = np.nan, np.inf, -np.inf
     M[1, 0], M[2, 0] = -0.0, 5e-324
-    return dataclasses.replace(table, node_matrix=M)
+    M.setflags(write=False)
+    table.__dict__["node_matrix"] = M
+    return table
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_views_equal_cursor_walk(tree, base_norm, decay):
+    """Every view of the table is the reference walk's, bit for bit."""
+    table = embed_tree(tree, base_norm=base_norm, decay=decay)
+    want = oracles.embed_tree(tree, base_norm=base_norm, decay=decay)
+    assert table.layer_norms == want.layer_norms
+    assert list(table.sibling_blocks) == list(want.sibling_blocks)
+    for P, (start, stack) in table.sibling_blocks.items():
+        assert start == want.sibling_blocks[P][0]
+        assert same_bits(stack, want.sibling_blocks[P][1])
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+    # one shared stack per distinct (fan-out, layer)
+    fanouts, layers = tree.node_fanouts, tree.node_layers
+    kinds = {(fanouts[P], layers[P]) for P in table.sibling_blocks}
+    assert len({id(s) for _, s in table.sibling_blocks.values()}) == len(kinds)
+    assert "node_matrix" not in table.__dict__
+    assert same_bits(table.node_matrix, want.node_matrix)
+    assert not table.node_matrix.flags.writeable
+    assert list(table.block_layout.items()) == list(want.block_layout.items())
+    assert list(table.layer_dims.items()) == list(want.layer_dims.items())
+    assert {type(v) for span in table.block_layout.values() for v in span} == {int}
+    for node, row in zip(tree.node_order, table.node_matrix[1:]):
+        vec = table.vector(node)
+        assert same_bits(vec, row) and np.shares_memory(vec, table.node_matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    decay=st.sampled_from(DECAYS + (2.7,)),
+    base_norm=st.sampled_from((1.0, 0.37)) | st.floats(0.1, 10.0),
+)
+def test_table_views_equal_cursor_walk_bitwise(seed, decay, base_norm):
+    tree = random_tree(np.random.default_rng(seed))
+    assert_views_equal_cursor_walk(tree, base_norm, decay)
+
+
+def ten_ary_tree():
+    """The 1000-leaf taxonomy of fan-out 10 the CLI benchmark embeds."""
+    children, frontier = {}, ["r"]
+    for _ in range(3):
+        for node in frontier:
+            children[node] = [f"{node}.{j}" for j in range(10)]
+        frontier = [kid for node in frontier for kid in children[node]]
+    return Tree("r", children)
+
+
+@pytest.mark.parametrize(
+    "make_tree",
+    [lambda: example1_tree(3), lambda: example1_tree(5), example2_tree, ten_ary_tree],
+    ids=["design1-k3", "design1-k5", "design2", "ten-ary"],
+)
+def test_design_table_views_equal_cursor_walk_bitwise(make_tree):
+    tree = make_tree()
+    for decay in (1.3, 2.0, 2.7, math.sqrt(5.0)):
+        for base_norm in (1.0, 0.37):
+            assert_views_equal_cursor_walk(tree, base_norm, decay)
 
 
 @settings(max_examples=25, deadline=None)
