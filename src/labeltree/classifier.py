@@ -4,9 +4,14 @@ A model is a coefficient matrix ``A`` mapping an augmented feature vector
 ``(1, x)`` to a point ``f(x)`` in the embedding space.  Prediction walks
 the tree from the root, at each layer descending into the child whose
 embedded point has the largest inner product with ``f(x)`` (equivalently,
-the nearest one, since siblings share a norm), comparing siblings on their
-parent's block only (:attr:`EmbeddingTable.sibling_blocks`), so exact ties
-go to the first child.
+the nearest one, since siblings share a norm).  Siblings share their
+parent's vector, so the walk compares their offsets only, through the
+child coefficients ``C = O A`` (:func:`_child_coefs`): child ``j`` scores
+``x~ . C_j``, and a parent's rows of ``C`` are its offset stack
+(:attr:`EmbeddingTable.sibling_blocks`) times its block of ``A``, formed
+as the walk reaches it.  A zero block of ``A`` scores every child exactly
+0, so exact ties go to the first child.  One walk, :func:`_descend`,
+serves a single model and a whole pass of tuning-grid models alike.
 
 Training minimizes a per-layer surrogate over sibling gaps
 ``<f(x), xi_true> - <f(x), xi_sibling>``.  The hinge surrogate is solved
@@ -14,9 +19,10 @@ through its box-constrained dual by accelerated projected gradient until a
 duality gap certifies the objective.  Under the linear surrogate ``u -> -u``
 (optionally with per-sample weights) the ridge-penalized minimizer is that
 dual's coefficient map at a fixed dual point, so both trainers share it.
-Every loss reads one list of sibling gaps, :func:`_sibling_pairs`, against
-:attr:`EmbeddingTable.node_matrix`: a gap is ``N[i, true] - N[i, sibling]``
-of the node scores ``N = X~ (V A)^T``.
+Every loss reads one list of sibling gaps, :func:`_sibling_pairs`: a gap
+is ``N[i, true] - N[i, sibling]`` of the offset scores ``N = X~ C^T``.
+The hinge solver scores the same gaps from ``N = X~ (V A)^T``, with ``V``
+the :attr:`EmbeddingTable.node_matrix`.
 """
 
 from __future__ import annotations
@@ -185,31 +191,91 @@ def decision_values(
     return np.array([float(f @ model.table.vector(c)) for c in candidates])
 
 
-def _descend(table: EmbeddingTable, F: np.ndarray) -> np.ndarray:
-    """Leaf code the top-down walk reaches for every row of the scores ``F``.
+def _child_coefs(table: EmbeddingTable, A: np.ndarray) -> np.ndarray:
+    """Child coefficients ``C = O A``, ``(q + 1, p + 1)`` rows by order index.
 
-    Walks all rows layer by layer, grouping them by their current node so
-    each group costs one small product on that node's block.  Exact ties
-    pick the first child in document order, whatever the rest of the batch.
-    A leaf's code is its rank among the leaves in node order.
+    ``O`` holds each node's offset from its parent, so two siblings' score
+    gap ``<A x~, v_j - v_k>`` is ``x~ . (C_j - C_k)``.  A parent's children
+    are consecutive rows and their offsets live on its block, so each parent
+    costs one product of its stack with its block of ``A``; the root's row
+    is zero.  A zero block of ``A`` gives exactly zero rows.
+    """
+    first = table.tree.first_children.tolist()
+    C = np.empty((table.tree.q + 1, A.shape[1]))
+    C[0] = 0.0
+    for P, (start, stack) in table.sibling_blocks.items():
+        f = len(stack)
+        np.matmul(stack, A[start : start + f - 1], out=C[first[P] : first[P] + f])
+    return C
+
+
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` from ``range(size)``, ascending, and each value's rank."""
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
+
+
+def _choices(
+    Xa: np.ndarray, stack: np.ndarray, blocks: np.ndarray, pairs: np.ndarray, root: bool
+) -> np.ndarray:
+    """Child each (model, row) pair takes at a node with offsets ``stack``.
+
+    ``blocks`` is ``(G, fanout - 1, p + 1)``, the models' blocks of ``A`` on
+    the node's coordinates, so model ``g``'s child coefficients are
+    ``stack @ blocks[g]`` (:func:`_child_coefs`); pair ``g * n + i`` scores
+    row ``i`` of ``Xa`` against them.  Below the root, one product of the
+    distinct rows with the child coefficients of the models present serves
+    every pair.  At the root every row meets every model, so nothing is
+    shared or gathered, and each model's product is ``(n, fanout)``, as
+    small as a single model's.  One model's pairs are its distinct rows
+    already, so prediction skips the bookkeeping and its ``O(n)`` marks
+    per node.
+    """
+    n, f = len(Xa), len(stack)
+    if root:
+        return np.concatenate([np.argmax(Xa @ (stack @ b).T, axis=1) for b in blocks])
+    if len(blocks) == 1:
+        return np.argmax(Xa[pairs] @ (stack @ blocks[0]).T, axis=1)
+    rows, row_at = _distinct(pairs % n, n)
+    models, model_at = _distinct(pairs // n, len(blocks))
+    kids = stack @ blocks[models]
+    S = Xa[rows] @ kids.reshape(len(models) * f, kids.shape[2]).T
+    return S.reshape(-1, f)[row_at * len(models) + model_at].argmax(axis=1)
+
+
+def _descend(table: EmbeddingTable, Xa: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Leaf codes ``(G, n)`` the top-down walk reaches for ``G`` models at once.
+
+    ``A`` stacks the models' ``(dimension, p + 1)`` coefficient matrices.
+    Row ``i`` under model ``g`` moves from a node to its child ``j``
+    maximizing ``Xa[i] . C_j``, where ``C = O A[g]`` are the child
+    coefficients (:func:`_child_coefs`), formed node by node from the
+    node's block of ``A`` for the models that reach it.  Every (model, row)
+    pair walks at once, grouped by node; a node costs one product
+    (:func:`_choices`).  Exact ties pick the first child in document order,
+    whatever the rest of the batch.  A leaf's code is its rank among the
+    leaves in node order.
     """
     tree = table.tree
     first, fanout = tree.first_children.tolist(), tree.node_fanouts.tolist()
-    out = np.empty(F.shape[0], dtype=np.intp)
-    groups = [(0, np.arange(F.shape[0]))]
+    G, n = len(A), len(Xa)
+    out = np.empty(G * n, dtype=np.intp)  # pair g * n + i
+    groups = [(0, np.arange(G * n))]
     while groups:
         nxt = []
-        for node, idx in groups:
+        for node, pairs in groups:
             start, stack = table.sibling_blocks[node]
-            choice = np.argmax(F[idx, start : start + stack.shape[1]] @ stack.T, axis=1)
+            blocks = A[:, start : start + fanout[node] - 1]
+            choice = _choices(Xa, stack, blocks, pairs, node == 0)
             for j in range(fanout[node]):
-                child, sub = first[node] + j, idx[choice == j]
+                child, sub = first[node] + j, pairs[choice == j]
                 if not fanout[child]:
                     out[sub] = child
                 elif sub.size:
                     nxt.append((child, sub))
         groups = nxt
-    return (np.cumsum(tree.node_fanouts == 0) - 1)[out]
+    return (np.cumsum(tree.node_fanouts == 0) - 1)[out].reshape(G, n)
 
 
 def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
@@ -218,8 +284,14 @@ def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
 
 
 def predict_codes(model: LinearModel, X) -> np.ndarray:
-    """Predicted leaf codes (positions in ``tree.leaves``) for every row."""
-    return _descend(model.table, model.score_matrix(X))
+    """Predicted leaf codes (positions in ``tree.leaves``) for every row.
+
+    One-model :func:`_descend`: it holds the augmented features and one
+    node's child coefficients at a time, never an ``(n, dimension)`` score
+    matrix.
+    """
+    Xa = _augment(model._features(X))
+    return _descend(model.table, Xa, model.coef[None])[0]
 
 
 def predict_paths(model: LinearModel, X) -> list[tuple[str, ...]]:
@@ -237,7 +309,8 @@ def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
     """
     pairs = _sibling_pairs(model.tree, model.tree.leaf_codes_of([path]))
     x = model._features(np.reshape(x, -1))
-    return float(np.min(_margins(model.coef, model.table, _augment(x), pairs)))
+    C = _child_coefs(model.table, model.coef)
+    return float(np.min(_margins(C, _augment(x), pairs)))
 
 
 _LOSSES = {
@@ -255,7 +328,7 @@ def per_sample_risk(
     _check_dataset(model.table, dataset)
     pairs = _sibling_pairs(model.tree, dataset.codes)
     Xa = _augment(model._features(dataset.X))
-    losses = _LOSSES[loss](_margins(model.coef, model.table, Xa, pairs))
+    losses = _LOSSES[loss](_margins(_child_coefs(model.table, model.coef), Xa, pairs))
     return np.bincount(pairs[0], losses, dataset.n)
 
 
@@ -324,8 +397,8 @@ def train_linear(
     ``B`` is formed from the per-leaf feature sums, scattered to nodes
     through the distinct leaves' sibling pairs (:func:`_sibling_pairs`)
     and mapped through :attr:`EmbeddingTable.node_matrix`; descent reads
-    :attr:`EmbeddingTable.sibling_blocks`.  ``lam`` rescales ``A`` without
-    changing any predicted path.
+    the child coefficients (:func:`_child_coefs`).  ``lam`` rescales ``A``
+    without changing any predicted path.
 
     With ``fit_intercept=False`` the intercept column of ``X~`` is zeroed,
     which pins the intercept column of ``A`` to zero; because the objective
@@ -390,7 +463,7 @@ def weighted_linear_fits(
     grid), and one list of sibling pairs over the distinct leaves, so each
     gamma costs its per-leaf sums of ``w x~ / n`` and their scatter to
     nodes mapped through :attr:`EmbeddingTable.node_matrix` (descent reads
-    :attr:`EmbeddingTable.sibling_blocks`).
+    the child coefficients, :func:`_child_coefs`).
     """
     gammas = tuple(gammas)
     _check_positive("lam", lam)
@@ -439,10 +512,14 @@ def _coefficients(V, scatter, alpha, rows, lam) -> np.ndarray:
     return V.T @ (W.reshape(nodes, m) @ rows) / (2.0 * lam)
 
 
-def _margins(A, table: EmbeddingTable, Xa, pairs) -> np.ndarray:
-    """Gap ``N[i, true] - N[i, sib]`` of each pair; ``N = X~ (V A)^T`` scores nodes."""
+def _margins(C, Xa, pairs) -> np.ndarray:
+    """Gap ``N[i, true] - N[i, sib]`` of each pair; ``N = X~ C^T`` scores offsets.
+
+    ``C`` is the model's :func:`_child_coefs`; siblings share their parent's
+    vector, so the gap of their offsets' scores is the gap of their points'.
+    """
     sample, _, true, sib = pairs
-    N = Xa @ (table.node_matrix @ A).T
+    N = Xa @ C.T
     return N[sample, true] - N[sample, sib]
 
 
@@ -456,7 +533,8 @@ def hinge_objective(
 ) -> float:
     """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
     pairs = _sibling_pairs(table.tree, dataset.codes)
-    return _primal(A, _margins(A, table, _augment(dataset.X), pairs), dataset.n, lam)
+    margins = _margins(_child_coefs(table, A), _augment(dataset.X), pairs)
+    return _primal(A, margins, dataset.n, lam)
 
 
 def _dual_steps(

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -168,7 +169,7 @@ def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...
 
 
 def _select(
-    name: str, fits, val: LabeledDataset | None, grid
+    name: str, table, fits, val: LabeledDataset | None, grid
 ) -> tuple[float, LinearModel]:
     """Pick the ``(value, model)`` of ``fits`` minimizing validation zero-one loss.
 
@@ -176,7 +177,13 @@ def _select(
     only strict improvements move the incumbent, so ties resolve to the
     smaller value.  A one-point grid needs no validation set.  The
     validation features are checked and augmented once, for the first
-    model; every model of the grid shares their width and its table.
+    model; every model of the grid shares their width and ``table``.
+
+    Fits are drawn in passes of ``max(1, n_val // (q + 1))`` models, so a
+    pass's stack of coefficient matrices, ``(dimension, p + 1)`` each with
+    ``dimension <= q``, is never larger than the validation features.  Each
+    pass costs one :func:`_descend` of all its models; only the incumbent
+    outlives its pass.
     """
     if not len(grid):
         raise ValueError(f"{name} grid is empty")
@@ -184,13 +191,17 @@ def _select(
         return next(iter(fits))
     if val is None:
         raise ValueError(f"{name} selection needs a validation set")
+    fits, size = iter(fits), max(1, val.n // (table.tree.q + 1))
     best = Xa = None
-    for value, model in fits:
+    while batch := list(islice(fits, size)):
         if Xa is None:
-            Xa = _augment(model._features(val.X))
-        err = float(np.mean(_descend(model.table, Xa @ model.coef.T) != val.codes))
-        if best is None or err < best[0]:
-            best = (err, value, model)
+            Xa = _augment(batch[0][1]._features(val.X))
+        A = np.stack([model.coef for _, model in batch])
+        errs = np.mean(_descend(table, Xa, A) != val.codes, axis=1)
+        i = int(np.argmin(errs))  # the first of equal errors: the smaller value
+        if best is None or errs[i] < best[0]:
+            best = (errs[i], *batch[i])
+        del A, batch  # only the incumbent outlives its pass
     return best[1], best[2]
 
 
@@ -200,12 +211,14 @@ def select_gamma(
     """Pick the weighted-linear gamma minimizing validation zero-one loss.
 
     All grid points share one base linear fit; ties resolve to the
-    smaller gamma.
+    smaller gamma.  The fits are scored in passes of
+    ``max(1, n_val // (q + 1))`` gammas, one descent per pass
+    (:func:`_select`).
     """
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept
     )
-    return _select("gamma", fits, val, grid)
+    return _select("gamma", table, fits, val, grid)
 
 
 def select_lambda(
@@ -223,7 +236,7 @@ def select_lambda(
                 train, table, lam=lam, max_iter=max_iter, fit_intercept=fit_intercept
             )
 
-    return _select("lambda", fits(), val, grid)
+    return _select("lambda", table, fits(), val, grid)
 
 
 def fit(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,13 @@ def random_tree(rng: np.random.Generator, max_depth: int = 5) -> Tree:
             if layer + 1 < depth and rng.random() < 0.6:
                 frontier.append((kid, layer + 1))
     return Tree("n0", children)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,10 @@
 These are the per-sample and per-pair loops the library ran before it
 moved to integer leaf codes, the hinge rows as full-width differences of
 sibling vectors before siblings were compared on their parent's block
-only, the subgradient hinge solver that ran before the dual solver, the
+only, the per-model descent over a score matrix ``X~ A^T`` and the
+per-model validation loop of hyperparameter selection that ran before
+descent read child coefficients ``C = O A``, a whole tuning pass at a
+time, the subgradient hinge solver that ran before the dual solver, the
 certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, the hierarchical
 losses' node weights as a per-node loop, the embedding as a cursor
@@ -72,6 +75,53 @@ def descend(table, F) -> list[tuple[str, ...]]:
                     nxt.setdefault(child, []).append(sub)
         groups = {node: np.concatenate(parts) for node, parts in nxt.items()}
     return [tuple(p) for p in paths]
+
+
+def descend_blocks(table, F) -> np.ndarray:
+    """Leaf codes of the per-block walk over one model's score matrix ``F``.
+
+    Groups rows by their current node, each group costing one product of
+    its scores on the node's block with the node's stack; exact ties pick
+    the first child.
+    """
+    tree = table.tree
+    first, fanout = tree.first_children.tolist(), tree.node_fanouts.tolist()
+    out = np.empty(F.shape[0], dtype=np.intp)
+    groups = [(0, np.arange(F.shape[0]))]
+    while groups:
+        nxt = []
+        for node, idx in groups:
+            start, stack = table.sibling_blocks[node]
+            choice = np.argmax(F[idx, start : start + stack.shape[1]] @ stack.T, axis=1)
+            for j in range(fanout[node]):
+                child, sub = first[node] + j, idx[choice == j]
+                if not fanout[child]:
+                    out[sub] = child
+                elif sub.size:
+                    nxt.append((child, sub))
+        groups = nxt
+    return (np.cumsum(tree.node_fanouts == 0) - 1)[out]
+
+
+def select(name, fits, val, grid):
+    """``(value, model)`` of ``fits`` with the least validation zero-one loss.
+
+    Scores and descends each model on its own; strict improvements only,
+    so ties resolve to the earlier, smaller value.
+    """
+    if not len(grid):
+        raise ValueError(f"{name} grid is empty")
+    if len(grid) == 1:
+        return next(iter(fits))
+    best = Xa = None
+    for value, model in fits:
+        if Xa is None:
+            Xa = _augment(model._features(val.X))
+        codes = descend_blocks(model.table, Xa @ model.coef.T)
+        err = float(np.mean(codes != val.codes))
+        if best is None or err < best[0]:
+            best = (err, value, model)
+    return best[1], best[2]
 
 
 def label_coefficients(table, dataset) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 import oracles
-from conftest import random_tree
+from conftest import random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
@@ -18,6 +18,7 @@ from labeltree.classifier import (
     load_model,
     per_sample_risk,
     population_direction,
+    predict_codes,
     predict_paths,
     predict_topdown,
     save_model,
@@ -29,6 +30,16 @@ from labeltree.classifier import (
 )
 from labeltree.embedding import embed_tree
 from labeltree.hierarchy import Tree, parse_tree
+
+
+def fanout10_tree() -> Tree:
+    """1000 leaves: fan-out 10 on four layers, the root included."""
+    children, frontier = {}, ["r"]
+    for _ in range(3):
+        for node in frontier:
+            children[node] = [f"{node}.{j}" for j in range(10)]
+        frontier = [kid for node in frontier for kid in children[node]]
+    return Tree("r", children)
 
 
 @pytest.fixture(scope="module")
@@ -231,12 +242,7 @@ class TestSurrogateRisk:
     def test_per_sample_risk_memory_linear_in_samples(self):
         # 1000 leaves (fan-out 10, four layers): 300 samples over ~260
         # distinct codes must not meet every code's sibling rows at once
-        children, frontier = {}, ["r"]
-        for _ in range(3):
-            for node in frontier:
-                children[node] = [f"{node}.{j}" for j in range(10)]
-            frontier = [kid for node in frontier for kid in children[node]]
-        tree = Tree("r", children)
+        tree = fanout10_tree()
         table = embed_tree(tree)
         rng = np.random.default_rng(6)
         n = 300
@@ -706,6 +712,29 @@ class TestPersistence:
         loaded = load_model(path, reference_tree)
         predict_paths(loaded, rng.normal(size=(25, 3)))
         assert "node_matrix" not in loaded.table.__dict__
+
+    def test_margins_never_build_the_node_matrix(self, reference_tree):
+        table = embed_tree(reference_tree)
+        rng = np.random.default_rng(53)
+        ds = random_dataset(table, 20, 3, rng)
+        model = LinearModel(rng.normal(size=(table.dimension, 4)), table, "linear")
+        hierarchy_margin(model, ds.X[0], ds.paths()[0])
+        per_sample_risk(model, ds, "hinge")
+        hinge_objective(model.coef, ds, table, 0.5)
+        assert "node_matrix" not in table.__dict__
+
+    def test_prediction_memory_within_the_array_size_rule(self):
+        # the (n, dimension) score matrix would take 3000 x 999 floats
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        rng = np.random.default_rng(54)
+        n, p = 3000, 95
+        model = LinearModel(rng.normal(size=(table.dimension, p + 1)), table, "linear")
+        X = rng.normal(size=(n, p))
+        predict_codes(model, X[:10])  # builds the tree's cached arrays
+        peak = traced_peak(lambda: predict_codes(model, X))
+        assert peak < 2 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
+        assert "node_matrix" not in table.__dict__
 
     def test_wrong_tree_rejected(self, ref, two_leaf_tree, tmp_path):
         model = LinearModel(np.zeros((5, 2)), ref, "linear")

@@ -14,18 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_tree
+from conftest import random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
     LabeledDataset,
     LinearModel,
+    _child_coefs,
     _descend,
     _sibling_pairs,
     adaptive_weights,
     hierarchy_margin,
     hinge_objective,
     per_sample_risk,
+    predict_codes,
     predict_paths,
     predict_topdown,
     save_model,
@@ -34,11 +36,22 @@ from labeltree.classifier import (
     train_weighted_linear,
     weighted_linear_fits,
 )
-from labeltree.cli import TUNING_GRID, select_gamma
+from labeltree.cli import (
+    EXAMPLE_DEFAULTS,
+    HINGE_LAMBDA_GRID,
+    TUNING_GRID,
+    _rep_seed,
+    select_gamma,
+    select_lambda,
+)
+from labeltree.cli import _select as cli_select
 from labeltree.datagen import (
+    SyntheticSpec,
     example1_tree,
     example2_tree,
+    generate,
     read_feature_csv,
+    split_indices,
     write_dataset_csv,
 )
 from labeltree.dissimilarity import (
@@ -58,11 +71,6 @@ from labeltree.hierarchy import Tree
 from labeltree.metrics import evaluate, h_fmeasure, hierarchical_loss
 
 seeds = st.integers(0, 100_000)
-
-# A draw of the descent test on which a full-width walk took a later child
-# at a zeroed parent block (row 37 took the third child of n28).
-PINNED_TIE_SEED = 419
-
 
 def random_dataset(tree, rng, n, p=3):
     """Labels drawn uniformly over leaves, features around per-leaf means."""
@@ -134,33 +142,51 @@ def test_sibling_pairs_equal_oracle_hinge_rows_bitwise(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds)
-@example(seed=PINNED_TIE_SEED)
 def test_descent_equals_oracle_and_ties_take_first_child(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
     table = embed_tree(tree)
-    n = 40
-    F = rng.normal(size=(n, table.dimension))
-    # Zeroing a parent's coordinate block ties all of its children, so those
-    # rows must take the first child.  The oracle compares at full width,
-    # where the rounding of the shared parent term can break such a tie, so
-    # it is the reference only for rows whose path crosses no zeroed block.
-    for start, stop in table.block_layout.values():
-        F[rng.random(n) < 0.3, start:stop] = 0.0
-    F[0] = 0.0
-    expected = oracles.descend(table, F)
-    got = _descend(table, F)
-    for i, path in enumerate(tree.leaf_paths[c] for c in got.tolist()):
-        tied = False
-        for parent, child in zip(path, path[1:]):
-            start, stop = table.block_layout[parent]
-            if not F[i, start:stop].any():
-                tied = True
-                assert child == tree.children(parent)[0], (i, parent)
-        if not tied:
-            assert path == expected[i], i
-        assert _descend(table, F[i : i + 1])[0] == got[i], i
-    assert tree.leaf_paths[got[0]] == expected[0] == leftmost_path(tree)
+    n, p, G = 40, 3, int(rng.integers(1, 6))
+    X = rng.normal(size=(n, p))
+    Xa = np.hstack([np.ones((n, 1)), X])
+    Xa[0] = 0.0  # every score of row 0 is zero: the leftmost path
+    A = rng.normal(size=(G, table.dimension, p + 1))
+    # Zeroing a parent's block of A gives its children exactly zero child
+    # coefficients, so every row that reaches it must take the first child.
+    blocks = list(table.block_layout.items())
+    zeroed = rng.random((G, len(blocks))) < 0.3
+    for g, b in zip(*np.nonzero(zeroed)):
+        start, stop = blocks[b][1]
+        A[g, start:stop] = 0.0
+    got = _descend(table, Xa, A)
+    assert got.shape == (G, n) and got.dtype == np.intp
+
+    for g in range(G):
+        cut = {blocks[b][0] for b in np.flatnonzero(zeroed[g])}
+        for i, path in enumerate(tree.leaf_paths[c] for c in got[g].tolist()):
+            for parent, child in zip(path, path[1:]):
+                if parent in cut:
+                    assert child == tree.children(parent)[0], (g, i, parent)
+        assert tree.leaf_paths[got[g, 0]] == leftmost_path(tree)
+        # the per-block walk over X~ A^T, and the full-width walk over the
+        # embedded points, agree with it away from ties and near-ties
+        model = LinearModel(A[g], table, "linear")
+        want = oracles.descend_blocks(table, Xa @ A[g].T)
+        full = oracles.descend(table, Xa @ A[g].T)
+        near = near_tie_rows(model, X)
+        for i in range(1, n):
+            if i not in near:
+                assert got[g, i] == want[i], (g, i)
+                assert tree.leaf_paths[want[i]] == full[i], (g, i)
+        assert np.array_equal(predict_codes(model, X[1:]), got[g, 1:])
+        assert np.array_equal(_descend(table, Xa, A[g : g + 1])[0], got[g])
+    # any split of the models into passes gives the same codes, bit for bit
+    cuts = sorted(set(rng.integers(0, G + 1, size=3).tolist()) | {0, G})
+    parts = [_descend(table, Xa, A[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
+    assert np.array_equal(np.concatenate(parts), got)
+    for i in range(n):
+        assert np.array_equal(_descend(table, Xa[i : i + 1], A)[:, 0], got[:, i]), i
+
     # each parent's stack is its children's rows of the node matrix on its block
     first, fanouts = tree.first_children, tree.node_fanouts
     assert set(table.sibling_blocks) == set(np.flatnonzero(fanouts).tolist())
@@ -169,6 +195,14 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
         want = table.node_matrix[first[P] : first[P] + fanouts[P], start:stop]
         assert stack.tobytes() == want.tobytes() and stack.shape == want.shape
         assert stack.flags.c_contiguous and not stack.flags.writeable
+    # C = O A: each node's offset from its parent times A
+    offsets = table.node_matrix - table.node_matrix[np.maximum(tree.node_parents, 0)]
+    for a, cut in zip(A, zeroed):
+        C = _child_coefs(table, a)
+        np.testing.assert_allclose(C, offsets @ a, rtol=0, atol=1e-12 * np.abs(a).max())
+        for b in np.flatnonzero(cut):
+            P = tree.order_index(blocks[b][0])
+            assert not C[first[P] : first[P] + fanouts[P]].any()
 
     zero = LinearModel(np.zeros((table.dimension, 1)), table, "linear")
     assert predict_paths(zero, np.zeros((3, 0))) == [leftmost_path(tree)] * 3
@@ -239,6 +273,68 @@ def test_select_gamma_same_gamma_and_fits_within_1e12_of_oracle(seed):
         single.coef,
         oracles.train_weighted_linear(train, table, gamma=grid[0], lam=0.7).coef,
     )
+
+
+def protocol_split(example, seed):
+    """Training and validation blocks of a replication as ``run_benchmark`` draws them."""
+    defaults = EXAMPLE_DEFAULTS[example]
+    spec = SyntheticSpec(
+        example=example,
+        n_total=4 * defaults["n"],
+        seed=_rep_seed(seed, 0),
+        k=defaults["k"],
+        p=defaults["p"],
+        noise_rate=defaults["noise"],
+    )
+    tree, data = generate(spec)
+    tr, va, _ = split_indices(data.n)
+    train, val = (
+        LabeledDataset(data.X[i], [data.labels[j] for j in i], tree) for i in (tr, va)
+    )
+    return train, val, embed_tree(tree)
+
+
+@pytest.mark.parametrize("example, seed", [(1, 1000), (1, 2001), (2, 1000), (2, 3001)])
+def test_selection_equals_per_model_oracle_on_protocol_seeds(example, seed):
+    train, val, table = protocol_split(example, seed)
+    gamma, model = select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
+    fits = weighted_linear_fits(train, table, TUNING_GRID, fit_intercept=False)
+    want_gamma, want = oracles.select("gamma", fits, val, TUNING_GRID)
+    assert gamma == want_gamma and model.gamma == gamma
+    assert np.array_equal(model.coef, want.coef)
+    if example == 1:
+        grid = HINGE_LAMBDA_GRID
+        lam, model = select_lambda(train, val, table, grid, fit_intercept=False)
+        fits = ((v, train_hinge(train, table, v, fit_intercept=False)) for v in grid)
+        want_lam, want = oracles.select("lambda", fits, val, grid)
+        assert lam == want_lam and model.lam == lam
+        assert np.array_equal(model.coef, want.coef)
+
+
+def test_select_gamma_memory_within_two_validation_matrices_of_oracle():
+    train, val, table = protocol_split(2, 1000)
+    select_gamma(train, val, table, TUNING_GRID[:2], fit_intercept=False)  # warm caches
+    peak = traced_peak(
+        lambda: select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
+    )
+    fits = lambda: weighted_linear_fits(train, table, TUNING_GRID, fit_intercept=False)
+    want = traced_peak(lambda: oracles.select("gamma", fits(), val, TUNING_GRID))
+    assert peak <= want + 2 * val.n * (val.p + 1) * 8, (peak, want)
+
+
+def test_selection_ties_resolve_to_the_smallest_value_across_passes(reference_tree):
+    table = embed_tree(reference_tree)
+    rng = np.random.default_rng(8)
+    val = random_dataset(reference_tree, rng, 25)  # passes of 25 // 10 = 2 models
+    base = rng.normal(size=(table.dimension, 4))
+    grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+    # power-of-two rescalings scale every score exactly, so every
+    # validation error ties
+    models = [LinearModel(base * 2.0**k, table, "linear") for k in range(len(grid))]
+    value, model = cli_select("gamma", table, zip(grid, models), val, grid)
+    assert value == 0.1 and model is models[0]
+    want_value, want = oracles.select("gamma", zip(grid, models), val, grid)
+    assert (want_value, want) == (value, model)
 
 
 # The default grid plus the exponents NumPy raises by a fast path.
