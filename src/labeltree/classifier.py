@@ -14,15 +14,15 @@ as the walk reaches it.  A zero block of ``A`` scores every child exactly
 serves a single model and a whole pass of tuning-grid models alike.
 
 Training minimizes a per-layer surrogate over sibling gaps
-``<f(x), xi_true> - <f(x), xi_sibling>``.  The hinge surrogate is solved
-through its box-constrained dual by accelerated projected gradient until a
-duality gap certifies the objective.  Under the linear surrogate ``u -> -u``
-(optionally with per-sample weights) the ridge-penalized minimizer is that
-dual's coefficient map at a fixed dual point, so both trainers share it.
-Every loss reads one list of sibling gaps, :func:`_sibling_pairs`: a gap
-is ``N[i, true] - N[i, sibling]`` of the offset scores ``N = X~ C^T``.
-The hinge solver scores the same gaps from ``N = X~ (V A)^T``, with ``V``
-the :attr:`EmbeddingTable.node_matrix`.
+``<f(x), xi_true> - <f(x), xi_sibling>``, listed once by
+:func:`_sibling_pairs`: a gap is ``N[i, true] - N[i, sibling]`` of the
+offset scores ``N = X~ C^T``.  Both trainers form node rows ``B`` and take
+``A = O^T B / 2 lam`` (:func:`_coefs_from_nodes`), one batched product per
+run of parents sharing a stack (:attr:`EmbeddingTable.sibling_runs`).  The
+linear surrogate ``u -> -u`` (optionally with per-sample weights) has a
+closed form from subtree sums (:func:`_closed_form`).  The hinge surrogate
+is solved through its box-constrained dual by accelerated projected
+gradient until a duality gap certifies the objective.
 """
 
 from __future__ import annotations
@@ -192,21 +192,43 @@ def decision_values(
 
 
 def _child_coefs(table: EmbeddingTable, A: np.ndarray) -> np.ndarray:
-    """Child coefficients ``C = O A``, ``(q + 1, p + 1)`` rows by order index.
+    """Child coefficients ``C = O A``, ``(q + 1, w)`` rows by order index.
 
     ``O`` holds each node's offset from its parent, so two siblings' score
     gap ``<A x~, v_j - v_k>`` is ``x~ . (C_j - C_k)``.  A parent's children
-    are consecutive rows and their offsets live on its block, so each parent
-    costs one product of its stack with its block of ``A``; the root's row
-    is zero.  A zero block of ``A`` gives exactly zero rows.
+    are consecutive rows and their offsets live on its block, so a run of
+    parents sharing a stack costs one batched product of the stack with
+    their blocks of ``A``.  A zero block of ``A`` gives exactly zero rows.
     """
-    first = table.tree.first_children.tolist()
-    C = np.empty((table.tree.q + 1, A.shape[1]))
-    C[0] = 0.0
-    for P, (start, stack) in table.sibling_blocks.items():
-        f = len(stack)
-        np.matmul(stack, A[start : start + f - 1], out=C[first[P] : first[P] + f])
+    w = A.shape[1]
+    C = np.zeros((table.tree.q + 1, w))  # the root's row stays zero
+    for parents, kids, block, stack in table.sibling_runs:
+        k, (f, d) = len(parents), stack.shape
+        np.matmul(stack, A[block].reshape(k, d, w), out=C[kids].reshape(k, f, w))
     return C
+
+
+def _coefs_from_nodes(table: EmbeddingTable, B: np.ndarray) -> np.ndarray:
+    """``A = O^T B``, the transpose of :func:`_child_coefs`; ``B[0]`` is not read."""
+    w = B.shape[1]
+    A = np.empty((table.dimension, w))
+    for parents, kids, block, stack in table.sibling_runs:
+        k, (f, d) = len(parents), stack.shape
+        np.matmul(stack.T, B[kids].reshape(k, f, w), out=A[block].reshape(k, d, w))
+    return A
+
+
+def _closed_form(table: EmbeddingTable, rows, sums: np.ndarray, scale) -> np.ndarray:
+    """``O^T (scale * T)``, ``T`` the subtree sums of ``sums`` on node ``rows``.
+
+    Reversed, the runs reach every child before its parent.
+    """
+    B = np.zeros((table.tree.q + 1, sums.shape[1]))
+    B[rows] = sums
+    for parents, kids, _, stack in reversed(table.sibling_runs):
+        B[parents] = B[kids].reshape(len(parents), len(stack), B.shape[1]).sum(axis=1)
+    B *= scale
+    return _coefs_from_nodes(table, B)
 
 
 def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,30 +376,29 @@ def _check_positive(name: str, *values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _linear_fitter(
-    dataset: LabeledDataset, table: EmbeddingTable, fit_intercept: bool
-):
+def _linear_fitter(dataset: LabeledDataset, table: EmbeddingTable, fit_intercept: bool):
     """Closed-form fitter ``(w, lam, **meta) -> LinearModel`` for sample weights ``w``.
 
-    The weighted linear objective's minimizer is the hinge dual's
-    coefficient map (:func:`_coefficients`) at the fixed dual point
-    ``alpha = w_i / n`` on every pair of every sample.  Samples of one leaf
-    share its pairs, so the map runs on the per-leaf sums of ``w x~ / n``
-    with ``alpha = 1`` on the distinct leaves' pairs.
+    The weighted linear objective's minimizer is ``A = O^T B / 2 lam``
+    with ``B[v] = f_P T[v]`` (:func:`_closed_form`): ``T[v]`` sums ``w x~ / n``
+    over the samples under ``v`` and ``f_P`` is the fan-out of its parent.
+    A sample's gaps at ``P`` put ``(f_P - 1) x~`` at its node and ``-x~`` at
+    each sibling, which adds ``-T[P]`` to every child's row; stacks are
+    centred, so that share maps to zero and no pair list is needed.
     """
     _check_dataset(table, dataset)
+    tree = table.tree
     order = np.argsort(dataset.codes, kind="stable")
     leaves, starts = np.unique(dataset.codes[order], return_index=True)
     Xa = _augment(dataset.X[order])
     if not fit_intercept:
         Xa[:, 0] = 0.0
-    leaf, _, true, sib = _sibling_pairs(table.tree, leaves)
-    m, ones = len(leaves), np.ones(len(leaf))
-    scatter = np.concatenate([true * m + leaf, sib * m + leaf])
+    rows = np.flatnonzero(tree.node_fanouts == 0)[leaves]
+    scale = tree.node_fanouts[tree.node_parents][:, None]  # the root's, unread, is a leaf's
 
     def fit(w, lam, **meta):
         sums = np.add.reduceat((w[order] / dataset.n)[:, None] * Xa, starts)
-        coef = _coefficients(table.node_matrix, scatter, ones, sums, lam)
+        coef = _closed_form(table, rows, sums, scale) / (2.0 * lam)
         return LinearModel(coef=coef, table=table, **meta)
 
     return fit
@@ -394,11 +415,10 @@ def train_linear(
     The ridge-penalized objective is linear in ``A`` plus ``lam * |A|_F**2``,
     so the minimizer is ``A = B / (2 * lam)`` with ``B`` the mean of
     ``(xi_true - xi_sibling) x~^T`` over samples, layers, and siblings.
-    ``B`` is formed from the per-leaf feature sums, scattered to nodes
-    through the distinct leaves' sibling pairs (:func:`_sibling_pairs`)
-    and mapped through :attr:`EmbeddingTable.node_matrix`; descent reads
-    the child coefficients (:func:`_child_coefs`).  ``lam`` rescales ``A``
-    without changing any predicted path.
+    ``B`` comes from subtree sums of the per-leaf feature sums, mapped
+    through the offset stacks (:func:`_linear_fitter`); no sibling pair
+    list is formed.  ``lam`` rescales ``A`` without changing any predicted
+    path.
 
     With ``fit_intercept=False`` the intercept column of ``X~`` is zeroed,
     which pins the intercept column of ``A`` to zero; because the objective
@@ -460,10 +480,9 @@ def weighted_linear_fits(
     ``lam`` and every gamma are checked before the first fit.  All models
     share one base fit, the :func:`train_linear` model, one scoring pass
     of it on the training features (:func:`adaptive_weights` of the whole
-    grid), and one list of sibling pairs over the distinct leaves, so each
-    gamma costs its per-leaf sums of ``w x~ / n`` and their scatter to
-    nodes mapped through :attr:`EmbeddingTable.node_matrix` (descent reads
-    the child coefficients, :func:`_child_coefs`).
+    grid), and one sort of the samples by leaf, so each gamma costs its
+    per-leaf sums of ``w x~ / n``, their subtree sums and one map through
+    the offset stacks (:func:`_linear_fitter`).
     """
     gammas = tuple(gammas)
     _check_positive("lam", lam)
@@ -499,19 +518,6 @@ def _sibling_pairs(
     return sample, parent[sample, layer], node[sample, layer], sibs[sample, layer, slot]
 
 
-def _coefficients(V, scatter, alpha, rows, lam) -> np.ndarray:
-    """The hinge dual's coefficient map ``(1 / 2 lam) V^T (W rows)`` at ``alpha``.
-
-    ``W`` is the signed ``(nodes, len(rows))`` scatter of ``alpha``: each
-    pair adds its ``alpha`` at its true node and subtracts it at its
-    sibling, in its owner's column; ``scatter`` holds those flat indices,
-    the ``+`` terms first.
-    """
-    nodes, m = len(V), len(rows)
-    W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * m)
-    return V.T @ (W.reshape(nodes, m) @ rows) / (2.0 * lam)
-
-
 def _margins(C, Xa, pairs) -> np.ndarray:
     """Gap ``N[i, true] - N[i, sib]`` of each pair; ``N = X~ C^T`` scores offsets.
 
@@ -523,9 +529,9 @@ def _margins(C, Xa, pairs) -> np.ndarray:
     return N[sample, true] - N[sample, sib]
 
 
-def _primal(A: np.ndarray, margins: np.ndarray, n: int, lam: float) -> float:
-    """Hinge objective at ``A`` from the margins of its ``n`` samples' gaps."""
-    return float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * float(np.vdot(A, A))
+def _primal(sq: float, margins: np.ndarray, n: int, lam: float) -> float:
+    """Hinge objective at ``A`` from ``|A|_F**2`` and its ``n`` samples' gap margins."""
+    return float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * sq
 
 
 def hinge_objective(
@@ -534,7 +540,7 @@ def hinge_objective(
     """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
     pairs = _sibling_pairs(table.tree, dataset.codes)
     margins = _margins(_child_coefs(table, A), _augment(dataset.X), pairs)
-    return _primal(A, margins, dataset.n, lam)
+    return _primal(float(np.vdot(A, A)), margins, dataset.n, lam)
 
 
 def _dual_steps(
@@ -576,13 +582,11 @@ def train_hinge(
     """Hinge-surrogate trainer, certified to a relative duality gap.
 
     Solves the box-constrained dual: one variable ``0 <= alpha <= 1/n``
-    per (sample, sibling) pair, and
-    ``A = (1 / 2 lam) sum alpha (xi_true - xi_sibling) x~^T``.  Margins
-    come from node scores ``N = X~ (V A)^T`` (``V`` the
-    :attr:`EmbeddingTable.node_matrix`) as ``N[i, true] - N[i, sibling]``
-    over the pairs of :func:`_sibling_pairs`, and ``A`` from a signed
-    node-by-sample scatter of ``alpha`` (:func:`_coefficients`), so no
-    pair-by-sample matrix is formed.  Gaps of
+    per (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G = W X~``
+    the node rows of the signed node-by-sample scatter ``W`` of ``alpha``.
+    The loop keeps ``G``: ``C = K G``, ``K = O O^T / 2 lam``, gives the
+    margins of ``N = X~ C^T`` over the pairs of :func:`_sibling_pairs` and
+    ``|A|**2 = <G, C> / 2 lam``; ``A`` is formed once, at the end.  Gaps of
     different parents live on disjoint coordinate blocks, so the dual
     separates by parent and each pair steps by ``1 / L_P`` of its own
     block (:func:`_dual_steps`) in one accelerated projected-gradient loop
@@ -602,35 +606,36 @@ def train_hinge(
     """
     _check_positive("lam", lam)
     _check_dataset(table, dataset)
-    n = dataset.n
+    n, nodes = dataset.n, table.tree.q + 1
     Xa = _augment(dataset.X)
     if not fit_intercept:
         Xa[:, 0] = 0.0
-    V = table.node_matrix
     sample, parent, true, sib = _sibling_pairs(table.tree, dataset.codes)
-    nodes = len(V)
     score_true, score_sib = sample * nodes + true, sample * nodes + sib
     scatter = np.concatenate([true * n + sample, sib * n + sample])
     step = _dual_steps(table, Xa, dataset.codes, lam)[parent]
+    K = _child_coefs(table, _coefs_from_nodes(table, np.eye(nodes))) / (2.0 * lam)
 
     def solve(alpha):
-        """Coefficients and pair margins at the dual point ``alpha``."""
-        A = _coefficients(V, scatter, alpha, Xa, lam)
-        N = Xa @ (V @ A).T
-        return A, N.take(score_true) - N.take(score_sib)
+        """Node rows ``G``, ``|A|**2`` and pair margins at the dual point ``alpha``."""
+        W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
+        G = W.reshape(nodes, n) @ Xa
+        C = K @ G
+        N = Xa @ C.T
+        return G, float(np.vdot(G, C)) / (2.0 * lam), N.take(score_true) - N.take(score_sib)
 
     alpha = y = margins = y_margins = np.zeros(len(sample))
-    best_A = np.zeros((table.dimension, Xa.shape[1]))
+    best_G = np.zeros((nodes, Xa.shape[1]))
     best = len(sample) / n  # every slack is 1 at A = 0
     tol, best_dual, t = HINGE_TOL * best, 0.0, 1.0
     history = [best]
     for _ in range(max_iter):
         nxt = np.minimum(np.maximum(y + step * (1.0 - y_margins), 0.0), 1.0 / n)
-        A, m = solve(nxt)
-        primal = _primal(A, m, n, lam)
+        G, sq, m = solve(nxt)
+        primal = _primal(sq, m, n, lam)
         if primal < best:
-            best, best_A = primal, A
-        best_dual = max(best_dual, float(nxt.sum()) - lam * float(np.vdot(A, A)))
+            best, best_G = primal, G
+        best_dual = max(best_dual, float(nxt.sum()) - lam * sq)
         history.append(best)
         if best - best_dual <= tol:
             break
@@ -649,9 +654,8 @@ def train_hinge(
             ConvergenceWarning,
             stacklevel=2,
         )
-    return LinearModel(
-        coef=best_A, table=table, loss="hinge", lam=lam, history=np.array(history)
-    )
+    A = _coefs_from_nodes(table, best_G) / (2.0 * lam)
+    return LinearModel(A, table, "hinge", lam=lam, history=np.array(history))
 
 
 def population_direction(
@@ -662,25 +666,20 @@ def population_direction(
     For a conditional path distribution, sums over paths and layers the
     sibling offsets weighted by the path probability and the sibling-block
     size.  A zero-feature model carrying this vector as its intercept
-    column predicts the per-layer conditional argmax path; used as a test
-    oracle for the trainers.
+    column predicts the per-layer conditional argmax path: the linear
+    closed form with the probabilities as per-leaf sums (:func:`_closed_form`).
     """
     tree = table.tree
     probs = dict(path_probs)
-    total = 0.0
     for path, prob in probs.items():
         if not 0.0 <= prob < np.inf:
             raise ValueError(f"invalid probability {prob} for path {path!r}")
-        if not tree.is_path(path):
-            raise ValueError(f"{path!r} is not a root-to-leaf path of the tree")
-        total += prob
+    codes, total = tree.leaf_codes_of(probs), sum(probs.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"path probabilities sum to {total}, expected 1")
-    v = np.zeros(table.dimension)
-    for path, prob in probs.items():
-        for parent, node in zip(path, path[1:]):
-            v += prob * len(tree.children(parent)) * table.offset(node)
-    return v
+    rows, sums = np.flatnonzero(tree.node_fanouts == 0)[codes], [*probs.values()]
+    scale = tree.node_fanouts[tree.node_parents][:, None]
+    return _closed_form(table, rows, np.reshape(sums, (-1, 1)), scale)[:, 0]
 
 
 MODEL_FORMAT = "labeltree-linear-model/1"

@@ -15,6 +15,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping
 
@@ -110,8 +111,9 @@ class EmbeddingTable:
 
     ``tree``, ``base_norm`` and ``decay`` fix every point: they are the whole
     state, which equality and the hash compare.  :attr:`sibling_blocks` is the
-    stored form; :attr:`node_matrix`, :attr:`vectors`, :attr:`block_layout`
-    and :attr:`layer_dims` are views of it, each built on first use.
+    stored form; :attr:`sibling_runs`, :attr:`node_matrix`, :attr:`vectors`,
+    :attr:`block_layout` and :attr:`layer_dims` are views of it, each built on
+    first use.
 
     Attributes
     ----------
@@ -161,6 +163,28 @@ class EmbeddingTable:
                 stacks[n, m].setflags(write=False)
             out[P] = (start, stacks[n, m])
         return MappingProxyType(out)
+
+    @cached_property
+    def sibling_runs(self) -> tuple[tuple[np.ndarray, slice, slice, np.ndarray], ...]:
+        """Runs of consecutive parents that share a stack, in node order.
+
+        Each run is ``(parents, kids, block, stack)``: the parents' order
+        indices, the slice of their children's rows, the slice of their
+        blocks' coordinates and the :attr:`sibling_blocks` stack they share.
+        Parents of one run have one fan-out ``f``, so ``kids`` is ``k`` groups
+        of ``f`` rows and ``block`` ``k`` groups of ``f - 1`` coordinates,
+        parent by parent.
+        """
+        first, runs = self.tree.first_children.tolist(), []
+        blocks = self.sibling_blocks.items()
+        for _, run in groupby(blocks, key=lambda item: id(item[1][1])):
+            run = list(run)
+            (P, (start, stack)), k = run[0], len(run)
+            (f, d), parents = stack.shape, np.array([R for R, _ in run], dtype=np.intp)
+            parents.setflags(write=False)
+            kids, block = slice(first[P], first[P] + k * f), slice(start, start + k * d)
+            runs.append((parents, kids, block, stack))
+        return tuple(runs)
 
     @cached_property
     def node_matrix(self) -> np.ndarray:

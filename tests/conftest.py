@@ -50,6 +50,16 @@ def random_tree(rng: np.random.Generator, max_depth: int = 5) -> Tree:
     return Tree("n0", children)
 
 
+def fanout10_tree() -> Tree:
+    """1000 leaves: fan-out 10 on four layers, the root included."""
+    children, frontier = {}, ["r"]
+    for _ in range(3):
+        for node in frontier:
+            children[node] = [f"{node}.{j}" for j in range(10)]
+        frontier = [kid for node in frontier for kid in children[node]]
+    return Tree("r", children)
+
+
 def traced_peak(call) -> int:
     """Peak bytes ``tracemalloc`` traces while ``call()`` runs."""
     tracemalloc.start()

@@ -7,6 +7,8 @@ only, the per-model descent over a score matrix ``X~ A^T`` and the
 per-model validation loop of hyperparameter selection that ran before
 descent read child coefficients ``C = O A``, a whole tuning pass at a
 time, the subgradient hinge solver that ran before the dual solver, the
+population direction as a per-path loop over string offsets before it
+became the linear closed form from subtree sums, the
 certificate as it ran before the node
 ancestor matrix and the vectorised symmetry audit, the hierarchical
 losses' node weights as a per-node loop, the embedding as a cursor
@@ -137,6 +139,16 @@ def label_coefficients(table, dataset) -> np.ndarray:
                     u += table.vector(sib) - table.vector(node)
         per_leaf[leaf] = u
     return np.stack([per_leaf[label] for label in dataset.labels])
+
+
+def population_direction(path_probs, table) -> np.ndarray:
+    """Sum over paths and layers of probability x fan-out x the node's offset."""
+    tree = table.tree
+    v = np.zeros(table.dimension)
+    for path, prob in path_probs.items():
+        for parent, node in zip(path, path[1:]):
+            v += prob * len(tree.children(parent)) * table.offset(node)
+    return v
 
 
 def hinge_terms(table, codes) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 import oracles
-from conftest import random_tree, traced_peak
+from conftest import fanout10_tree, random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
@@ -29,17 +29,7 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree.embedding import embed_tree
-from labeltree.hierarchy import Tree, parse_tree
-
-
-def fanout10_tree() -> Tree:
-    """1000 leaves: fan-out 10 on four layers, the root included."""
-    children, frontier = {}, ["r"]
-    for _ in range(3):
-        for node in frontier:
-            children[node] = [f"{node}.{j}" for j in range(10)]
-        frontier = [kid for node in frontier for kid in children[node]]
-    return Tree("r", children)
+from labeltree.hierarchy import parse_tree
 
 
 @pytest.fixture(scope="module")
@@ -721,6 +711,25 @@ class TestPersistence:
         hierarchy_margin(model, ds.X[0], ds.paths()[0])
         per_sample_risk(model, ds, "hinge")
         hinge_objective(model.coef, ds, table, 0.5)
+        train_linear(ds, table)
+        list(weighted_linear_fits(ds, table, (0.5, 2.0)))
+        train_hinge(ds, table, lam=0.5)
+        paths = [reference_tree.path_of_leaf(leaf) for leaf in reference_tree.leaves]
+        population_direction(dict.fromkeys(paths, 1.0 / len(paths)), table)
+        assert "node_matrix" not in table.__dict__
+
+    def test_linear_training_memory_within_the_array_size_rule(self):
+        # a dense (q + 1) x dimension node matrix alone would take 1111 x 999
+        # floats, and a node-by-leaf scatter as many again
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        rng = np.random.default_rng(55)
+        n, p = 3000, 95
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=n)]
+        ds = LabeledDataset(rng.normal(size=(n, p)), labels, tree)
+        train_linear(ds, table)  # builds the table's cached runs
+        peak = traced_peak(lambda: train_linear(ds, table))
+        assert peak < 3 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
         assert "node_matrix" not in table.__dict__
 
     def test_prediction_memory_within_the_array_size_rule(self):

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labeltree
 from labeltree.classifier import (
     MODEL_FORMAT,
+    LabeledDataset,
     LinearModel,
     save_model,
     train_weighted_linear,
@@ -24,7 +29,7 @@ from labeltree.cli import (
     select_lambda,
     write_predictions,
 )
-from labeltree.datagen import read_dataset_csv, write_dataset_csv
+from labeltree.datagen import read_dataset_csv, write_dataset_csv, write_tree
 from labeltree.dissimilarity import (
     build_schedule,
     consistency_check,
@@ -38,7 +43,10 @@ from labeltree.embedding import (
 )
 from labeltree.hierarchy import Tree, load_tree, parse_tree
 
-from conftest import REFERENCE_DOC, random_tree
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree
+
+# Thread-count settings of the BLAS builds NumPy ships with or links to.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture()
@@ -413,6 +421,30 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert str(model_path) in capsys.readouterr().err
         assert not pred_path.exists()
+
+    def test_linear_model_file_independent_of_blas_threads(self, tmp_path):
+        # a threaded BLAS may split a large product's sums differently per
+        # thread count; the linear closed form's products are small blocks
+        tree = fanout10_tree()
+        rng = np.random.default_rng(7)
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=1000)]
+        write_dataset_csv(
+            LabeledDataset(rng.normal(size=(1000, 95)), labels, tree), tmp_path / "data.csv"
+        )
+        write_tree(tree, tmp_path / "tree.txt")
+        src = str(Path(labeltree.__file__).parents[1])
+        script = "import sys; from labeltree.cli import main; sys.exit(main(sys.argv[1:]))"
+        models = []
+        for threads in ("1", "2"):
+            models.append(tmp_path / f"model{threads}.json")
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
+            subprocess.run(
+                [sys.executable, "-c", script, "train", "--tree", tmp_path / "tree.txt",
+                 "--data", tmp_path / "data.csv", "--loss", "linear", "--out", models[-1]],
+                env=env, check=True, capture_output=True,
+            )
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):
         model = tmp_path / "model.json"

@@ -21,12 +21,14 @@ from labeltree.classifier import (
     LabeledDataset,
     LinearModel,
     _child_coefs,
+    _coefs_from_nodes,
     _descend,
     _sibling_pairs,
     adaptive_weights,
     hierarchy_margin,
     hinge_objective,
     per_sample_risk,
+    population_direction,
     predict_codes,
     predict_paths,
     predict_topdown,
@@ -118,6 +120,18 @@ def test_linear_fit_within_1e12_of_oracle_label_coefficients(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds)
+def test_population_direction_within_1e12_of_oracle(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree, decay=float(rng.uniform(1.5, 3.0)))
+    leaves = rng.permutation(tree.n_leaf)[: int(rng.integers(1, tree.n_leaf + 1))]
+    probs = dict(zip((tree.leaf_paths[c] for c in leaves), rng.dirichlet(np.ones(len(leaves)))))
+    want = oracles.population_direction(probs, table)
+    assert_coef_close(population_direction(probs, table), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds)
 def test_sibling_pairs_equal_oracle_hinge_rows_bitwise(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
@@ -203,6 +217,11 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
         for b in np.flatnonzero(cut):
             P = tree.order_index(blocks[b][0])
             assert not C[first[P] : first[P] + fanouts[P]].any()
+    # and its transpose, A = O^T B, from node rows
+    B = rng.normal(size=(tree.q + 1, p + 1))
+    np.testing.assert_allclose(
+        _coefs_from_nodes(table, B), offsets.T @ B, rtol=0, atol=1e-12 * np.abs(B).max()
+    )
 
     zero = LinearModel(np.zeros((table.dimension, 1)), table, "linear")
     assert predict_paths(zero, np.zeros((3, 0))) == [leftmost_path(tree)] * 3
