@@ -218,16 +218,17 @@ def _coefs_from_nodes(table: EmbeddingTable, B: np.ndarray) -> np.ndarray:
     return A
 
 
-def _closed_form(table: EmbeddingTable, rows, sums: np.ndarray, scale) -> np.ndarray:
-    """``O^T (scale * T)``, ``T`` the subtree sums of ``sums`` on node ``rows``.
+def _closed_form(table: EmbeddingTable, leaves, sums: np.ndarray) -> np.ndarray:
+    """``O^T (f T)``, ``T`` the subtree sums of ``sums`` on leaf codes ``leaves``.
 
-    Reversed, the runs reach every child before its parent.
+    ``f`` is each node's parent's fan-out.  Reversed, the runs reach every
+    child before its parent; a run scales its children once it has summed them.
     """
     B = np.zeros((table.tree.q + 1, sums.shape[1]))
-    B[rows] = sums
+    B[np.flatnonzero(table.tree.node_fanouts == 0)[leaves]] = sums
     for parents, kids, _, stack in reversed(table.sibling_runs):
         B[parents] = B[kids].reshape(len(parents), len(stack), B.shape[1]).sum(axis=1)
-    B *= scale
+        B[kids] *= len(stack)
     return _coefs_from_nodes(table, B)
 
 
@@ -329,10 +330,8 @@ def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
     across all siblings of the path node at that layer.  Positive exactly
     when the top-down walk recovers the path with room to spare.
     """
-    pairs = _sibling_pairs(model.tree, model.tree.leaf_codes_of([path]))
-    x = model._features(np.reshape(x, -1))
-    C = _child_coefs(model.table, model.coef)
-    return float(np.min(_margins(C, _augment(x), pairs)))
+    codes = model.tree.leaf_codes_of([path])
+    return float(np.min(_checked_margins(model, np.reshape(x, -1), codes)[1]))
 
 
 _LOSSES = {
@@ -348,10 +347,8 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_dataset(model.table, dataset)
-    pairs = _sibling_pairs(model.tree, dataset.codes)
-    Xa = _augment(model._features(dataset.X))
-    losses = _LOSSES[loss](_margins(_child_coefs(model.table, model.coef), Xa, pairs))
-    return np.bincount(pairs[0], losses, dataset.n)
+    pairs, margins = _checked_margins(model, dataset.X, dataset.codes)
+    return np.bincount(pairs[0], _LOSSES[loss](margins), dataset.n)
 
 
 def surrogate_risk(
@@ -387,18 +384,15 @@ def _linear_fitter(dataset: LabeledDataset, table: EmbeddingTable, fit_intercept
     centred, so that share maps to zero and no pair list is needed.
     """
     _check_dataset(table, dataset)
-    tree = table.tree
     order = np.argsort(dataset.codes, kind="stable")
     leaves, starts = np.unique(dataset.codes[order], return_index=True)
     Xa = _augment(dataset.X[order])
     if not fit_intercept:
         Xa[:, 0] = 0.0
-    rows = np.flatnonzero(tree.node_fanouts == 0)[leaves]
-    scale = tree.node_fanouts[tree.node_parents][:, None]  # the root's, unread, is a leaf's
 
     def fit(w, lam, **meta):
         sums = np.add.reduceat((w[order] / dataset.n)[:, None] * Xa, starts)
-        coef = _closed_form(table, rows, sums, scale) / (2.0 * lam)
+        coef = _closed_form(table, leaves, sums) / (2.0 * lam)
         return LinearModel(coef=coef, table=table, **meta)
 
     return fit
@@ -518,29 +512,36 @@ def _sibling_pairs(
     return sample, parent[sample, layer], node[sample, layer], sibs[sample, layer, slot]
 
 
-def _margins(C, Xa, pairs) -> np.ndarray:
-    """Gap ``N[i, true] - N[i, sib]`` of each pair; ``N = X~ C^T`` scores offsets.
+def _checked_margins(model: LinearModel, X, codes: np.ndarray):
+    """Sibling pairs of samples ``X`` with leaf ``codes`` and their gap margins.
 
-    ``C`` is the model's :func:`_child_coefs`; siblings share their parent's
-    vector, so the gap of their offsets' scores is the gap of their points'.
+    ``X`` is checked by :meth:`LinearModel._features`; each gap is
+    ``N[i, true] - N[i, sib]`` of the offset scores ``N = X~ C^T``.
     """
-    sample, _, true, sib = pairs
-    N = Xa @ C.T
-    return N[sample, true] - N[sample, sib]
-
-
-def _primal(sq: float, margins: np.ndarray, n: int, lam: float) -> float:
-    """Hinge objective at ``A`` from ``|A|_F**2`` and its ``n`` samples' gap margins."""
-    return float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * sq
+    sample, _, true, sib = pairs = _sibling_pairs(model.tree, codes)
+    N = _augment(model._features(X)) @ _child_coefs(model.table, model.coef).T
+    return pairs, N[sample, true] - N[sample, sib]
 
 
 def hinge_objective(
     A: np.ndarray, dataset: LabeledDataset, table: EmbeddingTable, lam: float
 ) -> float:
     """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
-    pairs = _sibling_pairs(table.tree, dataset.codes)
-    margins = _margins(_child_coefs(table, A), _augment(dataset.X), pairs)
-    return _primal(float(np.vdot(A, A)), margins, dataset.n, lam)
+    _check_positive("lam", lam)
+    model = LinearModel(A, table, "hinge")  # surrogate_risk checks the dataset
+    return surrogate_risk(model, dataset, "hinge") + lam * float(np.vdot(A, A))
+
+
+def _sibling_scale(table: EmbeddingTable) -> np.ndarray:
+    """``kappa_P = r_P**2 f_P / (f_P - 1)`` of each node's parent ``P`` (root: 0).
+
+    ``P``'s stack is a centred regular simplex of norm ``r_P``, so its Gram is
+    ``kappa_P (I - J / f_P)`` and ``O O^T G = kappa * G`` for node rows ``G``
+    that sum to zero over every sibling block.
+    """
+    parents, layers = table.tree.node_parents[1:], table.tree.node_layers[1:]
+    f, r = table.tree.node_fanouts[parents], np.array(table.layer_norms)[layers - 2]
+    return np.concatenate([[0.0], r * r * f / (f - 1)])
 
 
 def _dual_steps(
@@ -550,21 +551,21 @@ def _dual_steps(
 
     ``L_P = |X~_P|_2**2 * max_j |D_{P,j}|_2**2 / (2 * lam)`` bounds the
     curvature of the block: ``X~_P`` holds the rows whose paths cross
-    ``P`` and ``D_{P,j}`` the gaps of child ``j`` against its siblings;
-    the children form a regular simplex, so every ``D_{P,j}`` has the
-    norm of the first child's.
+    ``P`` and ``D_{P,j}`` the gaps of child ``j`` against its siblings.
+    On a regular simplex every ``D D^T`` is ``kappa_P (I + J)``
+    (:func:`_sibling_scale`), whose largest eigenvalue is ``kappa_P f_P``.
     A block with all-zero rows has constant zero margins, so its dual is
     linear and its infinite step lands on the bound at once.
     """
-    ancestors = table.tree.leaf_ancestors[codes]
-    layers = table.tree.node_layers.tolist()
-    steps = np.zeros(len(layers))
-    for P, (_, stack) in table.sibling_blocks.items():
+    tree, steps = table.tree, np.zeros(table.tree.q + 1)
+    ancestors, layers = tree.leaf_ancestors[codes], tree.node_layers.tolist()
+    parents = np.flatnonzero(tree.node_fanouts)
+    kappa = _sibling_scale(table)[tree.first_children[parents]]
+    for P, d2 in zip(parents.tolist(), (kappa * tree.node_fanouts[parents]).tolist()):
         rows = Xa[ancestors[:, layers[P] - 1] == P]
         if not len(rows):
             continue
         x2 = np.linalg.norm(rows, 2) ** 2
-        d2 = np.linalg.norm(stack[0] - stack[1:], 2) ** 2
         steps[P] = 2.0 * lam / (x2 * d2) if x2 > 0.0 else np.inf
     return steps
 
@@ -584,13 +585,15 @@ def train_hinge(
     Solves the box-constrained dual: one variable ``0 <= alpha <= 1/n``
     per (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G = W X~``
     the node rows of the signed node-by-sample scatter ``W`` of ``alpha``.
-    The loop keeps ``G``: ``C = K G``, ``K = O O^T / 2 lam``, gives the
-    margins of ``N = X~ C^T`` over the pairs of :func:`_sibling_pairs` and
-    ``|A|**2 = <G, C> / 2 lam``; ``A`` is formed once, at the end.  Gaps of
-    different parents live on disjoint coordinate blocks, so the dual
-    separates by parent and each pair steps by ``1 / L_P`` of its own
-    block (:func:`_dual_steps`) in one accelerated projected-gradient loop
-    (FISTA, restarted whenever the momentum points downhill).
+    A pair puts ``+-alpha`` on two siblings, so ``G`` sums to zero over
+    every sibling block and ``C = O A`` is ``kappa * G / 2 lam``
+    (:func:`_sibling_scale`): the margins of ``N = X~ C^T`` over the pairs
+    of :func:`_sibling_pairs` and ``|A|**2 = <G, C> / 2 lam`` need no
+    stack, and ``A`` is formed once, at the end.  Gaps of different parents
+    live on disjoint coordinate blocks, so the dual separates by parent and
+    each pair steps by ``1 / L_P`` of its own block (:func:`_dual_steps`) in
+    one accelerated projected-gradient loop (FISTA, restarted whenever the
+    momentum points downhill).
 
     Stops once the best primal objective is within ``HINGE_TOL`` times
     the objective at ``A = 0`` (the mean number of gaps per sample) of
@@ -614,13 +617,13 @@ def train_hinge(
     score_true, score_sib = sample * nodes + true, sample * nodes + sib
     scatter = np.concatenate([true * n + sample, sib * n + sample])
     step = _dual_steps(table, Xa, dataset.codes, lam)[parent]
-    K = _child_coefs(table, _coefs_from_nodes(table, np.eye(nodes))) / (2.0 * lam)
+    kappa = _sibling_scale(table)[:, None] / (2.0 * lam)
 
     def solve(alpha):
         """Node rows ``G``, ``|A|**2`` and pair margins at the dual point ``alpha``."""
         W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
         G = W.reshape(nodes, n) @ Xa
-        C = K @ G
+        C = kappa * G
         N = Xa @ C.T
         return G, float(np.vdot(G, C)) / (2.0 * lam), N.take(score_true) - N.take(score_sib)
 
@@ -632,7 +635,7 @@ def train_hinge(
     for _ in range(max_iter):
         nxt = np.minimum(np.maximum(y + step * (1.0 - y_margins), 0.0), 1.0 / n)
         G, sq, m = solve(nxt)
-        primal = _primal(sq, m, n, lam)
+        primal = float(np.maximum(1.0 - m, 0.0).sum()) / n + lam * sq
         if primal < best:
             best, best_G = primal, G
         best_dual = max(best_dual, float(nxt.sum()) - lam * sq)
@@ -669,17 +672,14 @@ def population_direction(
     column predicts the per-layer conditional argmax path: the linear
     closed form with the probabilities as per-leaf sums (:func:`_closed_form`).
     """
-    tree = table.tree
     probs = dict(path_probs)
     for path, prob in probs.items():
         if not 0.0 <= prob < np.inf:
             raise ValueError(f"invalid probability {prob} for path {path!r}")
-    codes, total = tree.leaf_codes_of(probs), sum(probs.values())
+    codes, total = table.tree.leaf_codes_of(probs), sum(probs.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"path probabilities sum to {total}, expected 1")
-    rows, sums = np.flatnonzero(tree.node_fanouts == 0)[codes], [*probs.values()]
-    scale = tree.node_fanouts[tree.node_parents][:, None]
-    return _closed_form(table, rows, np.reshape(sums, (-1, 1)), scale)[:, 0]
+    return _closed_form(table, codes, np.reshape([*probs.values()], (-1, 1)))[:, 0]
 
 
 MODEL_FORMAT = "labeltree-linear-model/1"

@@ -24,6 +24,7 @@ from .classifier import (
     LabeledDataset,
     LinearModel,
     _augment,
+    _check_dataset,
     _check_positive,
     _descend,
     load_model,
@@ -175,7 +176,8 @@ def _select(
 
     ``fits`` yields one pair per value of ``grid`` in ascending order, and
     only strict improvements move the incumbent, so ties resolve to the
-    smaller value.  A one-point grid needs no validation set.  The
+    smaller value.  A one-point grid needs no validation set; any other is
+    checked to be labeled on ``table``'s tree before the first fit.  The
     validation features are checked and augmented once, for the first
     model; every model of the grid shares their width and ``table``.
 
@@ -191,6 +193,7 @@ def _select(
         return next(iter(fits))
     if val is None:
         raise ValueError(f"{name} selection needs a validation set")
+    _check_dataset(table, val)
     fits, size = iter(fits), max(1, val.n // (table.tree.q + 1))
     best = Xa = None
     while batch := list(islice(fits, size)):

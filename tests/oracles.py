@@ -7,6 +7,8 @@ only, the per-model descent over a score matrix ``X~ A^T`` and the
 per-model validation loop of hyperparameter selection that ran before
 descent read child coefficients ``C = O A``, a whole tuning pass at a
 time, the subgradient hinge solver that ran before the dual solver, the
+dual solver's steps from each stack's spectral norm before its closed
+form, the
 population direction as a per-path loop over string offsets before it
 became the linear closed form from subtree sums, the
 certificate as it ran before the node
@@ -164,6 +166,25 @@ def hinge_terms(table, codes) -> tuple[np.ndarray, np.ndarray]:
                     owners.append(code)
     D = np.stack(rows)
     return D, np.array(owners)[:, None] == codes
+
+
+def dual_steps(table, Xa, codes, lam) -> np.ndarray:
+    """Hinge dual step ``1 / L_P`` per parent from the spectral norm of its gaps.
+
+    ``D_{P,0}`` holds the first child's gaps against its siblings; on a
+    regular simplex every child's gap matrix has its norm.
+    """
+    ancestors = table.tree.leaf_ancestors[codes]
+    layers = table.tree.node_layers.tolist()
+    steps = np.zeros(len(layers))
+    for P, (_, stack) in table.sibling_blocks.items():
+        rows = Xa[ancestors[:, layers[P] - 1] == P]
+        if not len(rows):
+            continue
+        x2 = np.linalg.norm(rows, 2) ** 2
+        d2 = np.linalg.norm(stack[0] - stack[1:], 2) ** 2
+        steps[P] = 2.0 * lam / (x2 * d2) if x2 > 0.0 else np.inf
+    return steps
 
 
 SUBGRADIENT_TOL = 1e-8  # relative objective gain the subgradient solver counts as progress

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -513,6 +514,31 @@ class TestTrainHinge:
         assert np.all(model.coef[:, 0] == 0.0)
 
 
+class TestHingeObjectiveChecks:
+    def test_dataset_on_another_tree_rejected(self):
+        # two 4-leaf trees share their leaf names, so the labels fit both
+        table = embed_tree(parse_tree("r: a b\na: w x\nb: y z\n"))
+        ds = LabeledDataset(np.ones((4, 1)), "wxyz", parse_tree("r: w x y z\n"))
+        with pytest.raises(ValueError, match="different trees"):
+            hinge_objective(np.ones((3, 2)), ds, table, 1.0)
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, np.nan, np.inf])
+    def test_bad_lambda_rejected(self, ref, lam):
+        ds = random_dataset(ref, 6, 2, np.random.default_rng(47))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            hinge_objective(np.zeros((ref.dimension, 3)), ds, ref, lam)
+
+    def test_extra_coefficient_rows_rejected(self, ref):
+        ds = random_dataset(ref, 6, 2, np.random.default_rng(48))
+        with pytest.raises(ValueError, match="coefficient rows"):
+            hinge_objective(np.zeros((ref.dimension + 1, 3)), ds, ref, 1.0)
+
+    def test_wrong_feature_width_rejected(self, ref):
+        ds = random_dataset(ref, 6, 2, np.random.default_rng(49))
+        with pytest.raises(ValueError, match="expected 3 features, got 2"):
+            hinge_objective(np.zeros((ref.dimension, 4)), ds, ref, 1.0)
+
+
 def box_dual(ds, table, lam, fit_intercept):
     """The hinge dual over the oracle's full-width gap rows, one variable a pair.
 
@@ -730,6 +756,25 @@ class TestPersistence:
         train_linear(ds, table)  # builds the table's cached runs
         peak = traced_peak(lambda: train_linear(ds, table))
         assert peak < 3 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
+        assert "node_matrix" not in table.__dict__
+
+    def test_hinge_training_memory_below_one_node_square(self):
+        # a (q + 1)^2 node-by-node matrix alone would take 1111^2 floats
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        rng = np.random.default_rng(56)
+        n, p = 100, 95
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=n)]
+        ds = LabeledDataset(rng.normal(size=(n, p)), labels, tree)
+
+        def fit():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                train_hinge(ds, table, lam=0.1, max_iter=5)
+
+        fit()  # builds the table's cached runs
+        peak = traced_peak(fit)
+        assert peak < (tree.q + 1) ** 2 * 8, peak
         assert "node_matrix" not in table.__dict__
 
     def test_prediction_memory_within_the_array_size_rule(self):

@@ -1006,6 +1006,27 @@ class TestGrids:
             select_lambda(data, data, embed_tree(data.tree), (0.001, np.nan))
         assert fitted == []
 
+    @staticmethod
+    def other_tree_val(data):
+        # the same leaves in another order: the labels fit, the codes differ
+        other = Tree("r", {"r": list(reversed(data.tree.leaves))})
+        return type(data)(data.X, data.labels, other)
+
+    def test_gamma_validation_set_on_another_tree_rejected(self, data):
+        val = self.other_tree_val(data)
+        with pytest.raises(ValueError, match="different trees"):
+            select_gamma(data, val, embed_tree(data.tree), TUNING_GRID)
+
+    def test_lambda_validation_set_on_another_tree_rejected(self, data, monkeypatch):
+        import labeltree.cli as cli
+
+        fitted = []
+        monkeypatch.setattr(cli, "train_hinge", lambda *a, **k: fitted.append(k["lam"]))
+        val = self.other_tree_val(data)
+        with pytest.raises(ValueError, match="different trees"):
+            select_lambda(data, val, embed_tree(data.tree), (0.1, 1.0))
+        assert fitted == []
+
     def test_gamma_selection_scores_training_data_once(self, data, monkeypatch):
         score_matrix = LinearModel.score_matrix
         scored = []

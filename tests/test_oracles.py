@@ -23,7 +23,9 @@ from labeltree.classifier import (
     _child_coefs,
     _coefs_from_nodes,
     _descend,
+    _dual_steps,
     _sibling_pairs,
+    _sibling_scale,
     adaptive_weights,
     hierarchy_margin,
     hinge_objective,
@@ -128,6 +130,31 @@ def test_population_direction_within_1e12_of_oracle(seed):
     probs = dict(zip((tree.leaf_paths[c] for c in leaves), rng.dirichlet(np.ones(len(leaves)))))
     want = oracles.population_direction(probs, table)
     assert_coef_close(population_direction(probs, table), want)
+
+
+@pytest.mark.parametrize("decay", [1.3, 2.0, 2.7])
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds)
+def test_sibling_scale_and_dual_steps_match_the_offset_products(decay, seed):
+    # node rows centred over every sibling block, as the hinge dual's are
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree, decay=decay)
+    G = rng.normal(size=(tree.q + 1, 4))
+    for P in np.flatnonzero(tree.node_fanouts).tolist():
+        kids = slice(tree.first_children[P], tree.first_children[P] + tree.node_fanouts[P])
+        G[kids] -= G[kids].mean(axis=0)
+    want = _child_coefs(table, _coefs_from_nodes(table, G))
+    np.testing.assert_allclose(_sibling_scale(table)[:, None] * G, want, rtol=0, atol=1e-12)
+    ds = random_dataset(tree, rng, n=int(rng.integers(1, 30)))
+    Xa = np.hstack([np.ones((ds.n, 1)), ds.X])
+    if rng.random() < 0.5:
+        Xa[:, 0] = 0.0  # no intercept
+    if rng.random() < 0.3:
+        Xa[ds.codes == ds.codes[0]] = 0.0  # a parent may see zero rows only
+    lam = float(rng.uniform(0.01, 10.0))
+    want = oracles.dual_steps(table, Xa, ds.codes, lam)
+    np.testing.assert_allclose(_dual_steps(table, Xa, ds.codes, lam), want, rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
