@@ -721,7 +721,10 @@ def load_model(path, tree: Tree) -> LinearModel:
     is rebuilt from the stored parameters, so predictions reproduce the
     original model's bit for bit.  A file that is not such a model, of
     another tree, or with coefficients that are not all finite raises a
-    :class:`ValueError` naming the file.
+    :class:`ValueError` naming the file, as does a ``dimension`` or
+    ``n_features`` that is not a JSON integer of at least 0, a ``loss`` that
+    is not a string, or a ``gamma`` or ``lambda`` that is neither null nor a
+    finite number.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -734,12 +737,23 @@ def load_model(path, tree: Tree) -> LinearModel:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     if doc["tree_sha256"] != tree.sha256():
         raise ValueError(f"{path}: model was trained on a different tree")
+    # json.load gives bool for true/false, which int and float would admit
+    for key in ("dimension", "n_features"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ValueError(f"{path}: {key} must be an integer >= 0, got {doc[key]!r}")
+    if not isinstance(doc["loss"], str):
+        raise ValueError(f"{path}: loss must be a string, got {doc['loss']!r}")
+    for key in ("gamma", "lambda"):
+        value = doc[key]
+        finite = type(value) is int or (type(value) is float and np.isfinite(value))
+        if value is not None and not finite:
+            raise ValueError(f"{path}: {key} must be null or finite, got {value!r}")
     try:
         table = embed_tree(tree, base_norm=doc["base_norm"], decay=doc["decay"])
-        width = doc["n_features"] + 1
         coef = np.array(doc["coef"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    width = doc["n_features"] + 1
     if doc["dimension"] != table.dimension or coef.size != table.dimension * width:
         raise ValueError(
             f"{path}: coefficients are {doc['dimension']} x {width} in "

@@ -60,7 +60,7 @@ TUNING_GRID = tuple(10.0 ** (i / 10.0) for i in range(-20, 21))
 HINGE_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 EXAMPLE_DEFAULTS = {
-    1: {"k": 3, "p": 15, "n": 50, "noise": 0.2},
+    1: {"k": 3, "p": None, "n": 50, "noise": 0.2},
     2: {"k": 5, "p": None, "n": 2000, "noise": 0.0},
 }
 
@@ -415,7 +415,7 @@ def run_benchmark(
             for loss, per in metrics.items()
         },
         timings={loss: np.array(v) for loss, v in timings.items()},
-        params={"k": k, "p": p, "n": n, "noise": noise, "seed": seed},
+        params={"k": tree.depth, "p": data.p, "n": n, "noise": noise, "seed": seed},
     )
 
 

@@ -108,9 +108,7 @@ def example2_tree() -> Tree:
     return _indexed_tree(12, 5)
 
 
-def _default_p(example: int, k: int, q: int) -> int:
-    if example == 2:
-        return EXAMPLE2_FEATURES
+def _default_p(k: int, q: int) -> int:
     if k == 3:
         return 15
     if k == 4:
@@ -140,7 +138,7 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
     if spec.example != 1:
         raise ValueError("spec.example must be 1")
     tree = example1_tree(spec.k)
-    p = spec.p if spec.p is not None else _default_p(1, spec.k, tree.q)
+    p = spec.p if spec.p is not None else _default_p(spec.k, tree.q)
     if p < tree.q:
         raise ValueError(
             f"feature dimension {p} is smaller than the {tree.q} non-root nodes"

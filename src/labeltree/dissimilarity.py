@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -44,30 +45,44 @@ DECAY_SQUARED_BOUND = 2.0 * math.sqrt(2.0) + 2.0
 class WeightSchedule:
     """Edge weights of the augmented tree graph.
 
+    ``tree``, ``base_weight`` (the root-to-child edge weight) and ``decay``
+    (the per-layer shrink ratio, above 1) fix every weight, derived once at
+    construction: they are the whole state, which equality and the hash compare.
+
     Attributes
     ----------
     level_weights:
-        ``level_weights[m-1]`` is the weight of the edge between a parent
-        at layer ``m`` and any of its children, for ``m = 1 .. depth-1``.
-        Consecutive entries decay by ``1/decay``.
-    decay:
-        Geometric decay ratio, strictly greater than 1.
-    sibling_weight:
-        Weight of the edge between any two children of a given parent,
-        keyed by parent id.  Chosen so every sibling pair under a parent
-        with ``N`` children sits at distance ``w * sqrt(2N/(N-1))`` where
-        ``w`` is the parent's level weight; this is the unique choice that
-        makes the embedding of :mod:`labeltree.embedding` distance-exact.
+        ``level_weights[m-1]`` weighs the edge from a parent at layer ``m`` to
+        a child, for ``m = 1 .. depth-1``; each entry is the previous over ``decay``.
+    sibling_weights:
+        Read-only ``(q + 1,)`` weight of the edge between two children of each
+        node, by order index, 0 at a leaf: ``w * sqrt(2N/(N-1))`` for ``N``
+        children and level weight ``w``.  It lies in the admissible ``(w, 2w]``
+        and is the unique choice that makes the embedding of
+        :mod:`labeltree.embedding` distance-exact.
     """
 
-    level_weights: tuple[float, ...]
-    decay: float
-    sibling_weight: Mapping[str, float]
+    tree: Tree
+    base_weight: float = 1.0
+    decay: float = DEFAULT_DECAY
+    level_weights: tuple[float, ...] = field(init=False, compare=False)
+    sibling_weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sibling_weight", MappingProxyType(dict(self.sibling_weight))
-        )
+        tree = self.tree
+        levels = _level_scales(tree.depth, self.base_weight, self.decay, "base weight")
+        P = np.flatnonzero(tree.node_fanouts)
+        n, psi = tree.node_fanouts[P], np.zeros(tree.q + 1)
+        psi[P] = np.take(levels, tree.node_layers[P] - 1) * np.sqrt(2.0 * n / (n - 1.0))
+        psi.setflags(write=False)
+        object.__setattr__(self, "level_weights", levels)
+        object.__setattr__(self, "sibling_weights", psi)
+
+    @cached_property
+    def sibling_weight(self) -> Mapping[str, float]:
+        """Parent id to its entry of :attr:`sibling_weights`, in node order."""
+        pairs = zip(self.tree.nodes, self.sibling_weights.tolist())
+        return MappingProxyType({node: s for node, s in pairs if s})
 
     def parent_edge(self, parent_layer: int) -> float:
         """Weight of the edge from a parent at ``parent_layer`` to a child."""
@@ -94,24 +109,16 @@ def _level_scales(
     return tuple(base / decay**i for i in range(depth - 1))
 
 
+def _check_tree(tree: Tree, what: str, built) -> None:
+    if built.tree != tree:
+        raise ValueError(f"{what} was built for a different tree")
+
+
 def build_schedule(
     tree: Tree, base_weight: float = 1.0, decay: float = DEFAULT_DECAY
 ) -> WeightSchedule:
-    """Construct the geometric weight schedule for ``tree``.
-
-    ``base_weight`` is the root-to-child edge weight; each deeper level
-    shrinks by ``1/decay``.  Sibling weights are set per parent to
-    ``level_weight * sqrt(2N/(N-1))`` for ``N`` children, which always
-    lands in the admissible interval ``(w, 2w]``.
-    """
-    levels = _level_scales(tree.depth, base_weight, decay, "base weight")
-    fanouts, layers = tree.node_fanouts.tolist(), tree.node_layers.tolist()
-    sibling = {
-        node: levels[m - 1] * math.sqrt(2.0 * n / (n - 1.0))
-        for node, n, m in zip(tree.nodes, fanouts, layers)
-        if n
-    }
-    return WeightSchedule(levels, decay, sibling)
+    """The geometric weight schedule of ``tree``: see :class:`WeightSchedule`."""
+    return WeightSchedule(tree, base_weight, decay)
 
 
 def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float:
@@ -126,8 +133,9 @@ def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float
       - 2*sum_{i<=t} w_i**2)`` where ``s`` is the sibling weight of the
       common ancestor at layer ``t``.
 
-    Symmetric, and zero exactly for ``a == b``.
+    Symmetric, and zero exactly for ``a == b``; raises for another tree's schedule.
     """
+    _check_tree(tree, "weight schedule", schedule)
     for node in (a, b):
         if node == tree.root:
             raise ValueError("dissimilarity is not defined for the root")
@@ -136,8 +144,8 @@ def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float
     w2 = [w * w for w in schedule.level_weights]
     if t == min(m, l):
         return math.sqrt(sum(w2[t - 1 : max(m, l) - 1]))
-    anc = tree.ancestor_at_layer(a, t)
-    s = schedule.sibling_weight[anc]
+    anc = tree.node_ancestors[tree.order_index(a) - 1, t - 1]
+    s = float(schedule.sibling_weights[anc])
     return math.sqrt(s * s + sum(w2[: m - 1]) + sum(w2[: l - 1]) - 2 * sum(w2[:t]))
 
 
@@ -146,15 +154,16 @@ def dissimilarity_matrix(
 ) -> np.ndarray:
     """(q, q) matrix of pairwise dissimilarities in node order.
 
-    Vectorized evaluation of the same closed form as
-    :func:`dissimilarity`; the two agree to floating-point accuracy.
-    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal
-    callers that already hold it.
+    Vectorized evaluation of the same closed form as :func:`dissimilarity`, to
+    floating-point accuracy, and like it raises for another tree's schedule.
+    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal callers
+    that already hold it.
 
     Each q-by-q temporary is updated in place and released after its last
     use; the operations and their order, and so every bit, are those of
     the closed form written out in one expression.
     """
+    _check_tree(tree, "weight schedule", schedule)
     lca = tree.lca_layer_matrix() if _lca is None else _lca
     q, layers = tree.q, tree.node_layers[1:]
 
@@ -166,10 +175,7 @@ def dissimilarity_matrix(
     below = cum[layers - 1]  # squared weight summed above each node's layer
 
     # Sibling weight of each pair's common ancestor, by its order index.
-    nodes, psi = tree.nodes, np.zeros(q + 1)
-    for P in np.flatnonzero(tree.node_fanouts).tolist():
-        psi[P] = schedule.sibling_weight[nodes[P]]
-    lca_above = lca - 1
+    psi, lca_above = schedule.sibling_weights, lca - 1
     out = psi[tree.node_ancestors[np.arange(q)[:, None], lca_above]]
     # s**2 + cum[m-1] + cum[l-1] - 2*cum[t]
     np.multiply(out, out, out=out)

@@ -25,6 +25,7 @@ from .dissimilarity import (
     DEFAULT_DECAY,
     ConsistencyReport,
     WeightSchedule,
+    _check_tree,
     _level_scales,
     _meets_decay_bound,
     consistency_report_from_matrix,
@@ -280,35 +281,25 @@ def verify_isometry(
     Raises
     ------
     ValueError
-        If the schedule and table disagree on the tree or the decay.
+        If the schedule or the table was built for another tree, or the two
+        disagree on the decay.
     """
     _check_schedule(tree, schedule, table)
-    return _isometry_error(
-        schedule, table, dissimilarity_matrix(tree, schedule), table.distance_matrix()
-    )
+    target, dist = dissimilarity_matrix(tree, schedule), table.distance_matrix()
+    return _isometry_error(schedule.base_weight / table.base_norm, target, dist)
 
 
-def _check_schedule(
-    tree: Tree, schedule: WeightSchedule, table: EmbeddingTable
-) -> None:
-    if table.tree != tree:
-        raise ValueError("embedding table was built for a different tree")
+def _check_schedule(tree: Tree, schedule: WeightSchedule, table: EmbeddingTable):
+    _check_tree(tree, "embedding table", table)
     if schedule.decay != table.decay:
         raise ValueError(
             f"schedule decay {schedule.decay} != embedding decay {table.decay}"
         )
-    if len(schedule.level_weights) != tree.depth - 1:
-        raise ValueError("schedule was built for a different tree depth")
 
 
-def _isometry_error(
-    schedule: WeightSchedule,
-    table: EmbeddingTable,
-    target: np.ndarray,
-    dist: np.ndarray,
-) -> float:
+def _isometry_error(ratio: float, target: np.ndarray, dist: np.ndarray) -> float:
     """``max |target - ratio * dist|`` with one q-by-q temporary."""
-    gap = dist * (schedule.level_weights[0] / table.layer_norms[0])
+    gap = dist * ratio
     gap -= target  # the negated difference, bit for bit; its magnitude agrees
     return float(np.max(np.abs(gap, out=gap)))
 
@@ -346,7 +337,7 @@ def _certify(
         tree, target, decay_bound_met=schedule.meets_decay_bound, _lca=lca
     )
     dist = table.distance_matrix()
-    max_err = _isometry_error(schedule, table, target, dist)
+    max_err = _isometry_error(schedule.base_weight / table.base_norm, target, dist)
     del target
     point_report = consistency_report_from_matrix(
         tree, dist, decay_bound_met=_meets_decay_bound(table.decay), _lca=lca

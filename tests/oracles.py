@@ -16,7 +16,8 @@ ancestor matrix and the vectorised symmetry audit, the hierarchical
 losses' node weights as a per-node loop, the embedding as a cursor
 walk that filled every view at once, before the sibling offset stacks
 became the table's stored form, the embedded distance
-matrix as one expression, the exports as the ``csv`` and ``json``
+matrix as one expression, the weight schedule's sibling weights as a
+per-parent formula keyed by node id, the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming, and the
 dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
 through ``np.loadtxt``.  The property
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -433,13 +435,34 @@ def leaf_ancestors(tree) -> np.ndarray:
     return out
 
 
+def schedule_weights(tree, base_weight, decay) -> tuple[list, dict[str, float]]:
+    """Level weights and each parent's sibling weight by node id.
+
+    A parent at layer ``m`` with ``n`` children gets ``levels[m-1] *
+    sqrt(2n/(n-1))``, one parent at a time in node order, root first.
+    """
+    levels = [base_weight / decay**i for i in range(tree.depth - 1)]
+    sibling = {}
+    for node in tree.nodes:
+        n = len(tree.children(node))
+        if n:
+            w = levels[tree.layer(node) - 1]
+            sibling[node] = w * math.sqrt(2.0 * n / (n - 1.0))
+    return levels, sibling
+
+
 def dissimilarity_matrix(tree, schedule) -> np.ndarray:
-    """Closed-form dissimilarities with a per-node ancestor walk."""
+    """Closed-form dissimilarities with a per-node ancestor walk.
+
+    The weights come from :func:`schedule_weights` for the schedule's base
+    weight and decay, not from the schedule itself.
+    """
     order = tree.node_order
     q = len(order)
     layers = np.array([tree.layer(n) for n in order])
     lca = lca_layer_matrix(tree)
-    w2 = np.array([w * w for w in schedule.level_weights])
+    levels, sibling = schedule_weights(tree, schedule.base_weight, schedule.decay)
+    w2 = np.array([w * w for w in levels])
     cum = np.concatenate([[0.0], np.cumsum(w2), [np.sum(w2)]])
     lo = np.minimum(layers[:, None], layers[None, :])
     hi = np.maximum(layers[:, None], layers[None, :])
@@ -448,8 +471,8 @@ def dissimilarity_matrix(tree, schedule) -> np.ndarray:
     psi = np.zeros(q + 1)
     for i, node in enumerate(order):
         if not tree.is_leaf(node):
-            psi[i] = schedule.sibling_weight[node]
-    psi[-1] = schedule.sibling_weight[tree.root]
+            psi[i] = sibling[node]
+    psi[-1] = sibling[tree.root]
     pos = {node: i for i, node in enumerate(order)}
     anc_pos = np.full((q, tree.depth + 1), -1, dtype=np.int64)
     for i, node in enumerate(order):

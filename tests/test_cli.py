@@ -422,6 +422,44 @@ class TestTrainPredictEvaluate:
         assert str(model_path) in capsys.readouterr().err
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_features", 1.0),
+            ("n_features", True),
+            ("n_features", -1),
+            ("dimension", 3.0),
+            ("dimension", False),
+            ("loss", 1),
+            ("gamma", "0.5"),
+            ("gamma", True),
+            ("lambda", float("inf")),
+            ("lambda", [0.1]),
+        ],
+    )
+    def test_model_field_of_wrong_type_exits_2_naming_the_file(
+        self, tmp_path, key, value, capsys
+    ):
+        tree_path = tmp_path / "tree.txt"
+        tree_path.write_text("r: a b c\na: a1 a2\n")
+        model_path = tmp_path / "model.json"
+        table = embed_tree(load_tree(tree_path))
+        save_model(LinearModel(np.zeros((3, 2)), table, "linear"), model_path)
+        doc = json.loads(model_path.read_text())
+        doc[key] = value
+        model_path.write_text(json.dumps(doc))
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("f1\n0.5\n-1.0\n")
+        pred_path = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--tree", tree_path, "--model", model_path,
+            "--data", data_path, "--out", pred_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(model_path) in err and key in err
+        assert not pred_path.exists()
+
     def test_linear_model_file_independent_of_blas_threads(self, tmp_path):
         # a threaded BLAS may split a large product's sums differently per
         # thread count; the linear closed form's products are small blocks
@@ -854,6 +892,22 @@ class TestBenchmarkCommand:
         assert main(args + ["--out", str(out)]) == 2
         assert msg in capsys.readouterr().err
         assert not out.exists()
+
+    def test_depth_4_design_1_takes_the_simulate_feature_count(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--example", "1", "--k", "4", "--out", str(sim)]) == 0
+        header = (sim / "data.csv").read_text().splitlines()[0].split(",")
+        args = ["benchmark", "--example", "1", "--k", "4", "--reps", "1", "--n", "20"]
+        assert main(args + ["--losses", "linear", "--out", str(tmp_path / "b")]) == 0
+        result = run_benchmark(example=1, reps=1, seed=1, losses=("linear",), k=4, n=20)
+        assert result.params["k"] == 4
+        assert result.params["p"] == len(header) - 1 == 30
+
+    def test_params_record_the_generated_design(self):
+        result = run_benchmark(example=2, reps=1, seed=1, losses=("linear",), k=4, n=20)
+        assert (result.params["k"], result.params["p"]) == (5, 95)
+        result = run_benchmark(example=1, reps=1, seed=1, losses=("linear",), n=20)
+        assert (result.params["k"], result.params["p"]) == (3, 15)
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import deque
@@ -9,16 +10,17 @@ from hypothesis import strategies as st
 
 from labeltree.dissimilarity import (
     DECAY_SQUARED_BOUND,
+    WeightSchedule,
     build_schedule,
     consistency_check,
     consistency_report_from_matrix,
     dissimilarity,
     dissimilarity_matrix,
 )
-from labeltree.embedding import embed_tree
+from labeltree.embedding import _certify, embed_tree, verify_isometry
 from labeltree.hierarchy import Tree, parse_tree
 
-from conftest import random_tree
+from conftest import REFERENCE_DOC, random_tree
 
 S5 = math.sqrt(5.0)
 
@@ -95,6 +97,33 @@ class TestSchedule:
         with pytest.raises(ValueError, match="finite"):
             build_schedule(reference_tree, **{param: value})
 
+    def test_state_is_tree_base_weight_and_decay(self, reference_tree, two_leaf_tree):
+        init = [f.name for f in dataclasses.fields(WeightSchedule) if f.init]
+        assert init == ["tree", "base_weight", "decay"]
+        sched = build_schedule(reference_tree, 2.0, 3.0)
+        same = WeightSchedule(parse_tree(REFERENCE_DOC), 2.0, 3.0)
+        assert sched == same and hash(sched) == hash(same)
+        assert len({sched, same, build_schedule(reference_tree, 2.0, 3.0)}) == 1
+        for other in (
+            build_schedule(reference_tree, 2.0, 2.9),
+            build_schedule(reference_tree, 1.5, 3.0),
+            build_schedule(two_leaf_tree, 2.0, 3.0),
+        ):
+            assert sched != other
+        assert WeightSchedule(reference_tree) == build_schedule(reference_tree)
+
+    def test_sibling_weights_read_only_by_order_index(self, reference_tree):
+        sched = build_schedule(reference_tree)
+        psi = sched.sibling_weights
+        assert psi.shape == (reference_tree.q + 1,) and not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0] = 1.0
+        by_id = [sched.sibling_weight.get(node, 0.0) for node in reference_tree.nodes]
+        assert psi.tolist() == by_id
+        assert list(sched.sibling_weight) == ["animal", "feline", "raptor", "lynx"]
+        with pytest.raises(TypeError):
+            sched.sibling_weight["animal"] = 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_sibling_weights_in_admissible_interval(self, seed):
@@ -107,6 +136,36 @@ class TestSchedule:
         for parent, s in sched.sibling_weight.items():
             w = sched.parent_edge(tree.layer(parent))
             assert w < s <= 2 * w + 1e-12
+
+
+class TestScheduleOfAnotherTree:
+    """A schedule built for another tree of the same depth is rejected."""
+
+    TREE, OTHER = "r: a b\na: x y\n", "r: a b\na: x y z\n"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "dissimilarity",
+            "dissimilarity_matrix",
+            "consistency_check",
+            "verify_isometry",
+            "_certify",
+        ],
+    )
+    def test_rejected(self, entry):
+        tree, other = parse_tree(self.TREE), parse_tree(self.OTHER)
+        sched, table = build_schedule(other), embed_tree(tree)
+        assert other.depth == tree.depth
+        calls = {
+            "dissimilarity": lambda: dissimilarity(tree, sched, "x", "y"),
+            "dissimilarity_matrix": lambda: dissimilarity_matrix(tree, sched),
+            "consistency_check": lambda: consistency_check(tree, sched),
+            "verify_isometry": lambda: verify_isometry(tree, sched, table),
+            "_certify": lambda: _certify(tree, sched, table),
+        }
+        with pytest.raises(ValueError, match="schedule was built for a different tree"):
+            calls[entry]()
 
 
 # printed pairwise distances of the reference taxonomy (node-order indexing)

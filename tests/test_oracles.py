@@ -560,6 +560,21 @@ def test_certificate_equals_oracle(seed, decay):
     )
 
 
+@pytest.mark.parametrize("decay", [1.3, 2.0, 2.7, math.sqrt(5.0)])
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, base_weight=st.sampled_from([1.0, 2.0, 3.0]))
+def test_schedule_equals_per_parent_formula_bitwise(decay, seed, base_weight):
+    tree = random_tree(np.random.default_rng(seed))
+    schedule = build_schedule(tree, base_weight, decay)
+    levels, sibling = oracles.schedule_weights(tree, base_weight, decay)
+    assert schedule.level_weights == tuple(levels)
+    assert list(schedule.sibling_weight.items()) == list(sibling.items())
+    by_index = np.array([sibling.get(node, 0.0) for node in tree.nodes])
+    assert same_bits(schedule.sibling_weights, by_index)
+    want = oracles.dissimilarity_matrix(tree, schedule)
+    assert same_bits(dissimilarity_matrix(tree, schedule), want)
+
+
 def perturbed_distances(tree, rng):
     """Dissimilarities with coarse noise, so partners tie or disagree."""
     dist = dissimilarity_matrix(tree, build_schedule(tree, decay=1.3))
