@@ -21,8 +21,9 @@ offset scores ``N = X~ C^T``.  Both trainers form node rows ``B`` and take
 run of parents sharing a stack (:attr:`EmbeddingTable.sibling_runs`).  The
 linear surrogate ``u -> -u`` (optionally with per-sample weights) has a
 closed form from subtree sums (:func:`_closed_form`).  The hinge surrogate
-is solved through its box-constrained dual by accelerated projected
-gradient until a duality gap certifies the objective.
+is solved through its box-constrained dual by a primal-dual interior-point
+method (Mehrotra predictor-corrector), whose Newton matrix is solved parent
+block by parent block, until a duality gap certifies the objective.
 """
 
 from __future__ import annotations
@@ -544,114 +545,279 @@ def _sibling_scale(table: EmbeddingTable) -> np.ndarray:
     return np.concatenate([[0.0], r * r * f / (f - 1)])
 
 
-def _dual_steps(
-    table: EmbeddingTable, Xa: np.ndarray, codes: np.ndarray, lam: float
-) -> np.ndarray:
-    """Step ``1 / L_P`` of each parent's block of the hinge dual, by order index.
+def _pair_space(X, t, s, fanout, scale):
+    """Newton solver of a parent block in pair space, ``K_P + diag(sig)``.
 
-    ``L_P = |X~_P|_2**2 * max_j |D_{P,j}|_2**2 / (2 * lam)`` bounds the
-    curvature of the block: ``X~_P`` holds the rows whose paths cross
-    ``P`` and ``D_{P,j}`` the gaps of child ``j`` against its siblings.
-    On a regular simplex every ``D D^T`` is ``kappa_P (I + J)``
-    (:func:`_sibling_scale`), whose largest eigenvalue is ``kappa_P f_P``.
-    A block with all-zero rows has constant zero margins, so its dual is
-    linear and its infinite step lands on the bound at once.
+    ``K_P = scale * (U U^T) o (X~ X~^T)`` over the block's pairs, ``U`` the
+    child indicator of the true node minus that of the sibling: on a regular
+    simplex two gaps meet as ``kappa_P (u_k . u_l)``.  The pairs are sample
+    major, ``fanout - 1`` a sample, so the feature Gram scales ``K_P`` as a
+    broadcast over a 4-D view.  Only the diagonal changes between iterations.
     """
-    tree, steps = table.tree, np.zeros(table.tree.q + 1)
-    ancestors, layers = tree.leaf_ancestors[codes], tree.node_layers.tolist()
-    parents = np.flatnonzero(tree.node_fanouts)
-    kappa = _sibling_scale(table)[tree.first_children[parents]]
-    for P, d2 in zip(parents.tolist(), (kappa * tree.node_fanouts[parents]).tolist()):
-        rows = Xa[ancestors[:, layers[P] - 1] == P]
-        if not len(rows):
-            continue
-        x2 = np.linalg.norm(rows, 2) ** 2
-        steps[P] = 2.0 * lam / (x2 * d2) if x2 > 0.0 else np.inf
-    return steps
+    U = np.eye(fanout)[t] - np.eye(fanout)[s]
+    K = U @ U.T
+    n = len(X)
+    K.reshape(n, fanout - 1, n, fanout - 1)[...] *= (scale * (X @ X.T))[:, None, :, None]
+    diag = K.diagonal().copy()
+
+    def factor(sig):
+        np.fill_diagonal(K, diag + sig)
+        return lambda r: np.linalg.solve(K, r)
+
+    return factor
+
+
+def _grams_by_child(n: int, f: int) -> bool:
+    """Whether a coefficient-space block builds its matrix from per-child Grams.
+
+    For ``n`` samples under a parent of fan-out ``f = d + 1``, the Grams and
+    their mix take ``(n d + f d^3) (p + 1)^2`` flops against the per-sample
+    build's ``n d^2 (p + 1)^2``; they are used at a quarter of that or less.
+    """
+    d = f - 1
+    return n * d * d >= 4 * (n * d + f * d**3)
+
+
+def _coef_space(X, t, stack, lam):
+    """Newton solver of a parent block in coefficient space, by Woodbury.
+
+    The block's pairs have rows ``Z_k = d_k (x) x~_k`` with ``d_k`` the gap
+    ``stack[t] - stack[s]`` of the sample's true child ``t`` against the
+    sibling ``s`` on the block's coordinates, so ``Q_P = Z Z^T / 2 lam`` and
+    ``(Q_P + S)^-1 r = S^-1 (r - Z y)`` with ``(2 lam I + Z^T S^-1 Z) y =
+    Z^T S^-1 r``, ``(f - 1)(p + 1)`` square.  ``Z`` itself is never formed:
+    a sample's pairs share ``x~``, so the matrix is ``sum_i M_i (x) x~_i
+    x~_i^T`` with ``M_i = sum_s d d^T / sig``, built one block row at a
+    time.  With many samples a child, it is cheaper to sum ``x~ x~^T / sig``
+    over the samples of each (true child, sibling) first, in one Gram per
+    true child, and mix the ``f (f - 1)`` Grams by ``d d^T`` in one product.
+    """
+    n, w = X.shape
+    f, d = stack.shape
+    others = np.arange(d) + (np.arange(d) >= np.arange(f)[:, None])  # siblings of each child
+    gaps = stack[:, None, :] - stack[others]  # (true child, sibling, coordinate)
+    D3 = gaps[t]
+    grouped = _grams_by_child(n, f)
+    if grouped:
+        order = np.argsort(t, kind="stable")
+        bounds = np.searchsorted(t[order], np.arange(f + 1)).tolist()
+        Xs, mix = X[order], np.einsum("tsa,tsb->tsab", gaps, gaps).reshape(f * d, d * d)
+
+    def factor(sig):
+        inv = 1.0 / sig.reshape(n, d)
+        H = np.empty((d * w, d * w))
+        if grouped:
+            I, grams = inv[order], np.empty((f, d * w, w))
+            for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                rows = (I[lo:hi, :, None] * Xs[lo:hi, None, :]).reshape(hi - lo, d * w)
+                grams[c] = rows.T @ Xs[lo:hi]
+            H4 = (mix.T @ grams.reshape(f * d, w * w)).reshape(d, d, w, w)
+            H.reshape(d, w, d, w)[...] = H4.transpose(0, 2, 1, 3)
+        else:
+            M, rows = np.einsum("is,isa,isb->iab", inv, D3, D3), np.empty((n, d, w))
+            for a in range(d):
+                np.multiply(M[:, a, :, None], X[:, None, :], out=rows)
+                np.dot(X.T, rows.reshape(n, d * w), out=H[a * w : (a + 1) * w])
+        H.flat[:: d * w + 1] += 2.0 * lam
+
+        def apply(r):
+            v = r.reshape(n, d) * inv
+            y = np.linalg.solve(H, (np.einsum("is,isa->ia", v, D3).T @ X).ravel())
+            zy = np.einsum("isa,ia->is", D3, X @ y.reshape(d, w).T)
+            return (v - zy * inv).ravel()
+
+        return apply
+
+    return factor
+
+
+def _newton_blocks(table, Xa, sample, parent, true, sib, lam):
+    """``(slice, factor)`` per parent block of the hinge dual's Newton matrix.
+
+    The pairs are grouped by parent, so a block is a slice of them.
+    ``factor(sig)`` takes the block's barrier diagonal and returns a solve
+    of ``(Q_P + diag(sig)) x = r``, in pair space (:func:`_pair_space`) or
+    coefficient space (:func:`_coef_space`), whichever is smaller.
+    """
+    tree, kappa = table.tree, _sibling_scale(table)
+    cuts = (np.flatnonzero(np.diff(parent)) + 1).tolist()
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(parent)]):
+        P = int(parent[lo])
+        first, f = int(tree.first_children[P]), int(tree.node_fanouts[P])
+        X, t, s = Xa[sample[lo : hi : f - 1]], true[lo:hi] - first, sib[lo:hi] - first
+        if hi - lo <= (f - 1) * X.shape[1]:
+            factor = _pair_space(X, t, s, f, kappa[first] / (2.0 * lam))
+        else:
+            factor = _coef_space(X, t[:: f - 1], table.sibling_blocks[P][1], lam)
+        blocks.append((slice(lo, hi), factor))
+    return blocks
+
+
+def _boundary_step(alpha, s, z, w, da, dz, dw) -> float:
+    """Largest ``t`` keeping ``alpha``, ``s = u - alpha``, ``z`` and ``w`` nonnegative."""
+    x, dx = np.concatenate([alpha, s, z, w]), np.concatenate([da, -da, dz, dw])
+    neg = dx < 0.0
+    return float(np.min(-x[neg] / dx[neg], initial=np.inf))
+
+
+def _mehrotra_direction(blocks, alpha, s, z, w, g, floor):
+    """Predictor-corrector direction ``(d alpha, d z, d w)`` of the box QP.
+
+    ``alpha`` lies strictly inside ``0 < alpha < u`` with slack ``s = u - alpha``;
+    ``z`` and ``w`` are the multipliers of its lower and upper bounds and ``g``
+    is the gradient ``Q alpha - 1``.  The affine predictor aims at ``mu = 0``;
+    the corrector adds its second-order term and a centring target
+    ``sigma mu``, ``sigma = (mu_aff / mu)**3`` (Mehrotra), kept at or above
+    ``floor``.  ``floor=None`` drops the centring target.  Both steps solve
+    the Newton matrix ``Q + diag(z / alpha + w / s)``, set up once per
+    block (:func:`_newton_blocks`).
+    """
+    za, ws = z / alpha, w / s
+    solvers = [(sl, factor(za[sl] + ws[sl])) for sl, factor in blocks]
+
+    def newton(r):
+        out = np.empty_like(r)
+        for sl, solve in solvers:
+            out[sl] = solve(r[sl])
+        return out
+
+    da = newton(-g)
+    dz, dw = -z - za * da, -w + ws * da
+    target = 0.0
+    if floor is not None:
+        t = min(1.0, _boundary_step(alpha, s, z, w, da, dz, dw))
+        mu = (alpha @ z + s @ w) / (2 * len(alpha))
+        mu_aff = ((alpha + t * da) @ (z + t * dz) + (s - t * da) @ (w + t * dw)) / (2 * len(alpha))
+        target = max((mu_aff / mu) ** 3 * mu, floor)
+    cz, cw = (target - da * dz) / alpha, (target + da * dw) / s
+    dc = newton(cz - cw - g)
+    return dc, cz - z - za * dc, cw - w + ws * dc
 
 
 HINGE_TOL = 1e-6  # duality gap train_hinge certifies, relative to the objective at A = 0
+STEP_FRACTION = 0.99  # share of the way to the boundary an interior-point step takes
+
+
+def _check_iterations(max_iter) -> None:
+    """Reject an iteration budget that is not an integer of at least 1."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def train_hinge(
     dataset: LabeledDataset,
     table: EmbeddingTable,
     lam: float,
-    max_iter: int = 5000,
+    max_iter: int = 100,
     fit_intercept: bool = True,
 ) -> LinearModel:
     """Hinge-surrogate trainer, certified to a relative duality gap.
 
-    Solves the box-constrained dual: one variable ``0 <= alpha <= 1/n``
+    Solves the box-constrained dual: one variable ``0 <= alpha <= u = 1/n``
     per (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G = W X~``
     the node rows of the signed node-by-sample scatter ``W`` of ``alpha``.
     A pair puts ``+-alpha`` on two siblings, so ``G`` sums to zero over
     every sibling block and ``C = O A`` is ``kappa * G / 2 lam``
     (:func:`_sibling_scale`): the margins of ``N = X~ C^T`` over the pairs
     of :func:`_sibling_pairs` and ``|A|**2 = <G, C> / 2 lam`` need no
-    stack, and ``A`` is formed once, at the end.  Gaps of different parents
-    live on disjoint coordinate blocks, so the dual separates by parent and
-    each pair steps by ``1 / L_P`` of its own block (:func:`_dual_steps`) in
-    one accelerated projected-gradient loop (FISTA, restarted whenever the
-    momentum points downhill).
+    stack, and ``A`` is formed once, at the end.  The dual is the QP
+    ``min alpha^T Q alpha / 2 - sum(alpha)``, whose gradient is the
+    margins minus 1.  Gaps of different parents live on disjoint
+    coordinate blocks, so ``Q`` is block-diagonal by parent.
+
+    The first iteration probes ``alpha = u``, the optimum once ``lam`` is
+    large.  The others are Mehrotra predictor-corrector steps of a
+    primal-dual interior-point method started at the box centre
+    (:func:`_mehrotra_direction`), each going ``STEP_FRACTION`` of the way
+    to the boundary; their number barely grows as ``lam`` shrinks.  Each
+    solves the Newton matrix ``Q + diag(sig)`` block by block
+    (:func:`_newton_blocks`).
 
     Stops once the best primal objective is within ``HINGE_TOL`` times
     the objective at ``A = 0`` (the mean number of gaps per sample) of
     the best dual value, which bounds its distance to the optimum.  The
-    best primal iterate is returned, and ``history`` holds the incumbent
-    primal objective at ``A = 0`` and after each iteration, so it is
-    non-increasing.  Reaching ``max_iter`` with the gap still above
-    tolerance raises :class:`ConvergenceWarning` with the gap.
-    Deterministic: starts from ``alpha = 0``.
+    iterates approach the optimum from inside the box, so a certified one
+    takes one more step, without centring and clipped onto the box, which
+    is scored like an iterate: at small ``lam`` it brings the coefficients
+    several times closer to the optimum's.  The best primal point is
+    returned, and ``history`` holds the incumbent primal objective at
+    ``A = 0`` and after each iteration, so it is non-increasing.  Running
+    out of ``max_iter`` iterations (an integer of at least 1, else
+    :class:`ValueError`), or meeting a numerically singular Newton matrix,
+    with the gap still above tolerance raises :class:`ConvergenceWarning`
+    with the gap.  Deterministic.
 
     ``fit_intercept=False`` zeroes the intercept column of ``X~``, which
     pins the intercept column of ``A`` to zero.
     """
     _check_positive("lam", lam)
+    _check_iterations(max_iter)
     _check_dataset(table, dataset)
     n, nodes = dataset.n, table.tree.q + 1
     Xa = _augment(dataset.X)
     if not fit_intercept:
         Xa[:, 0] = 0.0
-    sample, parent, true, sib = _sibling_pairs(table.tree, dataset.codes)
+    pairs = _sibling_pairs(table.tree, dataset.codes)
+    order = np.argsort(pairs[1], kind="stable")  # each parent's pairs form a slice
+    sample, parent, true, sib = (a[order] for a in pairs)
     score_true, score_sib = sample * nodes + true, sample * nodes + sib
     scatter = np.concatenate([true * n + sample, sib * n + sample])
-    step = _dual_steps(table, Xa, dataset.codes, lam)[parent]
     kappa = _sibling_scale(table)[:, None] / (2.0 * lam)
+    best = len(sample) / n  # every slack is 1 at A = 0
+    best_G, best_dual, tol = np.zeros((nodes, Xa.shape[1])), 0.0, HINGE_TOL * best
+    history = [best]
 
-    def solve(alpha):
-        """Node rows ``G``, ``|A|**2`` and pair margins at the dual point ``alpha``."""
+    def score(alpha):
+        """Pair margins at the dual point ``alpha``, scoring its primal and dual values."""
+        nonlocal best, best_G, best_dual
         W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
         G = W.reshape(nodes, n) @ Xa
         C = kappa * G
         N = Xa @ C.T
-        return G, float(np.vdot(G, C)) / (2.0 * lam), N.take(score_true) - N.take(score_sib)
-
-    alpha = y = margins = y_margins = np.zeros(len(sample))
-    best_G = np.zeros((nodes, Xa.shape[1]))
-    best = len(sample) / n  # every slack is 1 at A = 0
-    tol, best_dual, t = HINGE_TOL * best, 0.0, 1.0
-    history = [best]
-    for _ in range(max_iter):
-        nxt = np.minimum(np.maximum(y + step * (1.0 - y_margins), 0.0), 1.0 / n)
-        G, sq, m = solve(nxt)
-        primal = float(np.maximum(1.0 - m, 0.0).sum()) / n + lam * sq
+        sq = float(np.vdot(G, C)) / (2.0 * lam)  # |A|**2
+        margins = N.take(score_true) - N.take(score_sib)
+        primal = float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * sq
         if primal < best:
             best, best_G = primal, G
-        best_dual = max(best_dual, float(nxt.sum()) - lam * sq)
+        best_dual = max(best_dual, float(alpha.sum()) - lam * sq)
+        return margins
+
+    u = 1.0 / n
+    floor = 0.05 * tol / (2 * len(sample))  # a centring target whose gap is well inside tol
+    alpha = np.full(len(sample), u)
+    stop = f"the {max_iter}-iteration budget"
+    for it in range(max_iter):
+        if it == 1:  # margins are linear in alpha, so the box centre's are halved
+            blocks = _newton_blocks(table, Xa, sample, parent, true, sib, lam)
+            alpha, m = alpha / 2.0, m / 2.0
+            root = np.sqrt((m - 1.0) ** 2 + 4.0)  # multipliers with z - w = m - 1, z w = 1
+            z, w = (root + m - 1.0) / 2.0, (root - m + 1.0) / 2.0
+        if it:
+            s = u - alpha
+            try:
+                da, dz, dw = _mehrotra_direction(blocks, alpha, s, z, w, m - 1.0, floor)
+            except np.linalg.LinAlgError:
+                stop = "a numerically singular Newton matrix"
+                break
+            t = min(1.0, STEP_FRACTION * _boundary_step(alpha, s, z, w, da, dz, dw))
+            alpha, z, w = alpha + t * da, z + t * dz, w + t * dw
+        m = score(alpha)
         history.append(best)
         if best - best_dual <= tol:
+            stop = None
             break
-        if np.dot(y - nxt, nxt - alpha) > 0.0:
-            t, y, y_margins = 1.0, nxt, m
+    if stop is None and it:
+        try:
+            da = _mehrotra_direction(blocks, alpha, u - alpha, z, w, m - 1.0, None)[0]
+        except np.linalg.LinAlgError:
+            pass  # the certified iterate stands
         else:
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            beta, t = (t - 1.0) / t_next, t_next
-            y, y_margins = nxt + beta * (nxt - alpha), m + beta * (m - margins)
-        alpha, margins = nxt, m
-    else:
+            score(np.minimum(np.maximum(alpha + da, 0.0), u))
+            history[-1] = best
+    if stop:
         warnings.warn(
-            f"hinge solver hit the {max_iter}-iteration budget; duality gap "
+            f"hinge solver hit {stop}; duality gap "
             f"{best - best_dual:.3g} above tolerance {tol:.3g}, "
             f"objective {best:.8g}",
             ConvergenceWarning,
@@ -683,6 +849,7 @@ def population_direction(
 
 
 MODEL_FORMAT = "labeltree-linear-model/1"
+MODEL_LOSSES = ("linear", "weighted-linear", "hinge")  # the trainers' ``loss`` values
 _MODEL_KEYS = (
     "tree_sha256", "base_norm", "decay", "loss", "gamma", "lambda",
     "dimension", "n_features", "coef",
@@ -722,9 +889,10 @@ def load_model(path, tree: Tree) -> LinearModel:
     original model's bit for bit.  A file that is not such a model, of
     another tree, or with coefficients that are not all finite raises a
     :class:`ValueError` naming the file, as does a ``dimension`` or
-    ``n_features`` that is not a JSON integer of at least 0, a ``loss`` that
-    is not a string, or a ``gamma`` or ``lambda`` that is neither null nor a
-    finite number.
+    ``n_features`` that is not a JSON integer of at least 0, a ``base_norm``
+    or ``decay`` that is not a JSON number, a ``loss`` other than those of
+    ``MODEL_LOSSES``, or a ``gamma`` or ``lambda`` that is neither null nor
+    a finite number.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -741,8 +909,13 @@ def load_model(path, tree: Tree) -> LinearModel:
     for key in ("dimension", "n_features"):
         if type(doc[key]) is not int or doc[key] < 0:
             raise ValueError(f"{path}: {key} must be an integer >= 0, got {doc[key]!r}")
-    if not isinstance(doc["loss"], str):
-        raise ValueError(f"{path}: loss must be a string, got {doc['loss']!r}")
+    for key in ("base_norm", "decay"):
+        if type(doc[key]) not in (int, float):
+            raise ValueError(f"{path}: {key} must be a number, got {doc[key]!r}")
+    if doc["loss"] not in MODEL_LOSSES:
+        raise ValueError(
+            f"{path}: loss must be one of {', '.join(MODEL_LOSSES)}, got {doc['loss']!r}"
+        )
     for key in ("gamma", "lambda"):
         value = doc[key]
         finite = type(value) is int or (type(value) is float and np.isfinite(value))

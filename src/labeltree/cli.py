@@ -25,6 +25,7 @@ from .classifier import (
     LinearModel,
     _augment,
     _check_dataset,
+    _check_iterations,
     _check_positive,
     _descend,
     load_model,
@@ -225,12 +226,14 @@ def select_gamma(
 
 
 def select_lambda(
-    train, val, table, grid, max_iter: int = 5000, fit_intercept: bool = True
+    train, val, table, grid, max_iter: int = 100, fit_intercept: bool = True
 ) -> tuple[float, LinearModel]:
     """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller).
 
-    Every lambda is checked before the first fit.
+    Every lambda, and ``max_iter`` (an integer of at least 1), is checked
+    before the first fit.
     """
+    _check_iterations(max_iter)
     _check_positive("lam", *grid)
 
     def fits():

@@ -29,6 +29,8 @@ from labeltree.classifier import (
     train_weighted_linear,
     weighted_linear_fits,
 )
+from labeltree import cli
+from labeltree.cli import HINGE_LAMBDA_GRID, run_benchmark, select_lambda
 from labeltree.embedding import embed_tree
 from labeltree.hierarchy import parse_tree
 
@@ -605,6 +607,76 @@ class TestHingeCertificate:
         with pytest.warns(ConvergenceWarning, match="duality gap"):
             model = train_hinge(ds, two, lam=0.01, max_iter=3)
         assert len(model.history) == 4
+
+
+def random_tree_dataset(seed):
+    """A ``conftest.random_tree`` draw, 120 uniform labels and 7 standard-normal features."""
+    rng = np.random.default_rng(seed)
+    table = embed_tree(random_tree(rng))
+    return random_dataset(table, 120, 7, rng), table
+
+
+class TestInteriorPoint:
+    """Certification and Newton-iteration counts of the interior-point hinge solver."""
+
+    @pytest.mark.parametrize("seed", range(100, 106))
+    def test_default_grid_certifies_on_random_trees(self, seed):
+        # 12-27 leaves; accelerated projected gradient ran out of its
+        # 5000-iteration budget at lam = 0.001 on three of these trees
+        ds, table = random_tree_dataset(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            for lam in HINGE_LAMBDA_GRID:
+                train_hinge(ds, table, lam)
+
+    def test_design1_default_grid_takes_at_most_30_iterations(self, monkeypatch):
+        # accelerated projected gradient took up to ~1000 at lam = 0.001
+        counts = []
+
+        def counting(train, table, lam, **kwargs):
+            model = train_hinge(train, table, lam, **kwargs)
+            counts.append((lam, len(model.history) - 1))
+            return model
+
+        monkeypatch.setattr(cli, "train_hinge", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            run_benchmark(example=1, reps=3, seed=3, losses=("hinge",))
+        assert len(counts) == 3 * len(HINGE_LAMBDA_GRID)
+        assert max(count for _, count in counts) <= 30, counts
+        # the first iteration's probe, alpha = 1/n, is already optimal here
+        assert all(count == 1 for lam, count in counts if lam >= 10.0), counts
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "5", None])
+    def test_bad_budget_rejected_before_any_fit(self, ref, max_iter, monkeypatch):
+        ds = random_dataset(ref, 6, 2, np.random.default_rng(64))
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            train_hinge(ds, ref, lam=1.0, max_iter=max_iter)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking max_iter")
+
+        monkeypatch.setattr(cli, "train_hinge", no_fit)
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            select_lambda(ds, ds, ref, (1.0, 10.0), max_iter=max_iter)
+
+    def test_singular_newton_matrix_ends_the_fit_with_a_warning(self, ref, monkeypatch):
+        ds = random_dataset(ref, 20, 3, np.random.default_rng(66))
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.warns(ConvergenceWarning, match="numerically singular Newton matrix"):
+            model = train_hinge(ds, ref, lam=0.01)
+        assert len(model.history) == 2  # A = 0 and the probe at alpha = 1/n
+
+    def test_numpy_integer_budget_accepted(self, ref):
+        ds = random_dataset(ref, 6, 2, np.random.default_rng(65))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            model = train_hinge(ds, ref, lam=1.0, max_iter=np.int64(2))
+        assert len(model.history) <= 3
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -431,6 +431,11 @@ class TestTrainPredictEvaluate:
             ("dimension", 3.0),
             ("dimension", False),
             ("loss", 1),
+            ("loss", "nonsense"),
+            ("base_norm", True),
+            ("base_norm", "1.0"),
+            ("decay", False),
+            ("decay", None),
             ("gamma", "0.5"),
             ("gamma", True),
             ("lambda", float("inf")),
@@ -1093,6 +1098,36 @@ class TestGrids:
         gamma, model = select_gamma(data, data, embed_tree(data.tree), TUNING_GRID)
         assert gamma in TUNING_GRID and model.gamma == gamma
         assert len(scored) == 1 and scored[0] is data.X
+
+
+def test_hinge_fit_runs_without_scipy():
+    """The package imports and certifies a hinge fit with SciPy unimportable."""
+    src = str(Path(labeltree.__file__).parents[1])
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import labeltree\n"
+        "tree = labeltree.parse_tree('r: a b c\\na: a1 a2\\n')\n"
+        "rng = np.random.default_rng(0)\n"
+        "labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=40)]\n"
+        "data = labeltree.LabeledDataset(rng.normal(size=(40, 3)), labels, tree)\n"
+        "model = labeltree.train_hinge(data, labeltree.embed_tree(tree), lam=0.01)\n"
+        "assert 'scipy' not in {m.split('.')[0] for m in sys.modules if sys.modules[m]}\n"
+        "print(len(model.history) - 1)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
+    )
+    assert 1 <= int(done.stdout) <= 30
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_run_benchmark_structure():

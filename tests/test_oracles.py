@@ -23,7 +23,8 @@ from labeltree.classifier import (
     _child_coefs,
     _coefs_from_nodes,
     _descend,
-    _dual_steps,
+    _grams_by_child,
+    _newton_blocks,
     _sibling_pairs,
     _sibling_scale,
     adaptive_weights,
@@ -132,6 +133,47 @@ def test_population_direction_within_1e12_of_oracle(seed):
     assert_coef_close(population_direction(probs, table), want)
 
 
+def assert_newton_blocks_solve_dense(tree, ds, lam, rng, fit_intercept=True):
+    """Each block's Newton solve of the dense ``(Q_P + diag(sig)) x = r``."""
+    table = embed_tree(tree, decay=float(rng.uniform(1.3, 2.7)))
+    Xa = np.hstack([np.ones((ds.n, 1)), ds.X])
+    if not fit_intercept:
+        Xa[:, 0] = 0.0
+    pairs = _sibling_pairs(tree, ds.codes)
+    sample, parent, true, sib = (a[np.argsort(pairs[1], kind="stable")] for a in pairs)
+    sig = 10.0 ** rng.uniform(-4.0, 4.0, size=len(sample))
+    r = rng.normal(size=len(sample))
+    V = table.node_matrix
+    for sl, factor in _newton_blocks(table, Xa, sample, parent, true, sib, lam):
+        D = V[true[sl]] - V[sib[sl]]  # full-width gaps
+        Z = (D[:, :, None] * Xa[sample[sl]][:, None, :]).reshape(len(D), -1)
+        M = Z @ Z.T / (2.0 * lam) + np.diag(sig[sl])
+        got = factor(sig[sl])(r[sl])
+        # backward error: the residual against the dense matrix, at rounding scale
+        residual = np.abs(M @ got - r[sl]).max()
+        assert residual <= 1e-10 * np.abs(M).sum(axis=1).max() * np.abs(got).max(), residual
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds)
+def test_newton_blocks_solve_the_dense_newton_matrix(seed):
+    # small blocks solve in pair space, larger ones in coefficient space
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=4)
+    ds = random_dataset(tree, rng, int(rng.integers(1, 60)), p=int(rng.integers(0, 4)))
+    lam = float(10.0 ** rng.uniform(-3, 2))
+    assert_newton_blocks_solve_dense(tree, ds, lam, rng, rng.random() < 0.7)
+
+
+def test_newton_block_from_per_child_grams_solves_the_dense_newton_matrix():
+    tree = Tree("r", {"r": list("abcdefg"), "a": ["a1", "a2"], "b": ["b1", "b2", "b3"]})
+    assert _grams_by_child(600, 7) and not _grams_by_child(200, 7)
+    rng = np.random.default_rng(5)
+    for n in (200, 600):  # the root block's matrix built per sample, then per child
+        ds = random_dataset(tree, rng, n, p=2)
+        assert_newton_blocks_solve_dense(tree, ds, 0.01, rng, n == 600)
+
+
 @pytest.mark.parametrize("decay", [1.3, 2.0, 2.7])
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
@@ -154,7 +196,7 @@ def test_sibling_scale_and_dual_steps_match_the_offset_products(decay, seed):
         Xa[ds.codes == ds.codes[0]] = 0.0  # a parent may see zero rows only
     lam = float(rng.uniform(0.01, 10.0))
     want = oracles.dual_steps(table, Xa, ds.codes, lam)
-    np.testing.assert_allclose(_dual_steps(table, Xa, ds.codes, lam), want, rtol=1e-12)
+    np.testing.assert_allclose(oracles.fista_steps(table, Xa, ds.codes, lam), want, rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -442,8 +484,7 @@ def test_train_hinge_no_worse_than_subgradient_oracle(seed, lam, fit_intercept):
     tree = random_tree(rng, max_depth=4)
     table = embed_tree(tree)
     ds = random_dataset(tree, rng, 30)
-    # Nearly separable draws at lam=0.01 take up to ~4k iterations to
-    # certify, so the budget leaves room: the comparison needs a certified fit.
+    # The budget leaves room: the comparison needs a certified fit.
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
         model = train_hinge(
@@ -459,6 +500,30 @@ def test_train_hinge_no_worse_than_subgradient_oracle(seed, lam, fit_intercept):
     achieved = hinge_objective(model.coef, ds, table, lam)
     assert achieved == pytest.approx(model.history[-1], rel=1e-12)
     assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * zero_obj
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 1.0, 100.0])
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds)
+def test_train_hinge_no_worse_than_fista_oracle(seed, lam, fit_intercept):
+    """Both dual solvers certify; the interior point is within the gap tolerance of FISTA."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=4)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, 30)
+    pairs = len(_sibling_pairs(tree, ds.codes)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        model = train_hinge(ds, table, lam, fit_intercept=fit_intercept)
+        # nearly separable draws at lam = 0.001 take FISTA up to ~6k iterations
+        oracle = oracles.train_hinge_fista(
+            ds, table, lam, max_iter=100_000, fit_intercept=fit_intercept
+        )
+    assert model.history[0] == oracle.history[0] == pairs / ds.n
+    achieved = hinge_objective(model.coef, ds, table, lam)
+    assert achieved == pytest.approx(model.history[-1], rel=1e-12)
+    assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * pairs / ds.n
 
 
 @settings(max_examples=30, deadline=None)
