@@ -1144,3 +1144,18 @@ def test_hinge_protocol_certifies_at_defaults():
     """Every hinge fit of a design-1 replication meets its gap within the budget."""
     result = run_benchmark(example=1, reps=2, seed=7, losses=("hinge",))
     assert result.metrics["hinge"]["l01"].shape == (2,)
+
+
+# Hinge test zero-one losses of the design-1 protocol in the benchmark's
+# blocks for seed 1 (block b runs seed 1000 + b, 3 replications each), as
+# the one-lambda-at-a-time interior-point solver left them.
+DESIGN1_HINGE_L01_SEED1 = (
+    (0.52, 0.49, 0.55), (0.53, 0.44, 0.36), (0.47, 0.57, 0.5), (0.51, 0.46, 0.54),
+    (0.64, 0.61, 0.62), (0.53, 0.5, 0.51), (0.37, 0.43, 0.54), (0.56, 0.5, 0.54),
+)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_design1_hinge_l01_regression(block):
+    result = run_benchmark(example=1, reps=3, seed=1000 + block, losses=("hinge",))
+    assert result.metrics["hinge"]["l01"].tolist() == list(DESIGN1_HINGE_L01_SEED1[block])
