@@ -15,6 +15,7 @@ from .classifier import (
     adaptive_weights,
     decision_values,
     hierarchy_margin,
+    hinge_fits,
     hinge_objective,
     load_model,
     per_sample_risk,

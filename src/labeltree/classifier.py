@@ -22,8 +22,9 @@ run of parents sharing a stack (:attr:`EmbeddingTable.sibling_runs`).  The
 linear surrogate ``u -> -u`` (optionally with per-sample weights) has a
 closed form from subtree sums (:func:`_closed_form`).  The hinge surrogate
 is solved through its box-constrained dual by a primal-dual interior-point
-method (Mehrotra predictor-corrector), whose Newton matrix is solved parent
-block by parent block, until a duality gap certifies the objective.
+method (Mehrotra predictor-corrector, :mod:`labeltree.dual`), whose Newton
+matrix is solved parent block by parent block, a whole lambda grid in
+lockstep (:func:`hinge_fits`), until a duality gap certifies each fit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dual import HINGE_TOL, lockstep
 from .embedding import EmbeddingTable, _json_float_list, embed_tree
 from .hierarchy import Tree
 
@@ -52,6 +54,7 @@ __all__ = [
     "adaptive_weights",
     "train_weighted_linear",
     "train_hinge",
+    "hinge_fits",
     "hinge_objective",
     "population_direction",
     "save_model",
@@ -545,164 +548,71 @@ def _sibling_scale(table: EmbeddingTable) -> np.ndarray:
     return np.concatenate([[0.0], r * r * f / (f - 1)])
 
 
-def _pair_space(X, t, s, fanout, scale):
-    """Newton solver of a parent block in pair space, ``K_P + diag(sig)``.
-
-    ``K_P = scale * (U U^T) o (X~ X~^T)`` over the block's pairs, ``U`` the
-    child indicator of the true node minus that of the sibling: on a regular
-    simplex two gaps meet as ``kappa_P (u_k . u_l)``.  The pairs are sample
-    major, ``fanout - 1`` a sample, so the feature Gram scales ``K_P`` as a
-    broadcast over a 4-D view.  Only the diagonal changes between iterations.
-    """
-    U = np.eye(fanout)[t] - np.eye(fanout)[s]
-    K = U @ U.T
-    n = len(X)
-    K.reshape(n, fanout - 1, n, fanout - 1)[...] *= (scale * (X @ X.T))[:, None, :, None]
-    diag = K.diagonal().copy()
-
-    def factor(sig):
-        np.fill_diagonal(K, diag + sig)
-        return lambda r: np.linalg.solve(K, r)
-
-    return factor
-
-
-def _grams_by_child(n: int, f: int) -> bool:
-    """Whether a coefficient-space block builds its matrix from per-child Grams.
-
-    For ``n`` samples under a parent of fan-out ``f = d + 1``, the Grams and
-    their mix take ``(n d + f d^3) (p + 1)^2`` flops against the per-sample
-    build's ``n d^2 (p + 1)^2``; they are used at a quarter of that or less.
-    """
-    d = f - 1
-    return n * d * d >= 4 * (n * d + f * d**3)
-
-
-def _coef_space(X, t, stack, lam):
-    """Newton solver of a parent block in coefficient space, by Woodbury.
-
-    The block's pairs have rows ``Z_k = d_k (x) x~_k`` with ``d_k`` the gap
-    ``stack[t] - stack[s]`` of the sample's true child ``t`` against the
-    sibling ``s`` on the block's coordinates, so ``Q_P = Z Z^T / 2 lam`` and
-    ``(Q_P + S)^-1 r = S^-1 (r - Z y)`` with ``(2 lam I + Z^T S^-1 Z) y =
-    Z^T S^-1 r``, ``(f - 1)(p + 1)`` square.  ``Z`` itself is never formed:
-    a sample's pairs share ``x~``, so the matrix is ``sum_i M_i (x) x~_i
-    x~_i^T`` with ``M_i = sum_s d d^T / sig``, built one block row at a
-    time.  With many samples a child, it is cheaper to sum ``x~ x~^T / sig``
-    over the samples of each (true child, sibling) first, in one Gram per
-    true child, and mix the ``f (f - 1)`` Grams by ``d d^T`` in one product.
-    """
-    n, w = X.shape
-    f, d = stack.shape
-    others = np.arange(d) + (np.arange(d) >= np.arange(f)[:, None])  # siblings of each child
-    gaps = stack[:, None, :] - stack[others]  # (true child, sibling, coordinate)
-    D3 = gaps[t]
-    grouped = _grams_by_child(n, f)
-    if grouped:
-        order = np.argsort(t, kind="stable")
-        bounds = np.searchsorted(t[order], np.arange(f + 1)).tolist()
-        Xs, mix = X[order], np.einsum("tsa,tsb->tsab", gaps, gaps).reshape(f * d, d * d)
-
-    def factor(sig):
-        inv = 1.0 / sig.reshape(n, d)
-        H = np.empty((d * w, d * w))
-        if grouped:
-            I, grams = inv[order], np.empty((f, d * w, w))
-            for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                rows = (I[lo:hi, :, None] * Xs[lo:hi, None, :]).reshape(hi - lo, d * w)
-                grams[c] = rows.T @ Xs[lo:hi]
-            H4 = (mix.T @ grams.reshape(f * d, w * w)).reshape(d, d, w, w)
-            H.reshape(d, w, d, w)[...] = H4.transpose(0, 2, 1, 3)
-        else:
-            M, rows = np.einsum("is,isa,isb->iab", inv, D3, D3), np.empty((n, d, w))
-            for a in range(d):
-                np.multiply(M[:, a, :, None], X[:, None, :], out=rows)
-                np.dot(X.T, rows.reshape(n, d * w), out=H[a * w : (a + 1) * w])
-        H.flat[:: d * w + 1] += 2.0 * lam
-
-        def apply(r):
-            v = r.reshape(n, d) * inv
-            y = np.linalg.solve(H, (np.einsum("is,isa->ia", v, D3).T @ X).ravel())
-            zy = np.einsum("isa,ia->is", D3, X @ y.reshape(d, w).T)
-            return (v - zy * inv).ravel()
-
-        return apply
-
-    return factor
-
-
-def _newton_blocks(table, Xa, sample, parent, true, sib, lam):
-    """``(slice, factor)`` per parent block of the hinge dual's Newton matrix.
-
-    The pairs are grouped by parent, so a block is a slice of them.
-    ``factor(sig)`` takes the block's barrier diagonal and returns a solve
-    of ``(Q_P + diag(sig)) x = r``, in pair space (:func:`_pair_space`) or
-    coefficient space (:func:`_coef_space`), whichever is smaller.
-    """
-    tree, kappa = table.tree, _sibling_scale(table)
-    cuts = (np.flatnonzero(np.diff(parent)) + 1).tolist()
-    blocks = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(parent)]):
-        P = int(parent[lo])
-        first, f = int(tree.first_children[P]), int(tree.node_fanouts[P])
-        X, t, s = Xa[sample[lo : hi : f - 1]], true[lo:hi] - first, sib[lo:hi] - first
-        if hi - lo <= (f - 1) * X.shape[1]:
-            factor = _pair_space(X, t, s, f, kappa[first] / (2.0 * lam))
-        else:
-            factor = _coef_space(X, t[:: f - 1], table.sibling_blocks[P][1], lam)
-        blocks.append((slice(lo, hi), factor))
-    return blocks
-
-
-def _boundary_step(alpha, s, z, w, da, dz, dw) -> float:
-    """Largest ``t`` keeping ``alpha``, ``s = u - alpha``, ``z`` and ``w`` nonnegative."""
-    x, dx = np.concatenate([alpha, s, z, w]), np.concatenate([da, -da, dz, dw])
-    neg = dx < 0.0
-    return float(np.min(-x[neg] / dx[neg], initial=np.inf))
-
-
-def _mehrotra_direction(blocks, alpha, s, z, w, g, floor):
-    """Predictor-corrector direction ``(d alpha, d z, d w)`` of the box QP.
-
-    ``alpha`` lies strictly inside ``0 < alpha < u`` with slack ``s = u - alpha``;
-    ``z`` and ``w`` are the multipliers of its lower and upper bounds and ``g``
-    is the gradient ``Q alpha - 1``.  The affine predictor aims at ``mu = 0``;
-    the corrector adds its second-order term and a centring target
-    ``sigma mu``, ``sigma = (mu_aff / mu)**3`` (Mehrotra), kept at or above
-    ``floor``.  ``floor=None`` drops the centring target.  Both steps solve
-    the Newton matrix ``Q + diag(z / alpha + w / s)``, set up once per
-    block (:func:`_newton_blocks`).
-    """
-    za, ws = z / alpha, w / s
-    solvers = [(sl, factor(za[sl] + ws[sl])) for sl, factor in blocks]
-
-    def newton(r):
-        out = np.empty_like(r)
-        for sl, solve in solvers:
-            out[sl] = solve(r[sl])
-        return out
-
-    da = newton(-g)
-    dz, dw = -z - za * da, -w + ws * da
-    target = 0.0
-    if floor is not None:
-        t = min(1.0, _boundary_step(alpha, s, z, w, da, dz, dw))
-        mu = (alpha @ z + s @ w) / (2 * len(alpha))
-        mu_aff = ((alpha + t * da) @ (z + t * dz) + (s - t * da) @ (w + t * dw)) / (2 * len(alpha))
-        target = max((mu_aff / mu) ** 3 * mu, floor)
-    cz, cw = (target - da * dz) / alpha, (target + da * dw) / s
-    dc = newton(cz - cw - g)
-    return dc, cz - z - za * dc, cw - w + ws * dc
-
-
-HINGE_TOL = 1e-6  # duality gap train_hinge certifies, relative to the objective at A = 0
-STEP_FRACTION = 0.99  # share of the way to the boundary an interior-point step takes
-
-
 def _check_iterations(max_iter) -> None:
     """Reject an iteration budget that is not an integer of at least 1."""
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
+def hinge_fits(
+    dataset: LabeledDataset,
+    table: EmbeddingTable,
+    lams: Sequence[float],
+    max_iter: int = 100,
+    fit_intercept: bool = True,
+):
+    """Yield ``(lam, hinge model)`` for each of ``lams``, in ascending order.
+
+    The grid counterpart of :func:`train_hinge`, which is its one-point
+    call, as :func:`weighted_linear_fits` is of the weighted fits; each
+    model is the fit :func:`train_hinge` describes.  Every lambda,
+    ``max_iter`` and the dataset are checked before the first fit.
+
+    The grid is fitted in lockstep (:func:`labeltree.dual.lockstep`).
+    The sibling pairs, ``X~`` and each parent block's Newton structure
+    (its pair-space pattern or its gap rows) are built once for every
+    lambda.  Each round takes one interior-point step of every lambda
+    still running: small parent blocks are packed, and a pack's Newton
+    systems for all those lambdas are one stacked ``np.linalg.solve`` per
+    step.  Blocks too large to stack are solved one lambda at a time, so
+    the grid holds one lambda's large matrices at a time.  A lambda that
+    certifies takes its own final clipped step in the next round and
+    leaves the batch; ``history``, the ``max_iter`` budget, the
+    singular-matrix exit and the :class:`ConvergenceWarning`, which names
+    the lambda, are all per lambda.  Margins are formed parent by parent:
+    ``Q alpha`` from a stacked pack's pattern or gap rows, and ``X~_P
+    C_P^T`` for the samples under a large parent ``P``, so no
+    node-by-sample scatter and no ``(n, q + 1)`` score matrix are formed.
+    A zero intercept column (``fit_intercept=False``) is left out of
+    every product.
+    """
+    lams = sorted(lams)
+    _check_positive("lam", *lams)
+    _check_iterations(max_iter)
+    _check_dataset(table, dataset)
+    if not lams:
+        return
+    Xa = _augment(dataset.X)
+    if not fit_intercept:
+        Xa[:, 0] = 0.0
+    # a zero intercept column adds nothing to any product, so the solver drops it
+    cols = slice(1, None) if not fit_intercept and dataset.p else slice(None)
+    nodes, history, stops, best, gaps, tol = lockstep(
+        table, Xa[:, cols], _sibling_pairs(table.tree, dataset.codes), _sibling_scale(table),
+        lams, max_iter,
+    )
+    for r, lam in enumerate(lams):
+        if stops[r]:
+            warnings.warn(
+                f"hinge solver at lambda={float(lam)!r} hit {stops[r]}; duality gap "
+                f"{gaps[r]:.3g} above tolerance {tol:.3g}, objective {best[r]:.8g}",
+                ConvergenceWarning,
+                stacklevel=2,
+            )
+        G = np.zeros((table.tree.q + 1, dataset.p + 1))
+        G[:, cols] = nodes(r)
+        A = _coefs_from_nodes(table, G) / (2.0 * lam)
+        yield lam, LinearModel(A, table, "hinge", lam=lam, history=np.array(history[r]))
 
 
 def train_hinge(
@@ -714,25 +624,28 @@ def train_hinge(
 ) -> LinearModel:
     """Hinge-surrogate trainer, certified to a relative duality gap.
 
-    Solves the box-constrained dual: one variable ``0 <= alpha <= u = 1/n``
-    per (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G = W X~``
-    the node rows of the signed node-by-sample scatter ``W`` of ``alpha``.
-    A pair puts ``+-alpha`` on two siblings, so ``G`` sums to zero over
-    every sibling block and ``C = O A`` is ``kappa * G / 2 lam``
-    (:func:`_sibling_scale`): the margins of ``N = X~ C^T`` over the pairs
-    of :func:`_sibling_pairs` and ``|A|**2 = <G, C> / 2 lam`` need no
-    stack, and ``A`` is formed once, at the end.  The dual is the QP
-    ``min alpha^T Q alpha / 2 - sum(alpha)``, whose gradient is the
-    margins minus 1.  Gaps of different parents live on disjoint
-    coordinate blocks, so ``Q`` is block-diagonal by parent.
+    The one-point :func:`hinge_fits`, which fits a grid of lambdas in
+    lockstep: a lambda that certifies leaves the batch, and parent blocks
+    too large to stack are solved one lambda at a time.  Solves the
+    box-constrained dual: one variable ``0 <= alpha <= u = 1/n`` per
+    (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G`` the node
+    rows of ``alpha``: a pair
+    puts ``+-alpha x~`` on two siblings, so ``G`` sums to zero over every
+    sibling block and ``C = O A`` is ``kappa * G / 2 lam``
+    (:func:`_sibling_scale`).  The dual is the QP ``min alpha^T Q alpha /
+    2 - sum(alpha)``, whose gradient is the margins of the pairs of
+    :func:`_sibling_pairs` minus 1, and ``|A|**2 = alpha^T Q alpha / 2
+    lam``; gaps of different parents live on disjoint coordinate blocks,
+    so ``Q`` is block-diagonal by parent and the margins are formed
+    parent by parent.  ``A`` is formed once, at the end.
 
     The first iteration probes ``alpha = u``, the optimum once ``lam`` is
     large.  The others are Mehrotra predictor-corrector steps of a
-    primal-dual interior-point method started at the box centre
-    (:func:`_mehrotra_direction`), each going ``STEP_FRACTION`` of the way
-    to the boundary; their number barely grows as ``lam`` shrinks.  Each
-    solves the Newton matrix ``Q + diag(sig)`` block by block
-    (:func:`_newton_blocks`).
+    primal-dual interior-point method started at the box centre, each
+    going ``STEP_FRACTION`` of the way to the boundary; their number
+    barely grows as ``lam`` shrinks.  Each solves the Newton matrix ``Q +
+    diag(sig)`` block by block, in pair space or coefficient space,
+    whichever is smaller (:mod:`labeltree.dual`).
 
     Stops once the best primal objective is within ``HINGE_TOL`` times
     the objective at ``A = 0`` (the mean number of gaps per sample) of
@@ -746,85 +659,12 @@ def train_hinge(
     out of ``max_iter`` iterations (an integer of at least 1, else
     :class:`ValueError`), or meeting a numerically singular Newton matrix,
     with the gap still above tolerance raises :class:`ConvergenceWarning`
-    with the gap.  Deterministic.
+    naming ``lam`` and giving the gap.  Deterministic.
 
     ``fit_intercept=False`` zeroes the intercept column of ``X~``, which
     pins the intercept column of ``A`` to zero.
     """
-    _check_positive("lam", lam)
-    _check_iterations(max_iter)
-    _check_dataset(table, dataset)
-    n, nodes = dataset.n, table.tree.q + 1
-    Xa = _augment(dataset.X)
-    if not fit_intercept:
-        Xa[:, 0] = 0.0
-    pairs = _sibling_pairs(table.tree, dataset.codes)
-    order = np.argsort(pairs[1], kind="stable")  # each parent's pairs form a slice
-    sample, parent, true, sib = (a[order] for a in pairs)
-    score_true, score_sib = sample * nodes + true, sample * nodes + sib
-    scatter = np.concatenate([true * n + sample, sib * n + sample])
-    kappa = _sibling_scale(table)[:, None] / (2.0 * lam)
-    best = len(sample) / n  # every slack is 1 at A = 0
-    best_G, best_dual, tol = np.zeros((nodes, Xa.shape[1])), 0.0, HINGE_TOL * best
-    history = [best]
-
-    def score(alpha):
-        """Pair margins at the dual point ``alpha``, scoring its primal and dual values."""
-        nonlocal best, best_G, best_dual
-        W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
-        G = W.reshape(nodes, n) @ Xa
-        C = kappa * G
-        N = Xa @ C.T
-        sq = float(np.vdot(G, C)) / (2.0 * lam)  # |A|**2
-        margins = N.take(score_true) - N.take(score_sib)
-        primal = float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * sq
-        if primal < best:
-            best, best_G = primal, G
-        best_dual = max(best_dual, float(alpha.sum()) - lam * sq)
-        return margins
-
-    u = 1.0 / n
-    floor = 0.05 * tol / (2 * len(sample))  # a centring target whose gap is well inside tol
-    alpha = np.full(len(sample), u)
-    stop = f"the {max_iter}-iteration budget"
-    for it in range(max_iter):
-        if it == 1:  # margins are linear in alpha, so the box centre's are halved
-            blocks = _newton_blocks(table, Xa, sample, parent, true, sib, lam)
-            alpha, m = alpha / 2.0, m / 2.0
-            root = np.sqrt((m - 1.0) ** 2 + 4.0)  # multipliers with z - w = m - 1, z w = 1
-            z, w = (root + m - 1.0) / 2.0, (root - m + 1.0) / 2.0
-        if it:
-            s = u - alpha
-            try:
-                da, dz, dw = _mehrotra_direction(blocks, alpha, s, z, w, m - 1.0, floor)
-            except np.linalg.LinAlgError:
-                stop = "a numerically singular Newton matrix"
-                break
-            t = min(1.0, STEP_FRACTION * _boundary_step(alpha, s, z, w, da, dz, dw))
-            alpha, z, w = alpha + t * da, z + t * dz, w + t * dw
-        m = score(alpha)
-        history.append(best)
-        if best - best_dual <= tol:
-            stop = None
-            break
-    if stop is None and it:
-        try:
-            da = _mehrotra_direction(blocks, alpha, u - alpha, z, w, m - 1.0, None)[0]
-        except np.linalg.LinAlgError:
-            pass  # the certified iterate stands
-        else:
-            score(np.minimum(np.maximum(alpha + da, 0.0), u))
-            history[-1] = best
-    if stop:
-        warnings.warn(
-            f"hinge solver hit {stop}; duality gap "
-            f"{best - best_dual:.3g} above tolerance {tol:.3g}, "
-            f"objective {best:.8g}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    A = _coefs_from_nodes(table, best_G) / (2.0 * lam)
-    return LinearModel(A, table, "hinge", lam=lam, history=np.array(history))
+    return next(hinge_fits(dataset, table, (lam,), max_iter, fit_intercept))[1]
 
 
 def population_direction(

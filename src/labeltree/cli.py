@@ -28,10 +28,10 @@ from .classifier import (
     _check_iterations,
     _check_positive,
     _descend,
+    hinge_fits,
     load_model,
     predict_paths,
     save_model,
-    train_hinge,
     train_linear,
     weighted_linear_fits,
 )
@@ -231,18 +231,15 @@ def select_lambda(
     """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller).
 
     Every lambda, and ``max_iter`` (an integer of at least 1), is checked
-    before the first fit.
+    before the first fit.  The grid is fitted in lockstep by
+    :func:`hinge_fits`: one interior-point step of every lambda still
+    running per round, a lambda leaving the batch once it certifies, and
+    parent blocks too large to stack solved one lambda at a time.
     """
     _check_iterations(max_iter)
     _check_positive("lam", *grid)
-
-    def fits():
-        for lam in sorted(grid):
-            yield lam, train_hinge(
-                train, table, lam=lam, max_iter=max_iter, fit_intercept=fit_intercept
-            )
-
-    return _select("lambda", table, fits(), val, grid)
+    fits = hinge_fits(train, table, grid, max_iter=max_iter, fit_intercept=fit_intercept)
+    return _select("lambda", table, fits, val, grid)
 
 
 def fit(

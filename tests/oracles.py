@@ -9,7 +9,9 @@ descent read child coefficients ``C = O A``, a whole tuning pass at a
 time, the subgradient hinge solver that ran before the dual solver, the
 accelerated projected-gradient dual solver that ran before the
 interior-point method, with its steps in closed form and from each
-stack's spectral norm, the
+stack's spectral norm, the interior-point solver one lambda at a time,
+scored through the full node-by-sample scatter, before the grid was
+fitted in lockstep and scored per parent, the
 population direction as a per-path loop over string offsets before it
 became the linear closed form from subtree sums, the
 certificate as it ran before the node
@@ -43,6 +45,7 @@ from labeltree.classifier import (
     LinearModel,
     _augment,
     _check_dataset,
+    _check_iterations,
     _check_positive,
     _coefs_from_nodes,
     _sibling_pairs,
@@ -57,6 +60,7 @@ from labeltree.dissimilarity import (
     MonotonicityViolation,
     SymmetryViolation,
 )
+from labeltree.dual import STEP_FRACTION, _grams_by_child
 from labeltree.embedding import simplex, table_to_json_dict
 from labeltree.metrics import symmetric_loss, zero_one_loss
 
@@ -274,6 +278,233 @@ def train_hinge_fista(
     else:
         warnings.warn(
             f"hinge solver hit the {max_iter}-iteration budget; duality gap "
+            f"{best - best_dual:.3g} above tolerance {tol:.3g}, "
+            f"objective {best:.8g}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    A = _coefs_from_nodes(table, best_G) / (2.0 * lam)
+    return LinearModel(A, table, "hinge", lam=lam, history=np.array(history))
+
+
+def ip_pair_space(X, t, s, fanout, scale):
+    """Newton solver of a parent block in pair space, ``K_P + diag(sig)``.
+
+    ``K_P = scale * (U U^T) o (X~ X~^T)`` over the block's pairs, ``U`` the
+    child indicator of the true node minus that of the sibling: on a regular
+    simplex two gaps meet as ``kappa_P (u_k . u_l)``.  The pairs are sample
+    major, ``fanout - 1`` a sample, so the feature Gram scales ``K_P`` as a
+    broadcast over a 4-D view.  Only the diagonal changes between iterations.
+    """
+    U = np.eye(fanout)[t] - np.eye(fanout)[s]
+    K = U @ U.T
+    n = len(X)
+    K.reshape(n, fanout - 1, n, fanout - 1)[...] *= (scale * (X @ X.T))[:, None, :, None]
+    diag = K.diagonal().copy()
+
+    def factor(sig):
+        np.fill_diagonal(K, diag + sig)
+        return lambda r: np.linalg.solve(K, r)
+
+    return factor
+
+
+def ip_coef_space(X, t, stack, lam):
+    """Newton solver of a parent block in coefficient space, by Woodbury.
+
+    The block's pairs have rows ``Z_k = d_k (x) x~_k`` with ``d_k`` the gap
+    ``stack[t] - stack[s]`` of the sample's true child ``t`` against the
+    sibling ``s`` on the block's coordinates, so ``Q_P = Z Z^T / 2 lam`` and
+    ``(Q_P + S)^-1 r = S^-1 (r - Z y)`` with ``(2 lam I + Z^T S^-1 Z) y =
+    Z^T S^-1 r``, ``(f - 1)(p + 1)`` square.  ``Z`` itself is never formed:
+    a sample's pairs share ``x~``, so the matrix is ``sum_i M_i (x) x~_i
+    x~_i^T`` with ``M_i = sum_s d d^T / sig``, built one block row at a
+    time.  With many samples a child, it is cheaper to sum ``x~ x~^T / sig``
+    over the samples of each (true child, sibling) first, in one Gram per
+    true child, and mix the ``f (f - 1)`` Grams by ``d d^T`` in one product.
+    """
+    n, w = X.shape
+    f, d = stack.shape
+    others = np.arange(d) + (np.arange(d) >= np.arange(f)[:, None])  # siblings of each child
+    gaps = stack[:, None, :] - stack[others]  # (true child, sibling, coordinate)
+    D3 = gaps[t]
+    grouped = _grams_by_child(n, f)
+    if grouped:
+        order = np.argsort(t, kind="stable")
+        bounds = np.searchsorted(t[order], np.arange(f + 1)).tolist()
+        Xs, mix = X[order], np.einsum("tsa,tsb->tsab", gaps, gaps).reshape(f * d, d * d)
+
+    def factor(sig):
+        inv = 1.0 / sig.reshape(n, d)
+        H = np.empty((d * w, d * w))
+        if grouped:
+            I, grams = inv[order], np.empty((f, d * w, w))
+            for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                rows = (I[lo:hi, :, None] * Xs[lo:hi, None, :]).reshape(hi - lo, d * w)
+                grams[c] = rows.T @ Xs[lo:hi]
+            H4 = (mix.T @ grams.reshape(f * d, w * w)).reshape(d, d, w, w)
+            H.reshape(d, w, d, w)[...] = H4.transpose(0, 2, 1, 3)
+        else:
+            M, rows = np.einsum("is,isa,isb->iab", inv, D3, D3), np.empty((n, d, w))
+            for a in range(d):
+                np.multiply(M[:, a, :, None], X[:, None, :], out=rows)
+                np.dot(X.T, rows.reshape(n, d * w), out=H[a * w : (a + 1) * w])
+        H.flat[:: d * w + 1] += 2.0 * lam
+
+        def apply(r):
+            v = r.reshape(n, d) * inv
+            y = np.linalg.solve(H, (np.einsum("is,isa->ia", v, D3).T @ X).ravel())
+            zy = np.einsum("isa,ia->is", D3, X @ y.reshape(d, w).T)
+            return (v - zy * inv).ravel()
+
+        return apply
+
+    return factor
+
+
+def ip_newton_blocks(table, Xa, sample, parent, true, sib, lam):
+    """``(slice, factor)`` per parent block of the hinge dual's Newton matrix.
+
+    The pairs are grouped by parent, so a block is a slice of them.
+    ``factor(sig)`` takes the block's barrier diagonal and returns a solve
+    of ``(Q_P + diag(sig)) x = r``, in pair space (:func:`ip_pair_space`) or
+    coefficient space (:func:`ip_coef_space`), whichever is smaller.
+    """
+    tree, kappa = table.tree, _sibling_scale(table)
+    cuts = (np.flatnonzero(np.diff(parent)) + 1).tolist()
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(parent)]):
+        P = int(parent[lo])
+        first, f = int(tree.first_children[P]), int(tree.node_fanouts[P])
+        X, t, s = Xa[sample[lo : hi : f - 1]], true[lo:hi] - first, sib[lo:hi] - first
+        if hi - lo <= (f - 1) * X.shape[1]:
+            factor = ip_pair_space(X, t, s, f, kappa[first] / (2.0 * lam))
+        else:
+            factor = ip_coef_space(X, t[:: f - 1], table.sibling_blocks[P][1], lam)
+        blocks.append((slice(lo, hi), factor))
+    return blocks
+
+
+def ip_boundary_step(alpha, s, z, w, da, dz, dw) -> float:
+    """Largest ``t`` keeping ``alpha``, ``s = u - alpha``, ``z`` and ``w`` nonnegative."""
+    x, dx = np.concatenate([alpha, s, z, w]), np.concatenate([da, -da, dz, dw])
+    neg = dx < 0.0
+    return float(np.min(-x[neg] / dx[neg], initial=np.inf))
+
+
+def ip_mehrotra_direction(blocks, alpha, s, z, w, g, floor):
+    """Predictor-corrector direction ``(d alpha, d z, d w)`` of the box QP.
+
+    ``alpha`` lies strictly inside ``0 < alpha < u`` with slack ``s = u - alpha``;
+    ``z`` and ``w`` are the multipliers of its lower and upper bounds and ``g``
+    is the gradient ``Q alpha - 1``.  The affine predictor aims at ``mu = 0``;
+    the corrector adds its second-order term and a centring target
+    ``sigma mu``, ``sigma = (mu_aff / mu)**3`` (Mehrotra), kept at or above
+    ``floor``.  ``floor=None`` drops the centring target.  Both steps solve
+    the Newton matrix ``Q + diag(z / alpha + w / s)``, set up once per
+    block (:func:`ip_newton_blocks`).
+    """
+    za, ws = z / alpha, w / s
+    solvers = [(sl, factor(za[sl] + ws[sl])) for sl, factor in blocks]
+
+    def newton(r):
+        out = np.empty_like(r)
+        for sl, solve in solvers:
+            out[sl] = solve(r[sl])
+        return out
+
+    da = newton(-g)
+    dz, dw = -z - za * da, -w + ws * da
+    target = 0.0
+    if floor is not None:
+        t = min(1.0, ip_boundary_step(alpha, s, z, w, da, dz, dw))
+        mu = (alpha @ z + s @ w) / (2 * len(alpha))
+        mu_aff = ((alpha + t * da) @ (z + t * dz) + (s - t * da) @ (w + t * dw)) / (2 * len(alpha))
+        target = max((mu_aff / mu) ** 3 * mu, floor)
+    cz, cw = (target - da * dz) / alpha, (target + da * dw) / s
+    dc = newton(cz - cw - g)
+    return dc, cz - z - za * dc, cw - w + ws * dc
+
+
+def train_hinge_ip(
+    dataset, table, lam: float, max_iter: int = 100, fit_intercept: bool = True
+) -> LinearModel:
+    """The hinge dual by the interior-point method, one lambda at a time.
+
+    ``classifier.train_hinge`` as it ran before the lambda grid was fitted in
+    lockstep: the same probe at ``alpha = 1/n``, Mehrotra steps, stopping rule,
+    final clipped step, ``history`` and warning, with every Newton block set
+    up and solved for this lambda alone (:func:`ip_newton_blocks`), and the
+    margins scored from the node-by-sample scatter ``W`` and the full
+    ``(n, q + 1)`` score matrix ``N = X~ C^T``.
+    """
+    _check_positive("lam", lam)
+    _check_iterations(max_iter)
+    _check_dataset(table, dataset)
+    n, nodes = dataset.n, table.tree.q + 1
+    Xa = _augment(dataset.X)
+    if not fit_intercept:
+        Xa[:, 0] = 0.0
+    pairs = _sibling_pairs(table.tree, dataset.codes)
+    order = np.argsort(pairs[1], kind="stable")  # each parent's pairs form a slice
+    sample, parent, true, sib = (a[order] for a in pairs)
+    score_true, score_sib = sample * nodes + true, sample * nodes + sib
+    scatter = np.concatenate([true * n + sample, sib * n + sample])
+    kappa = _sibling_scale(table)[:, None] / (2.0 * lam)
+    best = len(sample) / n  # every slack is 1 at A = 0
+    best_G, best_dual, tol = np.zeros((nodes, Xa.shape[1])), 0.0, HINGE_TOL * best
+    history = [best]
+
+    def score(alpha):
+        """Pair margins at the dual point ``alpha``, scoring its primal and dual values."""
+        nonlocal best, best_G, best_dual
+        W = np.bincount(scatter, np.concatenate([alpha, -alpha]), nodes * n)
+        G = W.reshape(nodes, n) @ Xa
+        C = kappa * G
+        N = Xa @ C.T
+        sq = float(np.vdot(G, C)) / (2.0 * lam)  # |A|**2
+        margins = N.take(score_true) - N.take(score_sib)
+        primal = float(np.maximum(1.0 - margins, 0.0).sum()) / n + lam * sq
+        if primal < best:
+            best, best_G = primal, G
+        best_dual = max(best_dual, float(alpha.sum()) - lam * sq)
+        return margins
+
+    u = 1.0 / n
+    floor = 0.05 * tol / (2 * len(sample))  # a centring target whose gap is well inside tol
+    alpha = np.full(len(sample), u)
+    stop = f"the {max_iter}-iteration budget"
+    for it in range(max_iter):
+        if it == 1:  # margins are linear in alpha, so the box centre's are halved
+            blocks = ip_newton_blocks(table, Xa, sample, parent, true, sib, lam)
+            alpha, m = alpha / 2.0, m / 2.0
+            root = np.sqrt((m - 1.0) ** 2 + 4.0)  # multipliers with z - w = m - 1, z w = 1
+            z, w = (root + m - 1.0) / 2.0, (root - m + 1.0) / 2.0
+        if it:
+            s = u - alpha
+            try:
+                da, dz, dw = ip_mehrotra_direction(blocks, alpha, s, z, w, m - 1.0, floor)
+            except np.linalg.LinAlgError:
+                stop = "a numerically singular Newton matrix"
+                break
+            t = min(1.0, STEP_FRACTION * ip_boundary_step(alpha, s, z, w, da, dz, dw))
+            alpha, z, w = alpha + t * da, z + t * dz, w + t * dw
+        m = score(alpha)
+        history.append(best)
+        if best - best_dual <= tol:
+            stop = None
+            break
+    if stop is None and it:
+        try:
+            da = ip_mehrotra_direction(blocks, alpha, u - alpha, z, w, m - 1.0, None)[0]
+        except np.linalg.LinAlgError:
+            pass  # the certified iterate stands
+        else:
+            score(np.minimum(np.maximum(alpha + da, 0.0), u))
+            history[-1] = best
+    if stop:
+        warnings.warn(
+            f"hinge solver hit {stop}; duality gap "
             f"{best - best_dual:.3g} above tolerance {tol:.3g}, "
             f"objective {best:.8g}",
             ConvergenceWarning,

@@ -15,6 +15,7 @@ from labeltree.classifier import (
     adaptive_weights,
     decision_values,
     hierarchy_margin,
+    hinge_fits,
     hinge_objective,
     load_model,
     per_sample_risk,
@@ -608,6 +609,15 @@ class TestHingeCertificate:
             model = train_hinge(ds, two, lam=0.01, max_iter=3)
         assert len(model.history) == 4
 
+    def test_grid_warnings_name_their_lambda(self, two, two_leaf_tree):
+        ds = separable_two_leaf(two_leaf_tree)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            fits = dict(hinge_fits(ds, two, (0.01, 1e7, 0.001), max_iter=3))
+        named = sorted(str(w.message).split()[3] for w in caught)
+        assert named == ["lambda=0.001", "lambda=0.01"]
+        assert len(fits[1e7].history) == 2  # certified at the probe
+
 
 def random_tree_dataset(seed):
     """A ``conftest.random_tree`` draw, 120 uniform labels and 7 standard-normal features."""
@@ -633,12 +643,12 @@ class TestInteriorPoint:
         # accelerated projected gradient took up to ~1000 at lam = 0.001
         counts = []
 
-        def counting(train, table, lam, **kwargs):
-            model = train_hinge(train, table, lam, **kwargs)
-            counts.append((lam, len(model.history) - 1))
-            return model
+        def counting(train, table, lams, **kwargs):
+            for lam, model in hinge_fits(train, table, lams, **kwargs):
+                counts.append((lam, len(model.history) - 1))
+                yield lam, model
 
-        monkeypatch.setattr(cli, "train_hinge", counting)
+        monkeypatch.setattr(cli, "hinge_fits", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             run_benchmark(example=1, reps=3, seed=3, losses=("hinge",))
@@ -656,7 +666,7 @@ class TestInteriorPoint:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking max_iter")
 
-        monkeypatch.setattr(cli, "train_hinge", no_fit)
+        monkeypatch.setattr(cli, "hinge_fits", no_fit)
         with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
             select_lambda(ds, ds, ref, (1.0, 10.0), max_iter=max_iter)
 
@@ -848,6 +858,24 @@ class TestPersistence:
         peak = traced_peak(fit)
         assert peak < (tree.q + 1) ** 2 * 8, peak
         assert "node_matrix" not in table.__dict__
+
+    def test_hinge_grid_memory_below_one_node_square(self):
+        # the six-lambda grid holds one lambda's large Newton matrices at a time
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        rng = np.random.default_rng(56)
+        n, p = 100, 95
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=n)]
+        ds = LabeledDataset(rng.normal(size=(n, p)), labels, tree)
+
+        def fit():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                list(hinge_fits(ds, table, HINGE_LAMBDA_GRID, max_iter=5))
+
+        fit()  # builds the table's cached runs
+        peak = traced_peak(fit)
+        assert peak < (tree.q + 1) ** 2 * 8, peak
 
     def test_prediction_memory_within_the_array_size_rule(self):
         # the (n, dimension) score matrix would take 3000 x 999 floats

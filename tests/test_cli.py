@@ -552,12 +552,13 @@ class TestTrainPredictEvaluate:
 
         lams = []
 
-        def counting(train, table, lam, **kwargs):
-            lams.append((train.n, lam))
-            return real(train, table, lam, **kwargs)
+        def counting(train, table, grid, **kwargs):
+            for lam, fitted in real(train, table, grid, **kwargs):
+                lams.append((train.n, lam))
+                yield lam, fitted
 
-        real = cli.train_hinge
-        monkeypatch.setattr(cli, "train_hinge", counting)
+        real = cli.hinge_fits
+        monkeypatch.setattr(cli, "hinge_fits", counting)
         val_dir = tmp_path / "val"
         assert run_cli(
             "simulate", "--example", "1", "--n-total", "60", "--seed", "10",
@@ -1060,10 +1061,20 @@ class TestGrids:
         import labeltree.cli as cli
 
         fitted = []
-        monkeypatch.setattr(cli, "train_hinge", lambda *a, **k: fitted.append(k["lam"]))
+        monkeypatch.setattr(cli, "hinge_fits", self.fitting_spy(fitted))
         with pytest.raises(ValueError, match="lam must be positive and finite, got nan"):
             select_lambda(data, data, embed_tree(data.tree), (0.001, np.nan))
         assert fitted == []
+
+    @staticmethod
+    def fitting_spy(fitted):
+        """A stand-in for ``hinge_fits`` that records its grid once fitting starts."""
+
+        def spy(train, table, grid, **kwargs):
+            fitted.append(tuple(grid))
+            yield from ()
+
+        return spy
 
     @staticmethod
     def other_tree_val(data):
@@ -1080,7 +1091,7 @@ class TestGrids:
         import labeltree.cli as cli
 
         fitted = []
-        monkeypatch.setattr(cli, "train_hinge", lambda *a, **k: fitted.append(k["lam"]))
+        monkeypatch.setattr(cli, "hinge_fits", self.fitting_spy(fitted))
         val = self.other_tree_val(data)
         with pytest.raises(ValueError, match="different trees"):
             select_lambda(data, val, embed_tree(data.tree), (0.1, 1.0))

@@ -23,12 +23,11 @@ from labeltree.classifier import (
     _child_coefs,
     _coefs_from_nodes,
     _descend,
-    _grams_by_child,
-    _newton_blocks,
     _sibling_pairs,
     _sibling_scale,
     adaptive_weights,
     hierarchy_margin,
+    hinge_fits,
     hinge_objective,
     per_sample_risk,
     population_direction,
@@ -66,6 +65,7 @@ from labeltree.dissimilarity import (
     consistency_report_from_matrix,
     dissimilarity_matrix,
 )
+from labeltree.dual import _grams_by_child, _hinge_blocks, _hinge_packs
 from labeltree.embedding import (
     embed_tree,
     embedded_consistency_check,
@@ -134,24 +134,38 @@ def test_population_direction_within_1e12_of_oracle(seed):
 
 
 def assert_newton_blocks_solve_dense(tree, ds, lam, rng, fit_intercept=True):
-    """Each block's Newton solve of the dense ``(Q_P + diag(sig)) x = r``."""
+    """Each Newton solver's solves of the dense ``(Q + diag(sig)) x = r`` on its pairs.
+
+    Two lambdas are solved as one stack, then each alone, as a grid's
+    stacked and one-at-a-time solvers are.
+    """
     table = embed_tree(tree, decay=float(rng.uniform(1.3, 2.7)))
     Xa = np.hstack([np.ones((ds.n, 1)), ds.X])
     if not fit_intercept:
         Xa[:, 0] = 0.0
     pairs = _sibling_pairs(tree, ds.codes)
     sample, parent, true, sib = (a[np.argsort(pairs[1], kind="stable")] for a in pairs)
-    sig = 10.0 ** rng.uniform(-4.0, 4.0, size=len(sample))
-    r = rng.normal(size=len(sample))
+    lams = np.array([lam, lam * 10.0 ** rng.uniform(-2.0, 2.0)])
+    sig = 10.0 ** rng.uniform(-4.0, 4.0, size=(2, len(sample)))
+    r = rng.normal(size=(2, len(sample)))
     V = table.node_matrix
-    for sl, factor in _newton_blocks(table, Xa, sample, parent, true, sib, lam):
-        D = V[true[sl]] - V[sib[sl]]  # full-width gaps
-        Z = (D[:, :, None] * Xa[sample[sl]][:, None, :]).reshape(len(D), -1)
-        M = Z @ Z.T / (2.0 * lam) + np.diag(sig[sl])
-        got = factor(sig[sl])(r[sl])
-        # backward error: the residual against the dense matrix, at rounding scale
-        residual = np.abs(M @ got - r[sl]).max()
-        assert residual <= 1e-10 * np.abs(M).sum(axis=1).max() * np.abs(got).max(), residual
+    blocks = _hinge_blocks(table, Xa, sample, parent, true, sib, _sibling_scale(table))
+    packs, order = _hinge_packs(table, Xa, blocks)
+    assert np.array_equal(np.sort(order), np.arange(len(sample)))
+    for pack in packs:
+        at, solver = order[pack.pairs], pack.solver
+        D = V[true[at]] - V[sib[at]]  # full-width gaps: other parents' pairs are orthogonal
+        Z = (D[:, :, None] * Xa[sample[at]][:, None, :]).reshape(len(D), -1)
+        for rows in ([0, 1], [0], [1]):
+            failed = np.zeros(len(rows), dtype=bool)
+            got = solver.factor(lams[rows], sig[rows][:, at])(r[rows][:, at], failed)
+            assert not failed.any()
+            for x, row in zip(got, rows):
+                M = Z @ Z.T / (2.0 * lams[row]) + np.diag(sig[row, at])
+                # backward error: the residual against the dense matrix, at rounding scale
+                residual = np.abs(M @ x - r[row, at]).max()
+                bound = 1e-10 * np.abs(M).sum(axis=1).max() * np.abs(x).max()
+                assert residual <= bound, residual
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,6 +186,24 @@ def test_newton_block_from_per_child_grams_solves_the_dense_newton_matrix():
     for n in (200, 600):  # the root block's matrix built per sample, then per child
         ds = random_dataset(tree, rng, n, p=2)
         assert_newton_blocks_solve_dense(tree, ds, 0.01, rng, n == 600)
+
+
+def test_large_blocks_get_solvers_of_their_own():
+    # 15 features: with 12 samples the root's 72 pairs solve in pair space,
+    # with 40 samples its 240 pairs in coefficient space, of order 96;
+    # either is too large to stack
+    tree = Tree("r", {"r": list("abcdefg"), "a": ["a1", "a2"], "b": ["b1", "b2", "b3"]})
+    rng = np.random.default_rng(6)
+    for n, kind in ((12, "_PairSpace"), (40, "_CoefSpace")):
+        ds = random_dataset(tree, rng, n, p=15)
+        Xa = np.hstack([np.ones((ds.n, 1)), ds.X])
+        pairs = _sibling_pairs(tree, ds.codes)
+        sample, parent, true, sib = (a[np.argsort(pairs[1], kind="stable")] for a in pairs)
+        table = embed_tree(tree)
+        blocks = _hinge_blocks(table, Xa, sample, parent, true, sib, _sibling_scale(table))
+        packs = _hinge_packs(table, Xa, blocks)[0]
+        assert [type(p.solver).__name__ for p in packs if not p.stacked] == [kind]
+        assert_newton_blocks_solve_dense(tree, ds, 0.1, rng)
 
 
 @pytest.mark.parametrize("decay", [1.3, 2.0, 2.7])
@@ -524,6 +556,64 @@ def test_train_hinge_no_worse_than_fista_oracle(seed, lam, fit_intercept):
     achieved = hinge_objective(model.coef, ds, table, lam)
     assert achieved == pytest.approx(model.history[-1], rel=1e-12)
     assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * pairs / ds.n
+
+
+# Largest coefficient difference between a lockstep grid fit and the
+# one-lambda-at-a-time oracle, relative to the oracle's largest
+# coefficient; 3.0e-10 was the worst of 900 fits (150 draws of these
+# tests' kind, six lambdas each).
+GRID_COEF_RTOL = 1e-8
+GRID_LAMS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("max_iter", [3, 6, 100])
+@pytest.mark.parametrize(
+    "seed, n, p", [(41, 60, 3), (42, 90, 7), (43, 30, 0), (44, 80, 24), (46, 24, 24)]
+)
+def test_hinge_grid_matches_the_per_lambda_oracle(seed, n, p, max_iter, fit_intercept):
+    """Each lambda of a lockstep grid fit takes the oracle's path.
+
+    Fan-outs are mixed; lambda = 10 and 100 mostly certify at the probe,
+    and a small ``max_iter`` leaves the small lambdas uncertified.  With
+    24 features, large blocks are solved one lambda at a time: in
+    coefficient space at 80 samples, in pair space at 24.
+    """
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=4)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, n, p=p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        fits = list(hinge_fits(ds, table, GRID_LAMS[::-1], max_iter, fit_intercept))
+    assert [lam for lam, _ in fits] == list(GRID_LAMS)
+    warned = {float(str(w.message).split("lambda=")[1].split(" ")[0]) for w in caught}
+    for lam, model in fits:
+        with warnings.catch_warnings(record=True) as oracle_warned:
+            warnings.simplefilter("always", ConvergenceWarning)
+            oracle = oracles.train_hinge_ip(ds, table, lam, max_iter, fit_intercept)
+        assert len(model.history) == len(oracle.history), lam
+        assert (lam in warned) == bool(oracle_warned), lam
+        tol = HINGE_TOL * oracle.history[0]
+        assert abs(model.history[-1] - oracle.history[-1]) <= tol
+        assert hinge_objective(model.coef, ds, table, lam) == pytest.approx(
+            model.history[-1], rel=1e-12
+        )
+        scale = np.abs(oracle.coef).max()
+        assert np.abs(model.coef - oracle.coef).max() <= GRID_COEF_RTOL * scale, lam
+
+
+@pytest.mark.parametrize("lam", [0.001, 1.0, 100.0])
+def test_train_hinge_is_the_one_point_grid(lam):
+    rng = np.random.default_rng(45)
+    tree = random_tree(rng, max_depth=4)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, 50, p=4)
+    model = train_hinge(ds, table, lam)
+    ((got_lam, fitted),) = hinge_fits(ds, table, (lam,))
+    assert got_lam == lam
+    assert np.array_equal(model.coef, fitted.coef)
+    assert np.array_equal(model.history, fitted.history)
 
 
 @settings(max_examples=30, deadline=None)
