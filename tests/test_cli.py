@@ -1170,3 +1170,38 @@ DESIGN1_HINGE_L01_SEED1 = (
 def test_design1_hinge_l01_regression(block):
     result = run_benchmark(example=1, reps=3, seed=1000 + block, losses=("hinge",))
     assert result.metrics["hinge"]["l01"].tolist() == list(DESIGN1_HINGE_L01_SEED1[block])
+
+
+# Weighted-linear test zero-one losses and selected gammas (as indices into
+# TUNING_GRID) of both protocols in the benchmark's blocks for seed 1
+# (block b runs seed 1000 + b), as the one-gamma-at-a-time closed forms,
+# scored in passes of n_val // (q + 1) models, left them.
+WLINEAR_SEED1 = {
+    1: (
+        ((0.5, 0.5, 0.55), (22, 32, 16)), ((0.52, 0.45, 0.37), (6, 0, 0)),
+        ((0.52, 0.54, 0.51), (33, 34, 0)), ((0.51, 0.44, 0.56), (33, 10, 18)),
+        ((0.62, 0.62, 0.61), (17, 0, 29)), ((0.54, 0.5, 0.44), (12, 0, 22)),
+        ((0.39, 0.42, 0.47), (21, 20, 19)), ((0.56, 0.49, 0.54), (19, 36, 29)),
+    ),
+    2: (((0.7595,), (31,)), ((0.757,), (15,))),
+}
+
+
+@pytest.mark.parametrize(
+    "example, block", [(e, b) for e, blocks in WLINEAR_SEED1.items() for b in range(len(blocks))]
+)
+def test_wlinear_l01_and_gamma_regression(example, block, monkeypatch):
+    import labeltree.cli as cli
+
+    chosen, select = [], cli.select_gamma
+
+    def recording(*args, **kwargs):
+        gamma, model = select(*args, **kwargs)
+        chosen.append(gamma)
+        return gamma, model
+
+    monkeypatch.setattr(cli, "select_gamma", recording)
+    l01, gammas = WLINEAR_SEED1[example][block]
+    result = run_benchmark(example=example, reps=len(l01), seed=1000 + block, losses=("wlinear",))
+    assert result.metrics["wlinear"]["l01"].tolist() == list(l01)
+    assert chosen == [TUNING_GRID[i] for i in gammas]
