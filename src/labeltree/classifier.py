@@ -141,10 +141,7 @@ class LinearModel:
         if not isinstance(other, LinearModel):
             return NotImplemented
         return (self.table, self.loss, self.gamma, self.lam) == (
-            other.table,
-            other.loss,
-            other.gamma,
-            other.lam,
+            other.table, other.loss, other.gamma, other.lam
         ) and np.array_equal(self.coef, other.coef)
 
     def __post_init__(self):
@@ -255,9 +252,8 @@ def _choices(
     distinct rows with the child coefficients of the models present serves
     every pair.  At the root every row meets every model, so nothing is
     shared or gathered, and each model's product is ``(n, fanout)``, as
-    small as a single model's.  One model's pairs are its distinct rows
-    already, so prediction skips the bookkeeping and its ``O(n)`` marks
-    per node.
+    small as a single model's.  One model skips the bookkeeping, and its
+    ``O(n)`` marks per node.
     """
     n, f = len(Xa), len(stack)
     if root:
@@ -377,15 +373,25 @@ def _check_positive(name: str, *values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+_GRID_FLOATS = 2**16  # floats of a chunk's weighted features, or of a pass's coefs
+
+
+def _grid_batch(floats: int) -> int:
+    """Tuning-grid models a batch takes at ``floats`` floats each (at least 1)."""
+    return max(1, _GRID_FLOATS // floats)
+
+
 def _linear_fitter(dataset: LabeledDataset, table: EmbeddingTable, fit_intercept: bool):
-    """Closed-form fitter ``(w, lam, **meta) -> LinearModel`` for sample weights ``w``.
+    """Closed-form fitter ``(W, lam) -> (G, dimension, p + 1)``, one model a row of ``W``.
 
     The weighted linear objective's minimizer is ``A = O^T B / 2 lam``
     with ``B[v] = f_P T[v]`` (:func:`_closed_form`): ``T[v]`` sums ``w x~ / n``
     over the samples under ``v`` and ``f_P`` is the fan-out of its parent.
     A sample's gaps at ``P`` put ``(f_P - 1) x~`` at its node and ``-x~`` at
     each sibling, which adds ``-T[P]`` to every child's row; stacks are
-    centred, so that share maps to zero and no pair list is needed.
+    centred, so that share maps to zero and no pair list is needed.  Every
+    row's per-leaf sums take one ``reduceat``, all ``G (p + 1)`` columns
+    one :func:`_closed_form`.
     """
     _check_dataset(table, dataset)
     order = np.argsort(dataset.codes, kind="stable")
@@ -394,10 +400,10 @@ def _linear_fitter(dataset: LabeledDataset, table: EmbeddingTable, fit_intercept
     if not fit_intercept:
         Xa[:, 0] = 0.0
 
-    def fit(w, lam, **meta):
-        sums = np.add.reduceat((w[order] / dataset.n)[:, None] * Xa, starts)
-        coef = _closed_form(table, leaves, sums) / (2.0 * lam)
-        return LinearModel(coef=coef, table=table, **meta)
+    def fit(W, lam):
+        sums = np.add.reduceat((W[:, order] / dataset.n)[..., None] * Xa, starts, axis=1)
+        A = _closed_form(table, leaves, sums.swapaxes(0, 1).reshape(len(starts), -1))
+        return np.ascontiguousarray(A.reshape(len(A), len(W), -1).swapaxes(0, 1)) / (2.0 * lam)
 
     return fit
 
@@ -413,10 +419,8 @@ def train_linear(
     The ridge-penalized objective is linear in ``A`` plus ``lam * |A|_F**2``,
     so the minimizer is ``A = B / (2 * lam)`` with ``B`` the mean of
     ``(xi_true - xi_sibling) x~^T`` over samples, layers, and siblings.
-    ``B`` comes from subtree sums of the per-leaf feature sums, mapped
-    through the offset stacks (:func:`_linear_fitter`); no sibling pair
-    list is formed.  ``lam`` rescales ``A`` without changing any predicted
-    path.
+    ``B`` comes from per-leaf feature sums (:func:`_linear_fitter`).
+    ``lam`` rescales ``A`` without changing any predicted path.
 
     With ``fit_intercept=False`` the intercept column of ``X~`` is zeroed,
     which pins the intercept column of ``A`` to zero; because the objective
@@ -425,8 +429,8 @@ def train_linear(
     under label-balanced designs, so the synthetic benchmarks disable it.
     """
     _check_positive("lam", lam)
-    fit = _linear_fitter(dataset, table, fit_intercept)
-    return fit(np.ones(dataset.n), lam, loss="linear")
+    coef = _linear_fitter(dataset, table, fit_intercept)(np.ones((1, dataset.n)), lam)[0]
+    return LinearModel(coef, table, "linear")
 
 
 def adaptive_weights(
@@ -476,20 +480,23 @@ def weighted_linear_fits(
     """Yield ``(gamma, weighted-linear model)`` for each of ``gammas``.
 
     ``lam`` and every gamma are checked before the first fit.  All models
-    share one base fit, the :func:`train_linear` model, one scoring pass
-    of it on the training features (:func:`adaptive_weights` of the whole
-    grid), and one sort of the samples by leaf, so each gamma costs its
-    per-leaf sums of ``w x~ / n``, their subtree sums and one map through
-    the offset stacks (:func:`_linear_fitter`).
+    share the base fit, the :func:`train_linear` model, one scoring pass of
+    it (:func:`adaptive_weights` of the whole grid) and one sort of the
+    samples by leaf.  A chunk of ``_grid_batch(n (p + 1))`` gammas, its
+    weighted features, costs one ``reduceat`` and one :func:`_closed_form`
+    (:func:`_linear_fitter`); every model equals its one-gamma fit bit for
+    bit.
     """
     gammas = tuple(gammas)
     _check_positive("lam", lam)
     _check_positive("gamma", *gammas)
     fit = _linear_fitter(dataset, table, fit_intercept)
-    base = fit(np.ones(dataset.n), 1.0, loss="linear")
+    base = LinearModel(fit(np.ones((1, dataset.n)), 1.0)[0], table, "linear")
     weights = np.atleast_2d(adaptive_weights(base, dataset.X, gammas))
-    for gamma, w in zip(gammas, weights):
-        yield gamma, fit(w, lam, loss="weighted-linear", gamma=gamma)
+    size = _grid_batch(dataset.n * (dataset.p + 1))
+    for i in range(0, len(gammas), size):
+        for gamma, coef in zip(gammas[i : i + size], fit(weights[i : i + size], lam)):
+            yield gamma, LinearModel(coef, table, "weighted-linear", gamma=gamma)
 
 
 def _sibling_pairs(
@@ -563,26 +570,22 @@ def hinge_fits(
 ):
     """Yield ``(lam, hinge model)`` for each of ``lams``, in ascending order.
 
-    The grid counterpart of :func:`train_hinge`, which is its one-point
-    call, as :func:`weighted_linear_fits` is of the weighted fits; each
+    The grid counterpart of :func:`train_hinge`, its one-point call; each
     model is the fit :func:`train_hinge` describes.  Every lambda,
     ``max_iter`` and the dataset are checked before the first fit.
 
     The grid is fitted in lockstep (:func:`labeltree.dual.lockstep`).
     The sibling pairs, ``X~`` and each parent block's Newton structure
-    (its pair-space pattern or its gap rows) are built once for every
-    lambda.  Each round takes one interior-point step of every lambda
-    still running: small parent blocks are packed, and a pack's Newton
-    systems for all those lambdas are one stacked ``np.linalg.solve`` per
-    step.  Blocks too large to stack are solved one lambda at a time, so
+    (pair-space pattern or gap rows) are built once.  Each round takes one
+    interior-point step of every lambda still running: small parent blocks
+    are packed, a pack's Newton systems for all those lambdas one stacked
+    ``np.linalg.solve``; larger blocks are solved one lambda at a time, so
     the grid holds one lambda's large matrices at a time.  A lambda that
-    certifies takes its own final clipped step in the next round and
-    leaves the batch; ``history``, the ``max_iter`` budget, the
-    singular-matrix exit and the :class:`ConvergenceWarning`, which names
-    the lambda, are all per lambda.  Margins are formed parent by parent:
-    ``Q alpha`` from a stacked pack's pattern or gap rows, and ``X~_P
-    C_P^T`` for the samples under a large parent ``P``, so no
-    node-by-sample scatter and no ``(n, q + 1)`` score matrix are formed.
+    certifies takes its final clipped step in the next round and leaves;
+    ``history``, the ``max_iter`` budget, the singular-matrix exit and the
+    :class:`ConvergenceWarning`, naming the lambda, are per lambda.
+    Margins are formed parent by parent (``Q alpha`` of a pack, ``X~_P
+    C_P^T`` of a large parent ``P``), never as an ``(n, q + 1)`` matrix.
     A zero intercept column (``fit_intercept=False``) is left out of
     every product.
     """
@@ -624,13 +627,10 @@ def train_hinge(
 ) -> LinearModel:
     """Hinge-surrogate trainer, certified to a relative duality gap.
 
-    The one-point :func:`hinge_fits`, which fits a grid of lambdas in
-    lockstep: a lambda that certifies leaves the batch, and parent blocks
-    too large to stack are solved one lambda at a time.  Solves the
-    box-constrained dual: one variable ``0 <= alpha <= u = 1/n`` per
-    (sample, sibling) pair, and ``A = O^T G / 2 lam`` with ``G`` the node
-    rows of ``alpha``: a pair
-    puts ``+-alpha x~`` on two siblings, so ``G`` sums to zero over every
+    The one-point :func:`hinge_fits`.  Solves the box-constrained dual:
+    one variable ``0 <= alpha <= u = 1/n`` per (sample, sibling) pair, and
+    ``A = O^T G / 2 lam`` with ``G`` the node rows of ``alpha``: a pair puts
+    ``+-alpha x~`` on two siblings, so ``G`` sums to zero over every
     sibling block and ``C = O A`` is ``kappa * G / 2 lam``
     (:func:`_sibling_scale`).  The dual is the QP ``min alpha^T Q alpha /
     2 - sum(alpha)``, whose gradient is the margins of the pairs of
@@ -775,10 +775,4 @@ def load_model(path, tree: Tree) -> LinearModel:
     coef = coef.reshape(table.dimension, width)
     if not np.all(np.isfinite(coef)):
         raise ValueError(f"{path}: model coefficients contain NaN or infinity")
-    return LinearModel(
-        coef=coef,
-        table=table,
-        loss=doc["loss"],
-        gamma=doc["gamma"],
-        lam=doc["lambda"],
-    )
+    return LinearModel(coef, table, doc["loss"], doc["gamma"], doc["lambda"])

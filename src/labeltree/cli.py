@@ -28,6 +28,7 @@ from .classifier import (
     _check_iterations,
     _check_positive,
     _descend,
+    _grid_batch,
     hinge_fits,
     load_model,
     predict_paths,
@@ -182,11 +183,12 @@ def _select(
     validation features are checked and augmented once, for the first
     model; every model of the grid shares their width and ``table``.
 
-    Fits are drawn in passes of ``max(1, n_val // (q + 1))`` models, so a
-    pass's stack of coefficient matrices, ``(dimension, p + 1)`` each with
-    ``dimension <= q``, is never larger than the validation features.  Each
-    pass costs one :func:`_descend` of all its models; only the incumbent
-    outlives its pass.
+    Fits are drawn in passes of ``max(n_val // (q + 1), _grid_batch(dim
+    (p + 1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
+    matrices, ``dim <= q``, is no larger than the validation features or
+    than ``classifier._GRID_FLOATS`` floats.  Each pass costs one
+    :func:`_descend` of all its models; only the incumbent outlives its
+    pass.
     """
     if not len(grid):
         raise ValueError(f"{name} grid is empty")
@@ -195,7 +197,8 @@ def _select(
     if val is None:
         raise ValueError(f"{name} selection needs a validation set")
     _check_dataset(table, val)
-    fits, size = iter(fits), max(1, val.n // (table.tree.q + 1))
+    size = max(val.n // (table.tree.q + 1), _grid_batch(table.dimension * (val.p + 1)))
+    fits = iter(fits)
     best = Xa = None
     while batch := list(islice(fits, size)):
         if Xa is None:
@@ -215,9 +218,10 @@ def select_gamma(
     """Pick the weighted-linear gamma minimizing validation zero-one loss.
 
     All grid points share one base linear fit; ties resolve to the
-    smaller gamma.  The fits are scored in passes of
-    ``max(1, n_val // (q + 1))`` gammas, one descent per pass
-    (:func:`_select`).
+    smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
+    and are scored in passes, one descent each (:func:`_select`): all 41
+    gammas in one chunk and one pass on design 1, one gamma a chunk in
+    passes of 11 on design 2.
     """
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import labeltree.classifier as clf
 import oracles
 from conftest import random_tree, traced_peak
 from labeltree.classifier import (
@@ -455,6 +456,99 @@ def test_selection_ties_resolve_to_the_smallest_value_across_passes(reference_tr
     assert value == 0.1 and model is models[0]
     want_value, want = oracles.select("gamma", zip(grid, models), val, grid)
     assert (want_value, want) == (value, model)
+
+
+def test_selection_ties_resolve_to_the_smallest_value_across_small_floor_passes(
+    reference_tree, monkeypatch
+):
+    """With the size floor patched down, the ties of the test above span passes."""
+    import labeltree.cli as cli
+
+    monkeypatch.setattr(clf, "_GRID_FLOATS", 1)
+    passes, descend = [], cli._descend
+
+    def spy(table, Xa, A):
+        passes.append(len(A))
+        return descend(table, Xa, A)
+
+    monkeypatch.setattr(cli, "_descend", spy)
+    table = embed_tree(reference_tree)
+    rng = np.random.default_rng(8)
+    val = random_dataset(reference_tree, rng, 25)  # passes of 25 // 10 = 2 models
+    base = rng.normal(size=(table.dimension, 4))
+    grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+    models = [LinearModel(base * 2.0**k, table, "linear") for k in range(len(grid))]
+    value, model = cli_select("gamma", table, zip(grid, models), val, grid)
+    assert passes == [2, 2, 2, 1]
+    assert value == 0.1 and model is models[0]
+
+
+def closed_form_widths(monkeypatch):
+    """Column counts of every ``_closed_form`` call from now on."""
+    widths, closed_form = [], clf._closed_form
+
+    def spy(table, leaves, sums):
+        widths.append(sums.shape[1])
+        return closed_form(table, leaves, sums)
+
+    monkeypatch.setattr(clf, "_closed_form", spy)
+    return widths
+
+
+@pytest.mark.parametrize("chunk, seed", [(1, 0), (2, 1), (3, 2), (3, 3)])
+def test_grid_chunks_equal_one_gamma_fits_bitwise(chunk, seed, monkeypatch):
+    """Chunks of 1, 2 and 3 gammas (7 = 3 + 3 + 1) fit each gamma as it fits alone."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, 30)
+    grid = (0.1, 0.5, 1.0, 2.0, 3.3, 10.0, 40.0)
+    fit_intercept = bool(seed % 2)
+    monkeypatch.setattr(clf, "_GRID_FLOATS", chunk * ds.n * (ds.p + 1))
+    widths = closed_form_widths(monkeypatch)
+    fits = list(weighted_linear_fits(ds, table, grid, 0.3, fit_intercept))
+    sizes = [chunk] * (len(grid) // chunk) + [len(grid) % chunk] * (len(grid) % chunk > 0)
+    assert widths == [ds.p + 1] + [size * (ds.p + 1) for size in sizes]
+    for gamma, (g, fitted) in zip(grid, fits, strict=True):
+        single = train_weighted_linear(ds, table, gamma, 0.3, fit_intercept)
+        assert g == gamma == fitted.gamma
+        assert fitted.coef.flags.c_contiguous
+        assert np.array_equal(fitted.coef, single.coef)
+
+
+@pytest.mark.parametrize("example, passes, chunk", [(1, [41], 41), (2, [11, 11, 11, 8], 1)])
+def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
+    example, passes, chunk, monkeypatch
+):
+    """Design 1 selects gamma in one chunk and one descent; design 2 as without a floor."""
+    import labeltree.cli as cli
+
+    train, val, table = protocol_split(example, 1000)
+    assert val.n == {1: 50, 2: 2000}[example]
+    descents, descend = [], cli._descend
+
+    def spy(table, Xa, A):
+        descents.append(len(A))
+        return descend(table, Xa, A)
+
+    monkeypatch.setattr(cli, "_descend", spy)
+    widths = closed_form_widths(monkeypatch)
+    select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
+    assert descents == passes
+    # the base fit, then 41 chunks of 1 gamma or 1 chunk of 41
+    assert widths == [train.p + 1] + [chunk * (train.p + 1)] * (41 // chunk)
+
+
+def test_select_gamma_memory_on_design_1_within_one_grid_batch_of_oracle():
+    train, val, table = protocol_split(1, 1000)
+    select_gamma(train, val, table, TUNING_GRID[:2], fit_intercept=False)  # warm caches
+    peak = traced_peak(
+        lambda: select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
+    )
+    fits = lambda: weighted_linear_fits(train, table, TUNING_GRID, fit_intercept=False)
+    want = traced_peak(lambda: oracles.select("gamma", fits(), val, TUNING_GRID))
+    bound = want + clf._GRID_FLOATS * 8 + 2 * val.n * (val.p + 1) * 8
+    assert peak <= bound, (peak, want)
 
 
 # The default grid plus the exponents NumPy raises by a fast path.
