@@ -252,8 +252,8 @@ def _choices(
     distinct rows with the child coefficients of the models present serves
     every pair.  At the root every row meets every model, so nothing is
     shared or gathered, and each model's product is ``(n, fanout)``, as
-    small as a single model's.  One model skips the bookkeeping, and its
-    ``O(n)`` marks per node.
+    small as a single model's.  A single model skips that bookkeeping and
+    its ``O(n)`` marks per node.
     """
     n, f = len(Xa), len(stack)
     if root:
