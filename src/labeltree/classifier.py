@@ -233,38 +233,31 @@ def _closed_form(table: EmbeddingTable, leaves, sums: np.ndarray) -> np.ndarray:
     return _coefs_from_nodes(table, B)
 
 
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``values`` from ``range(size)``, ascending, and each value's rank."""
-    seen = np.zeros(size, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
-
-
 def _choices(
     Xa: np.ndarray, stack: np.ndarray, blocks: np.ndarray, pairs: np.ndarray, root: bool
 ) -> np.ndarray:
     """Child each (model, row) pair takes at a node with offsets ``stack``.
 
-    ``blocks`` is ``(G, fanout - 1, p + 1)``, the models' blocks of ``A`` on
-    the node's coordinates, so model ``g``'s child coefficients are
-    ``stack @ blocks[g]`` (:func:`_child_coefs`); pair ``g * n + i`` scores
-    row ``i`` of ``Xa`` against them.  Below the root, one product of the
-    distinct rows with the child coefficients of the models present serves
-    every pair.  At the root every row meets every model, so nothing is
-    shared or gathered, and each model's product is ``(n, fanout)``, as
-    small as a single model's.  A single model skips that bookkeeping and
-    its ``O(n)`` marks per node.
+    ``blocks`` is ``(G, fanout - 1, p + 1)``, the models' blocks of ``A``
+    on the node, so model ``g``'s child coefficients are ``stack @
+    blocks[g]`` (:func:`_child_coefs`); pair ``g * n + i`` scores row ``i``
+    of ``Xa`` against them.  Below the root, one product of the distinct
+    rows with the child coefficients of all ``G`` models serves every
+    pair.  The root takes each model's ``(n, fanout)`` product alone, and
+    a single model needs no ``O(n)`` marks.  Two children compare their
+    two scores, ties going to the first.
     """
-    n, f = len(Xa), len(stack)
+    n, f, G = len(Xa), len(stack), len(blocks)
     if root:
         return np.concatenate([np.argmax(Xa @ (stack @ b).T, axis=1) for b in blocks])
-    if len(blocks) == 1:
+    if G == 1:
         return np.argmax(Xa[pairs] @ (stack @ blocks[0]).T, axis=1)
-    rows, row_at = _distinct(pairs % n, n)
-    models, model_at = _distinct(pairs // n, len(blocks))
-    kids = stack @ blocks[models]
-    S = Xa[rows] @ kids.reshape(len(models) * f, kids.shape[2]).T
-    return S.reshape(-1, f)[row_at * len(models) + model_at].argmax(axis=1)
+    model, row = np.divmod(pairs, n)
+    seen = np.zeros(n, dtype=bool)
+    seen[row] = True  # the distinct rows, ascending
+    S = (Xa[seen] @ (stack @ blocks).reshape(G * f, -1).T).reshape(-1, f)
+    S = S[:, 1] > S[:, 0] if f == 2 else S.argmax(axis=1)
+    return S[(np.cumsum(seen) - 1)[row] * G + model]
 
 
 def _descend(table: EmbeddingTable, Xa: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -274,11 +267,10 @@ def _descend(table: EmbeddingTable, Xa: np.ndarray, A: np.ndarray) -> np.ndarray
     Row ``i`` under model ``g`` moves from a node to its child ``j``
     maximizing ``Xa[i] . C_j``, where ``C = O A[g]`` are the child
     coefficients (:func:`_child_coefs`), formed node by node from the
-    node's block of ``A`` for the models that reach it.  Every (model, row)
-    pair walks at once, grouped by node; a node costs one product
-    (:func:`_choices`).  Exact ties pick the first child in document order,
-    whatever the rest of the batch.  A leaf's code is its rank among the
-    leaves in node order.
+    node's block of ``A``.  Every (model, row) pair walks at once, grouped
+    by node; a node costs one product (:func:`_choices`).  Exact ties
+    pick the first child, whatever the rest of the batch.  A leaf's code
+    is its rank among the leaves in node order.
     """
     tree = table.tree
     first, fanout = tree.first_children.tolist(), tree.node_fanouts.tolist()

@@ -122,10 +122,10 @@ def read_predictions(path, tree: Tree) -> list[tuple[str, ...]]:
 def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
     """Read true paths from a predictions-format or labeled-dataset CSV.
 
-    Of a labeled dataset only the trailing ``label`` column is read; the
-    feature cells are not parsed, since they are no part of the truth.
-    The first label that is not a leaf of ``tree`` raises a
-    ``ValueError`` naming the file, the row and its line.
+    Of a labeled dataset only the ``label`` column is read, as each row's
+    text after its last comma.  A quote, a wrong comma count or an
+    unknown label in a row sends the file through ``csv``; the first bad
+    row raises a ``ValueError`` naming the file, the row and its line.
     """
     leaf_codes = tree.leaf_codes
     with open(path, encoding="utf-8", newline="") as fh:
@@ -137,22 +137,31 @@ def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
             return read_predictions(path, tree)
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
-        codes = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ValueError(
-                    f"{path}: row with {len(record)} fields, expected "
-                    f"{len(header)}, on line {reader.line_num}"
-                )
-            code = leaf_codes.get(record[-1])
-            if code is None:
-                raise ValueError(
-                    f"{path}: row {len(codes)} on line {reader.line_num}: label "
-                    f"{record[-1]!r} is not a leaf of the tree"
-                )
-            codes.append(code)
+        codes = [
+            leaf_codes.get(s.rpartition(",")[2])
+            if s.count(",") == len(header) - 1 and '"' not in s else None
+            for s in (line.rstrip("\r\n") for line in fh) if s
+        ]
+    if None in codes:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            codes = []
+            for record in reader:
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise ValueError(
+                        f"{path}: row with {len(record)} fields, expected "
+                        f"{len(header)}, on line {reader.line_num}"
+                    )
+                code = leaf_codes.get(record[-1])
+                if code is None:
+                    raise ValueError(
+                        f"{path}: row {len(codes)} on line {reader.line_num}: label "
+                        f"{record[-1]!r} is not a leaf of the tree"
+                    )
+                codes.append(code)
     if not codes:
         raise ValueError(f"{path}: no data rows")
     leaf_paths = tree.leaf_paths
@@ -183,12 +192,11 @@ def _select(
     validation features are checked and augmented once, for the first
     model; every model of the grid shares their width and ``table``.
 
-    Fits are drawn in passes of ``max(n_val // (q + 1), _grid_batch(dim
-    (p + 1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
-    matrices, ``dim <= q``, is no larger than the validation features or
-    than ``classifier._GRID_FLOATS`` floats.  Each pass costs one
-    :func:`_descend` of all its models; only the incumbent outlives its
-    pass.
+    Fits are drawn in passes of ``max(n_val // dim, _grid_batch(dim (p +
+    1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
+    matrices is no larger than the validation features or than
+    ``classifier._GRID_FLOATS`` floats.  Each pass costs one
+    :func:`_descend`; only the incumbent outlives its pass.
     """
     if not len(grid):
         raise ValueError(f"{name} grid is empty")
@@ -197,7 +205,7 @@ def _select(
     if val is None:
         raise ValueError(f"{name} selection needs a validation set")
     _check_dataset(table, val)
-    size = max(val.n // (table.tree.q + 1), _grid_batch(table.dimension * (val.p + 1)))
+    size = max(val.n // table.dimension, _grid_batch(table.dimension * (val.p + 1)))
     fits = iter(fits)
     best = Xa = None
     while batch := list(islice(fits, size)):
@@ -219,9 +227,9 @@ def select_gamma(
 
     All grid points share one base linear fit; ties resolve to the
     smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
-    and are scored in passes, one descent each (:func:`_select`): all 41
-    gammas in one chunk and one pass on design 1, one gamma a chunk in
-    passes of 11 on design 2.
+    and are scored in passes (:func:`_select`): all 41 gammas in one
+    chunk and one pass on design 1, one gamma a chunk in passes of 21 and
+    20 on design 2.
     """
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept
@@ -236,9 +244,7 @@ def select_lambda(
 
     Every lambda, and ``max_iter`` (an integer of at least 1), is checked
     before the first fit.  The grid is fitted in lockstep by
-    :func:`hinge_fits`: one interior-point step of every lambda still
-    running per round, a lambda leaving the batch once it certifies, and
-    parent blocks too large to stack solved one lambda at a time.
+    :func:`hinge_fits`.
     """
     _check_iterations(max_iter)
     _check_positive("lam", *grid)
@@ -386,10 +392,10 @@ def run_benchmark(
         tree, data = generate(spec)
         if table is None:
             table = embed_tree(tree)
-        tr, va, te = split_indices(data.n)
-        train = LabeledDataset(data.X[tr], [data.labels[i] for i in tr], tree)
-        val = LabeledDataset(data.X[va], [data.labels[i] for i in va], tree)
-        test = LabeledDataset(data.X[te], [data.labels[i] for i in te], tree)
+        train, val, test = (  # views: the blocks are contiguous
+            LabeledDataset(data.X[b], data.labels[b], tree)
+            for b in (slice(i[0], i[-1] + 1) for i in split_indices(data.n))
+        )
         true_paths = test.paths()
         for loss in losses:
             t0 = time.perf_counter()

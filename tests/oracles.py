@@ -23,7 +23,8 @@ matrix as one expression, the weight schedule's sibling weights as a
 per-parent formula keyed by node id, the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming, and the
 dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
-through ``np.loadtxt``.  The property
+through ``np.loadtxt``, and the truth labels as ``csv`` read them, before
+the label-only read.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -940,6 +941,39 @@ def read_feature_csv(path):
         raise ValueError(f"{path}: no data rows")
     X = np.array(rows, dtype=float).reshape(len(rows), n_feat)
     return X, tuple(labels) if has_label else None
+
+
+def read_truth(path, tree):
+    """``csv`` records, before a label became a row's text after its last comma."""
+    leaf_codes = tree.leaf_codes
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if header[:2] == ["index", "path"]:
+            raise AssertionError("the oracle reads labeled datasets only")
+        if not header or header[-1] != "label":
+            raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
+        codes = []
+        for record in reader:
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: row with {len(record)} fields, expected "
+                    f"{len(header)}, on line {reader.line_num}"
+                )
+            code = leaf_codes.get(record[-1])
+            if code is None:
+                raise ValueError(
+                    f"{path}: row {len(codes)} on line {reader.line_num}: label "
+                    f"{record[-1]!r} is not a leaf of the tree"
+                )
+            codes.append(code)
+    if not codes:
+        raise ValueError(f"{path}: no data rows")
+    return [tree.leaf_paths[c] for c in codes]
 
 
 def save_model(model, path) -> None:

@@ -29,7 +29,12 @@ from labeltree.cli import (
     select_lambda,
     write_predictions,
 )
-from labeltree.datagen import read_dataset_csv, write_dataset_csv, write_tree
+from labeltree.datagen import (
+    read_dataset_csv,
+    split_indices,
+    write_dataset_csv,
+    write_tree,
+)
 from labeltree.dissimilarity import (
     build_schedule,
     consistency_check,
@@ -43,7 +48,7 @@ from labeltree.embedding import (
 )
 from labeltree.hierarchy import Tree, load_tree, parse_tree
 
-from conftest import REFERENCE_DOC, fanout10_tree, random_tree
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
 
 # Thread-count settings of the BLAS builds NumPy ships with or links to.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1150,6 +1155,49 @@ def test_run_benchmark_structure():
     assert "linear" in result.to_table_text()
 
 
+def recorded_draws(monkeypatch):
+    """The datasets ``cli.generate`` draws from now on."""
+    import labeltree.cli as cli
+
+    draws, generate = [], cli.generate
+
+    def drawing(spec):
+        tree, data = generate(spec)
+        draws.append(data)
+        return tree, data
+
+    monkeypatch.setattr(cli, "generate", drawing)
+    return draws
+
+
+def test_run_benchmark_splits_are_views_of_the_draw(monkeypatch):
+    import labeltree.cli as cli
+
+    draws, made = recorded_draws(monkeypatch), []
+
+    def recording(*args):
+        made.append(LabeledDataset(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "LabeledDataset", recording)
+    run_benchmark(example=1, reps=2, seed=3, losses=("linear",), n=20)
+    assert len(draws) == 2 and len(made) == 6
+    for data, splits in zip(draws, (made[:3], made[3:])):
+        for got, idx in zip(splits, split_indices(data.n), strict=True):
+            want = LabeledDataset(data.X[idx], [data.labels[i] for i in idx], data.tree)
+            assert np.shares_memory(got.X, data.X)
+            assert np.array_equal(got.X, want.X) and got.X.shape == want.X.shape
+            assert got.labels == want.labels
+            assert np.array_equal(got.codes, want.codes)
+
+
+def test_design2_replication_traced_peak_within_three_draws_of_features(monkeypatch):
+    run_benchmark(example=2, reps=1, seed=7)  # warm caches
+    draws = recorded_draws(monkeypatch)
+    peak = traced_peak(lambda: run_benchmark(example=2, reps=1, seed=7))
+    assert peak <= 3 * draws[0].X.nbytes, (peak, draws[0].X.nbytes)
+
+
 @pytest.mark.filterwarnings("error::labeltree.classifier.ConvergenceWarning")
 def test_hinge_protocol_certifies_at_defaults():
     """Every hinge fit of a design-1 replication meets its gap within the budget."""
@@ -1175,7 +1223,8 @@ def test_design1_hinge_l01_regression(block):
 # Weighted-linear test zero-one losses and selected gammas (as indices into
 # TUNING_GRID) of both protocols in the benchmark's blocks for seed 1
 # (block b runs seed 1000 + b), as the one-gamma-at-a-time closed forms,
-# scored in passes of n_val // (q + 1) models, left them.
+# scored in passes of n_val // (q + 1) models, left them (passes of
+# n_val // dimension models select the same gammas).
 WLINEAR_SEED1 = {
     1: (
         ((0.5, 0.5, 0.55), (22, 32, 16)), ((0.52, 0.45, 0.37), (6, 0, 0)),

@@ -46,6 +46,7 @@ from labeltree.cli import (
     HINGE_LAMBDA_GRID,
     TUNING_GRID,
     _rep_seed,
+    read_truth,
     select_gamma,
     select_lambda,
 )
@@ -329,6 +330,56 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
     assert predict_paths(zero, np.zeros((3, 0))) == [leftmost_path(tree)] * 3
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds)
+def test_grid_descent_where_models_part_ways_equals_one_model_descents(seed):
+    """Mixed fan-outs, parents reached by part of a pass, exact two-child ties."""
+    rng = np.random.default_rng(seed)
+    while True:  # fan-outs 2 and 3-4 below the root, 2 on the leftmost path
+        tree = random_tree(rng)
+        first, fanouts = tree.first_children, tree.node_fanouts
+        left = [tree.order_index(v) for v in leftmost_path(tree)[1:]]
+        inner = set(fanouts[1:].tolist()) - {0, 2}
+        kids = range(first[0] + 1, first[0] + fanouts[0])
+        c = next((k for k in kids if fanouts[k]), None)  # an internal later root child
+        if 2 in fanouts[left] and inner and c is not None:
+            break
+    table = embed_tree(tree)
+    n, p, G = 60, 3, int(rng.integers(3, 7))
+    X = rng.normal(size=(n, p))
+    Xa = np.hstack([np.ones((n, 1)), X])
+    Xa[0] = 0.0  # every score of row 0 is zero: the leftmost path
+    A = rng.normal(size=(G, table.dimension, p + 1))
+    # The last model's zero scores tie everywhere: it takes the leftmost
+    # path.  The one before sends every row but row 0 to root child c and
+    # then ties below it, so c meets only part of the pass.
+    A[-2:] = 0.0
+    start, stack = table.sibling_blocks[0]
+    A[-2, start : start + fanouts[0] - 1, 0] = stack[c - first[0]]
+    zeroed = {}  # model -> parents whose zero block ties every child
+    for g in range(G - 2):
+        zeroed[g] = [P for P in table.sibling_blocks if P and rng.random() < 0.4]
+    for g, parents in zeroed.items():
+        for P in parents:
+            start = table.sibling_blocks[P][0]
+            A[g, start : start + fanouts[P] - 1] = 0.0
+    zeroed[G - 1] = zeroed[G - 2] = [P for P in table.sibling_blocks if P]
+    got = _descend(table, Xa, A)
+
+    for g in range(G):
+        model = LinearModel(A[g], table, "linear")
+        assert np.array_equal(_descend(table, Xa, A[g : g + 1])[0], got[g])
+        assert np.array_equal(predict_codes(model, X[1:]), got[g, 1:])
+    ancestors = tree.leaf_ancestors[got]  # (G, n, depth) order indices
+    for g, parents in zeroed.items():
+        for P in parents:  # every row reaching a zeroed block takes the first child
+            i, t = np.nonzero(ancestors[g] == P)
+            assert np.all(ancestors[g][i, t + 1] == first[P]), (g, P)
+    assert np.all(ancestors[-1] == ancestors[-1, :1])  # the leftmost path
+    assert np.all(ancestors[:, 0] == ancestors[-1, 0])
+    assert np.all(ancestors[-2, 1:, 1] == c) and not np.any(ancestors[-1] == c)
+
+
 # Sibling scores this close, relative to the largest either could reach,
 # may order differently under fits that agree to COEF_RTOL only.
 TIE_RTOL = 1e-9
@@ -446,7 +497,7 @@ def test_select_gamma_memory_within_two_validation_matrices_of_oracle():
 def test_selection_ties_resolve_to_the_smallest_value_across_passes(reference_tree):
     table = embed_tree(reference_tree)
     rng = np.random.default_rng(8)
-    val = random_dataset(reference_tree, rng, 25)  # passes of 25 // 10 = 2 models
+    val = random_dataset(reference_tree, rng, 25)
     base = rng.normal(size=(table.dimension, 4))
     grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
     # power-of-two rescalings scale every score exactly, so every
@@ -474,7 +525,8 @@ def test_selection_ties_resolve_to_the_smallest_value_across_small_floor_passes(
     monkeypatch.setattr(cli, "_descend", spy)
     table = embed_tree(reference_tree)
     rng = np.random.default_rng(8)
-    val = random_dataset(reference_tree, rng, 25)  # passes of 25 // 10 = 2 models
+    # passes of n_val // dimension = 2 models
+    val = random_dataset(reference_tree, rng, 2 * table.dimension + 1)
     base = rng.normal(size=(table.dimension, 4))
     grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
     models = [LinearModel(base * 2.0**k, table, "linear") for k in range(len(grid))]
@@ -516,7 +568,7 @@ def test_grid_chunks_equal_one_gamma_fits_bitwise(chunk, seed, monkeypatch):
         assert np.array_equal(fitted.coef, single.coef)
 
 
-@pytest.mark.parametrize("example, passes, chunk", [(1, [41], 41), (2, [11, 11, 11, 8], 1)])
+@pytest.mark.parametrize("example, passes, chunk", [(1, [41], 41), (2, [21, 20], 1)])
 def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     example, passes, chunk, monkeypatch
 ):
@@ -537,6 +589,40 @@ def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     assert descents == passes
     # the base fit, then 41 chunks of 1 gamma or 1 chunk of 41
     assert widths == [train.p + 1] + [chunk * (train.p + 1)] * (41 // chunk)
+
+
+@pytest.mark.parametrize("case", ["design 1", "design 2", 0, 1, 2, 3])
+def test_selection_pass_stack_within_validation_features_or_grid_floats(
+    case, monkeypatch
+):
+    """A pass's stack holds at most ``max(n_val (p + 1), _GRID_FLOATS)`` floats."""
+    import labeltree.cli as cli
+
+    if isinstance(case, str):
+        train, val, table = protocol_split(int(case[-1]), 1000)
+        fits = weighted_linear_fits(train, table, TUNING_GRID, fit_intercept=False)
+        grid = TUNING_GRID
+    else:  # a random grid floor, and at least dimension validation rows
+        rng = np.random.default_rng(case)
+        tree = random_tree(rng)
+        table = embed_tree(tree)
+        p = int(rng.integers(1, 6))
+        val = random_dataset(tree, rng, int(rng.integers(1, 6)) * table.dimension, p)
+        width = table.dimension * (p + 1)
+        monkeypatch.setattr(clf, "_GRID_FLOATS", int(rng.integers(1, 4 * width)))
+        grid = tuple(range(1, 30))
+        coefs = rng.normal(size=(len(grid), table.dimension, p + 1))
+        fits = ((v, LinearModel(c, table, "linear")) for v, c in zip(grid, coefs))
+    floats, descend = [], cli._descend
+
+    def spy(table, Xa, A):
+        floats.append(A.size)
+        return descend(table, Xa, A)
+
+    monkeypatch.setattr(cli, "_descend", spy)
+    cli_select("gamma", table, fits, val, grid)
+    assert sum(floats) == len(grid) * table.dimension * (val.p + 1)
+    assert max(floats) <= max(val.n * (val.p + 1), clf._GRID_FLOATS), floats
 
 
 def test_select_gamma_memory_on_design_1_within_one_grid_batch_of_oracle():
@@ -1089,6 +1175,94 @@ def test_read_feature_csv_equals_oracle(tmp_path_factory, seed):
         assert np.array_equal(got_X.view(np.int64), want_X.view(np.int64))
         assert np.array_equal(got_X, X, equal_nan=True)
         assert got_labels == want_labels == data.labels
+
+
+# Leaves whose labels need quoting, plain ones with a space and a '#', and
+# two whose raw text is a quoted cell or a row's end: read as raw text,
+# the cells '"q"' and 'cr' before a CRLF would wrongly name them.
+TRUTH_TREE = Tree("r", {"r": ["in", *CSV_LABELS, '"q"', "cr\r"], "in": ["x1", "x2 sp"]})
+PLAIN_LABELS = ("plain", "x1", "x2 sp", "#tag")
+
+
+def truth_outcome(read, path):
+    """What ``read(path, TRUTH_TREE)`` returns, or the text of its ``ValueError``."""
+    try:
+        return read(path, TRUTH_TREE)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f1,f2,label\n0.5,1.0,plain\n2,3,x2 sp\n",  # LF only
+        "f1,label\n0.5,#tag",  # no final newline
+        "f1,label\n\n0.5,plain\n\n\n1,naïve ✓\n\n",  # blank lines
+        "f1,label\r\n0.5,plain\r\n\r\n1,x1\r\n",  # CRLF
+        "f1,label\r0.5,plain\r1,x1\r",  # CR only
+        "f1,label\r\n1,cr\r\n",  # the label is 'cr', not the leaf 'cr\r'
+        'f1,label\n0.5,x1\n1,"q"\n',  # the label is 'q', not the leaf '"q"'
+        'f1,label\n0.5,"a,b"\n1,"say ""hi"""\n2,plain\n',  # quoted commas and quotes
+        # quoted line breaks
+        'f1,label\n"0\n5","two\nlines"\n1,"crlf\r\nlabel"\n2,nope\n',
+        '"f1",label\n0.5,plain\n',  # quoted header
+        "label\nplain\nx1\n",  # labels only
+        'label\n"a,b"\n',
+        "f1,f2,label\n0.5,1.0,plain\n0.5,plain\n",  # short row
+        "f1,label\n0.5,plain\n0.5,1,plain\n",  # long row
+        "f1,label\n\n0.5,plain\n1,nope\n",  # unknown label
+        "f1,label\n0.5,plain \n",  # a trailing space is part of the label
+        "f1,label\n0.5,a,b\n",  # an unquoted comma splits the label
+        "f1,label\n",
+        "f1,label\n\n\n",
+        "f1,f2\n0.5,1.0\n",
+        "",
+    ],
+)
+def test_read_truth_equals_csv_oracle(tmp_path, text):
+    path = tmp_path / "truth.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = truth_outcome(oracles.read_truth, path)
+    assert truth_outcome(read_truth, path) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_read_truth_of_random_files_equals_csv_oracle(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    quoted = rng.random() < 0.3  # else every label is plain text
+    lines = [",".join([*(f"f{j + 1}" for j in range(p)), "label"])]
+    for _ in range(n):
+        label = str(rng.choice(TRUTH_TREE.leaves if quoted else PLAIN_LABELS))
+        if rng.random() < 0.05:
+            label = "nope"
+        if set(label) & set(',"\r\n'):
+            label = '"' + label.replace('"', '""') + '"'
+        width = max(p + int(rng.choice([-1, 1])), 0) if rng.random() < 0.1 else p
+        cells = [repr(float(v)) for v in rng.normal(size=width)]
+        lines.append(",".join([*cells, label]) + end * int(rng.integers(1, 3)))
+    path = tmp_path_factory.mktemp("truth") / "truth.csv"
+    path.write_bytes((lines[0] + end + "".join(lines[1:])).encode("utf-8"))
+    assert truth_outcome(read_truth, path) == truth_outcome(oracles.read_truth, path)
+
+
+def test_read_truth_reads_only_the_header_with_csv(tmp_path, monkeypatch):
+    import labeltree.cli as cli
+
+    records, reader = [], cli.csv.reader
+
+    def counting(lines):
+        for record in reader(lines):
+            records.append(record)
+            yield record
+
+    monkeypatch.setattr(cli.csv, "reader", counting)
+    path = tmp_path / "truth.csv"
+    path.write_text("f1,label\n0.5,plain\n\n1,x2 sp\n", encoding="utf-8")
+    assert read_truth(path, TRUTH_TREE) == [("r", "plain"), ("r", "in", "x2 sp")]
+    assert records == [["f1", "label"]]
 
 
 @settings(max_examples=25, deadline=None)
