@@ -10,8 +10,8 @@ child coefficients ``C = O A`` (:func:`_child_coefs`): child ``j`` scores
 ``x~ . C_j``, and a parent's rows of ``C`` are its offset stack
 (:attr:`EmbeddingTable.sibling_blocks`) times its block of ``A``, formed
 as the walk reaches it.  A zero block of ``A`` scores every child exactly
-0, so exact ties go to the first child.  One walk, :func:`_descend`,
-serves a single model and a whole pass of tuning-grid models alike.
+0, so exact ties go to the first child.  Tuning scores each validation
+row on its true path only (:func:`_validation_errors`).
 
 Training minimizes a per-layer surrogate over sibling gaps
 ``<f(x), xi_true> - <f(x), xi_sibling>``, listed once by
@@ -233,64 +233,65 @@ def _closed_form(table: EmbeddingTable, leaves, sums: np.ndarray) -> np.ndarray:
     return _coefs_from_nodes(table, B)
 
 
-def _choices(
-    Xa: np.ndarray, stack: np.ndarray, blocks: np.ndarray, pairs: np.ndarray, root: bool
-) -> np.ndarray:
-    """Child each (model, row) pair takes at a node with offsets ``stack``.
-
-    ``blocks`` is ``(G, fanout - 1, p + 1)``, the models' blocks of ``A``
-    on the node, so model ``g``'s child coefficients are ``stack @
-    blocks[g]`` (:func:`_child_coefs`); pair ``g * n + i`` scores row ``i``
-    of ``Xa`` against them.  Below the root, one product of the distinct
-    rows with the child coefficients of all ``G`` models serves every
-    pair.  The root takes each model's ``(n, fanout)`` product alone, and
-    a single model needs no ``O(n)`` marks.  Two children compare their
-    two scores, ties going to the first.
-    """
-    n, f, G = len(Xa), len(stack), len(blocks)
-    if root:
-        return np.concatenate([np.argmax(Xa @ (stack @ b).T, axis=1) for b in blocks])
-    if G == 1:
-        return np.argmax(Xa[pairs] @ (stack @ blocks[0]).T, axis=1)
-    model, row = np.divmod(pairs, n)
-    seen = np.zeros(n, dtype=bool)
-    seen[row] = True  # the distinct rows, ascending
-    S = (Xa[seen] @ (stack @ blocks).reshape(G * f, -1).T).reshape(-1, f)
-    S = S[:, 1] > S[:, 0] if f == 2 else S.argmax(axis=1)
-    return S[(np.cumsum(seen) - 1)[row] * G + model]
-
-
 def _descend(table: EmbeddingTable, Xa: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Leaf codes ``(G, n)`` the top-down walk reaches for ``G`` models at once.
+    """Leaf codes ``(n,)`` the top-down walk reaches under coefficients ``A``.
 
-    ``A`` stacks the models' ``(dimension, p + 1)`` coefficient matrices.
-    Row ``i`` under model ``g`` moves from a node to its child ``j``
-    maximizing ``Xa[i] . C_j``, where ``C = O A[g]`` are the child
-    coefficients (:func:`_child_coefs`), formed node by node from the
-    node's block of ``A``.  Every (model, row) pair walks at once, grouped
-    by node; a node costs one product (:func:`_choices`).  Exact ties
-    pick the first child, whatever the rest of the batch.  A leaf's code
-    is its rank among the leaves in node order.
+    Row ``i`` moves to the child ``j`` maximizing ``Xa[i] . C_j`` of the
+    child coefficients ``C = O A`` (:func:`_child_coefs`), one product a
+    node; exact ties pick the first child.  A leaf's code is its rank
+    among the leaves in node order.
     """
     tree = table.tree
     first, fanout = tree.first_children.tolist(), tree.node_fanouts.tolist()
-    G, n = len(A), len(Xa)
-    out = np.empty(G * n, dtype=np.intp)  # pair g * n + i
-    groups = [(0, np.arange(G * n))]
+    out = np.empty(len(Xa), dtype=np.intp)
+    groups = [(0, np.arange(len(Xa)))]
     while groups:
         nxt = []
-        for node, pairs in groups:
+        for node, rows in groups:
             start, stack = table.sibling_blocks[node]
-            blocks = A[:, start : start + fanout[node] - 1]
-            choice = _choices(Xa, stack, blocks, pairs, node == 0)
+            C = stack @ A[start : start + fanout[node] - 1]
+            choice = np.argmax((Xa[rows] if node else Xa) @ C.T, axis=1)
             for j in range(fanout[node]):
-                child, sub = first[node] + j, pairs[choice == j]
+                child, sub = first[node] + j, rows[choice == j]
                 if not fanout[child]:
                     out[sub] = child
                 elif sub.size:
                     nxt.append((child, sub))
         groups = nxt
-    return (np.cumsum(tree.node_fanouts == 0) - 1)[out].reshape(G, n)
+    return (np.cumsum(tree.node_fanouts == 0) - 1)[out]
+
+
+def _validation_errors(
+    table: EmbeddingTable, Xa: np.ndarray, codes: np.ndarray, A: np.ndarray
+) -> np.ndarray:
+    """Zero-one loss ``(G,)`` of each model in ``A`` on rows ``Xa`` of leaves ``codes``.
+
+    A row is right exactly when each node on its true path picks its true
+    child.  Sorted by true path, a node's rows are one run, scored against
+    every model's child coefficients, ``_grid_batch(rows fanout)`` models a
+    product; a node every row reaches reads ``Xa`` in place.  Ties go as in
+    :func:`_descend`: each loss is its descent's, bit for bit.
+    """
+    path = table.tree.leaf_ancestors[codes]
+    order, first = np.lexsort(path.T[::-1]), table.tree.first_children
+    n, G = len(Xa), len(A)
+    wrong = np.zeros((n, G), dtype=bool)
+    for t, node in enumerate(path[order].T[:-1]):
+        cuts = np.flatnonzero(np.diff(node, prepend=-2, append=-2)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            if path[order[a], t + 1] < 0:  # rows at or past their leaf
+                continue
+            rows = order[a:b] if b - a < n else slice(None)
+            start, stack = table.sibling_blocks[node[a]]
+            f = len(stack)
+            C = (stack @ A[:, start : start + f - 1]).reshape(G * f, -1)
+            X, true = Xa[rows], path[rows, t + 1, None] - first[node[a]]
+            step = _grid_batch((b - a) * f)
+            for g in range(0, G, step):
+                S = (X @ C[g * f : (g + step) * f].T).reshape(b - a, -1, f)
+                pick = S[..., 1] > S[..., 0] if f == 2 else S.argmax(axis=2)
+                wrong[rows, g : g + step] |= pick != true
+    return wrong.mean(axis=0)
 
 
 def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
@@ -301,12 +302,10 @@ def predict_topdown(model: LinearModel, x) -> tuple[str, ...]:
 def predict_codes(model: LinearModel, X) -> np.ndarray:
     """Predicted leaf codes (positions in ``tree.leaves``) for every row.
 
-    One-model :func:`_descend`: it holds the augmented features and one
-    node's child coefficients at a time, never an ``(n, dimension)`` score
-    matrix.
+    :func:`_descend`: it holds the augmented features and one node's
+    child coefficients at a time, never an ``(n, dimension)`` score matrix.
     """
-    Xa = _augment(model._features(X))
-    return _descend(model.table, Xa, model.coef[None])[0]
+    return _descend(model.table, _augment(model._features(X)), model.coef)
 
 
 def predict_paths(model: LinearModel, X) -> list[tuple[str, ...]]:
@@ -365,7 +364,7 @@ def _check_positive(name: str, *values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-_GRID_FLOATS = 2**16  # floats of a chunk's weighted features, or of a pass's coefs
+_GRID_FLOATS = 2**16  # floats of a weighted-feature chunk, a pass's coefs or scores
 
 
 def _grid_batch(floats: int) -> int:

@@ -27,8 +27,8 @@ from .classifier import (
     _check_dataset,
     _check_iterations,
     _check_positive,
-    _descend,
     _grid_batch,
+    _validation_errors,
     hinge_fits,
     load_model,
     predict_paths,
@@ -196,7 +196,8 @@ def _select(
     1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
     matrices is no larger than the validation features or than
     ``classifier._GRID_FLOATS`` floats.  Each pass costs one
-    :func:`_descend`; only the incumbent outlives its pass.
+    :func:`_validation_errors`, on the rows' true paths; only the incumbent
+    outlives it.
     """
     if not len(grid):
         raise ValueError(f"{name} grid is empty")
@@ -212,7 +213,7 @@ def _select(
         if Xa is None:
             Xa = _augment(batch[0][1]._features(val.X))
         A = np.stack([model.coef for _, model in batch])
-        errs = np.mean(_descend(table, Xa, A) != val.codes, axis=1)
+        errs = _validation_errors(table, Xa, val.codes, A)
         i = int(np.argmin(errs))  # the first of equal errors: the smaller value
         if best is None or errs[i] < best[0]:
             best = (errs[i], *batch[i])
@@ -227,9 +228,9 @@ def select_gamma(
 
     All grid points share one base linear fit; ties resolve to the
     smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
-    and are scored in passes (:func:`_select`): all 41 gammas in one
-    chunk and one pass on design 1, one gamma a chunk in passes of 21 and
-    20 on design 2.
+    and scored in passes on the true paths (:func:`_select`): all 41 in
+    one chunk and one pass on design 1, one gamma a chunk in passes of 21
+    and 20 on design 2.
     """
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept

@@ -155,7 +155,8 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
 
     X = means[leaf_idx] + NOISE_STD * rng.standard_normal((spec.n_total, p))
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    labels = tuple(tree.leaves[i] for i in leaf_idx)
+    leaves = tree.leaves
+    labels = tuple([leaves[i] for i in leaf_idx.tolist()])
     return tree, LabeledDataset(X=X, labels=labels, tree=tree)
 
 
@@ -175,7 +176,8 @@ def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
         (spec.n_total, EXAMPLE2_FEATURES)
     )
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    labels = tuple(tree.leaves[i] for i in leaf_idx)
+    leaves = tree.leaves
+    labels = tuple([leaves[i] for i in leaf_idx.tolist()])
     return tree, LabeledDataset(X=X, labels=labels, tree=tree)
 
 

@@ -96,6 +96,7 @@ class Tree:
         "_leaves",
         "_leaf_code",
         "_leaf_paths",
+        "_path_code",
         "_node_ancestors",
         "_leaf_ancestors",
         "_node_layers",
@@ -178,6 +179,7 @@ class Tree:
         self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(
             tuple(nodes[k] for k in lineage[leaf]) for leaf in self._leaves
         )
+        self._path_code = {path: i for i, path in enumerate(self._leaf_paths)}
         ancestors = np.array(
             [lineage[n] + (-1,) * (depth - len(lineage[n])) for n in order],
             dtype=np.intp,
@@ -362,21 +364,20 @@ class Tree:
         root-to-leaf path of this tree, naming it as ``what`` and its
         position.
         """
-        codes = []
-        for i, path in enumerate(paths):
-            path = tuple(path)
-            if not self.is_path(path):
-                raise PathError(
-                    f"{what} {i} {path!r} is not a root-to-leaf path of the tree"
-                )
-            codes.append(self._leaf_code[path[-1]])
-        return np.array(codes, dtype=np.intp)
+        seqs = list(map(tuple, paths))
+        try:
+            return np.array(list(map(self._path_code.__getitem__, seqs)), dtype=np.intp)
+        except (KeyError, TypeError):  # not a leaf path, or an unhashable node
+            i = next(i for i, seq in enumerate(seqs) if not self.is_path(seq))
+        raise PathError(f"{what} {i} {seqs[i]!r} is not a root-to-leaf path of the tree")
 
     def is_path(self, path: Iterable[str]) -> bool:
         """True when ``path`` is a full root-to-leaf path of this tree."""
         seq = tuple(path)
-        code = self._leaf_code.get(seq[-1]) if seq else None
-        return code is not None and self._leaf_paths[code] == seq
+        try:
+            return seq in self._path_code
+        except TypeError:  # an unhashable node
+            return False
 
     def lca_layer(self, a: str, b: str) -> int:
         """Layer of the latest (deepest) common ancestor of two nodes.

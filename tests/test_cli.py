@@ -30,6 +30,8 @@ from labeltree.cli import (
     write_predictions,
 )
 from labeltree.datagen import (
+    SyntheticSpec,
+    generate,
     read_dataset_csv,
     split_indices,
     write_dataset_csv,
@@ -492,6 +494,30 @@ class TestTrainPredictEvaluate:
                  "--data", tmp_path / "data.csv", "--loss", "linear", "--out", models[-1]],
                 env=env, check=True, capture_output=True,
             )
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+    def test_wlinear_model_file_with_validation_independent_of_blas_threads(self, tmp_path):
+        # gamma selection scores 2000 validation rows in products large
+        # enough to thread; the selected gamma must not move with the count
+        tree, data = generate(SyntheticSpec(example=2, n_total=2500, seed=5))
+        for name, rows in (("train", slice(0, 500)), ("val", slice(500, None))):
+            part = LabeledDataset(data.X[rows], data.labels[rows], tree)
+            write_dataset_csv(part, tmp_path / f"{name}.csv")
+        write_tree(tree, tmp_path / "tree.txt")
+        src = str(Path(labeltree.__file__).parents[1])
+        script = "import sys; from labeltree.cli import main; sys.exit(main(sys.argv[1:]))"
+        models = []
+        for threads in ("1", "2"):
+            models.append(tmp_path / f"model{threads}.json")
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
+            subprocess.run(
+                [sys.executable, "-c", script, "train", "--tree", tmp_path / "tree.txt",
+                 "--data", tmp_path / "train.csv", "--val-data", tmp_path / "val.csv",
+                 "--loss", "wlinear", "--out", models[-1]],
+                env=env, check=True, capture_output=True,
+            )
+        assert json.loads(models[0].read_text())["gamma"] is not None
         assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):

@@ -7,6 +7,7 @@ from labeltree.hierarchy import (
     CycleError,
     DuplicateNodeError,
     MultipleRootsError,
+    PathError,
     SingleChildError,
     TaxonomyError,
     UnknownParentError,
@@ -138,6 +139,24 @@ class TestAncestry:
         assert not reference_tree.is_path(("animal", "raptor"))
         assert not reference_tree.is_path(("animal", "feline", "kestrel"))
         assert not reference_tree.is_path(())
+        # unhashable or non-string nodes are not paths, wherever they sit
+        assert not reference_tree.is_path(("animal", "raptor", ["kestrel"]))
+        assert not reference_tree.is_path((["animal"], "raptor", "kestrel"))
+        assert not reference_tree.is_path(("animal", "raptor", 3))
+
+    def test_leaf_codes_of_names_the_first_bad_path(self, reference_tree):
+        t = reference_tree
+        good = [t.leaf_paths[c] for c in (2, 0, 2)]
+        assert t.leaf_codes_of(good).tolist() == [2, 0, 2]
+        assert t.leaf_codes_of(list(p) for p in good).dtype == np.intp
+        assert t.leaf_codes_of([]).shape == (0,)
+        for bad in [("animal", "raptor"), ("animal", "raptor", ["kestrel"]), (1, 2)]:
+            paths = iter([good[0], bad, good[1], ("animal",)])
+            with pytest.raises(PathError) as info:
+                t.leaf_codes_of(paths, "true path of pair")
+            assert str(info.value) == (
+                f"true path of pair 1 {tuple(bad)!r} is not a root-to-leaf path of the tree"
+            )
 
     def test_ancestor_at_layer(self, reference_tree):
         t = reference_tree
@@ -176,6 +195,41 @@ def test_lca_layer_properties(seed):
                 tree.layer(b),
             )
             assert (t == min(tree.layer(a), tree.layer(b))) == is_ancestral
+
+
+def walks_root_to_leaf(tree, seq) -> bool:
+    """Structural oracle of ``Tree.is_path``: root, parent-child steps, a leaf."""
+    return (
+        bool(seq)
+        and all(isinstance(v, str) and v in tree for v in seq)
+        and seq[0] == tree.root
+        and all(tree.parent(b) == a for a, b in zip(seq, seq[1:]))
+        and tree.is_leaf(seq[-1])
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_path_lookups_equal_structural_oracle(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    nodes, seqs = tree.nodes, list(tree.leaf_paths)
+    for path in tree.leaf_paths:
+        seqs += [path[:-1], path + path[-1:], path[::-1], list(path)]
+        k = int(rng.integers(len(path)))
+        seqs.append(path[:k] + (nodes[rng.integers(len(nodes))],) + path[k + 1 :])
+        seqs.append(path[:k] + ([path[k]],) + path[k + 1 :])
+        seqs.append(path[:k] + (tree.order_index(path[k]),) + path[k + 1 :])
+    seqs += [(), (tree.root,)]
+    for i, seq in enumerate(seqs):
+        want = walks_root_to_leaf(tree, seq)
+        assert tree.is_path(seq) == want, seq
+        if want:
+            assert tree.leaf_codes_of([seq]).tolist() == [tree.leaf_codes[seq[-1]]]
+        else:
+            prefix = [tree.leaf_paths[j % tree.n_leaf] for j in range(i % 5)]
+            with pytest.raises(PathError, match=f"^path {len(prefix)} "):
+                tree.leaf_codes_of([*prefix, seq, tree.leaf_paths[0]])
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ paths of different lengths meet in every check.
 import math
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from labeltree.classifier import (
     ConvergenceWarning,
     LabeledDataset,
     LinearModel,
+    _augment,
     _child_coefs,
     _coefs_from_nodes,
     _descend,
     _sibling_pairs,
     _sibling_scale,
+    _validation_errors,
     adaptive_weights,
     hierarchy_margin,
     hinge_fits,
@@ -275,7 +278,7 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
     for g, b in zip(*np.nonzero(zeroed)):
         start, stop = blocks[b][1]
         A[g, start:stop] = 0.0
-    got = _descend(table, Xa, A)
+    got = np.stack([_descend(table, Xa, a) for a in A])
     assert got.shape == (G, n) and got.dtype == np.intp
 
     for g in range(G):
@@ -296,13 +299,14 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
                 assert got[g, i] == want[i], (g, i)
                 assert tree.leaf_paths[want[i]] == full[i], (g, i)
         assert np.array_equal(predict_codes(model, X[1:]), got[g, 1:])
-        assert np.array_equal(_descend(table, Xa, A[g : g + 1])[0], got[g])
-    # any split of the models into passes gives the same codes, bit for bit
+        # a row walks alone as it walks with the others
+        for i in range(n):
+            assert _descend(table, Xa[i : i + 1], A[g]).tolist() == [got[g, i]], (g, i)
+    # any split of the models into passes scores the descents' errors, bit for bit
+    codes = rng.integers(0, tree.n_leaf, size=n)
     cuts = sorted(set(rng.integers(0, G + 1, size=3).tolist()) | {0, G})
-    parts = [_descend(table, Xa, A[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
-    assert np.array_equal(np.concatenate(parts), got)
-    for i in range(n):
-        assert np.array_equal(_descend(table, Xa[i : i + 1], A)[:, 0], got[:, i]), i
+    parts = [_validation_errors(table, Xa, codes, A[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == np.mean(got != codes, axis=1).tobytes()
 
     # each parent's stack is its children's rows of the node matrix on its block
     first, fanouts = tree.first_children, tree.node_fanouts
@@ -364,12 +368,16 @@ def test_grid_descent_where_models_part_ways_equals_one_model_descents(seed):
             start = table.sibling_blocks[P][0]
             A[g, start : start + fanouts[P] - 1] = 0.0
     zeroed[G - 1] = zeroed[G - 2] = [P for P in table.sibling_blocks if P]
-    got = _descend(table, Xa, A)
+    got = np.stack([_descend(table, Xa, a) for a in A])
 
     for g in range(G):
         model = LinearModel(A[g], table, "linear")
-        assert np.array_equal(_descend(table, Xa, A[g : g + 1])[0], got[g])
         assert np.array_equal(predict_codes(model, X[1:]), got[g, 1:])
+        # scored on each model's own leaves, or another's, the pass's errors
+        # are the descents' mismatches, bit for bit
+        want = np.mean(got != got[g], axis=1)
+        assert want[g] == 0.0
+        assert _validation_errors(table, Xa, got[g], A).tobytes() == want.tobytes()
     ancestors = tree.leaf_ancestors[got]  # (G, n, depth) order indices
     for g, parents in zeroed.items():
         for P in parents:  # every row reaching a zeroed block takes the first child
@@ -378,6 +386,56 @@ def test_grid_descent_where_models_part_ways_equals_one_model_descents(seed):
     assert np.all(ancestors[-1] == ancestors[-1, :1])  # the leftmost path
     assert np.all(ancestors[:, 0] == ancestors[-1, 0])
     assert np.all(ancestors[-2, 1:, 1] == c) and not np.any(ancestors[-1] == c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_validation_errors_equal_each_models_prediction_errors_for_any_passes(seed):
+    """Mixed fan-outs and leaf depths, exact ties, models parting ways, missing leaves."""
+    rng = np.random.default_rng(seed)
+    while True:  # fan-outs 2 and 3-4, leaves on several layers, an internal later root child
+        tree = random_tree(rng)
+        first, fanouts = tree.first_children, tree.node_fanouts
+        kids = range(first[0] + 1, first[0] + fanouts[0])
+        c = next((k for k in kids if fanouts[k]), None)
+        depths = {len(path) for path in tree.leaf_paths}
+        if 2 in fanouts and fanouts.max() > 2 and len(depths) > 1 and c:
+            break
+    table = embed_tree(tree)
+    p, fit_intercept = int(rng.integers(1, 5)), bool(rng.integers(2))
+    n = 1 if rng.random() < 0.25 else int(rng.integers(2, 80))
+    seen = rng.choice(tree.n_leaf, size=int(rng.integers(1, tree.n_leaf)), replace=False)
+    codes = rng.choice(seen, size=n)  # some leaves have no validation row
+    X = rng.normal(size=(n, p))
+    if n > 1:
+        X[rng.integers(n)] = 0.0  # every score zero: the leftmost path
+    A = rng.normal(size=(int(rng.integers(2, 6)), table.dimension, p + 1))
+    if not fit_intercept:
+        A[..., 0] = 0.0
+    for a in A:  # zero blocks tie every child, at two-child and larger parents
+        for P, (start, stack) in table.sibling_blocks.items():
+            if rng.random() < 0.3:
+                a[start : start + len(stack) - 1] = 0.0
+    # a model that ties everywhere, and one that sends every row to root
+    # child c and ties below it, so the models part ways at the root
+    part = np.zeros((2, table.dimension, p + 1))
+    start, stack = table.sibling_blocks[0]
+    part[0, start : start + fanouts[0] - 1, 0] = stack[c - first[0]]
+    train = random_dataset(tree, rng, 20, p)
+    fits = weighted_linear_fits(train, table, (0.3, 3.0), fit_intercept=fit_intercept)
+    A = np.concatenate([A, part, [model.coef for _, model in fits]])
+    A = A[rng.permutation(len(A))]
+    Xa, G = _augment(X), len(A)
+    Xa_before, codes_before = Xa.copy(), codes.copy()
+
+    models = [LinearModel(a, table, "linear") for a in A]
+    want = np.array([np.mean(predict_codes(model, X) != codes) for model in models])
+    for floats in (clf._GRID_FLOATS, 1, int(rng.integers(1, 4 * (p + 1) * n + 2))):
+        with mock.patch.object(clf, "_GRID_FLOATS", floats):  # model blocks of a node
+            cuts = sorted(set(rng.integers(0, G + 1, size=3).tolist()) | {0, G})
+            got = [_validation_errors(table, Xa, codes, A[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(got).tobytes() == want.tobytes(), (floats, cuts)
+    assert np.array_equal(Xa, Xa_before) and np.array_equal(codes, codes_before)
 
 
 # Sibling scores this close, relative to the largest either could reach,
@@ -516,13 +574,13 @@ def test_selection_ties_resolve_to_the_smallest_value_across_small_floor_passes(
     import labeltree.cli as cli
 
     monkeypatch.setattr(clf, "_GRID_FLOATS", 1)
-    passes, descend = [], cli._descend
+    passes, score = [], cli._validation_errors
 
-    def spy(table, Xa, A):
+    def spy(table, Xa, codes, A):
         passes.append(len(A))
-        return descend(table, Xa, A)
+        return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_descend", spy)
+    monkeypatch.setattr(cli, "_validation_errors", spy)
     table = embed_tree(reference_tree)
     rng = np.random.default_rng(8)
     # passes of n_val // dimension = 2 models
@@ -572,21 +630,21 @@ def test_grid_chunks_equal_one_gamma_fits_bitwise(chunk, seed, monkeypatch):
 def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     example, passes, chunk, monkeypatch
 ):
-    """Design 1 selects gamma in one chunk and one descent; design 2 as without a floor."""
+    """Design 1 selects gamma in one chunk and one pass; design 2 as without a floor."""
     import labeltree.cli as cli
 
     train, val, table = protocol_split(example, 1000)
     assert val.n == {1: 50, 2: 2000}[example]
-    descents, descend = [], cli._descend
+    scored, score = [], cli._validation_errors
 
-    def spy(table, Xa, A):
-        descents.append(len(A))
-        return descend(table, Xa, A)
+    def spy(table, Xa, codes, A):
+        scored.append(len(A))
+        return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_descend", spy)
+    monkeypatch.setattr(cli, "_validation_errors", spy)
     widths = closed_form_widths(monkeypatch)
     select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
-    assert descents == passes
+    assert scored == passes
     # the base fit, then 41 chunks of 1 gamma or 1 chunk of 41
     assert widths == [train.p + 1] + [chunk * (train.p + 1)] * (41 // chunk)
 
@@ -613,13 +671,13 @@ def test_selection_pass_stack_within_validation_features_or_grid_floats(
         grid = tuple(range(1, 30))
         coefs = rng.normal(size=(len(grid), table.dimension, p + 1))
         fits = ((v, LinearModel(c, table, "linear")) for v, c in zip(grid, coefs))
-    floats, descend = [], cli._descend
+    floats, score = [], cli._validation_errors
 
-    def spy(table, Xa, A):
+    def spy(table, Xa, codes, A):
         floats.append(A.size)
-        return descend(table, Xa, A)
+        return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_descend", spy)
+    monkeypatch.setattr(cli, "_validation_errors", spy)
     cli_select("gamma", table, fits, val, grid)
     assert sum(floats) == len(grid) * table.dimension * (val.p + 1)
     assert max(floats) <= max(val.n * (val.p + 1), clf._GRID_FLOATS), floats
