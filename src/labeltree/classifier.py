@@ -108,6 +108,24 @@ class LabeledDataset:
             label = exc.args[0]
             raise ValueError(f"label {label!r} is not a leaf of the tree") from None
 
+    @classmethod
+    def _of_codes(
+        cls, X: np.ndarray, labels: tuple[str, ...], codes: np.ndarray, tree: Tree
+    ) -> "LabeledDataset":
+        """A dataset whose ``labels`` are known to be the leaves of ``codes``.
+
+        Unchecked: ``X`` must be a finite float matrix with one row per label,
+        as the public constructor would leave it, and ``codes`` int64.
+        """
+        data = cls.__new__(cls)
+        data.X, data.labels, data.tree, data.codes = X, labels, tree, codes
+        return data
+
+    def _rows(self, rows: slice) -> "LabeledDataset":
+        """The samples of ``rows``, as views of this dataset's arrays."""
+        X, labels, codes = self.X[rows], self.labels[rows], self.codes[rows]
+        return self._of_codes(X, labels, codes, self.tree)
+
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -719,7 +737,8 @@ def load_model(path, tree: Tree) -> LinearModel:
     is rebuilt from the stored parameters, so predictions reproduce the
     original model's bit for bit.  A file that is not such a model, of
     another tree, or with coefficients that are not all finite raises a
-    :class:`ValueError` naming the file, as does a ``dimension`` or
+    :class:`ValueError` naming the file, as does a ``coef`` that is not a
+    list of JSON numbers (the first other entry is named), a ``dimension`` or
     ``n_features`` that is not a JSON integer of at least 0, a ``base_norm``
     or ``decay`` that is not a JSON number, a ``loss`` other than those of
     ``MODEL_LOSSES``, or a ``gamma`` or ``lambda`` that is neither null nor
@@ -752,10 +771,16 @@ def load_model(path, tree: Tree) -> LinearModel:
         finite = type(value) is int or (type(value) is float and np.isfinite(value))
         if value is not None and not finite:
             raise ValueError(f"{path}: {key} must be null or finite, got {value!r}")
+    coef = doc["coef"]
+    if type(coef) is not list:
+        raise ValueError(f"{path}: coef must be a list of numbers")
+    if not set(map(type, coef)) <= {int, float}:
+        i = next(i for i, v in enumerate(coef) if type(v) not in (int, float))
+        raise ValueError(f"{path}: coef[{i}] must be a number, got {coef[i]!r}")
     try:
         table = embed_tree(tree, base_norm=doc["base_norm"], decay=doc["decay"])
-        coef = np.array(doc["coef"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        coef = np.array(coef, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     width = doc["n_features"] + 1
     if doc["dimension"] != table.dimension or coef.size != table.dimension * width:

@@ -394,8 +394,7 @@ def run_benchmark(
         if table is None:
             table = embed_tree(tree)
         train, val, test = (  # views: the blocks are contiguous
-            LabeledDataset(data.X[b], data.labels[b], tree)
-            for b in (slice(i[0], i[-1] + 1) for i in split_indices(data.n))
+            data._rows(slice(i[0], i[-1] + 1)) for i in split_indices(data.n)
         )
         true_paths = test.paths()
         for loss in losses:
@@ -489,8 +488,7 @@ def cmd_train(args) -> int:
         half = data.n // 2
         if half < 1 or data.n - half < 1:
             raise ValueError("too few samples to split for validation")
-        train = LabeledDataset(data.X[:half], data.labels[:half], tree)
-        val = LabeledDataset(data.X[half:], data.labels[half:], tree)
+        train, val = data._rows(slice(None, half)), data._rows(slice(half, None))
         _, chosen = fit(
             args.loss, train, val, table, gamma_grid, lambda_grid,
             fit_intercept=fit_intercept,

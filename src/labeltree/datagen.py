@@ -157,7 +157,7 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
     leaves = tree.leaves
     labels = tuple([leaves[i] for i in leaf_idx.tolist()])
-    return tree, LabeledDataset(X=X, labels=labels, tree=tree)
+    return tree, LabeledDataset._of_codes(X, labels, leaf_idx, tree)
 
 
 def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
@@ -178,7 +178,7 @@ def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
     leaves = tree.leaves
     labels = tuple([leaves[i] for i in leaf_idx.tolist()])
-    return tree, LabeledDataset(X=X, labels=labels, tree=tree)
+    return tree, LabeledDataset._of_codes(X, labels, leaf_idx, tree)
 
 
 def generate(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:

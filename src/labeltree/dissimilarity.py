@@ -159,9 +159,14 @@ def dissimilarity_matrix(
     ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal callers
     that already hold it.
 
-    Each q-by-q temporary is updated in place and released after its last
-    use; the operations and their order, and so every bit, are those of
-    the closed form written out in one expression.
+    The non-ancestral form is evaluated for every pair: its per-node terms
+    are summed on the ``(q, depth)`` ancestor table, looked up by each
+    pair's LCA layer into one q-by-q array, and finished there in place.
+    The pairs of a node and one of its proper ancestors, read off the
+    ancestor matrix (``q * depth`` entries, not a q-by-q mask), are then
+    overwritten with the ancestral form.  Per entry, the operations and
+    their order, and so every bit, are those of the closed form written
+    out in one expression.
     """
     _check_tree(tree, "weight schedule", schedule)
     lca = tree.lca_layer_matrix() if _lca is None else _lca
@@ -169,35 +174,36 @@ def dissimilarity_matrix(
 
     w2 = np.array([w * w for w in schedule.level_weights])
     # cum[t] = sum of squared level weights for layers 1..t; one padding
-    # entry because cum[lca] is evaluated (then masked) on the diagonal,
-    # where lca can equal the tree depth.
+    # entry because cum[lca] is evaluated (then overwritten) on the
+    # diagonal, where lca can equal the tree depth.
     cum = np.concatenate([[0.0], np.cumsum(w2), [np.sum(w2)]])
     below = cum[layers - 1]  # squared weight summed above each node's layer
 
-    # Sibling weight of each pair's common ancestor, by its order index.
-    psi, lca_above = schedule.sibling_weights, lca - 1
-    out = psi[tree.node_ancestors[np.arange(q)[:, None], lca_above]]
-    # s**2 + cum[m-1] + cum[l-1] - 2*cum[t]
-    np.multiply(out, out, out=out)
-    out += below[:, None]
+    # s**2 + cum[m-1] + cum[l-1] - 2*cum[t], with s the sibling weight of
+    # the pair's common ancestor.  The first two terms depend on a node and
+    # the layer t only, so they are summed on the (q, depth) ancestor table
+    # and then looked up by each pair's t, which never reaches the -1
+    # entries below a node's own layer.
+    head = schedule.sibling_weights[tree.node_ancestors]
+    head *= head
+    head += below[:, None]
+    out = head[np.arange(q)[:, None], lca - 1]
+    del head
     out += below[None, :]
-    twice = cum[lca]
-    twice *= 2
-    out -= twice
-    del twice
+    out -= (2 * cum)[lca]
     np.maximum(out, 0.0, out=out)
 
-    # One node ancestral to the other: cum[max(m,l)-1] - cum[t-1].
-    ancestral = lca == np.minimum(layers[:, None], layers[None, :])
-    hi = np.maximum(layers[:, None], layers[None, :])
-    hi -= 1
-    sq_anc = cum[hi]
-    del hi
-    sq_anc -= cum[lca_above]
-    del lca_above
-    np.copyto(out, sq_anc, where=ancestral)
-    del sq_anc, ancestral
-
+    # One node ancestral to the other: cum[max(m,l)-1] - cum[t-1], with t
+    # the ancestor's layer.  Only those pairs are rewritten, read off the
+    # ancestor matrix: column c of a layer-m node's row holds its ancestor
+    # at layer c + 1, a non-root proper ancestor for 0 < c < m - 1.  The
+    # diagonal, where t is the node's own layer, is zeroed below.
+    c = np.arange(tree.depth)
+    desc, col = np.nonzero((c > 0) & (c < layers[:, None] - 1))
+    anc = tree.node_ancestors[desc, col] - 1
+    sq_anc = cum[layers[desc] - 1] - cum[col]
+    out[anc, desc] = sq_anc
+    out[desc, anc] = sq_anc
     np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out

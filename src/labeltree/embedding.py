@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -352,7 +352,7 @@ def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
     simplex pattern times a layer scale, so formatting each once and
     looking entries up by their bits writes the same text as formatting
     every entry.  Keys are bits, not values, so ``-0.0`` keeps its own
-    text; the zeros that fill most of the matrix stay out of the sort.
+    text; zero is always a key.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     keys = np.unique(np.append(bits[bits != 0], 0))
@@ -360,10 +360,64 @@ def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
     return keys, texts
 
 
-def _texts_of(row: np.ndarray, keys: np.ndarray, texts: np.ndarray) -> list[str]:
-    """The text of each entry of ``row``, looked up in :func:`_distinct_texts`."""
-    bits = np.ascontiguousarray(row, dtype=np.float64).view(np.int64)
-    return texts[np.searchsorted(keys, bits)].tolist()
+def _nonzero_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D array, row-major, found in its memory order.
+
+    ``np.nonzero`` walks a transposed view entry by entry; a flat scan of
+    the memory, then a stable sort of the few hits by row, is cheaper.
+    """
+    n_rows, n_cols = a.shape
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        cols, rows = np.divmod(np.flatnonzero(a.T != 0), n_rows)
+        by_row = np.argsort(rows, kind="stable")
+        return rows[by_row], cols[by_row]
+    return np.divmod(np.flatnonzero(a != 0), n_cols)
+
+
+def _row_texts(mat: np.ndarray, fmt, sep: str) -> Iterator[str]:
+    """``sep.join`` of the ``fmt`` text of each entry, row by row of ``mat``.
+
+    A node's vector is zero off the blocks of its path, so nearly every
+    entry is zero.  Only the nonzero entries are looked up, by their bits
+    in :func:`_distinct_texts`; each run of zeros between them is one
+    repeated string.  Zero is tested by bits, so ``-0.0`` keeps its own
+    text.  ``mat`` may be any float64 view; no copy of it is made.
+    """
+    n_rows, n_cols = mat.shape
+    bits = mat.view(np.int64)
+    rows, cols = _nonzero_cells(bits)
+    nonzero = bits[rows, cols]
+    keys, texts = _distinct_texts(nonzero.view(np.float64), fmt)
+    counts = np.bincount(rows, minlength=n_rows)
+    ends = np.cumsum(counts)
+    starts, filled = ends - counts, counts > 0
+    before = np.empty_like(cols)  # the column of the previous nonzero entry
+    before[1:] = cols[:-1]
+    before[starts[filled]] = -1
+    last = np.full(n_rows, -1)
+    last[filled] = cols[ends[filled] - 1]
+    # the zero runs: one before each nonzero entry, then one ending each row
+    runs, which = np.unique(
+        np.concatenate([cols - before - 1, n_cols - 1 - last]), return_inverse=True
+    )
+    # A row is sep.join of its pieces: each nonzero entry after its run,
+    # then the row's last run.  A run of k zeros is sep.join of k zero
+    # texts, and an empty run is left out.  Codes index runs, then texts.
+    unit = sep + texts[np.searchsorted(keys, 0)]
+    zeros = [(unit * k)[len(sep) :] for k in runs.tolist()]
+    table = np.array([*zeros, *texts], dtype=object)
+    n = len(cols)
+    lead = 2 * starts + np.arange(n_rows)  # each row's first piece
+    run_at = np.concatenate([2 * np.arange(n) + rows, lead + 2 * counts])
+    code = np.empty(2 * n + n_rows, dtype=np.intp)
+    code[run_at] = which
+    code[run_at[:n] + 1] = len(runs) + np.searchsorted(keys, nonzero)
+    kept = np.ones(len(code), dtype=bool)
+    kept[run_at] = runs[which] > 0
+    pieces = table[code[kept]].tolist()
+    bounds = (np.cumsum(kept) - kept)[lead].tolist()  # kept pieces before each row
+    for a, b in zip(bounds, [*bounds[1:], len(pieces)]):
+        yield sep.join(pieces[a:b])
 
 
 def write_matrix_csv(table: EmbeddingTable, path) -> None:
@@ -371,14 +425,15 @@ def write_matrix_csv(table: EmbeddingTable, path) -> None:
 
     The header goes through :mod:`csv`, which quotes node ids as needed;
     coordinate rows are written as the same text, one ``repr`` per float,
-    each distinct float formatted once.
+    rendered by :func:`_row_texts` from a transposed view of the node matrix.
     """
-    mat = table.matrix()
-    keys, texts = _distinct_texts(mat, repr)
+    rows = _row_texts(table.node_matrix[1:].T, repr, ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["coordinate", *table.tree.node_order])
-        for i, row in enumerate(mat, start=1):
-            fh.write(f"{i},{','.join(_texts_of(row, keys, texts))}\r\n")
+        for i, row in enumerate(rows, start=1):
+            fh.write(f"{i},")
+            fh.write(row)
+            fh.write("\r\n")
 
 
 def table_to_json_dict(table: EmbeddingTable) -> dict:
@@ -420,17 +475,20 @@ def write_json(table: EmbeddingTable, path) -> None:
     """Write :func:`table_to_json_dict` as ``json.dump(..., indent=2)`` does.
 
     Written one node at a time, so the file is never held as one string;
-    each distinct float is formatted once, as :mod:`json` formats it.
+    each vector is rendered by :func:`_row_texts`, its floats as :mod:`json`
+    formats them.
     """
-    keys, texts = _distinct_texts(table.node_matrix, json.dumps)
+    inner = "\n" + "  " * 3  # the indent of a vector's items
+    rows = _row_texts(table.node_matrix[1:], json.dumps, "," + inner)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n")
         for key in ("base_norm", "decay", "dimension"):
             fh.write(f'  "{key}": {json.dumps(getattr(table, key))},\n')
         fh.write('  "vectors": {')
         sep = "\n"
-        for node, row in zip(table.tree.node_order, table.node_matrix[1:]):
-            vec = _json_list(_texts_of(row, keys, texts), 2)
-            fh.write(f"{sep}    {json.dumps(node)}: {vec}")
+        for node, row in zip(table.tree.node_order, rows):
+            fh.write(f"{sep}    {json.dumps(node)}: [{inner}")
+            fh.write(row)
+            fh.write("\n    ]")
             sep = ",\n"
         fh.write("\n  }\n}\n")

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -912,6 +913,49 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(LinearModel(coef, embed_tree(tree), "linear"), path)
         with pytest.raises(ValueError, match="model.json.*NaN or infinity"):
+            load_model(path, tree)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5], {"a": 1}])
+    def test_coefficient_that_is_not_a_number_rejected(self, tmp_path, bad):
+        # np.array(..., dtype=float) would read true as 1.0 and "0.5" as 0.5
+        tree = parse_tree("r: a b c\na: a1 a2\n")
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.zeros((3, 2)), embed_tree(tree), "linear"), path)
+        doc = json.loads(path.read_text())
+        doc["coef"][4] = bad
+        doc["coef"][5] = "first bad entry is index 4"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: coef\[4\] must be a number"):
+            load_model(path, tree)
+
+    @pytest.mark.parametrize("coef", [0.5, "0.5", {"0": 0.5}, None])
+    def test_coefficients_that_are_not_a_list_rejected(self, tmp_path, coef):
+        tree = parse_tree("r: a b\n")
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.zeros((1, 1)), embed_tree(tree), "linear"), path)
+        doc = json.loads(path.read_text())
+        doc["coef"] = coef
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: coef must be a list"):
+            load_model(path, tree)
+
+    def test_integer_coefficients_load_as_floats(self, tmp_path):
+        tree = parse_tree("r: a b\n")
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.zeros((1, 2)), embed_tree(tree), "linear"), path)
+        doc = json.loads(path.read_text())
+        doc["coef"] = [1, -2]
+        path.write_text(json.dumps(doc))
+        coef = load_model(path, tree).coef
+        assert coef.dtype == float and coef.tolist() == [[1.0, -2.0]]
+
+    def test_integer_coefficient_beyond_float_range_rejected(self, tmp_path):
+        tree = parse_tree("r: a b\n")
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.zeros((1, 2)), embed_tree(tree), "linear"), path)
+        text = path.read_text().replace("0.0", "1" + "0" * 400, 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"model\.json"):
             load_model(path, tree)
 
     def test_non_object_rejected(self, reference_tree, tmp_path):

@@ -496,6 +496,27 @@ class TestTrainPredictEvaluate:
             )
         assert models[0].read_bytes() == models[1].read_bytes()
 
+    def test_embed_files_independent_of_blas_threads(self, tmp_path):
+        # the certificate's distance matrix is one large Gram product, which
+        # a threaded BLAS may split differently per thread count
+        write_tree(fanout10_tree(), tmp_path / "tree.txt")
+        src = str(Path(labeltree.__file__).parents[1])
+        script = "import sys; from labeltree.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"embed{threads}")
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
+            subprocess.run(
+                [sys.executable, "-c", script, "embed", "--tree", tmp_path / "tree.txt",
+                 "--out", outs[-1]],
+                env=env, check=True, capture_output=True,
+            )
+        names = ["certificate.json", "consistency.txt", "embedding.csv", "embedding.json"]
+        assert sorted(p.name for p in outs[0].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_wlinear_model_file_with_validation_independent_of_blas_threads(self, tmp_path):
         # gamma selection scores 2000 validation rows in products large
         # enough to thread; the selected gamma must not move with the count
@@ -1197,15 +1218,15 @@ def recorded_draws(monkeypatch):
 
 
 def test_run_benchmark_splits_are_views_of_the_draw(monkeypatch):
-    import labeltree.cli as cli
+    # the splits are taken with the draw's known codes; each must equal the
+    # checked construction from the same rows
+    draws, made, rows = recorded_draws(monkeypatch), [], LabeledDataset._rows
 
-    draws, made = recorded_draws(monkeypatch), []
-
-    def recording(*args):
-        made.append(LabeledDataset(*args))
+    def recording(data, which):
+        made.append(rows(data, which))
         return made[-1]
 
-    monkeypatch.setattr(cli, "LabeledDataset", recording)
+    monkeypatch.setattr(LabeledDataset, "_rows", recording)
     run_benchmark(example=1, reps=2, seed=3, losses=("linear",), n=20)
     assert len(draws) == 2 and len(made) == 6
     for data, splits in zip(draws, (made[:3], made[3:])):

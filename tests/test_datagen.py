@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from labeltree.classifier import LabeledDataset
 from labeltree.datagen import (
     SyntheticSpec,
     example1_tree,
@@ -171,6 +172,33 @@ class TestExample2:
         _, d1 = gen_example2(noisy)
         flips = sum(a != b for a, b in zip(d0.labels, d1.labels))
         assert 94 <= flips <= 100
+
+
+def assert_same_dataset(got, want):
+    assert got.tree == want.tree and got.labels == want.labels
+    for a, b in ((got.X, want.X), (got.codes, want.codes)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKnownCodes:
+    """Generated datasets and split views skip the label lookup, not its result."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(example=1, n_total=200, seed=4, noise_rate=0.2),
+            SyntheticSpec(example=1, n_total=120, seed=8, k=4),
+            SyntheticSpec(example=2, n_total=400, seed=5, noise_rate=0.25),
+        ],
+    )
+    def test_generated_dataset_equals_checked_construction(self, spec):
+        tree, ds = generate(spec)
+        assert_same_dataset(ds, LabeledDataset(ds.X, ds.labels, tree))
+        for i in split_indices(ds.n):
+            rows = slice(i[0], i[-1] + 1)
+            view = ds._rows(rows)
+            assert np.shares_memory(view.X, ds.X)
+            assert_same_dataset(view, LabeledDataset(ds.X[rows], ds.labels[rows], tree))
 
 
 class TestSplitAndCsv:

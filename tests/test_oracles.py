@@ -4,6 +4,7 @@
 paths of different lengths meet in every check.
 """
 
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import labeltree.classifier as clf
 import oracles
-from conftest import random_tree, traced_peak
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
@@ -77,7 +78,7 @@ from labeltree.embedding import (
     write_json,
     write_matrix_csv,
 )
-from labeltree.hierarchy import Tree
+from labeltree.hierarchy import Tree, parse_tree
 from labeltree.metrics import evaluate, h_fmeasure, hierarchical_loss
 
 seeds = st.integers(0, 100_000)
@@ -1130,19 +1131,9 @@ def test_table_views_equal_cursor_walk_bitwise(seed, decay, base_norm):
     assert_views_equal_cursor_walk(tree, base_norm, decay)
 
 
-def ten_ary_tree():
-    """The 1000-leaf taxonomy of fan-out 10 the CLI benchmark embeds."""
-    children, frontier = {}, ["r"]
-    for _ in range(3):
-        for node in frontier:
-            children[node] = [f"{node}.{j}" for j in range(10)]
-        frontier = [kid for node in frontier for kid in children[node]]
-    return Tree("r", children)
-
-
 @pytest.mark.parametrize(
     "make_tree",
-    [lambda: example1_tree(3), lambda: example1_tree(5), example2_tree, ten_ary_tree],
+    [lambda: example1_tree(3), lambda: example1_tree(5), example2_tree, fanout10_tree],
     ids=["design1-k3", "design1-k5", "design2", "ten-ary"],
 )
 def test_design_table_views_equal_cursor_walk_bitwise(make_tree):
@@ -1171,6 +1162,95 @@ def test_exports_of_special_values_equal_oracle_bytes(tmp_path_factory, seed, fi
     assert_same_exports(tmp, hand_built_table(rng, finite))
     rows = (tmp / "got-e.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].split(",")[1:3] == ["-0.0", "5e-324"]
+
+
+# Nonzero by bits, so none of them is a zero run: a negative zero, a
+# subnormal of each sign, a normal value and a value with a long repr.
+RUN_VALUES = (-0.0, 1e-310, -5e-324, 0.1, 2.0 / 3.0)
+
+
+def zero_run_rows(rng, shape):
+    """Rows of every zero-run shape the exports render, in turn.
+
+    With ``k`` the row index mod 6: no zeros; all zeros; a leading run; a
+    trailing run; one entry between two runs; ``-0.0`` and ``0.0`` in
+    alternation, so a negative zero sits between zero runs.
+    """
+    n_rows, n_cols = shape
+    P = rng.choice(RUN_VALUES, size=shape)
+    half = n_cols // 2
+    for r in range(n_rows):
+        k = r % 6
+        if k == 1:
+            P[r] = 0.0
+        elif k == 2:
+            P[r, : max(half, 1)] = 0.0
+        elif k == 3:
+            P[r, half + 1 :] = 0.0
+        elif k == 4:
+            P[r] = 0.0
+            P[r, half] = rng.choice(RUN_VALUES)
+        elif k == 5:
+            P[r] = np.where(np.arange(n_cols) % 2, 0.0, -0.0)
+    return P
+
+
+def zero_run_table(tree, rng, by_coordinate):
+    """A table whose node rows, or coordinate rows, are :func:`zero_run_rows`."""
+    table = embed_tree(tree)
+    M = np.zeros_like(table.node_matrix)
+    if by_coordinate:
+        M[1:] = zero_run_rows(rng, M[1:].T.shape).T
+    else:
+        M[1:] = zero_run_rows(rng, M[1:].shape)
+    M.setflags(write=False)
+    table.__dict__["node_matrix"] = M
+    return table
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, by_coordinate=st.booleans())
+def test_exports_of_zero_runs_equal_oracle_bytes(tmp_path_factory, seed, by_coordinate):
+    rng = np.random.default_rng(seed)
+    table = zero_run_table(random_tree(rng), rng, by_coordinate)
+    assert_same_exports(tmp_path_factory.mktemp("runs"), table)
+
+
+@pytest.mark.parametrize("by_coordinate", [False, True])
+def test_exports_of_one_coordinate_equal_oracle_bytes(tmp_path, two_leaf_tree, by_coordinate):
+    assert_same_exports(tmp_path, embed_tree(two_leaf_tree, base_norm=0.37))
+    table = zero_run_table(two_leaf_tree, np.random.default_rng(5), by_coordinate)
+    assert table.dimension == 1
+    assert_same_exports(tmp_path, table)
+
+
+def test_exports_of_fanout10_tree_equal_oracle_bytes(tmp_path):
+    assert_same_exports(tmp_path, embed_tree(fanout10_tree()))
+
+
+def ragged_trees():
+    """The reference taxonomy (leaves on layers 3 and 4), then the first
+    four random trees of seeds 0, 1, ... with leaves on three layers or more."""
+    yield parse_tree(REFERENCE_DOC)
+    drawn = (random_tree(np.random.default_rng(s), max_depth=6) for s in range(100))
+    yield from itertools.islice(
+        (t for t in drawn if len(set(t.node_layers[t.node_fanouts == 0])) > 2), 4
+    )
+
+
+@pytest.mark.parametrize("tree", ragged_trees(), ids=lambda tree: str(tree.q))
+def test_dissimilarity_of_ragged_trees_equals_oracle_bits(tree):
+    # leaves on several layers, so an ancestral pair's layers differ by one
+    # or more and the ancestral correction crosses several layers
+    leaf_layers = tree.node_layers[tree.node_fanouts == 0]
+    assert len(set(leaf_layers)) > 1
+    lca, layers = tree.lca_layer_matrix(), tree.node_layers[1:]
+    anc, desc = np.nonzero((lca == layers[:, None]) & (layers[:, None] < layers))
+    assert len(np.unique(layers[desc] - layers[anc])) > 1
+    for decay in DECAYS:
+        schedule = build_schedule(tree, base_weight=1.5, decay=decay)
+        want = oracles.dissimilarity_matrix(tree, schedule)
+        assert same_bits(dissimilarity_matrix(tree, schedule), want)
 
 
 @settings(max_examples=25, deadline=None)
