@@ -77,54 +77,59 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
-@dataclass
 class LabeledDataset:
     """Feature matrix plus leaf labels tied to a taxonomy.
 
     ``X`` has one row per sample, zero columns for intercept-only models;
-    ``labels`` are leaf ids of ``tree`` and ``codes`` their leaf codes.
+    ``labels`` are leaf ids of ``tree``, stored as their leaf ``codes``.
     """
 
-    X: np.ndarray
-    labels: tuple[str, ...]
-    tree: Tree
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.X = _as_matrix(self.X)
-        self.labels = tuple(self.labels)
-        if self.X.shape[0] != len(self.labels):
-            raise ValueError(
-                f"{self.X.shape[0]} feature rows but {len(self.labels)} labels"
-            )
-        if self.X.shape[0] < 1:
+    def __init__(self, X: np.ndarray, labels: Sequence[str], tree: Tree):
+        X, labels = _as_matrix(X), tuple(labels)
+        if X.shape[0] != len(labels):
+            raise ValueError(f"{X.shape[0]} feature rows but {len(labels)} labels")
+        if X.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
-        if not np.all(np.isfinite(self.X)):
+        if not np.all(np.isfinite(X)):
             raise ValueError("features contain NaN or infinity")
-        leaf_codes = self.tree.leaf_codes
+        leaf_codes = tree.leaf_codes
         try:
-            self.codes = np.array([leaf_codes[label] for label in self.labels])
+            codes = np.array([leaf_codes[label] for label in labels])
         except KeyError as exc:
             label = exc.args[0]
             raise ValueError(f"label {label!r} is not a leaf of the tree") from None
+        self.X, self.codes, self.tree = X, codes, tree
 
     @classmethod
-    def _of_codes(
-        cls, X: np.ndarray, labels: tuple[str, ...], codes: np.ndarray, tree: Tree
-    ) -> "LabeledDataset":
-        """A dataset whose ``labels`` are known to be the leaves of ``codes``.
+    def _of_codes(cls, X: np.ndarray, codes: np.ndarray, tree: Tree) -> "LabeledDataset":
+        """A dataset of the leaves of ``codes``.
 
-        Unchecked: ``X`` must be a finite float matrix with one row per label,
+        Unchecked: ``X`` must be a finite float matrix with one row per code,
         as the public constructor would leave it, and ``codes`` int64.
         """
         data = cls.__new__(cls)
-        data.X, data.labels, data.tree, data.codes = X, labels, tree, codes
+        data.X, data.codes, data.tree = X, codes, tree
         return data
 
     def _rows(self, rows: slice) -> "LabeledDataset":
         """The samples of ``rows``, as views of this dataset's arrays."""
-        X, labels, codes = self.X[rows], self.labels[rows], self.codes[rows]
-        return self._of_codes(X, labels, codes, self.tree)
+        return self._of_codes(self.X[rows], self.codes[rows], self.tree)
+
+    def __eq__(self, other: object) -> bool:
+        # leaves ``__hash__ = None``: datasets are mutable
+        if not isinstance(other, LabeledDataset):
+            return NotImplemented
+        return (
+            self.tree == other.tree
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.X, other.X)
+        )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Leaf id of each sample."""
+        leaves = self.tree.leaves
+        return tuple([leaves[c] for c in self.codes.tolist()])
 
     @property
     def n(self) -> int:

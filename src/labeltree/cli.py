@@ -71,17 +71,22 @@ EXAMPLE_DEFAULTS = {
 
 
 def write_predictions(paths: Sequence[tuple[str, ...]], out_path) -> None:
-    """Write predicted paths as CSV rows ``index, slash/joined/path``."""
+    """Write predicted paths as CSV rows ``index, slash/joined/path``.
+
+    A node id that contains the separator raises ``ValueError`` before
+    ``out_path`` is opened, so an existing file is left as it was.
+    """
+    paths = list(paths)
+    for path in dict.fromkeys(paths):
+        for node in path:
+            if PATH_SEP in node:
+                raise ValueError(
+                    f"node id {node!r} contains {PATH_SEP!r}; cannot serialize paths"
+                )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "path"])
         for i, path in enumerate(paths):
-            for node in path:
-                if PATH_SEP in node:
-                    raise ValueError(
-                        f"node id {node!r} contains {PATH_SEP!r}; cannot "
-                        "serialize paths"
-                    )
             writer.writerow([i, PATH_SEP.join(path)])
 
 
@@ -360,8 +365,9 @@ def run_benchmark(
     ``n``/``n``/``2n``.  Replication seeds derive deterministically from
     the master seed.  Both designs have label-balanced, zero-mean class
     structure, so the protocol trains without a free intercept; pass
-    ``fit_intercept=True`` to add one.  ``reps < 1`` or an empty, repeated
-    or unknown loss raises ``ValueError`` before any replication runs.
+    ``fit_intercept=True`` to add one.  An example other than 1 or 2,
+    ``reps < 1`` or an empty, repeated or unknown loss raises ``ValueError``
+    before any replication runs.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -370,6 +376,8 @@ def run_benchmark(
     for loss in losses:
         if loss not in ("linear", "wlinear", "hinge"):
             raise ValueError(f"unknown loss {loss!r}")
+    if example not in EXAMPLE_DEFAULTS:
+        raise ValueError(f"example must be 1 or 2, got {example!r}")
     defaults = EXAMPLE_DEFAULTS[example]
     k = defaults["k"] if k is None else k
     p = defaults["p"] if p is None else p

@@ -155,9 +155,7 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
 
     X = means[leaf_idx] + NOISE_STD * rng.standard_normal((spec.n_total, p))
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    leaves = tree.leaves
-    labels = tuple([leaves[i] for i in leaf_idx.tolist()])
-    return tree, LabeledDataset._of_codes(X, labels, leaf_idx, tree)
+    return tree, LabeledDataset._of_codes(X, leaf_idx, tree)
 
 
 def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
@@ -176,9 +174,7 @@ def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
         (spec.n_total, EXAMPLE2_FEATURES)
     )
     leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    leaves = tree.leaves
-    labels = tuple([leaves[i] for i in leaf_idx.tolist()])
-    return tree, LabeledDataset._of_codes(X, labels, leaf_idx, tree)
+    return tree, LabeledDataset._of_codes(X, leaf_idx, tree)
 
 
 def generate(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
@@ -221,15 +217,13 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 
     # a leading empty field quotes the label as the last field of a row
     # with features and writes the comma before it
-    lead = [""] if dataset.p else []
-    cells = {
-        label: row_text([*lead, label]) for label in dict.fromkeys(dataset.labels)
-    }
+    lead, labels = ([""] if dataset.p else []), dataset.labels
+    cells = {label: row_text([*lead, label]) for label in dict.fromkeys(labels)}
     header = row_text([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
     rows = "".join(
         [
             ",".join(map(repr, row)) + cells[label]
-            for row, label in zip(dataset.X.tolist(), dataset.labels)
+            for row, label in zip(dataset.X.tolist(), labels)
         ]
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -79,19 +79,19 @@ class Tree:
     acyclicity.  Instances are immutable afterwards and safe to share
     across threads.
 
-    Leaves also carry integer *leaf codes*, their positions in
-    :attr:`leaves`; :attr:`leaf_paths` and :attr:`leaf_ancestors` are
-    indexed by code, so hot loops work on integer arrays and node ids are
-    needed only at the file and CLI boundary.  :attr:`leaf_ancestors` is
-    the leaf rows of the one node ancestor matrix, :attr:`node_ancestors`.
+    A tree stores its node ids once, in :attr:`nodes`, plus integer arrays
+    by order index (:attr:`node_ancestors`, :attr:`node_parents`,
+    :attr:`node_fanouts`, :attr:`first_children` and the rest); the
+    id-keyed accessors read those arrays.  Leaves also carry integer *leaf
+    codes*, their positions in :attr:`leaves`; :attr:`leaf_paths` and
+    :attr:`leaf_ancestors` are indexed by code, so hot loops work on
+    integer arrays and node ids are needed only at the file and CLI
+    boundary.  :attr:`leaf_ancestors` is the leaf rows of the one node
+    ancestor matrix, :attr:`node_ancestors`.
     """
 
     __slots__ = (
-        "_root",
-        "_children",
-        "_parent",
-        "_index_tuple",
-        "_node_order",
+        "_nodes",
         "_order_pos",
         "_leaves",
         "_leaf_code",
@@ -107,17 +107,14 @@ class Tree:
     )
 
     def __init__(self, root: str, children: Mapping[str, Iterable[str]]):
-        self._root = root
-        self._children: dict[str, tuple[str, ...]] = {
-            parent: tuple(kids) for parent, kids in children.items()
-        }
+        children = {parent: tuple(kids) for parent, kids in children.items()}
         if not root or not isinstance(root, str):
             raise TaxonomyError("root id must be a non-empty string")
-        if root not in self._children:
+        if root not in children:
             raise SingleChildError(f"root {root!r} has no children")
 
-        self._parent: dict[str, str] = {}
-        for parent, kids in self._children.items():
+        parent_of: dict[str, str] = {}
+        for parent, kids in children.items():
             if len(kids) < 2:
                 raise SingleChildError(
                     f"node {parent!r} has {len(kids)} child(ren); "
@@ -128,60 +125,50 @@ class Tree:
                     raise TaxonomyError(f"node {parent!r} lists an empty child id")
                 if child == parent:
                     raise CycleError(f"node {parent!r} lists itself as a child")
-                if child in self._parent:
+                if child in parent_of:
                     raise DuplicateNodeError(
                         f"node {child!r} is attached to both "
-                        f"{self._parent[child]!r} and {parent!r}"
+                        f"{parent_of[child]!r} and {parent!r}"
                     )
-                self._parent[child] = parent
-        if root in self._parent:
+                parent_of[child] = parent
+        if root in parent_of:
             raise CycleError(f"root {root!r} appears as a child")
-        for parent in self._children:
-            if parent != root and parent not in self._parent:
+        for parent in children:
+            if parent != root and parent not in parent_of:
                 raise UnknownParentError(
                     f"node {parent!r} declares children but is not attached "
                     "to the tree"
                 )
 
-        # Breadth-first sweep assigns index paths and the global node order.
-        self._index_tuple: dict[str, tuple[int, ...]] = {root: (1,)}
-        order: list[str] = []
-        frontier = [root]
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for j, child in enumerate(self._children.get(node, ()), start=1):
-                    self._index_tuple[child] = self._index_tuple[node] + (j,)
-                    nxt.append(child)
-            order.extend(nxt)
-            frontier = nxt
-        unreachable = set(self._children) - set(self._index_tuple)
+        # Breadth-first sweep assigns the global node order and each node's
+        # lineage: the order indices from the root down to it.
+        nodes, lineage = [root], [(0,)]
+        for i, node in enumerate(nodes):  # the sweep appends as it goes
+            for child in children.get(node, ()):
+                lineage.append(lineage[i] + (len(nodes),))
+                nodes.append(child)
+        self._order_pos = {node: i for i, node in enumerate(nodes)}
+        unreachable = set(children) - self._order_pos.keys()
         if unreachable:
             raise CycleError(
                 "nodes not reachable from the root (cycle among "
                 f"{sorted(unreachable)!r})"
             )
 
-        self._node_order: tuple[str, ...] = tuple(order)
-        nodes = (root, *order)
-        self._order_pos = {node: i for i, node in enumerate(nodes)}
+        self._nodes: tuple[str, ...] = tuple(nodes)
         self._leaves: tuple[str, ...] = tuple(
-            node for node in order if node not in self._children
+            node for node in nodes if node not in children
         )
-        depth = len(self._index_tuple[order[-1]])
+        depth = len(lineage[-1])
 
         self._leaf_code = {leaf: i for i, leaf in enumerate(self._leaves)}
-        # Order indices from the root down to each node; parents precede
-        # their children in node order.
-        lineage = {root: (0,)}
-        for i, node in enumerate(order, start=1):
-            lineage[node] = lineage[self._parent[node]] + (i,)
         self._leaf_paths: tuple[tuple[str, ...], ...] = tuple(
-            tuple(nodes[k] for k in lineage[leaf]) for leaf in self._leaves
+            tuple(nodes[k] for k in lineage[self._order_pos[leaf]])
+            for leaf in self._leaves
         )
         self._path_code = {path: i for i, path in enumerate(self._leaf_paths)}
         ancestors = np.array(
-            [lineage[n] + (-1,) * (depth - len(lineage[n])) for n in order],
+            [line + (-1,) * (depth - len(line)) for line in lineage[1:]],
             dtype=np.intp,
         )
         # The shape by order index, root first.  Every row of the ancestor
@@ -204,7 +191,7 @@ class Tree:
 
     @property
     def root(self) -> str:
-        return self._root
+        return self._nodes[0]
 
     @property
     def depth(self) -> int:
@@ -214,12 +201,12 @@ class Tree:
     @property
     def node_order(self) -> tuple[str, ...]:
         """Non-root nodes sorted by layer, left to right within a layer."""
-        return self._node_order
+        return self._nodes[1:]
 
     @property
     def q(self) -> int:
         """Number of non-root nodes."""
-        return len(self._node_order)
+        return len(self._nodes) - 1
 
     @property
     def leaves(self) -> tuple[str, ...]:
@@ -232,7 +219,7 @@ class Tree:
     @property
     def nodes(self) -> tuple[str, ...]:
         """All nodes, root first, then in node order."""
-        return (self._root,) + self._node_order
+        return self._nodes
 
     @property
     def leaf_codes(self) -> Mapping[str, int]:
@@ -300,29 +287,33 @@ class Tree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self._root == other._root and self._children == other._children
+        # equal node order and parents: the same root and ordered children
+        return self._nodes == other._nodes and np.array_equal(
+            self._node_parents, other._node_parents
+        )
 
     def __hash__(self) -> int:
-        return hash((self._root, tuple(sorted(self._children.items()))))
+        return hash(self._nodes)
 
     def children(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return self._children.get(node, ())
+        i = self._order_pos[node]
+        first = self._first_children[i]
+        return self._nodes[first : first + self._node_fanouts[i]]
 
     def parent(self, node: str) -> str | None:
-        self._require(node)
-        return self._parent.get(node)
+        up = self._node_parents[self._order_pos[node]]
+        return None if up < 0 else self._nodes[up]
 
     def layer(self, node: str) -> int:
         return int(self._node_layers[self._order_pos[node]])
 
     def is_leaf(self, node: str) -> bool:
-        self._require(node)
-        return node not in self._children
+        return not self._node_fanouts[self._order_pos[node]]
 
     def index_tuple(self, node: str) -> tuple[int, ...]:
         """Position-derived index path (1, j2, ..., jm), 1-based per layer."""
-        return self._index_tuple[node]
+        line = self._lineage(node)
+        return (1, *(line[1:] - self._first_children[line[:-1]] + 1).tolist())
 
     def order_index(self, node: str) -> int:
         """1-based position in node order; the root maps to 0."""
@@ -330,7 +321,7 @@ class Tree:
 
     def nodes_at_layer(self, m: int) -> tuple[str, ...]:
         a, b = np.searchsorted(self._node_layers, [m, m + 1]).tolist()
-        return self.nodes[a:b]
+        return self._nodes[a:b]
 
     def subtree_size(self, node: str) -> int:
         """Number of nodes in the subtree rooted at ``node``, itself included."""
@@ -340,18 +331,18 @@ class Tree:
 
     def ancestor_at_layer(self, node: str, t: int) -> str:
         """Ancestor of ``node`` at layer ``t`` (a node is its own ancestor)."""
-        m = self.layer(node)
-        if not 1 <= t <= m:
-            raise ValueError(f"layer {t} out of range for node {node!r} at layer {m}")
-        for _ in range(m - t):
-            node = self._parent[node]
-        return node
+        line = self._lineage(node)
+        if not 1 <= t <= len(line):
+            raise ValueError(
+                f"layer {t} out of range for node {node!r} at layer {len(line)}"
+            )
+        return self._nodes[line[t - 1]]
 
     def path_of_leaf(self, leaf: str) -> tuple[str, ...]:
         """Root-to-leaf path, root included."""
         code = self._leaf_code.get(leaf)
         if code is None:
-            self._require(leaf)
+            self._order_pos[leaf]  # an unknown id raises KeyError
             raise ValueError(f"node {leaf!r} is not a leaf")
         return self._leaf_paths[code]
 
@@ -382,17 +373,13 @@ class Tree:
     def lca_layer(self, a: str, b: str) -> int:
         """Layer of the latest (deepest) common ancestor of two nodes.
 
-        Computed as the longest common prefix of the position-derived index
-        tuples, so ``lca_layer(x, x)`` equals ``layer(x)`` and any pair that
-        only meets at the root gives 1.
+        Computed as the longest common prefix of the two lineages, so
+        ``lca_layer(x, x)`` equals ``layer(x)`` and any pair that only meets
+        at the root gives 1.
         """
-        ta, tb = self._index_tuple[a], self._index_tuple[b]
-        t = 0
-        for x, y in zip(ta, tb):
-            if x != y:
-                break
-            t += 1
-        return t
+        la, lb = self._lineage(a), self._lineage(b)
+        m = min(len(la), len(lb))
+        return int((la[:m] == lb[:m]).sum())  # lineages part for good once they differ
 
     def lca_layer_matrix(self) -> np.ndarray:
         """(q, q) matrix of ``lca_layer`` over non-root nodes in node order.
@@ -411,11 +398,12 @@ class Tree:
 
     def document(self) -> str:
         """Canonical adjacency document (parseable by :func:`parse_tree`)."""
-        lines = []
-        for node in self.nodes:
-            kids = self._children.get(node)
-            if kids:
-                lines.append(f"{node}: {' '.join(kids)}")
+        nodes, first = self._nodes, self._first_children.tolist()
+        lines = [
+            f"{nodes[i]}: {' '.join(nodes[first[i] : first[i] + f])}"
+            for i, f in enumerate(self._node_fanouts.tolist())
+            if f
+        ]
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -423,13 +411,16 @@ class Tree:
 
     def __repr__(self) -> str:
         return (
-            f"Tree(root={self._root!r}, depth={self.depth}, "
+            f"Tree(root={self.root!r}, depth={self.depth}, "
             f"nodes={1 + self.q}, leaves={self.n_leaf})"
         )
 
-    def _require(self, node: str) -> None:
-        if node not in self._order_pos:
-            raise KeyError(node)
+    def _lineage(self, node: str) -> np.ndarray:
+        """Order indices from the root down to ``node``, both included."""
+        i = self._order_pos[node]
+        if not i:
+            return np.zeros(1, dtype=np.intp)
+        return self._node_ancestors[i - 1, : self._node_layers[i]]
 
 
 def parse_tree(text: str) -> Tree:

@@ -30,6 +30,11 @@ def two_leaf_tree() -> Tree:
 
 def random_tree(rng: np.random.Generator, max_depth: int = 5) -> Tree:
     """Random taxonomy with depth <= max_depth and 2-4 children per node."""
+    return Tree("n0", random_children(rng, max_depth))
+
+
+def random_children(rng: np.random.Generator, max_depth: int = 5) -> dict[str, list[str]]:
+    """The children mapping of :func:`random_tree`, rooted at ``n0``."""
     depth = int(rng.integers(2, max_depth + 1))
     counter = 0
 
@@ -47,7 +52,7 @@ def random_tree(rng: np.random.Generator, max_depth: int = 5) -> Tree:
         for kid in kids:
             if layer + 1 < depth and rng.random() < 0.6:
                 frontier.append((kid, layer + 1))
-    return Tree("n0", children)
+    return children
 
 
 def fanout10_tree() -> Tree:

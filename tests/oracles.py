@@ -24,7 +24,8 @@ per-parent formula keyed by node id, the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming, and the
 dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
 through ``np.loadtxt``, and the truth labels as ``csv`` read them, before
-the label-only read.  The property
+the label-only read, and the tree's id-keyed accessors over the
+dicts it kept beside its arrays, before they read the arrays.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -734,6 +735,79 @@ def embed_tree(tree, base_norm=1.0, decay=DEFAULT_DECAY) -> SimpleNamespace:
         layer_dims=layer_dims,
         sibling_blocks=sibling_blocks,
     )
+
+
+# -- the tree's accessors over dicts by node id ----------------------------
+
+
+class DictTree:
+    """``Tree``'s id-keyed accessors over its ordered children, parents and
+    index tuples by node id, as it stored them beside its arrays."""
+
+    def __init__(self, root, children):
+        self.root = root
+        self._children = {parent: tuple(kids) for parent, kids in children.items()}
+        self._parent = {c: p for p, kids in self._children.items() for c in kids}
+        self._index_tuple = {root: (1,)}
+        order, frontier = [], [root]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for j, child in enumerate(self._children.get(node, ()), start=1):
+                    self._index_tuple[child] = self._index_tuple[node] + (j,)
+                    nxt.append(child)
+            order.extend(nxt)
+            frontier = nxt
+        self.nodes = (root, *order)
+
+    def __eq__(self, other):
+        return self.root == other.root and self._children == other._children
+
+    def __hash__(self):
+        return hash((self.root, tuple(sorted(self._children.items()))))
+
+    def _require(self, node):
+        if node not in self._index_tuple:
+            raise KeyError(node)
+
+    def children(self, node):
+        self._require(node)
+        return self._children.get(node, ())
+
+    def parent(self, node):
+        self._require(node)
+        return self._parent.get(node)
+
+    def is_leaf(self, node):
+        self._require(node)
+        return node not in self._children
+
+    def index_tuple(self, node):
+        return self._index_tuple[node]
+
+    def lca_layer(self, a, b):
+        t = 0
+        for x, y in zip(self._index_tuple[a], self._index_tuple[b]):
+            if x != y:
+                break
+            t += 1
+        return t
+
+    def ancestor_at_layer(self, node, t):
+        m = len(self._index_tuple[node])
+        if not 1 <= t <= m:
+            raise ValueError(f"layer {t} out of range for node {node!r} at layer {m}")
+        for _ in range(m - t):
+            node = self._parent[node]
+        return node
+
+    def document(self):
+        lines = []
+        for node in self.nodes:
+            kids = self._children.get(node)
+            if kids:
+                lines.append(f"{node}: {' '.join(kids)}")
+        return "\n".join(lines) + "\n"
 
 
 # -- the certificate before the node ancestor matrix ----------------------

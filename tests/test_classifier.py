@@ -1,13 +1,14 @@
 import json
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize
 
 import oracles
-from conftest import fanout10_tree, random_tree, traced_peak
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
@@ -82,6 +83,32 @@ class TestDataset:
     def test_intercept_only_allowed(self, two_leaf_tree):
         ds = LabeledDataset(np.zeros((1, 0)), ("left",), two_leaf_tree)
         assert ds.p == 0
+
+    def test_holds_codes_and_reads_labels_from_them(self, reference_tree):
+        labels = ["kestrel", "panther", "kestrel", "eurasian_lynx"]
+        ds = LabeledDataset(np.zeros((4, 2)), labels, reference_tree)
+        assert vars(ds).keys() == {"X", "codes", "tree"}
+        assert ds.codes.tolist() == [1, 0, 1, 5]
+        assert ds.labels == tuple(labels)
+        with pytest.raises(AttributeError):
+            ds.labels = ("osprey",) * 4
+
+    def test_value_equality(self, reference_tree):
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        labels = ["kestrel", "osprey", "panther", "harrier", "osprey"]
+        ds = LabeledDataset(X, labels, reference_tree)
+        assert ds == LabeledDataset(X.copy(), tuple(labels), parse_tree(REFERENCE_DOC))
+        moved = X.copy()
+        moved[4, 2] += 1e-12
+        assert ds != LabeledDataset(moved, labels, reference_tree)
+        assert ds != LabeledDataset(X, labels[:4] + ["kestrel"], reference_tree)
+        assert ds != LabeledDataset(X[:4], labels[:4], reference_tree)
+        other = parse_tree(REFERENCE_DOC.replace("kestrel harrier", "harrier kestrel"))
+        assert ds != LabeledDataset(X, labels, other)
+        assert ds != SimpleNamespace(X=X, codes=ds.codes, tree=reference_tree)
+        assert ds.__eq__("kestrel") is NotImplemented
+        with pytest.raises(TypeError):
+            hash(ds)
 
 
 class TestDecisionValues:

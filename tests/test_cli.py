@@ -951,6 +951,13 @@ class TestBenchmarkCommand:
         assert msg in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("example", [0, 3])
+    def test_unknown_example_raises_before_any_replication(self, monkeypatch, example):
+        draws = recorded_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"example must be 1 or 2, got {example}"):
+            run_benchmark(example=example, reps=1, seed=1, losses=("linear",))
+        assert draws == []
+
     def test_depth_4_design_1_takes_the_simulate_feature_count(self, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", "--example", "1", "--k", "4", "--out", str(sim)]) == 0
@@ -986,6 +993,27 @@ class TestHelpers:
     def test_write_predictions_rejects_separator_in_ids(self, tmp_path):
         with pytest.raises(ValueError):
             write_predictions([("a", "b/c")], tmp_path / "p.csv")
+
+    def test_separator_in_ids_leaves_an_existing_file_as_it_was(self, tmp_path):
+        out = tmp_path / "p.csv"
+        write_predictions(iter([("r", "a")] * 2), out)  # a one-shot iterable writes
+        before = out.read_bytes()
+        assert before == b"index,path\r\n0,r/a\r\n1,r/a\r\n"
+        with pytest.raises(ValueError, match="node id 'b/c' contains '/'"):
+            write_predictions([("r", "a"), ("r", "b/c"), ("r", "d/e")], out)
+        assert out.read_bytes() == before
+
+    def test_predict_separator_in_ids_exits_2_and_keeps_the_old_file(self, tmp_path, capsys):
+        tree = parse_tree("r: a/x b\n")
+        paths = {name: tmp_path / name for name in ("tree.txt", "m.json", "d.csv", "p.csv")}
+        write_tree(tree, paths["tree.txt"])
+        save_model(LinearModel(np.zeros((1, 3)), embed_tree(tree), "linear"), paths["m.json"])
+        write_dataset_csv(LabeledDataset(np.zeros((2, 2)), ("b", "b"), tree), paths["d.csv"])
+        paths["p.csv"].write_bytes(b"index,path\r\n0,r/b\r\n1,r/b\r\n")
+        args = ["--tree", paths["tree.txt"], "--model", paths["m.json"], "--data", paths["d.csv"]]
+        assert run_cli("predict", *args, "--out", paths["p.csv"]) == 2
+        assert "node id 'a/x' contains '/'" in capsys.readouterr().err
+        assert paths["p.csv"].read_bytes() == b"index,path\r\n0,r/b\r\n1,r/b\r\n"
 
     def test_read_truth_accepts_both_formats(self, tmp_path, reference_tree):
         paths = [reference_tree.path_of_leaf("kestrel")]

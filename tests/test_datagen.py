@@ -175,6 +175,7 @@ class TestExample2:
 
 
 def assert_same_dataset(got, want):
+    assert got == want
     assert got.tree == want.tree and got.labels == want.labels
     for a, b in ((got.X, want.X), (got.codes, want.codes)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

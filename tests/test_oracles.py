@@ -4,6 +4,7 @@
 paths of different lengths meet in every check.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import labeltree.classifier as clf
 import oracles
-from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
+from conftest import REFERENCE_DOC, fanout10_tree, random_children, random_tree, traced_peak
 from labeltree.classifier import (
     HINGE_TOL,
     ConvergenceWarning,
@@ -927,6 +928,56 @@ def test_ancestor_and_lca_matrices_equal_oracle(seed, reference_tree, two_leaf_t
             assert tuple(nodes[k] for k in kids) == t.children(node)
             assert layers[i] == t.layer(node) == len(t.index_tuple(node))
             assert sizes[i] == t.subtree_size(node) == 1 + sum(sizes[k] for k in kids)
+
+
+def outcome(call, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_tree_accessors_equal_dict_oracle(seed):
+    rng = np.random.default_rng(seed)
+    children = random_children(rng)
+    tree, want = Tree("n0", children), oracles.DictTree("n0", children)
+    assert tree.nodes == want.nodes
+    for node in (*tree.nodes, "unknown"):
+        for name in ("children", "parent", "is_leaf", "index_tuple"):
+            got = outcome(getattr(tree, name), node)
+            assert got == outcome(getattr(want, name), node) and type(got) is not np.bool_
+        for t in range(-1, tree.depth + 2):
+            assert outcome(tree.ancestor_at_layer, node, t) == outcome(
+                want.ancestor_at_layer, node, t
+            )
+    for a, b in itertools.product((*tree.nodes, "unknown"), repeat=2):
+        got = outcome(tree.lca_layer, a, b)
+        assert got == outcome(want.lca_layer, a, b) and type(got) is not np.int64
+    doc = want.document().encode("utf-8")
+    assert tree.document().encode("utf-8") == doc
+    assert tree.sha256() == hashlib.sha256(doc).hexdigest()
+    # equality against a reparse and against two siblings of one parent swapped
+    again = parse_tree(tree.document())
+    parent = list(children)[int(rng.integers(len(children)))]
+    kids = children[parent]
+    i, j = rng.choice(len(kids), size=2, replace=False)
+    kids[i], kids[j] = kids[j], kids[i]
+    swapped, want_swapped = Tree("n0", children), oracles.DictTree("n0", children)
+    assert again == tree and hash(again) == hash(tree)
+    assert (tree == swapped) == (want == want_swapped) is False
+    assert (tree != swapped) is True
+
+
+def test_tree_equality_compares_parents_beyond_node_order():
+    # both trees list r, a, b, c, d; only the parent of c and d differs
+    t1, t2 = parse_tree("r: a b\na: c d\n"), parse_tree("r: a b\nb: c d\n")
+    want1 = oracles.DictTree("r", {"r": ["a", "b"], "a": ["c", "d"]})
+    want2 = oracles.DictTree("r", {"r": ["a", "b"], "b": ["c", "d"]})
+    assert t1.nodes == t2.nodes
+    assert (t1 == t2) == (want1 == want2) is False
 
 
 @settings(max_examples=40, deadline=None)
