@@ -10,8 +10,9 @@ child coefficients ``C = O A`` (:func:`_child_coefs`): child ``j`` scores
 ``x~ . C_j``, and a parent's rows of ``C`` are its offset stack
 (:attr:`EmbeddingTable.sibling_blocks`) times its block of ``A``, formed
 as the walk reaches it.  A zero block of ``A`` scores every child exactly
-0, so exact ties go to the first child.  Tuning scores each validation
-row on its true path only (:func:`_validation_errors`).
+0, so exact ties go to the first child.  Tuning (:func:`select_gamma`,
+:func:`select_lambda`) scores each validation row on its true path only
+(:func:`_validation_errors`).
 
 Training minimizes a per-layer surrogate over sibling gaps
 ``<f(x), xi_true> - <f(x), xi_sibling>``, listed once by
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,6 +57,8 @@ __all__ = [
     "train_weighted_linear",
     "train_hinge",
     "hinge_fits",
+    "select_gamma",
+    "select_lambda",
     "hinge_objective",
     "population_direction",
     "save_model",
@@ -679,6 +683,79 @@ def train_hinge(
     pins the intercept column of ``A`` to zero.
     """
     return next(hinge_fits(dataset, table, (lam,), max_iter, fit_intercept))[1]
+
+
+def _select(
+    name: str, table, fits, val: LabeledDataset | None, grid
+) -> tuple[float, LinearModel]:
+    """Pick the ``(value, model)`` of ``fits`` minimizing validation zero-one loss.
+
+    ``fits`` yields one pair per value of ``grid`` in ascending order, and
+    only strict improvements move the incumbent, so ties resolve to the
+    smaller value.  A one-point grid needs no validation set; any other is
+    checked to be labeled on ``table``'s tree before the first fit.  The
+    validation features are checked and augmented once, for the first
+    model; every model of the grid shares their width and ``table``.
+
+    Fits are drawn in passes of ``max(n_val // dim, _grid_batch(dim (p +
+    1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
+    matrices is no larger than the validation features or than
+    ``classifier._GRID_FLOATS`` floats.  Each pass costs one
+    :func:`_validation_errors`, on the rows' true paths; only the incumbent
+    outlives it.
+    """
+    if not len(grid):
+        raise ValueError(f"{name} grid is empty")
+    if len(grid) == 1:
+        return next(iter(fits))
+    if val is None:
+        raise ValueError(f"{name} selection needs a validation set")
+    _check_dataset(table, val)
+    size = max(val.n // table.dimension, _grid_batch(table.dimension * (val.p + 1)))
+    fits = iter(fits)
+    best = Xa = None
+    while batch := list(islice(fits, size)):
+        if Xa is None:
+            Xa = _augment(batch[0][1]._features(val.X))
+        A = np.stack([model.coef for _, model in batch])
+        errs = _validation_errors(table, Xa, val.codes, A)
+        i = int(np.argmin(errs))  # the first of equal errors: the smaller value
+        if best is None or errs[i] < best[0]:
+            best = (errs[i], *batch[i])
+        del A, batch  # only the incumbent outlives its pass
+    return best[1], best[2]
+
+
+def select_gamma(
+    train, val, table, grid, fit_intercept: bool = True
+) -> tuple[float, LinearModel]:
+    """Pick the weighted-linear gamma minimizing validation zero-one loss.
+
+    All grid points share one base linear fit; ties resolve to the
+    smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
+    and scored in passes on the true paths (:func:`_select`): all 41 in
+    one chunk and one pass on design 1, one gamma a chunk in passes of 21
+    and 20 on design 2.
+    """
+    fits = weighted_linear_fits(
+        train, table, sorted(grid), fit_intercept=fit_intercept
+    )
+    return _select("gamma", table, fits, val, grid)
+
+
+def select_lambda(
+    train, val, table, grid, max_iter: int = 100, fit_intercept: bool = True
+) -> tuple[float, LinearModel]:
+    """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller).
+
+    Every lambda, and ``max_iter`` (an integer of at least 1), is checked
+    before the first fit.  The grid is fitted in lockstep by
+    :func:`hinge_fits`.
+    """
+    _check_iterations(max_iter)
+    _check_positive("lam", *grid)
+    fits = hinge_fits(train, table, grid, max_iter=max_iter, fit_intercept=fit_intercept)
+    return _select("lambda", table, fits, val, grid)
 
 
 def population_direction(

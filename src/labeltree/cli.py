@@ -13,8 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,18 +22,12 @@ import numpy as np
 from .classifier import (
     LabeledDataset,
     LinearModel,
-    _augment,
-    _check_dataset,
-    _check_iterations,
-    _check_positive,
-    _grid_batch,
-    _validation_errors,
-    hinge_fits,
     load_model,
     predict_paths,
     save_model,
+    select_gamma,
+    select_lambda,
     train_linear,
-    weighted_linear_fits,
 )
 from .datagen import (
     SyntheticSpec,
@@ -70,6 +63,13 @@ EXAMPLE_DEFAULTS = {
 # -- shared file helpers -------------------------------------------------
 
 
+def _check_ids(nodes) -> None:
+    """Reject the first node id that contains the path separator."""
+    for node in nodes:
+        if PATH_SEP in node:
+            raise ValueError(f"node id {node!r} contains {PATH_SEP!r}; cannot serialize paths")
+
+
 def write_predictions(paths: Sequence[tuple[str, ...]], out_path) -> None:
     """Write predicted paths as CSV rows ``index, slash/joined/path``.
 
@@ -77,12 +77,7 @@ def write_predictions(paths: Sequence[tuple[str, ...]], out_path) -> None:
     ``out_path`` is opened, so an existing file is left as it was.
     """
     paths = list(paths)
-    for path in dict.fromkeys(paths):
-        for node in path:
-            if PATH_SEP in node:
-                raise ValueError(
-                    f"node id {node!r} contains {PATH_SEP!r}; cannot serialize paths"
-                )
+    _check_ids(node for path in dict.fromkeys(paths) for node in path)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "path"])
@@ -185,79 +180,6 @@ def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...
 # -- hyperparameter selection --------------------------------------------
 
 
-def _select(
-    name: str, table, fits, val: LabeledDataset | None, grid
-) -> tuple[float, LinearModel]:
-    """Pick the ``(value, model)`` of ``fits`` minimizing validation zero-one loss.
-
-    ``fits`` yields one pair per value of ``grid`` in ascending order, and
-    only strict improvements move the incumbent, so ties resolve to the
-    smaller value.  A one-point grid needs no validation set; any other is
-    checked to be labeled on ``table``'s tree before the first fit.  The
-    validation features are checked and augmented once, for the first
-    model; every model of the grid shares their width and ``table``.
-
-    Fits are drawn in passes of ``max(n_val // dim, _grid_batch(dim (p +
-    1)))`` models, so a pass's stack of ``(dim, p + 1)`` coefficient
-    matrices is no larger than the validation features or than
-    ``classifier._GRID_FLOATS`` floats.  Each pass costs one
-    :func:`_validation_errors`, on the rows' true paths; only the incumbent
-    outlives it.
-    """
-    if not len(grid):
-        raise ValueError(f"{name} grid is empty")
-    if len(grid) == 1:
-        return next(iter(fits))
-    if val is None:
-        raise ValueError(f"{name} selection needs a validation set")
-    _check_dataset(table, val)
-    size = max(val.n // table.dimension, _grid_batch(table.dimension * (val.p + 1)))
-    fits = iter(fits)
-    best = Xa = None
-    while batch := list(islice(fits, size)):
-        if Xa is None:
-            Xa = _augment(batch[0][1]._features(val.X))
-        A = np.stack([model.coef for _, model in batch])
-        errs = _validation_errors(table, Xa, val.codes, A)
-        i = int(np.argmin(errs))  # the first of equal errors: the smaller value
-        if best is None or errs[i] < best[0]:
-            best = (errs[i], *batch[i])
-        del A, batch  # only the incumbent outlives its pass
-    return best[1], best[2]
-
-
-def select_gamma(
-    train, val, table, grid, fit_intercept: bool = True
-) -> tuple[float, LinearModel]:
-    """Pick the weighted-linear gamma minimizing validation zero-one loss.
-
-    All grid points share one base linear fit; ties resolve to the
-    smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
-    and scored in passes on the true paths (:func:`_select`): all 41 in
-    one chunk and one pass on design 1, one gamma a chunk in passes of 21
-    and 20 on design 2.
-    """
-    fits = weighted_linear_fits(
-        train, table, sorted(grid), fit_intercept=fit_intercept
-    )
-    return _select("gamma", table, fits, val, grid)
-
-
-def select_lambda(
-    train, val, table, grid, max_iter: int = 100, fit_intercept: bool = True
-) -> tuple[float, LinearModel]:
-    """Pick the hinge lambda minimizing validation zero-one loss (ties: smaller).
-
-    Every lambda, and ``max_iter`` (an integer of at least 1), is checked
-    before the first fit.  The grid is fitted in lockstep by
-    :func:`hinge_fits`.
-    """
-    _check_iterations(max_iter)
-    _check_positive("lam", *grid)
-    fits = hinge_fits(train, table, grid, max_iter=max_iter, fit_intercept=fit_intercept)
-    return _select("lambda", table, fits, val, grid)
-
-
 def fit(
     loss: str,
     train: LabeledDataset,
@@ -345,6 +267,24 @@ def _rep_seed(master: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=master, spawn_key=(rep,)).generate_state(1)[0])
 
 
+def _synthetic_spec(example: int, n_total: int, seed: int, k, p, noise) -> SyntheticSpec:
+    """The spec of design ``example``, with ``EXAMPLE_DEFAULTS`` for each ``None``.
+
+    Design 2's tree has depth 5 only, so any other ``k`` raises ``ValueError``.
+    """
+    defaults = EXAMPLE_DEFAULTS[example]
+    if example == 2 and k not in (None, defaults["k"]):
+        raise ValueError(f"example 2 has tree depth k={defaults['k']}, got k={k!r}")
+    return SyntheticSpec(
+        example=example,
+        n_total=n_total,
+        seed=seed,
+        k=defaults["k"] if k is None else k,
+        p=defaults["p"] if p is None else p,
+        noise_rate=defaults["noise"] if noise is None else noise,
+    )
+
+
 def run_benchmark(
     example: int,
     reps: int,
@@ -365,9 +305,9 @@ def run_benchmark(
     ``n``/``n``/``2n``.  Replication seeds derive deterministically from
     the master seed.  Both designs have label-balanced, zero-mean class
     structure, so the protocol trains without a free intercept; pass
-    ``fit_intercept=True`` to add one.  An example other than 1 or 2,
-    ``reps < 1`` or an empty, repeated or unknown loss raises ``ValueError``
-    before any replication runs.
+    ``fit_intercept=True`` to add one.  An example other than 1 or 2, a
+    design-2 ``k`` other than 5, ``reps < 1`` or an empty, repeated or
+    unknown loss raises ``ValueError`` before any replication runs.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -378,11 +318,8 @@ def run_benchmark(
             raise ValueError(f"unknown loss {loss!r}")
     if example not in EXAMPLE_DEFAULTS:
         raise ValueError(f"example must be 1 or 2, got {example!r}")
-    defaults = EXAMPLE_DEFAULTS[example]
-    k = defaults["k"] if k is None else k
-    p = defaults["p"] if p is None else p
-    n = defaults["n"] if n is None else n
-    noise = defaults["noise"] if noise is None else noise
+    n = EXAMPLE_DEFAULTS[example]["n"] if n is None else n
+    spec = _synthetic_spec(example, 4 * n, seed, k, p, noise)
 
     metrics: dict[str, dict[str, list[float]]] = {
         loss: {m: [] for m in METRIC_NAMES} for loss in losses
@@ -390,15 +327,7 @@ def run_benchmark(
     timings: dict[str, list[float]] = {loss: [] for loss in losses}
     table = None
     for rep in range(reps):
-        spec = SyntheticSpec(
-            example=example,
-            n_total=4 * n,
-            seed=_rep_seed(seed, rep),
-            k=k,
-            p=p,
-            noise_rate=noise,
-        )
-        tree, data = generate(spec)
+        tree, data = generate(replace(spec, seed=_rep_seed(seed, rep)))
         if table is None:
             table = embed_tree(tree)
         train, val, test = (  # views: the blocks are contiguous
@@ -433,7 +362,7 @@ def run_benchmark(
             for loss, per in metrics.items()
         },
         timings={loss: np.array(v) for loss, v in timings.items()},
-        params={"k": tree.depth, "p": data.p, "n": n, "noise": noise, "seed": seed},
+        params={"k": tree.depth, "p": data.p, "n": n, "noise": spec.noise_rate, "seed": seed},
     )
 
 
@@ -530,6 +459,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     tree = load_tree(args.tree)
+    _check_ids(tree.nodes)
     model = load_model(args.model, tree)
     X, _ = read_feature_csv(args.data)
     if X.shape[1] != model.n_features:
@@ -547,6 +477,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     tree = load_tree(args.tree)
+    _check_ids(tree.nodes)
     pred = read_predictions(args.pred, tree)
     truth = read_truth(args.truth, tree)
     if len(pred) != len(truth):
@@ -573,15 +504,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    noise = EXAMPLE_DEFAULTS[args.example]["noise"] if args.noise is None else args.noise
-    spec = SyntheticSpec(
-        example=args.example,
-        n_total=args.n_total,
-        seed=args.seed,
-        k=args.k if args.example == 1 else 5,
-        p=args.p,
-        noise_rate=noise,
-    )
+    spec = _synthetic_spec(args.example, args.n_total, args.seed, args.k, args.p, args.noise)
     tree, data = generate(spec)
     out = _out_dir(args)
     write_tree(tree, out / "tree.txt")
@@ -673,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--example", type=int, choices=(1, 2), required=True)
     p.add_argument("--n-total", type=int, default=200, help="total samples")
-    p.add_argument("--k", type=int, default=3, help="tree depth (example 1)")
+    p.add_argument("--k", type=int, help="tree depth (example 1; default 3)")
     p.add_argument("--p", type=int, help="feature dimension (example 1)")
     p.add_argument(
         "--noise", type=float, help="label noise rate (default 0.2 / 0.0 per example)"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from labeltree.cli import run_benchmark
+from labeltree.cli import HINGE_LAMBDA_GRID, TUNING_GRID, run_benchmark
 from labeltree.hierarchy import Tree
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,3 +73,12 @@ def test_run_benchmark_hands_evaluate_string_path_pairs_once_per_fit(harness, tm
     protocol.prepare(3, tmp_path)
     failed, l01 = protocol.check(protocol.first_unit(0), 0, first=True)
     assert failed == 0 and 0.0 <= l01 <= 1.0
+
+
+def test_traced_protocol_records_one_selection_span_per_tuned_loss(harness):
+    spans, _ = harness
+    rec = spans.Recorder()
+    with spans.installed(rec):
+        run_benchmark(example=1, reps=1, seed=3, losses=("wlinear", "hinge"))
+    assert [label for label, *_ in rec.spans].count("cli.select_self_s") == 2
+    assert rec.counts["cli.grid_points"] == len(TUNING_GRID) + len(HINGE_LAMBDA_GRID)

@@ -32,7 +32,7 @@ from labeltree.classifier import (
     train_weighted_linear,
     weighted_linear_fits,
 )
-from labeltree import cli
+from labeltree import classifier
 from labeltree.cli import HINGE_LAMBDA_GRID, run_benchmark, select_lambda
 from labeltree.embedding import embed_tree
 from labeltree.hierarchy import parse_tree
@@ -676,7 +676,7 @@ class TestInteriorPoint:
                 counts.append((lam, len(model.history) - 1))
                 yield lam, model
 
-        monkeypatch.setattr(cli, "hinge_fits", counting)
+        monkeypatch.setattr(classifier, "hinge_fits", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             run_benchmark(example=1, reps=3, seed=3, losses=("hinge",))
@@ -694,7 +694,7 @@ class TestInteriorPoint:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking max_iter")
 
-        monkeypatch.setattr(cli, "hinge_fits", no_fit)
+        monkeypatch.setattr(classifier, "hinge_fits", no_fit)
         with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
             select_lambda(ds, ds, ref, (1.0, 10.0), max_iter=max_iter)
 

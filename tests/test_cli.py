@@ -541,6 +541,27 @@ class TestTrainPredictEvaluate:
         assert json.loads(models[0].read_text())["gamma"] is not None
         assert models[0].read_bytes() == models[1].read_bytes()
 
+    def test_hinge_model_file_on_design_1_independent_of_blas_threads(self, tmp_path):
+        # design 1's Newton matrices have order 48 at most; design 2's root,
+        # of order 1056, is built and solved by threaded BLAS and LAPACK
+        # calls whose bits change with the thread count
+        args = ["--example", "1", "--n-total", "400", "--seed", "4", "--out", tmp_path]
+        assert run_cli("simulate", *args) == 0
+        src = str(Path(labeltree.__file__).parents[1])
+        script = "import sys; from labeltree.cli import main; sys.exit(main(sys.argv[1:]))"
+        models = []
+        for threads in ("1", "2"):
+            models.append(tmp_path / f"model{threads}.json")
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
+            subprocess.run(
+                [sys.executable, "-c", script, "train", "--tree", tmp_path / "tree.txt",
+                 "--data", tmp_path / "data.csv", "--loss", "hinge", "--out", models[-1]],
+                env=env, check=True, capture_output=True,
+            )
+        assert json.loads(models[0].read_text())["lambda"] is not None
+        assert models[0].read_bytes() == models[1].read_bytes()
+
     def test_predict_rerun_byte_identical(self, tmp_path, sim_dir):
         model = tmp_path / "model.json"
         run_cli(
@@ -600,7 +621,7 @@ class TestTrainPredictEvaluate:
     def test_validation_file_selects_without_refit(
         self, tmp_path, sim_dir, monkeypatch
     ):
-        import labeltree.cli as cli
+        import labeltree.classifier as classifier
 
         lams = []
 
@@ -609,8 +630,8 @@ class TestTrainPredictEvaluate:
                 lams.append((train.n, lam))
                 yield lam, fitted
 
-        real = cli.hinge_fits
-        monkeypatch.setattr(cli, "hinge_fits", counting)
+        real = classifier.hinge_fits
+        monkeypatch.setattr(classifier, "hinge_fits", counting)
         val_dir = tmp_path / "val"
         assert run_cli(
             "simulate", "--example", "1", "--n-total", "60", "--seed", "10",
@@ -969,10 +990,36 @@ class TestBenchmarkCommand:
         assert result.params["p"] == len(header) - 1 == 30
 
     def test_params_record_the_generated_design(self):
-        result = run_benchmark(example=2, reps=1, seed=1, losses=("linear",), k=4, n=20)
+        result = run_benchmark(example=2, reps=1, seed=1, losses=("linear",), k=5, n=20)
         assert (result.params["k"], result.params["p"]) == (5, 95)
         result = run_benchmark(example=1, reps=1, seed=1, losses=("linear",), n=20)
         assert (result.params["k"], result.params["p"]) == (3, 15)
+
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_design_2_rejects_another_depth_before_any_draw(self, tmp_path, monkeypatch, capsys, k):
+        import labeltree.cli as cli
+
+        def unreachable(spec):
+            raise AssertionError(f"drew {spec}")
+
+        monkeypatch.setattr(cli, "generate", unreachable)
+        msg = f"example 2 has tree depth k=5, got k={k}"
+        with pytest.raises(ValueError, match=msg):
+            run_benchmark(example=2, reps=1, seed=1, losses=("linear",), k=k)
+        for command in ("simulate", "benchmark"):
+            out = tmp_path / command
+            assert run_cli(command, "--example", "2", "--k", k, "--out", out) == 2
+            assert msg in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_simulate_design_2_at_its_own_depth_writes_the_default_files(self, tmp_path):
+        args = ["simulate", "--example", "2", "--n-total", "40", "--seed", "3"]
+        outs = [tmp_path / "default", tmp_path / "k5"]
+        assert run_cli(*args, "--out", outs[0]) == 0
+        assert run_cli(*args, "--k", "5", "--out", outs[1]) == 0
+        for name in ("tree.txt", "data.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestHelpers:
@@ -1014,6 +1061,28 @@ class TestHelpers:
         assert run_cli("predict", *args, "--out", paths["p.csv"]) == 2
         assert "node id 'a/x' contains '/'" in capsys.readouterr().err
         assert paths["p.csv"].read_bytes() == b"index,path\r\n0,r/b\r\n1,r/b\r\n"
+
+    def test_separator_in_tree_ids_rejected_before_any_other_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import labeltree.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read another file after the tree")
+
+        for name in ("load_model", "read_feature_csv", "read_predictions", "read_truth"):
+            monkeypatch.setattr(cli, name, unreachable)
+        tree, out, missing = tmp_path / "tree.txt", tmp_path / "p.csv", tmp_path / "missing"
+        write_tree(parse_tree("r: a/x b\n"), tree)
+        out.write_bytes(b"index,path\r\n0,r/b\r\n")
+        args = ["--tree", tree, "--model", missing, "--data", missing, "--out", out]
+        assert run_cli("predict", *args) == 2
+        assert "node id 'a/x' contains '/'" in capsys.readouterr().err
+        assert out.read_bytes() == b"index,path\r\n0,r/b\r\n"
+        args = ["--tree", tree, "--pred", missing, "--truth", missing, "--out", tmp_path / "r"]
+        assert run_cli("evaluate", *args) == 2
+        assert "node id 'a/x' contains '/'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_read_truth_accepts_both_formats(self, tmp_path, reference_tree):
         paths = [reference_tree.path_of_leaf("kestrel")]
@@ -1138,10 +1207,10 @@ class TestGrids:
             run_benchmark(example=1, reps=1, seed=1, losses=(loss,), n=20, **grids)
 
     def test_lambda_grid_checked_before_the_first_fit(self, data, monkeypatch):
-        import labeltree.cli as cli
+        import labeltree.classifier as classifier
 
         fitted = []
-        monkeypatch.setattr(cli, "hinge_fits", self.fitting_spy(fitted))
+        monkeypatch.setattr(classifier, "hinge_fits", self.fitting_spy(fitted))
         with pytest.raises(ValueError, match="lam must be positive and finite, got nan"):
             select_lambda(data, data, embed_tree(data.tree), (0.001, np.nan))
         assert fitted == []
@@ -1168,10 +1237,10 @@ class TestGrids:
             select_gamma(data, val, embed_tree(data.tree), TUNING_GRID)
 
     def test_lambda_validation_set_on_another_tree_rejected(self, data, monkeypatch):
-        import labeltree.cli as cli
+        import labeltree.classifier as classifier
 
         fitted = []
-        monkeypatch.setattr(cli, "hinge_fits", self.fitting_spy(fitted))
+        monkeypatch.setattr(classifier, "hinge_fits", self.fitting_spy(fitted))
         val = self.other_tree_val(data)
         with pytest.raises(ValueError, match="different trees"):
             select_lambda(data, val, embed_tree(data.tree), (0.1, 1.0))

@@ -28,6 +28,7 @@ from labeltree.classifier import (
     _child_coefs,
     _coefs_from_nodes,
     _descend,
+    _select,
     _sibling_pairs,
     _sibling_scale,
     _validation_errors,
@@ -55,7 +56,6 @@ from labeltree.cli import (
     select_gamma,
     select_lambda,
 )
-from labeltree.cli import _select as cli_select
 from labeltree.datagen import (
     SyntheticSpec,
     example1_tree,
@@ -563,7 +563,7 @@ def test_selection_ties_resolve_to_the_smallest_value_across_passes(reference_tr
     # power-of-two rescalings scale every score exactly, so every
     # validation error ties
     models = [LinearModel(base * 2.0**k, table, "linear") for k in range(len(grid))]
-    value, model = cli_select("gamma", table, zip(grid, models), val, grid)
+    value, model = _select("gamma", table, zip(grid, models), val, grid)
     assert value == 0.1 and model is models[0]
     want_value, want = oracles.select("gamma", zip(grid, models), val, grid)
     assert (want_value, want) == (value, model)
@@ -573,16 +573,14 @@ def test_selection_ties_resolve_to_the_smallest_value_across_small_floor_passes(
     reference_tree, monkeypatch
 ):
     """With the size floor patched down, the ties of the test above span passes."""
-    import labeltree.cli as cli
-
     monkeypatch.setattr(clf, "_GRID_FLOATS", 1)
-    passes, score = [], cli._validation_errors
+    passes, score = [], clf._validation_errors
 
     def spy(table, Xa, codes, A):
         passes.append(len(A))
         return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_validation_errors", spy)
+    monkeypatch.setattr(clf, "_validation_errors", spy)
     table = embed_tree(reference_tree)
     rng = np.random.default_rng(8)
     # passes of n_val // dimension = 2 models
@@ -590,7 +588,7 @@ def test_selection_ties_resolve_to_the_smallest_value_across_small_floor_passes(
     base = rng.normal(size=(table.dimension, 4))
     grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
     models = [LinearModel(base * 2.0**k, table, "linear") for k in range(len(grid))]
-    value, model = cli_select("gamma", table, zip(grid, models), val, grid)
+    value, model = _select("gamma", table, zip(grid, models), val, grid)
     assert passes == [2, 2, 2, 1]
     assert value == 0.1 and model is models[0]
 
@@ -633,17 +631,15 @@ def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     example, passes, chunk, monkeypatch
 ):
     """Design 1 selects gamma in one chunk and one pass; design 2 as without a floor."""
-    import labeltree.cli as cli
-
     train, val, table = protocol_split(example, 1000)
     assert val.n == {1: 50, 2: 2000}[example]
-    scored, score = [], cli._validation_errors
+    scored, score = [], clf._validation_errors
 
     def spy(table, Xa, codes, A):
         scored.append(len(A))
         return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_validation_errors", spy)
+    monkeypatch.setattr(clf, "_validation_errors", spy)
     widths = closed_form_widths(monkeypatch)
     select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
     assert scored == passes
@@ -656,8 +652,6 @@ def test_selection_pass_stack_within_validation_features_or_grid_floats(
     case, monkeypatch
 ):
     """A pass's stack holds at most ``max(n_val (p + 1), _GRID_FLOATS)`` floats."""
-    import labeltree.cli as cli
-
     if isinstance(case, str):
         train, val, table = protocol_split(int(case[-1]), 1000)
         fits = weighted_linear_fits(train, table, TUNING_GRID, fit_intercept=False)
@@ -673,14 +667,14 @@ def test_selection_pass_stack_within_validation_features_or_grid_floats(
         grid = tuple(range(1, 30))
         coefs = rng.normal(size=(len(grid), table.dimension, p + 1))
         fits = ((v, LinearModel(c, table, "linear")) for v, c in zip(grid, coefs))
-    floats, score = [], cli._validation_errors
+    floats, score = [], clf._validation_errors
 
     def spy(table, Xa, codes, A):
         floats.append(A.size)
         return score(table, Xa, codes, A)
 
-    monkeypatch.setattr(cli, "_validation_errors", spy)
-    cli_select("gamma", table, fits, val, grid)
+    monkeypatch.setattr(clf, "_validation_errors", spy)
+    _select("gamma", table, fits, val, grid)
     assert sum(floats) == len(grid) * table.dimension * (val.p + 1)
     assert max(floats) <= max(val.n * (val.p + 1), clf._GRID_FLOATS), floats
 
