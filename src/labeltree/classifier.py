@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dual import HINGE_TOL, lockstep
+from .dual import HINGE_TOL, _packs, lockstep
 from .embedding import EmbeddingTable, _json_float_list, embed_tree
 from .hierarchy import Tree
 
@@ -391,7 +391,8 @@ def _check_positive(name: str, *values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-_GRID_FLOATS = 2**16  # floats of a weighted-feature chunk, a pass's coefs or scores
+_GRID_FLOATS = 2**16  # floats of a chunk's node rows, a pass's coefs or scores
+_LEAF_SLACK = 1.25  # padded rows of the leaf-sum layout, at most this times the samples
 
 
 def _grid_batch(floats: int) -> int:
@@ -407,20 +408,39 @@ def _linear_fitter(dataset: LabeledDataset, table: EmbeddingTable, fit_intercept
     over the samples under ``v`` and ``f_P`` is the fan-out of its parent.
     A sample's gaps at ``P`` put ``(f_P - 1) x~`` at its node and ``-x~`` at
     each sibling, which adds ``-T[P]`` to every child's row; stacks are
-    centred, so that share maps to zero and no pair list is needed.  Every
-    row's per-leaf sums take one ``reduceat``, all ``G (p + 1)`` columns
-    one :func:`_closed_form`.
+    centred, so that share maps to zero and no pair list is needed.
+
+    The samples are laid out once, by leaf and padded with zero rows:
+    leaves of similar sample counts share one ``(L, m, p + 1)`` array,
+    packed by :func:`labeltree.dual._packs` so the padding adds at most
+    a quarter to the rows.  A pack's per-leaf sums for every row of ``W``
+    are one ``einsum`` with the ``(G, L, m)`` layout of ``W``, and all
+    ``G (p + 1)`` columns one :func:`_closed_form`.  The ``einsum`` adds
+    a leaf's samples in one order whatever ``G`` is, where a batched
+    ``matmul`` would not, so a row's sums do not depend on the others.
     """
     _check_dataset(table, dataset)
-    order = np.argsort(dataset.codes, kind="stable")
-    leaves, starts = np.unique(dataset.codes[order], return_index=True)
-    Xa = _augment(dataset.X[order])
-    if not fit_intercept:
-        Xa[:, 0] = 0.0
+    n, order = dataset.n, np.argsort(dataset.codes, kind="stable")
+    leaves, starts, counts = np.unique(dataset.codes[order], return_index=True, return_counts=True)
+    sorted_rows, sizes = np.append(order, n), counts.tolist()  # row n pads
+    runs = _packs(range(len(sizes)), sizes.__getitem__, _LEAF_SLACK)
+    packs = []
+    for run in runs:
+        slots = np.arange(sizes[run[-1]])
+        rows = sorted_rows[np.where(slots < counts[run, None], starts[run, None] + slots, n)]
+        X, real = np.zeros((*rows.shape, dataset.p + 1)), rows < n
+        X[real, 0] = fit_intercept
+        X[real, 1:] = dataset.X[rows[real]]
+        packs.append((rows, X))
+    leaves = leaves[np.concatenate(runs)]
 
     def fit(W, lam):
-        sums = np.add.reduceat((W[:, order] / dataset.n)[..., None] * Xa, starts, axis=1)
-        A = _closed_form(table, leaves, sums.swapaxes(0, 1).reshape(len(starts), -1))
+        W, sums, a = W / n, np.empty((len(leaves), len(W), dataset.p + 1)), 0
+        for rows, X in packs:  # a padding slot clips to the last weight, times a zero row
+            Wp = np.take(W, rows, axis=1, mode="clip")
+            np.einsum("glm,lmp->lgp", Wp, X, out=sums[a : a + len(rows)])
+            a += len(rows)
+        A = _closed_form(table, leaves, sums.reshape(len(leaves), -1))
         return np.ascontiguousarray(A.reshape(len(A), len(W), -1).swapaxes(0, 1)) / (2.0 * lam)
 
     return fit
@@ -437,8 +457,8 @@ def train_linear(
     The ridge-penalized objective is linear in ``A`` plus ``lam * |A|_F**2``,
     so the minimizer is ``A = B / (2 * lam)`` with ``B`` the mean of
     ``(xi_true - xi_sibling) x~^T`` over samples, layers, and siblings.
-    ``B`` comes from per-leaf feature sums (:func:`_linear_fitter`).
-    ``lam`` rescales ``A`` without changing any predicted path.
+    ``B`` comes from per-leaf feature sums (:func:`_linear_fitter`, every
+    weight 1).  ``lam`` rescales ``A`` without changing any predicted path.
 
     With ``fit_intercept=False`` the intercept column of ``X~`` is zeroed,
     which pins the intercept column of ``A`` to zero; because the objective
@@ -458,17 +478,27 @@ def adaptive_weights(
 
     Samples the base linear model maps far from the origin (typically easy
     or outlying ones) are down-weighted; ``gamma`` sharpens the cutoff.
-    A sequence of ``gamma`` values, all checked before ``model`` scores
-    ``X``, gives one row of weights per value from one scoring pass; each
-    row is the power of the norms by that scalar, so it equals the
-    one-value result bit for bit.
+    ``|f(x)|**2 = x~^T M x~`` is read from the ``(p + 1)**2`` Gram ``M =
+    A^T A``, never from an ``(n, dimension)`` score matrix, and clamped
+    at 0 against rounding before its square root; ``x~ = (1, x)`` is not
+    formed, so the pass holds one feature-sized temporary.  A sequence
+    of ``gamma`` values, all checked before ``X``, gives one row of
+    weights per value from one pass over ``X``; each row is the power of
+    the norms by that scalar, so it equals the one-value result bit for
+    bit.
     """
     scalar = np.ndim(gamma) == 0
     gammas = (gamma,) if scalar else tuple(gamma)
     _check_positive("gamma", *gammas)
-    norms = np.linalg.norm(model.score_matrix(X), axis=1)
-    rows = [1.0 / (1.0 + norms**g) for g in gammas]
-    return rows[0] if scalar else np.array(rows).reshape(len(rows), len(norms))
+    X, M = model._features(X), model.coef.T @ model.coef
+    squares = X @ M[1:, 1:]
+    squares *= X
+    squares = squares.sum(axis=1) + (2.0 * (X @ M[1:, 0]) + M[0, 0])
+    norms = np.sqrt(np.maximum(squares, 0.0))
+    rows = np.empty((len(gammas), len(norms)))
+    for row, g in zip(rows, gammas):
+        row[:] = 1.0 / (1.0 + norms**g)
+    return rows[0] if scalar else rows
 
 
 def train_weighted_linear(
@@ -498,12 +528,15 @@ def weighted_linear_fits(
     """Yield ``(gamma, weighted-linear model)`` for each of ``gammas``.
 
     ``lam`` and every gamma are checked before the first fit.  All models
-    share the base fit, the :func:`train_linear` model, one scoring pass of
-    it (:func:`adaptive_weights` of the whole grid) and one sort of the
-    samples by leaf.  A chunk of ``_grid_batch(n (p + 1))`` gammas, its
-    weighted features, costs one ``reduceat`` and one :func:`_closed_form`
-    (:func:`_linear_fitter`); every model equals its one-gamma fit bit for
-    bit.
+    share the base fit, the :func:`train_linear` model, one pass of its
+    Gram over the features (:func:`adaptive_weights` of the whole grid)
+    and one padded layout of the samples by leaf (:func:`_linear_fitter`).
+    A chunk of ``_grid_batch((q + 1) (p + 1))`` gammas, sized by the node
+    rows its :func:`_closed_form` holds, costs one leaf-sum ``einsum`` a
+    pack and one :func:`_closed_form`.  A gamma's leaf sums do not depend
+    on its chunk, so its model equals its one-gamma fit bit for bit
+    wherever the closed form's batched products round a column alike at
+    every width (README: not at every ``p`` under fan-out 2).
     """
     gammas = tuple(gammas)
     _check_positive("lam", lam)
@@ -511,7 +544,8 @@ def weighted_linear_fits(
     fit = _linear_fitter(dataset, table, fit_intercept)
     base = LinearModel(fit(np.ones((1, dataset.n)), 1.0)[0], table, "linear")
     weights = np.atleast_2d(adaptive_weights(base, dataset.X, gammas))
-    size = _grid_batch(dataset.n * (dataset.p + 1))
+    del base  # the fits need only its weights
+    size = _grid_batch((table.tree.q + 1) * (dataset.p + 1))
     for i in range(0, len(gammas), size):
         for gamma, coef in zip(gammas[i : i + size], fit(weights[i : i + size], lam)):
             yield gamma, LinearModel(coef, table, "weighted-linear", gamma=gamma)
@@ -734,8 +768,8 @@ def select_gamma(
     All grid points share one base linear fit; ties resolve to the
     smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
     and scored in passes on the true paths (:func:`_select`): all 41 in
-    one chunk and one pass on design 1, one gamma a chunk in passes of 21
-    and 20 on design 2.
+    one chunk and one pass on design 1, 13 chunks of three gammas and one
+    of two in passes of 21 and 20 on design 2.
     """
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept

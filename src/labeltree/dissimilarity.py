@@ -187,7 +187,9 @@ def dissimilarity_matrix(
     head = schedule.sibling_weights[tree.node_ancestors]
     head *= head
     head += below[:, None]
-    out = head[np.arange(q)[:, None], lca - 1]
+    out = np.empty((q, q))
+    for t in range(tree.depth):  # one masked copy a layer, no q-by-q index
+        np.copyto(out, head[:, t, None], where=lca == t + 1)
     del head
     out += below[None, :]
     out -= (2 * cum)[lca]

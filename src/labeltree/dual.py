@@ -78,16 +78,16 @@ def _hinge_blocks(table, Xa, sample, parent, true, sib, kappa) -> list[_Block]:
     return blocks
 
 
-def _packs(blocks, size) -> list[list]:
-    """``blocks`` ascending by ``size``, cut into runs that each pad to at most twice their size.
+def _packs(blocks, size, slack=2) -> list[list]:
+    """``blocks`` ascending by ``size``, in runs that pad to at most ``slack`` times their size.
 
     A run pads every block to its last, largest one: a block joins the
-    run while the run's count times its size stays within twice the
-    run's total.
+    run while the run's count times its size stays within ``slack`` times
+    the run's total.
     """
     packs, total = [], 0
     for b in sorted(blocks, key=size):
-        if packs and (len(packs[-1]) + 1) * size(b) <= 2 * (total + size(b)):
+        if packs and (len(packs[-1]) + 1) * size(b) <= slack * (total + size(b)):
             packs[-1].append(b)
             total += size(b)
         else:

@@ -24,8 +24,10 @@ per-parent formula keyed by node id, the exports as the ``csv`` and ``json``
 modules wrote them, one ``repr`` per entry, before streaming, and the
 dataset CSV as ``csv`` read it, one ``float()`` per cell, before rows went
 through ``np.loadtxt``, and the truth labels as ``csv`` read them, before
-the label-only read, and the tree's id-keyed accessors over the
-dicts it kept beside its arrays, before they read the arrays.  The property
+the label-only read, the tree's id-keyed accessors over the
+dicts it kept beside its arrays, before they read the arrays, and the
+adaptive weights from norms of the ``(n, dimension)`` score matrix,
+before they were read from the coefficients' Gram.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -52,7 +54,6 @@ from labeltree.classifier import (
     _coefs_from_nodes,
     _sibling_pairs,
     _sibling_scale,
-    adaptive_weights,
     predict_paths,
     train_linear,
 )
@@ -587,6 +588,11 @@ def train_hinge_subgradient(
     return LinearModel(
         coef=best_A, table=table, loss="hinge", lam=lam, history=np.array(history)
     )
+
+
+def adaptive_weights(model, X, gamma):
+    """``1 / (1 + |f(x)|**gamma)`` from the norms of the score matrix ``X~ A^T``."""
+    return 1.0 / (1.0 + np.linalg.norm(model.score_matrix(X), axis=1) ** gamma)
 
 
 def train_weighted_linear(dataset, table, gamma, lam=1.0, fit_intercept=True):

@@ -33,7 +33,7 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree import classifier
-from labeltree.cli import HINGE_LAMBDA_GRID, run_benchmark, select_lambda
+from labeltree.cli import HINGE_LAMBDA_GRID, TUNING_GRID, run_benchmark, select_lambda
 from labeltree.embedding import embed_tree
 from labeltree.hierarchy import parse_tree
 
@@ -382,23 +382,34 @@ class TestAdaptiveWeights:
     def test_grid_checked_before_scoring(self, two, monkeypatch):
         model = LinearModel(np.array([[1.0]]), two, "linear")
         scored = []
-        monkeypatch.setattr(LinearModel, "score_matrix", lambda self, X: scored.append(X))
+        monkeypatch.setattr(LinearModel, "_features", lambda self, X: scored.append(X))
         with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
             adaptive_weights(model, np.zeros((1, 0)), (1.0, np.nan))
         assert scored == []
+
+    def test_negative_rounding_under_the_square_root_gives_one(self, two):
+        # A x~ = -0.54 + 0.36 * 1.5000000000000002 is 0 up to rounding, and
+        # x~^T (A^T A) x~ = M00 + 2 x M10 + x M11 x rounds below 0:
+        # clamped, the norm is 0
+        model = LinearModel(np.array([[-0.54, 0.36]]), two, "linear")
+        X = np.array([[1.5000000000000002]])
+        M, x = model.coef.T @ model.coef, X[0, 0]
+        assert x * M[1, 1] * x + (2.0 * (x * M[1, 0]) + M[0, 0]) < 0.0
+        w = adaptive_weights(model, X, (0.5, 1.0, 2.0))
+        np.testing.assert_array_equal(w, [[1.0], [1.0], [1.0]])
 
 
 class TestWeightedLinearGrid:
     def test_base_model_scores_training_data_once_per_grid(self, ref, monkeypatch):
         ds = random_dataset(ref, 12, 3, np.random.default_rng(34))
-        score_matrix = LinearModel.score_matrix
+        features = LinearModel._features
         scored = []
 
         def spy(model, X):
             scored.append(X)
-            return score_matrix(model, X)
+            return features(model, X)
 
-        monkeypatch.setattr(LinearModel, "score_matrix", spy)
+        monkeypatch.setattr(LinearModel, "_features", spy)
         fits = list(weighted_linear_fits(ds, ref, (0.5, 1.0, 2.0, 4.0)))
         assert [g for g, _ in fits] == [0.5, 1.0, 2.0, 4.0]
         assert len(scored) == 1 and scored[0] is ds.X
@@ -472,6 +483,12 @@ class TestTrainWeightedLinear:
         forced = clf.train_weighted_linear(ds, ref, gamma=2.0)
         plain = train_linear(ds, ref)
         np.testing.assert_array_equal(forced.coef, plain.coef)
+
+
+def fit_tuning_grid(ds, table):
+    """Every weighted-linear fit of the tuning grid, each dropped for the next."""
+    for _ in weighted_linear_fits(ds, table, TUNING_GRID):
+        pass
 
 
 def separable_two_leaf(two_leaf_tree, n=16, gap=4.0, rng=None):
@@ -864,9 +881,25 @@ class TestPersistence:
         labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=n)]
         ds = LabeledDataset(rng.normal(size=(n, p)), labels, tree)
         train_linear(ds, table)  # builds the table's cached runs
+        bound = 3 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8
         peak = traced_peak(lambda: train_linear(ds, table))
-        assert peak < 3 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
+        assert peak < bound, peak
+        peak = traced_peak(lambda: fit_tuning_grid(ds, table))
+        assert peak < bound, peak
         assert "node_matrix" not in table.__dict__
+
+    def test_weighted_grid_memory_within_the_array_size_rule_on_skewed_labels(self):
+        # one leaf holds 90% of the rows: padding every leaf to its count
+        # would take 1000 times the features
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        rng = np.random.default_rng(56)
+        n, p = 3000, 95
+        codes = np.where(rng.random(n) < 0.9, 7, rng.integers(0, tree.n_leaf, size=n))
+        ds = LabeledDataset(rng.normal(size=(n, p)), [tree.leaves[c] for c in codes], tree)
+        train_linear(ds, table)  # builds the table's cached runs
+        peak = traced_peak(lambda: fit_tuning_grid(ds, table))
+        assert peak < 3 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
 
     def test_hinge_training_memory_below_one_node_square(self):
         # a (q + 1)^2 node-by-node matrix alone would take 1111^2 floats

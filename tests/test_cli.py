@@ -1247,14 +1247,16 @@ class TestGrids:
         assert fitted == []
 
     def test_gamma_selection_scores_training_data_once(self, data, monkeypatch):
-        score_matrix = LinearModel.score_matrix
+        import labeltree.classifier as classifier
+
+        weights = classifier.adaptive_weights
         scored = []
 
-        def spy(model, X):
+        def spy(model, X, gamma):
             scored.append(X)
-            return score_matrix(model, X)
+            return weights(model, X, gamma)
 
-        monkeypatch.setattr(LinearModel, "score_matrix", spy)
+        monkeypatch.setattr(classifier, "adaptive_weights", spy)
         gamma, model = select_gamma(data, data, embed_tree(data.tree), TUNING_GRID)
         assert gamma in TUNING_GRID and model.gamma == gamma
         assert len(scored) == 1 and scored[0] is data.X

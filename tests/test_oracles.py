@@ -614,7 +614,7 @@ def test_grid_chunks_equal_one_gamma_fits_bitwise(chunk, seed, monkeypatch):
     ds = random_dataset(tree, rng, 30)
     grid = (0.1, 0.5, 1.0, 2.0, 3.3, 10.0, 40.0)
     fit_intercept = bool(seed % 2)
-    monkeypatch.setattr(clf, "_GRID_FLOATS", chunk * ds.n * (ds.p + 1))
+    monkeypatch.setattr(clf, "_GRID_FLOATS", chunk * (tree.q + 1) * (ds.p + 1))
     widths = closed_form_widths(monkeypatch)
     fits = list(weighted_linear_fits(ds, table, grid, 0.3, fit_intercept))
     sizes = [chunk] * (len(grid) // chunk) + [len(grid) % chunk] * (len(grid) % chunk > 0)
@@ -626,11 +626,11 @@ def test_grid_chunks_equal_one_gamma_fits_bitwise(chunk, seed, monkeypatch):
         assert np.array_equal(fitted.coef, single.coef)
 
 
-@pytest.mark.parametrize("example, passes, chunk", [(1, [41], 41), (2, [21, 20], 1)])
+@pytest.mark.parametrize("example, passes, chunk", [(1, [41], 41), (2, [21, 20], 3)])
 def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     example, passes, chunk, monkeypatch
 ):
-    """Design 1 selects gamma in one chunk and one pass; design 2 as without a floor."""
+    """Design 1 selects gamma in one chunk and one pass; design 2 in chunks of 3 gammas."""
     train, val, table = protocol_split(example, 1000)
     assert val.n == {1: 50, 2: 2000}[example]
     scored, score = [], clf._validation_errors
@@ -643,8 +643,9 @@ def test_grid_batches_take_the_whole_small_grid_and_leave_large_ones(
     widths = closed_form_widths(monkeypatch)
     select_gamma(train, val, table, TUNING_GRID, fit_intercept=False)
     assert scored == passes
-    # the base fit, then 41 chunks of 1 gamma or 1 chunk of 41
-    assert widths == [train.p + 1] + [chunk * (train.p + 1)] * (41 // chunk)
+    # the base fit, then 1 chunk of 41 gammas or 13 chunks of 3 and one of 2
+    sizes = [chunk] * (41 // chunk) + [41 % chunk] * (41 % chunk > 0)
+    assert widths == [train.p + 1] + [size * (train.p + 1) for size in sizes]
 
 
 @pytest.mark.parametrize("case", ["design 1", "design 2", 0, 1, 2, 3])
@@ -713,6 +714,27 @@ def test_grid_fits_equal_one_gamma_fits_bitwise(seed):
     rows = adaptive_weights(base, ds.X, GRID_WITH_FAST_POWERS)
     for gamma, row in zip(GRID_WITH_FAST_POWERS, rows, strict=True):
         assert np.array_equal(row, adaptive_weights(base, ds.X, gamma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_adaptive_weights_gram_form_within_1e14_of_score_norms(seed):
+    """The weights read ``|A x~|**2`` from the Gram ``A^T A``, not from ``X~ A^T``.
+
+    At gamma = 2 a weight ``1 / (1 + |A x~|**2)`` depends on the squared
+    norm alone, the quantity the Gram form computes; another gamma would
+    scale a small norm's relative rounding by ``gamma / 2``.
+    """
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    table = embed_tree(tree)
+    ds = random_dataset(tree, rng, int(rng.integers(1, 60)), int(rng.integers(0, 5)))
+    for fit_intercept in (True, False):
+        base = train_linear(ds, table, fit_intercept=fit_intercept)
+        got, want = adaptive_weights(base, ds.X, 2.0), oracles.adaptive_weights(base, ds.X, 2.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    zero = LinearModel(np.zeros_like(base.coef), table, "linear")
+    assert np.all(adaptive_weights(zero, ds.X, (0.05, 1.0, 2.0, 30.0)) == 1.0)
 
 
 @settings(max_examples=20, deadline=None)
