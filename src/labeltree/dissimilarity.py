@@ -40,6 +40,15 @@ DEFAULT_DECAY = math.sqrt(5.0)
 # properties of the dissimilarity are guaranteed on every tree.
 DECAY_SQUARED_BOUND = 2.0 * math.sqrt(2.0) + 2.0
 
+# Entries in one row block of a q-by-q pass's temporaries (1 MiB of floats).
+_BLOCK_FLOATS = 2**17
+
+
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive slices of ``_BLOCK_FLOATS // width`` rows, one row at least."""
+    step = max(1, _BLOCK_FLOATS // width)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
 
 @dataclass(frozen=True)
 class WeightSchedule:
@@ -160,8 +169,9 @@ def dissimilarity_matrix(
     that already hold it.
 
     The non-ancestral form is evaluated for every pair: its per-node terms
-    are summed on the ``(q, depth)`` ancestor table, looked up by each
-    pair's LCA layer into one q-by-q array, and finished there in place.
+    are summed on the ``(q, depth)`` ancestor table, copied into the result
+    by each pair's LCA layer and finished there in place, a row block at a
+    time under one boolean mask a layer, with no q-by-q float temporary.
     The pairs of a node and one of its proper ancestors, read off the
     ancestor matrix (``q * depth`` entries, not a q-by-q mask), are then
     overwritten with the ancestral form.  Per entry, the operations and
@@ -182,18 +192,20 @@ def dissimilarity_matrix(
     # s**2 + cum[m-1] + cum[l-1] - 2*cum[t], with s the sibling weight of
     # the pair's common ancestor.  The first two terms depend on a node and
     # the layer t only, so they are summed on the (q, depth) ancestor table
-    # and then looked up by each pair's t, which never reaches the -1
+    # and then copied by each pair's t, which never reaches the -1
     # entries below a node's own layer.
     head = schedule.sibling_weights[tree.node_ancestors]
     head *= head
     head += below[:, None]
     out = np.empty((q, q))
-    for t in range(tree.depth):  # one masked copy a layer, no q-by-q index
-        np.copyto(out, head[:, t, None], where=lca == t + 1)
-    del head
-    out += below[None, :]
-    out -= (2 * cum)[lca]
-    np.maximum(out, 0.0, out=out)
+    for rows in _row_blocks(q, q):  # each layer's mask serves both masked passes
+        block, masks = out[rows], [lca[rows] == t for t in range(1, tree.depth + 1)]
+        for t, mask in enumerate(masks):
+            np.copyto(block, head[rows, t, None], where=mask)
+        block += below
+        for t, mask in enumerate(masks, start=1):
+            np.subtract(block, 2 * cum[t], out=block, where=mask)
+        np.maximum(block, 0.0, out=block)
 
     # One node ancestral to the other: cum[max(m,l)-1] - cum[t-1], with t
     # the ancestor's layer.  Only those pairs are rewritten, read off the

@@ -28,6 +28,7 @@ from .dissimilarity import (
     _check_tree,
     _level_scales,
     _meets_decay_bound,
+    _row_blocks,
     consistency_report_from_matrix,
     dissimilarity_matrix,
 )
@@ -239,16 +240,21 @@ class EmbeddingTable:
         return np.ascontiguousarray(self.node_matrix[1:].T)
 
     def distance_matrix(self) -> np.ndarray:
-        """(q, q) Euclidean distances between embedded points, node order."""
-        pts = self.matrix().T
-        sq = np.sum(pts**2, axis=1)
-        # |a|^2 + |b|^2 - 2<a, b>, the Gram matrix doubled and subtracted
-        # in place: the same operations in the same order, so the same bits
-        d2 = np.add.outer(sq, sq)
-        gram = pts @ pts.T
-        gram *= 2.0
-        d2 -= gram
-        del gram
+        """(q, q) Euclidean distances between embedded points, node order.
+
+        ``|a|^2 + |b|^2 - 2<a, b>`` is finished in the Gram matrix's own rows,
+        a row block at a time, so the result is the one q-by-q array made.
+        """
+        pts = self.node_matrix[1:]
+        # Each squared norm is accumulated left to right, as np.sum does over
+        # a column-major copy; over C-ordered or one-row data it sums pairwise.
+        blocks = _row_blocks(*pts.shape)
+        sq = np.concatenate([np.square(pts[r]).cumsum(axis=1)[:, -1] for r in blocks])
+        d2 = pts @ pts.T
+        for rows in _row_blocks(*d2.shape):
+            gram = d2[rows]
+            gram *= 2.0
+            np.subtract(np.add.outer(sq[rows], sq), gram, out=gram)
         np.fill_diagonal(d2, 0.0)
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2, out=d2)
@@ -298,10 +304,13 @@ def _check_schedule(tree: Tree, schedule: WeightSchedule, table: EmbeddingTable)
 
 
 def _isometry_error(ratio: float, target: np.ndarray, dist: np.ndarray) -> float:
-    """``max |target - ratio * dist|`` with one q-by-q temporary."""
-    gap = dist * ratio
-    gap -= target  # the negated difference, bit for bit; its magnitude agrees
-    return float(np.max(np.abs(gap, out=gap)))
+    """``max |target - ratio * dist|`` by row blocks; a NaN anywhere is the result."""
+    maxima = []
+    for rows in _row_blocks(*dist.shape):
+        gap = dist[rows] * ratio
+        gap -= target[rows]  # the negated difference, bit for bit; its magnitude agrees
+        maxima.append(np.max(np.abs(gap, out=gap)))
+    return float(np.max(maxima))  # not Python's max, which can drop a NaN
 
 
 def embedded_consistency_check(
@@ -328,7 +337,8 @@ def _certify(
 
     The LCA layer matrix, the dissimilarity matrix and the embedded
     distance matrix are each built once and released after their last
-    use; the distance matrix is built only after the first audit.
+    use; the distance matrix is built only after the first audit.  No
+    other q-by-q float array is made: every other temporary is a row block.
     """
     _check_schedule(tree, schedule, table)
     lca = tree.lca_layer_matrix()

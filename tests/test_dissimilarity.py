@@ -20,7 +20,7 @@ from labeltree.dissimilarity import (
 from labeltree.embedding import _certify, embed_tree, verify_isometry
 from labeltree.hierarchy import Tree, parse_tree
 
-from conftest import REFERENCE_DOC, random_tree
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
 
 S5 = math.sqrt(5.0)
 
@@ -341,3 +341,21 @@ class TestConsistency:
             tracemalloc.stop()
         assert report.ok
         assert peak < 8 * tree.q**2, peak
+
+    def test_dissimilarity_matrix_traces_less_than_one_and_a_half_float_matrices(self):
+        # the result, and row blocks in place of a q-by-q float lookup
+        tree = fanout10_tree()
+        sched, lca = build_schedule(tree), tree.lca_layer_matrix()
+        peak = traced_peak(lambda: dissimilarity_matrix(tree, sched, _lca=lca))
+        assert peak < 1.5 * 8 * tree.q**2, peak
+
+    def test_certificate_traces_less_than_three_float_matrices_and_the_nodes(self):
+        # the dissimilarity and distance matrices and the node matrix, which
+        # is built on first use here; no third q-by-q float array
+        tree = fanout10_tree()
+        sched, table = build_schedule(tree), embed_tree(tree)
+        certified = []
+        peak = traced_peak(lambda: certified.append(_certify(tree, sched, table)))
+        [(max_err, tree_report, point_report)] = certified
+        assert max_err < 1e-12 and tree_report.ok and point_report.ok
+        assert peak < 3 * 8 * tree.q**2 + table.node_matrix.nbytes, peak

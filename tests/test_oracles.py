@@ -4,6 +4,7 @@
 paths of different lengths meet in every check.
 """
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -74,6 +75,7 @@ from labeltree.dissimilarity import (
 )
 from labeltree.dual import _grams_by_child, _hinge_blocks, _hinge_packs
 from labeltree.embedding import (
+    _isometry_error,
     embed_tree,
     embedded_consistency_check,
     write_json,
@@ -1033,7 +1035,9 @@ def test_schedule_equals_per_parent_formula_bitwise(decay, seed, base_weight):
     by_index = np.array([sibling.get(node, 0.0) for node in tree.nodes])
     assert same_bits(schedule.sibling_weights, by_index)
     want = oracles.dissimilarity_matrix(tree, schedule)
-    assert same_bits(dissimilarity_matrix(tree, schedule), want)
+    for blocks in row_block_sizes(tree.q):
+        with blocks:
+            assert same_bits(dissimilarity_matrix(tree, schedule), want)
 
 
 def perturbed_distances(tree, rng):
@@ -1162,6 +1166,15 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_block_sizes(q):
+    """Contexts for the default row blocks of a q-wide pass, then one row a
+    block, two rows (the last block ragged for odd ``q``) and ``q - 1`` rows
+    then a one-row block."""
+    target = "labeltree.dissimilarity._BLOCK_FLOATS"
+    sizes = [mock.patch(target, floats) for floats in (1, 2 * q, (q - 1) * q)]
+    return [contextlib.nullcontext(), *sizes]
+
+
 def assert_views_equal_cursor_walk(tree, base_norm, decay):
     """Every view of the table is the reference walk's, bit for bit."""
     table = embed_tree(tree, base_norm=base_norm, decay=decay)
@@ -1216,9 +1229,38 @@ def test_distance_matrix_equals_oracle_bits(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
     table = embed_tree(tree, base_norm=float(rng.uniform(0.1, 10)))
-    assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
+    for blocks in row_block_sizes(tree.q):
+        with blocks:
+            assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
     table = hand_built_table(rng)
-    assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
+    for blocks in row_block_sizes(table.tree.q):
+        with blocks:
+            assert same_bits(table.distance_matrix(), oracles.distance_matrix(table))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_isometry_error_is_the_one_shot_max_and_keeps_nan_and_inf(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    ratio = float(rng.uniform(0.1, 10))
+    target = dissimilarity_matrix(tree, build_schedule(tree, base_weight=ratio))
+    dist = embed_tree(tree).distance_matrix()
+    dist += rng.normal(scale=10.0 ** rng.integers(-16, -2), size=dist.shape)
+    q = tree.q
+    # a random cell, and one in the last row, which is in the last block
+    cells = [tuple(rng.integers(0, q, 2)), (q - 1, int(rng.integers(0, q)))]
+    one_shot = np.max(np.abs(dist * ratio - target))
+    for blocks in row_block_sizes(q):
+        with blocks:
+            assert _isometry_error(ratio, target, dist) == one_shot
+            for cell, which, value in itertools.product(
+                cells, ("target", "dist"), (np.nan, np.inf, -np.inf)
+            ):
+                got = {"target": target.copy(), "dist": dist.copy()}
+                got[which][cell] = value
+                err = _isometry_error(ratio, got["target"], got["dist"])
+                assert math.isnan(err) if np.isnan(value) else err == np.inf
 
 
 @settings(max_examples=25, deadline=None)
@@ -1317,7 +1359,9 @@ def test_dissimilarity_of_ragged_trees_equals_oracle_bits(tree):
     for decay in DECAYS:
         schedule = build_schedule(tree, base_weight=1.5, decay=decay)
         want = oracles.dissimilarity_matrix(tree, schedule)
-        assert same_bits(dissimilarity_matrix(tree, schedule), want)
+        for blocks in row_block_sizes(tree.q):
+            with blocks:
+                assert same_bits(dissimilarity_matrix(tree, schedule), want)
 
 
 @settings(max_examples=25, deadline=None)
