@@ -37,6 +37,8 @@ from .datagen import (
     generate,
     split_indices,
 )
+# The scalar ``dissimilarity`` stays in its module: re-exported here, it
+# would replace the package attribute that names the submodule.
 from .dissimilarity import (
     DECAY_SQUARED_BOUND,
     DEFAULT_DECAY,
@@ -44,7 +46,6 @@ from .dissimilarity import (
     WeightSchedule,
     build_schedule,
     consistency_check,
-    dissimilarity,
     dissimilarity_matrix,
 )
 from .embedding import (

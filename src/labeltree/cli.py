@@ -70,6 +70,18 @@ def _check_ids(nodes) -> None:
             raise ValueError(f"node id {node!r} contains {PATH_SEP!r}; cannot serialize paths")
 
 
+def _load_tree(path) -> Tree:
+    """:func:`load_tree`, then :func:`_check_ids` on every node id.
+
+    ``train``, ``predict`` and ``evaluate`` load their tree here.  Predicted
+    paths are slash-joined, so a model of a tree with ``/`` in an id could
+    never predict; such a tree is refused before any other file is read.
+    """
+    tree = load_tree(path)
+    _check_ids(tree.nodes)
+    return tree
+
+
 def write_predictions(paths: Sequence[tuple[str, ...]], out_path) -> None:
     """Write predicted paths as CSV rows ``index, slash/joined/path``.
 
@@ -408,7 +420,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tree = load_tree(args.tree)
+    tree = _load_tree(args.tree)
     data = read_dataset_csv(args.data, tree)
     table = embed_tree(tree, base_norm=args.t1, decay=args.delta)
     gamma_grid = _parse_grid(args.gamma_grid, TUNING_GRID)
@@ -458,8 +470,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    tree = load_tree(args.tree)
-    _check_ids(tree.nodes)
+    tree = _load_tree(args.tree)
     model = load_model(args.model, tree)
     X, _ = read_feature_csv(args.data)
     if X.shape[1] != model.n_features:
@@ -476,8 +487,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    tree = load_tree(args.tree)
-    _check_ids(tree.nodes)
+    tree = _load_tree(args.tree)
     pred = read_predictions(args.pred, tree)
     truth = read_truth(args.truth, tree)
     if len(pred) != len(truth):

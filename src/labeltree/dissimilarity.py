@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -40,14 +40,14 @@ DEFAULT_DECAY = math.sqrt(5.0)
 # properties of the dissimilarity are guaranteed on every tree.
 DECAY_SQUARED_BOUND = 2.0 * math.sqrt(2.0) + 2.0
 
-# Entries in one row block of a q-by-q pass's temporaries (1 MiB of floats).
+# Entries in one row block of a q-by-q pass (1 MiB of floats).
 _BLOCK_FLOATS = 2**17
 
 
 def _row_blocks(n_rows: int, width: int) -> list[slice]:
     """Consecutive slices of ``_BLOCK_FLOATS // width`` rows, one row at least."""
     step = max(1, _BLOCK_FLOATS // width)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -158,29 +158,22 @@ def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float
     return math.sqrt(s * s + sum(w2[: m - 1]) + sum(w2[: l - 1]) - 2 * sum(w2[:t]))
 
 
-def dissimilarity_matrix(
-    tree: Tree, schedule: WeightSchedule, *, _lca: np.ndarray | None = None
-) -> np.ndarray:
-    """(q, q) matrix of pairwise dissimilarities in node order.
+def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule, lca: np.ndarray):
+    """``fill(rows, out)``: rows ``rows`` of :func:`dissimilarity_matrix`, into ``out``.
 
-    Vectorized evaluation of the same closed form as :func:`dissimilarity`, to
-    floating-point accuracy, and like it raises for another tree's schedule.
-    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal callers
-    that already hold it.
-
-    The non-ancestral form is evaluated for every pair: its per-node terms
-    are summed on the ``(q, depth)`` ancestor table, copied into the result
-    by each pair's LCA layer and finished there in place, a row block at a
-    time under one boolean mask a layer, with no q-by-q float temporary.
-    The pairs of a node and one of its proper ancestors, read off the
-    ancestor matrix (``q * depth`` entries, not a q-by-q mask), are then
-    overwritten with the ancestral form.  Per entry, the operations and
-    their order, and so every bit, are those of the closed form written
-    out in one expression.
+    ``lca`` is the tree's :meth:`~Tree.lca_layer_matrix`; raises for another
+    tree's schedule.  The non-ancestral form is evaluated for every pair:
+    its per-node terms are summed on the ``(q, depth)`` ancestor table,
+    copied into the block by each pair's LCA layer and finished there in
+    place, under one boolean mask a layer.  The block's pairs of a node and
+    one of its proper ancestors, read off the ancestor matrix (``q * depth``
+    entries, not a q-by-q mask), are then overwritten with the ancestral
+    form.  Per entry, the operations and their order, and so every bit, are
+    those of the closed form written out in one expression, whatever the
+    block.
     """
     _check_tree(tree, "weight schedule", schedule)
-    lca = tree.lca_layer_matrix() if _lca is None else _lca
-    q, layers = tree.q, tree.node_layers[1:]
+    layers, depths = tree.node_layers[1:], range(1, tree.depth + 1)
 
     w2 = np.array([w * w for w in schedule.level_weights])
     # cum[t] = sum of squared level weights for layers 1..t; one padding
@@ -197,30 +190,75 @@ def dissimilarity_matrix(
     head = schedule.sibling_weights[tree.node_ancestors]
     head *= head
     head += below[:, None]
-    out = np.empty((q, q))
-    for rows in _row_blocks(q, q):  # each layer's mask serves both masked passes
-        block, masks = out[rows], [lca[rows] == t for t in range(1, tree.depth + 1)]
-        for t, mask in enumerate(masks):
-            np.copyto(block, head[rows, t, None], where=mask)
-        block += below
-        for t, mask in enumerate(masks, start=1):
-            np.subtract(block, 2 * cum[t], out=block, where=mask)
-        np.maximum(block, 0.0, out=block)
 
     # One node ancestral to the other: cum[max(m,l)-1] - cum[t-1], with t
-    # the ancestor's layer.  Only those pairs are rewritten, read off the
-    # ancestor matrix: column c of a layer-m node's row holds its ancestor
-    # at layer c + 1, a non-root proper ancestor for 0 < c < m - 1.  The
-    # diagonal, where t is the node's own layer, is zeroed below.
+    # the ancestor's layer.  Column c of a layer-m node's row of the
+    # ancestor matrix holds its ancestor at layer c + 1, a non-root proper
+    # ancestor for 0 < c < m - 1.  Each pair is kept in both orders,
+    # sorted by row, so a block's pairs are one slice.  The diagonal, where
+    # t is the node's own layer, is zeroed last.
     c = np.arange(tree.depth)
     desc, col = np.nonzero((c > 0) & (c < layers[:, None] - 1))
     anc = tree.node_ancestors[desc, col] - 1
     sq_anc = cum[layers[desc] - 1] - cum[col]
-    out[anc, desc] = sq_anc
-    out[desc, anc] = sq_anc
-    np.sqrt(out, out=out)
-    np.fill_diagonal(out, 0.0)
+    pair_rows, pair_cols = np.concatenate([anc, desc]), np.concatenate([desc, anc])
+    by_row = np.argsort(pair_rows, kind="stable")
+    pair_rows, pair_cols = pair_rows[by_row], pair_cols[by_row]
+    pair_sq = np.concatenate([sq_anc, sq_anc])[by_row]
+
+    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
+        masks = [lca[rows] == t for t in depths]  # each serves both masked passes
+        for t, mask in enumerate(masks):
+            np.copyto(out, head[rows, t, None], where=mask)
+        out += below
+        for t, mask in enumerate(masks, start=1):
+            np.subtract(out, 2 * cum[t], out=out, where=mask)
+        np.maximum(out, 0.0, out=out)
+        a, b = np.searchsorted(pair_rows, [rows.start, rows.stop])
+        out[pair_rows[a:b] - rows.start, pair_cols[a:b]] = pair_sq[a:b]
+        np.sqrt(out, out=out)
+        k = np.arange(len(out))
+        out[k, k + rows.start] = 0.0
+        return out
+
+    return fill
+
+
+def _row_pass(lca: np.ndarray, fill) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """``(rows, fill(rows, out), lca[rows])`` for each row block of a q-by-q pass.
+
+    ``out`` is a view of one buffer that every block reuses, so a block is
+    overwritten by the next: a consumer is done with it before it asks for
+    another.
+    """
+    q = len(lca)
+    blocks = _row_blocks(q, q)
+    buffer = np.empty((blocks[0].stop, q))
+    for rows in blocks:
+        yield rows, fill(rows, buffer[: rows.stop - rows.start]), lca[rows]
+
+
+def _whole(q: int, fill) -> np.ndarray:
+    """The (q, q) matrix whose rows ``fill`` writes, a row block at a time."""
+    out = np.empty((q, q))
+    for rows in _row_blocks(q, q):
+        fill(rows, out[rows])
     return out
+
+
+def dissimilarity_matrix(
+    tree: Tree, schedule: WeightSchedule, *, _lca: np.ndarray | None = None
+) -> np.ndarray:
+    """(q, q) matrix of pairwise dissimilarities in node order.
+
+    Vectorized evaluation of the same closed form as :func:`dissimilarity`, to
+    floating-point accuracy, and like it raises for another tree's schedule.
+    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal callers
+    that already hold it.  Built a row block at a time by the row function
+    the certificate uses, with no q-by-q float temporary.
+    """
+    lca = tree.lca_layer_matrix() if _lca is None else _lca
+    return _whole(tree.q, _dissimilarity_rows(tree, schedule, lca))
 
 
 @dataclass(frozen=True)
@@ -296,6 +334,151 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
+class _Audit:
+    """Both consistency audits of a distance matrix, fed its row blocks in order.
+
+    :meth:`add` keeps partial reductions of each block.  Monotonicity
+    groups pairs by ancestor layer: every value in a shallower-ancestor
+    group must strictly exceed every value in any deeper-ancestor group,
+    so comparing adjacent group extremes is enough.  Group t holds the
+    upper-triangle pairs meeting at layer t; none is empty, since every
+    layer above the leaves holds a parent.  A block adds its minimum and
+    maximum of each group, and :meth:`report` reduces them with
+    ``np.min``/``np.max``, so a NaN still reaches the extremes.  Symmetry
+    compares an anchor's partners at one layer that share the
+    common-ancestor layer, which is one row, so each block finds its own
+    violations and their witnesses.  Each group is a boolean mask and its
+    extremes are ``where=`` reductions, so no pair list and no float copy
+    is made; a witness is the first member at an extreme, row-major.
+    """
+
+    def __init__(self, tree: Tree, tol: float):
+        if not tol >= 0:
+            raise ValueError(f"tolerance must be non-negative, got {tol}")
+        self.tree, self.tol = tree, tol
+        # node order is sorted by layer, so partner layer m is a column slice
+        layers = tree.node_layers[1:]
+        self.spans = [
+            (m, *np.searchsorted(layers, [m, m + 1]).tolist())
+            for m in range(2, tree.depth + 1)
+        ]
+        self.lows: list[list] = []
+        self.highs: list[list] = []
+        self.found: list[tuple] = []
+
+    def _upper(self, rows: slice) -> np.ndarray:
+        return np.arange(rows.start, rows.stop)[:, None] < np.arange(self.tree.q)
+
+    def add(self, rows: slice, dist: np.ndarray, lca: np.ndarray) -> None:
+        """Reduce rows ``rows`` of the distance and LCA layer matrices."""
+        upper, lows, highs = self._upper(rows), [], []
+        for t in range(1, self.tree.depth):
+            member = lca == t
+            member &= upper
+            lows.append(np.min(dist, where=member, initial=np.inf))
+            highs.append(np.max(dist, where=member, initial=-np.inf))
+        self.lows.append(lows)
+        self.highs.append(highs)
+
+        # Each anchor's extremes in a group are masked row reductions over
+        # the partner layer's columns, a view.  At t = m the only node is
+        # the anchor's ancestor at m (or itself), never a group, so t stops
+        # below m, where no anchor is its own partner.  A row of under two
+        # members spans 0, NaN or -inf.
+        for m, a, b in self.spans:
+            part, part_lca = dist[:, a:b], lca[:, a:b]
+            for t in range(1, m):
+                member = part_lca == t
+                lo = np.min(part, axis=1, where=member, initial=np.inf)
+                hi = np.max(part, axis=1, where=member, initial=-np.inf)
+                flagged = np.flatnonzero(hi - lo > self.tol)
+                member, vals = member[flagged], part[flagged]
+                first = np.argmax(member, axis=1) + a
+                k_min = np.argmax(member & (vals == lo[flagged, None]), axis=1) + a
+                k_max = np.argmax(member & (vals == hi[flagged, None]), axis=1) + a
+                for i, j0, j_min, j_max in zip(
+                    flagged.tolist(), first.tolist(), k_min.tolist(), k_max.tolist()
+                ):
+                    values = float(dist[i, j_min]), float(dist[i, j_max])
+                    self.found.append((rows.start + i, j0, m, t, j_min, j_max, *values))
+
+    def _first_pairs(self, wanted: set, blocks) -> dict:
+        """Each ``(t, value)`` of ``wanted`` to its first pair in group t at ``value``.
+
+        ``blocks()`` passes over the row blocks again, as far as the last
+        witness; each is ``(i, j, dist[i, j])``.
+        """
+        q, out = self.tree.q, {}
+        for rows, dist, lca in blocks() if wanted else ():
+            upper = self._upper(rows)
+            for t, value in wanted - out.keys():
+                at = (lca == t) & upper & (dist == value)
+                if at.any():
+                    i, j = divmod(int(np.argmax(at)), q)
+                    out[t, value] = (rows.start + i, j, float(dist[i, j]))
+            if len(out) == len(wanted):
+                break
+        return out
+
+    def report(self, decay_bound_met: bool, blocks) -> ConsistencyReport:
+        """The audits' report once every block is added.
+
+        ``blocks()`` makes a fresh pass of ``(rows, dist rows, lca rows)``;
+        it runs only if a monotonicity violation needs its witnesses.
+        """
+        order, q = self.tree.node_order, self.tree.q
+        lows, highs = np.min(self.lows, axis=0), np.max(self.highs, axis=0)
+        flagged = [
+            (t, lows[t - 1], t + 1, highs[t])
+            for t in range(1, self.tree.depth - 1)
+            if lows[t - 1] <= highs[t]
+        ]
+        wanted = {key for t, low, u, high in flagged for key in ((t, low), (u, high))}
+        at = self._first_pairs(wanted, blocks)
+        mono = []
+        for t_low, low, t_high, high in flagged:
+            (i, j, value_low), (k, l, value_high) = at[t_low, low], at[t_high, high]
+            mono.append(
+                MonotonicityViolation(
+                    pair_low=(order[i], order[j]),
+                    lca_low=t_low,
+                    value_low=value_low,
+                    pair_high=(order[k], order[l]),
+                    lca_high=t_high,
+                    value_high=value_high,
+                )
+            )
+        # anchors in node order, then each anchor's groups by first partner
+        self.found.sort(key=lambda f: f[:2])
+        sym = [
+            SymmetryViolation(
+                anchor=order[i],
+                other_layer=other_layer,
+                lca=t,
+                node_a=order[a],
+                value_a=value_a,
+                node_b=order[b],
+                value_b=value_b,
+            )
+            for i, _, other_layer, t, a, b, value_a, value_b in self.found
+        ]
+        return ConsistencyReport(
+            n_pairs=q * (q - 1) // 2,
+            tolerance=self.tol,
+            decay_bound_met=decay_bound_met,
+            monotonicity_violations=tuple(mono),
+            symmetry_violations=tuple(sym),
+        )
+
+
+def _audit(tree: Tree, tol: float, decay_bound_met: bool, blocks) -> ConsistencyReport:
+    """Both audits over the row blocks of ``blocks()``, a fresh pass per call."""
+    audit = _Audit(tree, tol)
+    for block in blocks():
+        audit.add(*block)
+    return audit.report(decay_bound_met, blocks)
+
+
 def consistency_report_from_matrix(
     tree: Tree,
     dist: np.ndarray,
@@ -306,95 +489,16 @@ def consistency_report_from_matrix(
 ) -> ConsistencyReport:
     """Run both consistency checks against a precomputed distance matrix.
 
-    Shared by :func:`consistency_check` (tree dissimilarity) and the
-    embedded-point check in :mod:`labeltree.embedding`.  ``_lca`` is as
-    in :func:`dissimilarity_matrix`; ``tol`` must be non-negative.  Each
-    group of pairs is a boolean mask and its extremes are ``where=``
-    reductions, so no pair list and no float copy of ``dist`` is made; a
-    witness is the first member at an extreme, as a scan finds it.
+    The audit of :func:`consistency_check` and of the embedded points in
+    :mod:`labeltree.embedding`, over row-block views of ``dist``.  ``_lca``
+    is as in :func:`dissimilarity_matrix`; ``tol`` must be non-negative.
     """
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
     lca = tree.lca_layer_matrix() if _lca is None else _lca
-    order, q, layers = tree.node_order, tree.q, tree.node_layers[1:]
 
-    # Monotonicity: grouped by ancestor layer, every value in a
-    # shallower-ancestor group must strictly exceed every value in any
-    # deeper-ancestor group; comparing adjacent group extremes is enough.
-    # Group t holds the upper-triangle pairs meeting at layer t; none is
-    # empty, since every layer above the leaves holds a parent.
-    upper = np.arange(q)[:, None] < np.arange(q)
-    extremes = []
-    for t in range(1, tree.depth):
-        member = lca == t
-        member &= upper
-        low = np.min(dist, where=member, initial=np.inf)
-        extremes.append((t, low, np.max(dist, where=member, initial=-np.inf)))
+    def blocks():
+        return ((rows, dist[rows], lca[rows]) for rows in _row_blocks(tree.q, tree.q))
 
-    def first_pair(t, value):
-        return divmod(int(np.argmax((lca == t) & upper & (dist == value))), q)
-
-    mono: list[MonotonicityViolation] = []
-    for (t_low, low, _), (t_high, _, high) in zip(extremes, extremes[1:]):
-        if low <= high:
-            k_min, k_max = first_pair(t_low, low), first_pair(t_high, high)
-            mono.append(
-                MonotonicityViolation(
-                    pair_low=(order[k_min[0]], order[k_min[1]]),
-                    lca_low=t_low,
-                    value_low=float(dist[k_min]),
-                    pair_high=(order[k_max[0]], order[k_max[1]]),
-                    lca_high=t_high,
-                    value_high=float(dist[k_max]),
-                )
-            )
-
-    # Symmetry: for a fixed anchor, partners at one layer sharing the
-    # common-ancestor layer must all sit at the same dissimilarity.  Node
-    # order is sorted by layer, so partner layer m is a column slice, a
-    # view, and each anchor's extremes in a group are masked row
-    # reductions.  At t = m the only node is the anchor's ancestor at m
-    # (or itself), never a group, so t stops below m, where no anchor is
-    # its own partner.  A row of under two members spans 0, NaN or -inf.
-    found = []
-    for m in range(2, tree.depth + 1):
-        a, b = np.searchsorted(layers, [m, m + 1]).tolist()
-        part, part_lca = dist[:, a:b], lca[:, a:b]
-        for t in range(1, m):
-            member = part_lca == t
-            lo = np.min(part, axis=1, where=member, initial=np.inf)
-            hi = np.max(part, axis=1, where=member, initial=-np.inf)
-            rows = np.flatnonzero(hi - lo > tol)
-            member, vals = member[rows], part[rows]
-            first = np.argmax(member, axis=1) + a
-            k_min = np.argmax(member & (vals == lo[rows, None]), axis=1) + a
-            k_max = np.argmax(member & (vals == hi[rows, None]), axis=1) + a
-            for i, j0, j_min, j_max in zip(
-                rows.tolist(), first.tolist(), k_min.tolist(), k_max.tolist()
-            ):
-                found.append((i, j0, m, t, j_min, j_max))
-    # anchors in node order, then each anchor's groups by first partner
-    found.sort()
-    sym = [
-        SymmetryViolation(
-            anchor=order[i],
-            other_layer=other_layer,
-            lca=t,
-            node_a=order[a],
-            value_a=float(dist[i, a]),
-            node_b=order[b],
-            value_b=float(dist[i, b]),
-        )
-        for i, _, other_layer, t, a, b in found
-    ]
-
-    return ConsistencyReport(
-        n_pairs=q * (q - 1) // 2,
-        tolerance=tol,
-        decay_bound_met=decay_bound_met,
-        monotonicity_violations=tuple(mono),
-        symmetry_violations=tuple(sym),
-    )
+    return _audit(tree, tol, decay_bound_met, blocks)
 
 
 def consistency_check(
@@ -406,13 +510,9 @@ def consistency_check(
     dissimilar than a pair meeting deeper.  Symmetry: pairs that share the
     anchor node, the partner layer, and the common-ancestor layer have
     equal dissimilarities (within ``tol``).  Both hold whenever
-    ``schedule.meets_decay_bound`` is true.
+    ``schedule.meets_decay_bound`` is true.  The dissimilarities are made
+    and audited a row block at a time.
     """
     lca = tree.lca_layer_matrix()
-    return consistency_report_from_matrix(
-        tree,
-        dissimilarity_matrix(tree, schedule, _lca=lca),
-        tol,
-        schedule.meets_decay_bound,
-        _lca=lca,
-    )
+    fill = _dissimilarity_rows(tree, schedule, lca)
+    return _audit(tree, tol, schedule.meets_decay_bound, lambda: _row_pass(lca, fill))

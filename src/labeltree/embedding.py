@@ -25,12 +25,15 @@ from .dissimilarity import (
     DEFAULT_DECAY,
     ConsistencyReport,
     WeightSchedule,
+    _Audit,
     _check_tree,
     _level_scales,
     _meets_decay_bound,
+    _audit,
+    _dissimilarity_rows,
     _row_blocks,
-    consistency_report_from_matrix,
-    dissimilarity_matrix,
+    _row_pass,
+    _whole,
 )
 from .hierarchy import Tree
 
@@ -242,22 +245,39 @@ class EmbeddingTable:
     def distance_matrix(self) -> np.ndarray:
         """(q, q) Euclidean distances between embedded points, node order.
 
-        ``|a|^2 + |b|^2 - 2<a, b>`` is finished in the Gram matrix's own rows,
-        a row block at a time, so the result is the one q-by-q array made.
+        Built a row block at a time by the row function the certificate
+        uses, so the result is the one q-by-q array made.
         """
-        pts = self.node_matrix[1:]
-        # Each squared norm is accumulated left to right, as np.sum does over
-        # a column-major copy; over C-ordered or one-row data it sums pairwise.
-        blocks = _row_blocks(*pts.shape)
-        sq = np.concatenate([np.square(pts[r]).cumsum(axis=1)[:, -1] for r in blocks])
-        d2 = pts @ pts.T
-        for rows in _row_blocks(*d2.shape):
-            gram = d2[rows]
-            gram *= 2.0
-            np.subtract(np.add.outer(sq[rows], sq), gram, out=gram)
-        np.fill_diagonal(d2, 0.0)
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2, out=d2)
+        return _whole(self.tree.q, _distance_rows(self))
+
+
+def _distance_rows(table: EmbeddingTable):
+    """``fill(rows, out)``: rows ``rows`` of :meth:`~EmbeddingTable.distance_matrix`.
+
+    ``|a|^2 + |b|^2 - 2<a, b>`` is finished in place in ``out``, which first
+    takes the product ``pts[rows] @ pts.T``, read from the node matrix in
+    place.  A row's bits depend on the block it is made in, as BLAS
+    kernels round a product by its shape, but not on where the block's
+    memory lies.
+    """
+    pts = table.node_matrix[1:]
+    # Each squared norm is accumulated left to right, as np.sum does over
+    # a column-major copy; over C-ordered or one-row data it sums pairwise.
+    # A block's last column is copied out, so no block outlives its turn.
+    sq = np.empty(len(pts))
+    for r in _row_blocks(*pts.shape):
+        sq[r] = np.square(pts[r]).cumsum(axis=1)[:, -1]
+
+    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
+        gram = np.matmul(pts[rows], pts.T, out=out)
+        gram *= 2.0
+        np.subtract(np.add.outer(sq[rows], sq), gram, out=gram)
+        k = np.arange(len(gram))
+        gram[k, k + rows.start] = 0.0
+        np.maximum(gram, 0.0, out=gram)
+        return np.sqrt(gram, out=gram)
+
+    return fill
 
 
 def embed_tree(
@@ -291,8 +311,10 @@ def verify_isometry(
         disagree on the decay.
     """
     _check_schedule(tree, schedule, table)
-    target, dist = dissimilarity_matrix(tree, schedule), table.distance_matrix()
-    return _isometry_error(schedule.base_weight / table.base_norm, target, dist)
+    lca, ratio = tree.lca_layer_matrix(), schedule.base_weight / table.base_norm
+    fills = _dissimilarity_rows(tree, schedule, lca), _distance_rows(table)
+    blocks = _certificate_rows(lca, *fills)
+    return _largest([_isometry_error(ratio, target, dist) for _, _, target, dist in blocks])
 
 
 def _check_schedule(tree: Tree, schedule: WeightSchedule, table: EmbeddingTable):
@@ -303,13 +325,29 @@ def _check_schedule(tree: Tree, schedule: WeightSchedule, table: EmbeddingTable)
         )
 
 
-def _isometry_error(ratio: float, target: np.ndarray, dist: np.ndarray) -> float:
-    """``max |target - ratio * dist|`` by row blocks; a NaN anywhere is the result."""
-    maxima = []
-    for rows in _row_blocks(*dist.shape):
-        gap = dist[rows] * ratio
-        gap -= target[rows]  # the negated difference, bit for bit; its magnitude agrees
-        maxima.append(np.max(np.abs(gap, out=gap)))
+def _certificate_rows(
+    lca: np.ndarray, target_fill, dist_fill
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(rows, lca rows, dissimilarity rows, distance rows)`` for each row block.
+
+    ``target_fill`` and ``dist_fill`` are :func:`_dissimilarity_rows` and
+    :func:`_distance_rows`.  Each array is a view of a buffer the next
+    block overwrites.
+    """
+    targets, dists = _row_pass(lca, target_fill), _row_pass(lca, dist_fill)
+    for (rows, target, lca_rows), (_, dist, _) in zip(targets, dists):
+        yield rows, lca_rows, target, dist
+
+
+def _isometry_error(ratio: float, target: np.ndarray, dist: np.ndarray) -> np.float64:
+    """``max |target - ratio * dist|`` over rows of both; a NaN anywhere is the result."""
+    gap = dist * ratio
+    gap -= target  # the negated difference, bit for bit; its magnitude agrees
+    return np.max(np.abs(gap, out=gap))
+
+
+def _largest(maxima: list) -> float:
+    """The largest of the row blocks' maxima, NaN if one is NaN."""
     return float(np.max(maxima))  # not Python's max, which can drop a NaN
 
 
@@ -319,14 +357,12 @@ def embedded_consistency_check(
     """Consistency audit of the embedded points under Euclidean distance.
 
     Mirrors :func:`labeltree.dissimilarity.consistency_check`; clean
-    whenever the decay meets the certification threshold.
+    whenever the decay meets the certification threshold.  The distances
+    are made and audited a row block at a time.
     """
-    return consistency_report_from_matrix(
-        table.tree,
-        table.distance_matrix(),
-        tol=tol,
-        decay_bound_met=_meets_decay_bound(table.decay),
-    )
+    lca, fill = table.tree.lca_layer_matrix(), _distance_rows(table)
+    bound_met = _meets_decay_bound(table.decay)
+    return _audit(table.tree, tol, bound_met, lambda: _row_pass(lca, fill))
 
 
 def _certify(
@@ -335,24 +371,28 @@ def _certify(
     """:func:`verify_isometry`, :func:`consistency_check` and
     :func:`embedded_consistency_check` at their defaults, in one pass.
 
-    The LCA layer matrix, the dissimilarity matrix and the embedded
-    distance matrix are each built once and released after their last
-    use; the distance matrix is built only after the first audit.  No
-    other q-by-q float array is made: every other temporary is a row block.
+    Each row block of the dissimilarity and distance matrices is made
+    once, by the row functions those three use, and feeds the isometry
+    error and both audits before the next block is made.  No q-by-q float
+    array is held: beside the node matrix and the int8 LCA layer matrix
+    there are only row blocks.  A pass is made again only to locate the
+    witnesses of a monotonicity violation.
     """
     _check_schedule(tree, schedule, table)
-    lca = tree.lca_layer_matrix()
-    target = dissimilarity_matrix(tree, schedule, _lca=lca)
-    tree_report = consistency_report_from_matrix(
-        tree, target, decay_bound_met=schedule.meets_decay_bound, _lca=lca
+    lca, ratio = tree.lca_layer_matrix(), schedule.base_weight / table.base_norm
+    target_fill, dist_fill = _dissimilarity_rows(tree, schedule, lca), _distance_rows(table)
+    tree_audit, point_audit, maxima = _Audit(tree, 1e-10), _Audit(tree, 1e-10), []
+    for rows, lca_rows, target, dist in _certificate_rows(lca, target_fill, dist_fill):
+        maxima.append(_isometry_error(ratio, target, dist))
+        tree_audit.add(rows, target, lca_rows)
+        point_audit.add(rows, dist, lca_rows)
+    return (
+        _largest(maxima),
+        tree_audit.report(schedule.meets_decay_bound, lambda: _row_pass(lca, target_fill)),
+        point_audit.report(
+            _meets_decay_bound(table.decay), lambda: _row_pass(lca, dist_fill)
+        ),
     )
-    dist = table.distance_matrix()
-    max_err = _isometry_error(schedule.base_weight / table.base_norm, target, dist)
-    del target
-    point_report = consistency_report_from_matrix(
-        tree, dist, decay_bound_met=_meets_decay_bound(table.decay), _lca=lca
-    )
-    return max_err, tree_report, point_report
 
 
 def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:

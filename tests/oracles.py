@@ -27,7 +27,10 @@ through ``np.loadtxt``, and the truth labels as ``csv`` read them, before
 the label-only read, the tree's id-keyed accessors over the
 dicts it kept beside its arrays, before they read the arrays, and the
 adaptive weights from norms of the ``(n, dimension)`` score matrix,
-before they were read from the coefficients' Gram.  The property
+before they were read from the coefficients' Gram, and ``embed``'s
+certificate over the whole dissimilarity and distance matrices, with
+the audits' groups as whole-matrix masks and the distances from one
+product, before it went a row block at a time.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -58,6 +61,7 @@ from labeltree.classifier import (
     train_linear,
 )
 from labeltree.dissimilarity import (
+    DECAY_SQUARED_BOUND,
     DEFAULT_DECAY,
     ConsistencyReport,
     MonotonicityViolation,
@@ -961,13 +965,107 @@ def consistency_report_from_matrix(tree, dist, tol=1e-10, decay_bound_met=True):
     )
 
 
-def distance_matrix(table) -> np.ndarray:
-    """Embedded distances as one expression, before the in-place updates."""
+def distance_matrix(table, gram=None) -> np.ndarray:
+    """Embedded distances as one expression, before the in-place updates.
+
+    ``gram`` is the product of the node vectors with themselves, which
+    rounds by the shape of the products that make it; by default it is
+    the one whole product ``pts @ pts.T``.
+    """
     pts = table.matrix().T
     sq = np.sum(pts**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T if gram is None else gram)
     np.fill_diagonal(d2, 0.0)
     return np.sqrt(np.maximum(d2, 0.0))
+
+
+def masked_audit(tree, dist, tol=1e-10, decay_bound_met=True) -> ConsistencyReport:
+    """Both audits over the whole matrix, each group one q-by-q boolean mask.
+
+    Groups' extremes are ``where=`` reductions and a witness is the first
+    member at an extreme, found by an ``argmax`` over the whole matrix.
+    """
+    lca = tree.lca_layer_matrix()
+    order, q, layers = tree.node_order, tree.q, tree.node_layers[1:]
+
+    upper = np.arange(q)[:, None] < np.arange(q)
+    extremes = []
+    for t in range(1, tree.depth):
+        member = lca == t
+        member &= upper
+        low = np.min(dist, where=member, initial=np.inf)
+        extremes.append((t, low, np.max(dist, where=member, initial=-np.inf)))
+
+    def first_pair(t, value):
+        return divmod(int(np.argmax((lca == t) & upper & (dist == value))), q)
+
+    mono = []
+    for (t_low, low, _), (t_high, _, high) in zip(extremes, extremes[1:]):
+        if low <= high:
+            k_min, k_max = first_pair(t_low, low), first_pair(t_high, high)
+            mono.append(
+                MonotonicityViolation(
+                    pair_low=(order[k_min[0]], order[k_min[1]]),
+                    lca_low=t_low,
+                    value_low=float(dist[k_min]),
+                    pair_high=(order[k_max[0]], order[k_max[1]]),
+                    lca_high=t_high,
+                    value_high=float(dist[k_max]),
+                )
+            )
+
+    found = []
+    for m in range(2, tree.depth + 1):
+        a, b = np.searchsorted(layers, [m, m + 1]).tolist()
+        part, part_lca = dist[:, a:b], lca[:, a:b]
+        for t in range(1, m):
+            member = part_lca == t
+            lo = np.min(part, axis=1, where=member, initial=np.inf)
+            hi = np.max(part, axis=1, where=member, initial=-np.inf)
+            rows = np.flatnonzero(hi - lo > tol)
+            member, vals = member[rows], part[rows]
+            first = np.argmax(member, axis=1) + a
+            k_min = np.argmax(member & (vals == lo[rows, None]), axis=1) + a
+            k_max = np.argmax(member & (vals == hi[rows, None]), axis=1) + a
+            for i, j0, j_min, j_max in zip(
+                rows.tolist(), first.tolist(), k_min.tolist(), k_max.tolist()
+            ):
+                found.append((i, j0, m, t, j_min, j_max))
+    found.sort()
+    sym = [
+        SymmetryViolation(
+            anchor=order[i],
+            other_layer=other_layer,
+            lca=t,
+            node_a=order[a],
+            value_a=float(dist[i, a]),
+            node_b=order[b],
+            value_b=float(dist[i, b]),
+        )
+        for i, _, other_layer, t, a, b in found
+    ]
+    return ConsistencyReport(
+        n_pairs=q * (q - 1) // 2,
+        tolerance=tol,
+        decay_bound_met=decay_bound_met,
+        monotonicity_violations=tuple(mono),
+        symmetry_violations=tuple(sym),
+    )
+
+
+def certify(tree, schedule, table):
+    """``embed``'s certificate from the whole dissimilarity and distance matrices.
+
+    The isometry error is one ``max`` over the whole gap, and both audits
+    are :func:`masked_audit` at the default tolerance.
+    """
+    target, dist = dissimilarity_matrix(tree, schedule), distance_matrix(table)
+    max_err = float(np.max(np.abs(dist * (schedule.base_weight / table.base_norm) - target)))
+    return (
+        max_err,
+        masked_audit(tree, target, decay_bound_met=schedule.meets_decay_bound),
+        masked_audit(tree, dist, decay_bound_met=table.decay**2 >= DECAY_SQUARED_BOUND),
+    )
 
 
 # -- exports before streaming ---------------------------------------------

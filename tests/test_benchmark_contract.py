@@ -8,6 +8,7 @@ benchmark operation; these tests fail first.  They read the harness and
 change nothing in it.
 """
 
+import contextlib
 import importlib
 import sys
 import types
@@ -82,3 +83,33 @@ def test_traced_protocol_records_one_selection_span_per_tuned_loss(harness):
         run_benchmark(example=1, reps=1, seed=3, losses=("wlinear", "hinge"))
     assert [label for label, *_ in rec.spans].count("cli.select_self_s") == 2
     assert rec.counts["cli.grid_points"] == len(TUNING_GRID) + len(HINGE_LAMBDA_GRID)
+
+
+def test_traced_cli_pipeline_cycles_pass_the_harness_checks(harness, tmp_path):
+    # One untraced reference cycle, then two traced ones, as a traced run
+    # alternates them, each unit under its own recorder.  A hooked call
+    # whose positional arguments a hook can no longer read fails its step,
+    # an output that tracing changes fails the last step's check, and a
+    # block's counters must repeat exactly in every traced cycle.
+    spans, workloads = harness
+    pipeline = workloads.CliPipeline()
+    pipeline.prepare(1, tmp_path)
+    counts = []
+    for cycle in range(3):
+        for block, name in enumerate(pipeline.names):
+            rec = spans.Recorder()
+            with spans.installed(rec) if cycle else contextlib.nullcontext():
+                code = (pipeline.unit if cycle else pipeline.first_unit)(block)
+            assert code == 0, (cycle, name)
+            assert pipeline.check(code, block, first=cycle == 0)[0] == 0, (cycle, name)
+            if cycle:
+                counts.append({counter: rec.counts[counter] for counter in spans.COUNTERS})
+    blocks = len(pipeline.names)
+    assert counts[:blocks] == counts[blocks:]
+    # the hooks that read a positional argument saw one in their block
+    by_name = dict(zip(pipeline.names, counts))
+    assert by_name["write"]["datagen.csv_write_bytes"] > 0
+    assert by_name["embed"]["embedding.export_bytes"] > 0
+    assert by_name["train"]["datagen.csv_read_bytes"] > 0
+    assert by_name["predict"]["classifier.predict_rows"] == pipeline.ROWS
+    assert by_name["evaluate"]["metrics.pairs"] == pipeline.ROWS

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import labeltree
+import labeltree.dissimilarity
+import labeltree.embedding as embedding
 from labeltree.classifier import (
     MODEL_FORMAT,
     LabeledDataset,
@@ -40,6 +42,7 @@ from labeltree.datagen import (
 from labeltree.dissimilarity import (
     build_schedule,
     consistency_check,
+    consistency_report_from_matrix,
     dissimilarity_matrix,
 )
 from labeltree.embedding import (
@@ -89,13 +92,25 @@ class TestEmbedCommand:
         lines = (out / "embedding.csv").read_text().splitlines()
         assert lines[1] == "1,-1.0,1.0"
 
-    def test_builds_each_square_matrix_once(self, tmp_path, monkeypatch):
-        calls = Counter()
+    def test_builds_no_square_float_matrix_and_each_row_once(self, tmp_path, monkeypatch):
+        calls, made = Counter(), {"_dissimilarity_rows": [], "_distance_rows": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
+
+            return wrapper
+
+        def recorded(name, make):
+            def wrapper(*args):
+                fill = make(*args)
+
+                def recording_fill(rows, out):
+                    made[name].append((rows.start, rows.stop, out.shape))
+                    return fill(rows, out)
+
+                return recording_fill
 
             return wrapper
 
@@ -105,51 +120,75 @@ class TestEmbedCommand:
         monkeypatch.setattr(
             EmbeddingTable,
             "distance_matrix",
-            counted("distance", EmbeddingTable.distance_matrix),
+            counted("distance_matrix", EmbeddingTable.distance_matrix),
         )
-        # every module that binds the function calls it by its own name
-        original = dissimilarity_matrix
-        for name, module in list(sys.modules.items()):
-            if name.startswith("labeltree") and vars(module).get(
-                "dissimilarity_matrix"
-            ) is original:
-                monkeypatch.setattr(
-                    module, "dissimilarity_matrix", counted("dissimilarity", original)
-                )
-        tree = tmp_path / "tree.txt"
-        tree.write_text(random_tree(np.random.default_rng(5)).document())
-        assert run_cli("embed", "--tree", tree, "--out", tmp_path / "emb") == 0
-        assert calls == {"lca": 1, "dissimilarity": 1, "distance": 1}
+        # every module that binds a whole-matrix function calls it by its own name
+        for original in (
+            dissimilarity_matrix,
+            consistency_report_from_matrix,
+            consistency_check,
+            embedded_consistency_check,
+            verify_isometry,
+        ):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("labeltree") and vars(module).get(
+                    original.__name__
+                ) is original:
+                    monkeypatch.setattr(
+                        module, original.__name__, counted(original.__name__, original)
+                    )
+        for name in made:
+            monkeypatch.setattr(embedding, name, recorded(name, getattr(embedding, name)))
+        tree = random_tree(np.random.default_rng(5))
+        q, rows = tree.q, 7
+        assert q > 2 * rows
+        monkeypatch.setattr(labeltree.dissimilarity, "_BLOCK_FLOATS", rows * q)
+        path = tmp_path / "tree.txt"
+        path.write_text(tree.document())
+        assert run_cli("embed", "--tree", path, "--out", tmp_path / "emb") == 0
+        assert calls == {"lca": 1}
+        for blocks in made.values():
+            assert [(a, b) for a, b, _ in blocks] == [
+                (a, min(a + rows, q)) for a in range(0, q, rows)
+            ]
+            assert all(shape == (b - a, q) for a, b, shape in blocks)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("delta", [None, 1.3])
-    def test_certificate_matches_the_separate_checks(self, tmp_path, seed, delta):
+    def test_certificate_matches_the_separate_checks(self, tmp_path, seed, delta, monkeypatch):
         tree = random_tree(np.random.default_rng(seed))
         path = tmp_path / "tree.txt"
         path.write_text(tree.document())
         out = tmp_path / "emb"
         extra = () if delta is None else ("--delta", delta)
-        assert run_cli("embed", "--tree", path, "--out", out, *extra) == 0
-
         kwargs = {} if delta is None else {"decay": delta}
-        table = embed_tree(tree, **kwargs)
-        schedule = build_schedule(tree, **kwargs)
-        tree_report = consistency_check(tree, schedule)
-        point_report = embedded_consistency_check(table)
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert == {
-            "base_norm": 1.0,
-            "decay": table.decay,
-            "dimension": table.dimension,
-            "max_isometry_error": verify_isometry(tree, schedule, table),
-            "decay_bound_met": tree_report.decay_bound_met,
-            "dissimilarity_consistent": tree_report.ok,
-            "embedding_consistent": point_report.ok,
-        }
-        assert (out / "consistency.txt").read_text() == (
-            "tree dissimilarity:\n" + tree_report.summary() + "\n\n"
-            "embedded points:\n" + point_report.summary() + "\n"
-        )
+        # the default row blocks, then one and seven rows a block
+        for rows in (None, 1, 7):
+            if rows:
+                monkeypatch.setattr(labeltree.dissimilarity, "_BLOCK_FLOATS", rows * tree.q)
+            assert run_cli("embed", "--tree", path, "--out", out, *extra) == 0
+
+            table = embed_tree(tree, **kwargs)
+            schedule = build_schedule(tree, **kwargs)
+            tree_report = consistency_check(tree, schedule)
+            point_report = embedded_consistency_check(table)
+            cert = json.loads((out / "certificate.json").read_text())
+            max_err = verify_isometry(tree, schedule, table)
+            assert cert == {
+                "base_norm": 1.0,
+                "decay": table.decay,
+                "dimension": table.dimension,
+                "max_isometry_error": max_err,
+                "decay_bound_met": tree_report.decay_bound_met,
+                "dissimilarity_consistent": tree_report.ok,
+                "embedding_consistent": point_report.ok,
+            }
+            assert (out / "consistency.txt").read_text() == (
+                "tree dissimilarity:\n" + tree_report.summary() + "\n\n"
+                "embedded points:\n" + point_report.summary() + "\n"
+            )
+            gap = table.distance_matrix() - dissimilarity_matrix(tree, schedule)
+            assert float(np.max(np.abs(gap))) == max_err  # base weight and norm 1
 
     def test_malformed_tree_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -1083,6 +1122,23 @@ class TestHelpers:
         assert run_cli("evaluate", *args) == 2
         assert "node id 'a/x' contains '/'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_train_separator_in_ids_exits_2_before_the_data_or_the_model(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import labeltree.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read or wrote another file after the tree")
+
+        for name in ("read_dataset_csv", "read_feature_csv", "save_model"):
+            monkeypatch.setattr(cli, name, unreachable)
+        tree, model, missing = tmp_path / "tree.txt", tmp_path / "m.json", tmp_path / "missing"
+        write_tree(parse_tree("r: a/x b\n"), tree)
+        args = ["--tree", tree, "--data", missing, "--loss", "linear", "--out", model]
+        assert run_cli("train", *args) == 2
+        assert "node id 'a/x' contains '/'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_read_truth_accepts_both_formats(self, tmp_path, reference_tree):
         paths = [reference_tree.path_of_leaf("kestrel")]

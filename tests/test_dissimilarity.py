@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 from collections import deque
 
@@ -349,13 +350,21 @@ class TestConsistency:
         peak = traced_peak(lambda: dissimilarity_matrix(tree, sched, _lca=lca))
         assert peak < 1.5 * 8 * tree.q**2, peak
 
-    def test_certificate_traces_less_than_three_float_matrices_and_the_nodes(self):
-        # the dissimilarity and distance matrices and the node matrix, which
-        # is built on first use here; no third q-by-q float array
+    def test_certificate_traces_below_nodes_plus_one_float_matrix(self):
+        # the node matrix, built on first use here, the int8 LCA layer
+        # matrix and row blocks; no room for a q-by-q float array
         tree = fanout10_tree()
         sched, table = build_schedule(tree), embed_tree(tree)
         certified = []
         peak = traced_peak(lambda: certified.append(_certify(tree, sched, table)))
         [(max_err, tree_report, point_report)] = certified
         assert max_err < 1e-12 and tree_report.ok and point_report.ok
-        assert peak < 3 * 8 * tree.q**2 + table.node_matrix.nbytes, peak
+        assert peak < table.node_matrix.nbytes + 8 * tree.q**2, peak
+
+
+def test_submodule_is_not_shadowed_by_a_function():
+    import labeltree
+    import labeltree.dissimilarity as module
+
+    assert labeltree.dissimilarity is sys.modules["labeltree.dissimilarity"] is module
+    assert module.dissimilarity is dissimilarity
