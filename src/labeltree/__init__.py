@@ -13,17 +13,13 @@ from .classifier import (
     LabeledDataset,
     LinearModel,
     adaptive_weights,
-    decision_values,
-    hierarchy_margin,
     hinge_fits,
-    hinge_objective,
     load_model,
     per_sample_risk,
     population_direction,
     predict_paths,
     predict_topdown,
     save_model,
-    surrogate_risk,
     train_hinge,
     train_linear,
     train_weighted_linear,
@@ -37,8 +33,6 @@ from .datagen import (
     generate,
     split_indices,
 )
-# The scalar ``dissimilarity`` stays in its module: re-exported here, it
-# would replace the package attribute that names the submodule.
 from .dissimilarity import (
     DECAY_SQUARED_BOUND,
     DEFAULT_DECAY,
@@ -73,7 +67,6 @@ from .metrics import (
     h_fmeasure,
     hierarchical_loss,
     symmetric_loss,
-    zero_one_loss,
 )
 
 __version__ = "0.1.0"

@@ -46,12 +46,9 @@ __all__ = [
     "LabeledDataset",
     "LinearModel",
     "ConvergenceWarning",
-    "decision_values",
     "predict_topdown",
     "predict_paths",
-    "hierarchy_margin",
     "per_sample_risk",
-    "surrogate_risk",
     "train_linear",
     "adaptive_weights",
     "train_weighted_linear",
@@ -59,7 +56,6 @@ __all__ = [
     "hinge_fits",
     "select_gamma",
     "select_lambda",
-    "hinge_objective",
     "population_direction",
     "save_model",
     "load_model",
@@ -189,11 +185,6 @@ class LinearModel:
     def n_features(self) -> int:
         return self.coef.shape[1] - 1
 
-    def scores(self, x) -> np.ndarray:
-        """Embedded image ``f(x)`` of a single raw feature vector."""
-        x = self._features(np.reshape(x, -1))[0]
-        return self.coef @ np.concatenate([[1.0], x])
-
     def score_matrix(self, X) -> np.ndarray:
         """(n, dimension) embedded images of a feature matrix."""
         return _augment(self._features(X)) @ self.coef.T
@@ -209,14 +200,6 @@ class LinearModel:
         if bad.size:
             raise ValueError(f"feature row {bad[0]} contains NaN or infinity")
         return X
-
-
-def decision_values(
-    model: LinearModel, x, candidates: Sequence[str]
-) -> np.ndarray:
-    """Inner products of ``f(x)`` with the candidates' embedded points."""
-    f = model.scores(x)
-    return np.array([float(f @ model.table.vector(c)) for c in candidates])
 
 
 def _child_coefs(table: EmbeddingTable, A: np.ndarray) -> np.ndarray:
@@ -341,17 +324,6 @@ def predict_paths(model: LinearModel, X) -> list[tuple[str, ...]]:
     return [leaf_paths[c] for c in predict_codes(model, X).tolist()]
 
 
-def hierarchy_margin(model: LinearModel, x, path: Sequence[str]) -> float:
-    """Smallest inner-product gap defending ``path`` against its siblings.
-
-    Minimum over the path's layers of ``<f(x), xi_true> - <f(x), xi_sib>``
-    across all siblings of the path node at that layer.  Positive exactly
-    when the top-down walk recovers the path with room to spare.
-    """
-    codes = model.tree.leaf_codes_of([path])
-    return float(np.min(_checked_margins(model, np.reshape(x, -1), codes)[1]))
-
-
 _LOSSES = {
     "linear": lambda u: -u,
     "hinge": lambda u: np.maximum(1.0 - u, 0.0),
@@ -365,15 +337,10 @@ def per_sample_risk(
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {loss!r}")
     _check_dataset(model.table, dataset)
-    pairs, margins = _checked_margins(model, dataset.X, dataset.codes)
-    return np.bincount(pairs[0], _LOSSES[loss](margins), dataset.n)
-
-
-def surrogate_risk(
-    model: LinearModel, dataset: LabeledDataset, loss: str = "linear"
-) -> float:
-    """Mean surrogate loss over the dataset."""
-    return float(np.mean(per_sample_risk(model, dataset, loss)))
+    sample, _, true, sib = _sibling_pairs(model.tree, dataset.codes)
+    # each gap is N[i, true] - N[i, sib] of the offset scores N = X~ C^T
+    N = _augment(model._features(dataset.X)) @ _child_coefs(model.table, model.coef).T
+    return np.bincount(sample, _LOSSES[loss](N[sample, true] - N[sample, sib]), dataset.n)
 
 
 def _check_dataset(table: EmbeddingTable, dataset: LabeledDataset) -> None:
@@ -558,9 +525,10 @@ def _sibling_pairs(
 
     The package's one list of sibling gaps: one entry per (sample, sibling)
     pair on every layer of the sample's path, samples in order, layers top
-    down and siblings in document order; nodes are :meth:`Tree.order_index`
-    values.  Siblings are consecutive in node order, so the padded child
-    table is each node's first child plus ``0 .. fanout - 1``.
+    down and siblings in document order; nodes are order indices
+    (positions in :attr:`Tree.nodes`).  Siblings are consecutive in node
+    order, so the padded child table is each node's first child plus
+    ``0 .. fanout - 1``.
     """
     fanout = tree.node_fanouts
     slots = np.arange(fanout.max())
@@ -573,26 +541,6 @@ def _sibling_pairs(
     sibs = kids[parent]
     sample, layer, slot = np.nonzero((sibs >= 0) & (sibs != node[..., None]))
     return sample, parent[sample, layer], node[sample, layer], sibs[sample, layer, slot]
-
-
-def _checked_margins(model: LinearModel, X, codes: np.ndarray):
-    """Sibling pairs of samples ``X`` with leaf ``codes`` and their gap margins.
-
-    ``X`` is checked by :meth:`LinearModel._features`; each gap is
-    ``N[i, true] - N[i, sib]`` of the offset scores ``N = X~ C^T``.
-    """
-    sample, _, true, sib = pairs = _sibling_pairs(model.tree, codes)
-    N = _augment(model._features(X)) @ _child_coefs(model.table, model.coef).T
-    return pairs, N[sample, true] - N[sample, sib]
-
-
-def hinge_objective(
-    A: np.ndarray, dataset: LabeledDataset, table: EmbeddingTable, lam: float
-) -> float:
-    """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``."""
-    _check_positive("lam", lam)
-    model = LinearModel(A, table, "hinge")  # surrogate_risk checks the dataset
-    return surrogate_risk(model, dataset, "hinge") + lam * float(np.vdot(A, A))
 
 
 def _sibling_scale(table: EmbeddingTable) -> np.ndarray:

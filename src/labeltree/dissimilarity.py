@@ -5,16 +5,14 @@ geometrically with depth, and every pair of siblings is connected by an
 edge whose weight depends only on the parent.  The dissimilarity between
 two nodes is the root of the summed squared edge weights along the
 fewest-hop path in that augmented graph, which has the closed form
-implemented by :func:`dissimilarity`.
+implemented by :func:`dissimilarity_matrix`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +23,6 @@ __all__ = [
     "DECAY_SQUARED_BOUND",
     "WeightSchedule",
     "build_schedule",
-    "dissimilarity",
     "dissimilarity_matrix",
     "consistency_check",
     "consistency_report_from_matrix",
@@ -87,16 +84,6 @@ class WeightSchedule:
         object.__setattr__(self, "level_weights", levels)
         object.__setattr__(self, "sibling_weights", psi)
 
-    @cached_property
-    def sibling_weight(self) -> Mapping[str, float]:
-        """Parent id to its entry of :attr:`sibling_weights`, in node order."""
-        pairs = zip(self.tree.nodes, self.sibling_weights.tolist())
-        return MappingProxyType({node: s for node, s in pairs if s})
-
-    def parent_edge(self, parent_layer: int) -> float:
-        """Weight of the edge from a parent at ``parent_layer`` to a child."""
-        return self.level_weights[parent_layer - 1]
-
     @property
     def meets_decay_bound(self) -> bool:
         """Whether ``decay**2`` reaches the certification threshold."""
@@ -128,34 +115,6 @@ def build_schedule(
 ) -> WeightSchedule:
     """The geometric weight schedule of ``tree``: see :class:`WeightSchedule`."""
     return WeightSchedule(tree, base_weight, decay)
-
-
-def dissimilarity(tree: Tree, schedule: WeightSchedule, a: str, b: str) -> float:
-    """Closed-form dissimilarity between two non-root nodes.
-
-    With ``t`` the latest-common-ancestor layer, ``m`` and ``l`` the node
-    layers, and ``w_i`` the level weights:
-
-    * one node ancestral to the other (``t == min(m, l)``):
-      ``sqrt(sum_{i=t}^{max(m,l)-1} w_i**2)``;
-    * otherwise: ``sqrt(s**2 + sum_{i<m} w_i**2 + sum_{i<l} w_i**2
-      - 2*sum_{i<=t} w_i**2)`` where ``s`` is the sibling weight of the
-      common ancestor at layer ``t``.
-
-    Symmetric, and zero exactly for ``a == b``; raises for another tree's schedule.
-    """
-    _check_tree(tree, "weight schedule", schedule)
-    for node in (a, b):
-        if node == tree.root:
-            raise ValueError("dissimilarity is not defined for the root")
-    m, l = tree.layer(a), tree.layer(b)
-    t = tree.lca_layer(a, b)
-    w2 = [w * w for w in schedule.level_weights]
-    if t == min(m, l):
-        return math.sqrt(sum(w2[t - 1 : max(m, l) - 1]))
-    anc = tree.node_ancestors[tree.order_index(a) - 1, t - 1]
-    s = float(schedule.sibling_weights[anc])
-    return math.sqrt(s * s + sum(w2[: m - 1]) + sum(w2[: l - 1]) - 2 * sum(w2[:t]))
 
 
 def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule, lca: np.ndarray):
@@ -251,11 +210,19 @@ def dissimilarity_matrix(
 ) -> np.ndarray:
     """(q, q) matrix of pairwise dissimilarities in node order.
 
-    Vectorized evaluation of the same closed form as :func:`dissimilarity`, to
-    floating-point accuracy, and like it raises for another tree's schedule.
-    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal callers
-    that already hold it.  Built a row block at a time by the row function
-    the certificate uses, with no q-by-q float temporary.
+    With ``t`` a pair's latest-common-ancestor layer, ``m`` and ``l`` the node
+    layers, and ``w_i`` the level weights, the closed form is:
+
+    * one node ancestral to the other (``t == min(m, l)``):
+      ``sqrt(sum_{i=t}^{max(m,l)-1} w_i**2)``;
+    * otherwise: ``sqrt(s**2 + sum_{i<m} w_i**2 + sum_{i<l} w_i**2
+      - 2*sum_{i<=t} w_i**2)`` where ``s`` is the sibling weight of the
+      common ancestor at layer ``t``.
+
+    Zero exactly on the diagonal; raises for another tree's schedule.
+    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal
+    callers that already hold it.  Built a row block at a time by the row
+    function the certificate uses, with no q-by-q float temporary.
     """
     lca = tree.lca_layer_matrix() if _lca is None else _lca
     return _whole(tree.q, _dissimilarity_rows(tree, schedule, lca))

@@ -223,9 +223,6 @@ class EmbeddingTable:
         blocks, layers = self.sibling_blocks.items(), self.tree.node_layers.tolist()
         return MappingProxyType({layers[P] + 1: a + s.shape[1] for P, (a, s) in blocks})
 
-    def vector(self, node: str) -> np.ndarray:
-        return self.vectors[node]
-
     def offset(self, node: str) -> np.ndarray:
         """Sibling-simplex offset of ``node`` relative to its parent."""
         parent = self.tree.parent(node)
@@ -234,9 +231,6 @@ class EmbeddingTable:
         if parent == self.tree.root:
             return self.vectors[node]
         return self.vectors[node] - self.vectors[parent]
-
-    def distance(self, a: str, b: str) -> float:
-        return float(np.linalg.norm(self.vectors[a] - self.vectors[b]))
 
     def matrix(self) -> np.ndarray:
         """(dimension, q) matrix; columns follow the tree's node order."""

@@ -80,9 +80,10 @@ class Tree:
     across threads.
 
     A tree stores its node ids once, in :attr:`nodes`, plus integer arrays
-    by order index (:attr:`node_ancestors`, :attr:`node_parents`,
-    :attr:`node_fanouts`, :attr:`first_children` and the rest); the
-    id-keyed accessors read those arrays.  Leaves also carry integer *leaf
+    by *order index*, a node's position in :attr:`nodes`
+    (:attr:`node_ancestors`, :attr:`node_parents`, :attr:`node_fanouts`,
+    :attr:`first_children` and the rest); the id-keyed accessors read
+    those arrays.  Leaves also carry integer *leaf
     codes*, their positions in :attr:`leaves`; :attr:`leaf_paths` and
     :attr:`leaf_ancestors` are indexed by code, so hot loops work on
     integer arrays and node ids are needed only at the file and CLI
@@ -235,7 +236,7 @@ class Tree:
     def node_ancestors(self) -> np.ndarray:
         """Read-only ``(q, depth)`` ancestor matrix over node order.
 
-        Entry ``[i, t-1]`` is the :meth:`order_index` of the ancestor at
+        Entry ``[i, t-1]`` is the order index of the ancestor at
         layer ``t`` of the node at position ``i`` of :attr:`node_order` (0
         for the root, the node itself at its own layer) and ``-1`` below the
         node's own layer.
@@ -247,14 +248,14 @@ class Tree:
         """Read-only ``(n_leaf, depth)`` ancestor matrix over leaf codes.
 
         The leaf rows of :attr:`node_ancestors`: entry ``[c, t-1]`` is the
-        :meth:`order_index` of leaf ``c``'s ancestor at layer ``t``.  Two
-        distinct leaves first differ in column ``lca_layer(a, b)``.
+        order index of leaf ``c``'s ancestor at layer ``t``.  Two distinct
+        leaves first differ in the column of their LCA layer.
         """
         return self._leaf_ancestors
 
     @property
     def node_layers(self) -> np.ndarray:
-        """Read-only layer of each node by :meth:`order_index`, 1 at the root."""
+        """Read-only layer of each node by order index, 1 at the root."""
         return self._node_layers
 
     @property
@@ -278,7 +279,7 @@ class Tree:
 
     @property
     def subtree_sizes(self) -> np.ndarray:
-        """Read-only :meth:`subtree_size` of each node by order index."""
+        """Read-only size of each node's subtree, itself included, by order index."""
         return self._subtree_sizes
 
     def __contains__(self, node: str) -> bool:
@@ -310,33 +311,7 @@ class Tree:
     def is_leaf(self, node: str) -> bool:
         return not self._node_fanouts[self._order_pos[node]]
 
-    def index_tuple(self, node: str) -> tuple[int, ...]:
-        """Position-derived index path (1, j2, ..., jm), 1-based per layer."""
-        line = self._lineage(node)
-        return (1, *(line[1:] - self._first_children[line[:-1]] + 1).tolist())
-
-    def order_index(self, node: str) -> int:
-        """1-based position in node order; the root maps to 0."""
-        return self._order_pos[node]
-
-    def nodes_at_layer(self, m: int) -> tuple[str, ...]:
-        a, b = np.searchsorted(self._node_layers, [m, m + 1]).tolist()
-        return self._nodes[a:b]
-
-    def subtree_size(self, node: str) -> int:
-        """Number of nodes in the subtree rooted at ``node``, itself included."""
-        return int(self._subtree_sizes[self._order_pos[node]])
-
     # -- ancestry ----------------------------------------------------------
-
-    def ancestor_at_layer(self, node: str, t: int) -> str:
-        """Ancestor of ``node`` at layer ``t`` (a node is its own ancestor)."""
-        line = self._lineage(node)
-        if not 1 <= t <= len(line):
-            raise ValueError(
-                f"layer {t} out of range for node {node!r} at layer {len(line)}"
-            )
-        return self._nodes[line[t - 1]]
 
     def path_of_leaf(self, leaf: str) -> tuple[str, ...]:
         """Root-to-leaf path, root included."""
@@ -370,19 +345,8 @@ class Tree:
         except TypeError:  # an unhashable node
             return False
 
-    def lca_layer(self, a: str, b: str) -> int:
-        """Layer of the latest (deepest) common ancestor of two nodes.
-
-        Computed as the longest common prefix of the two lineages, so
-        ``lca_layer(x, x)`` equals ``layer(x)`` and any pair that only meets
-        at the root gives 1.
-        """
-        la, lb = self._lineage(a), self._lineage(b)
-        m = min(len(la), len(lb))
-        return int((la[:m] == lb[:m]).sum())  # lineages part for good once they differ
-
     def lca_layer_matrix(self) -> np.ndarray:
-        """(q, q) matrix of ``lca_layer`` over non-root nodes in node order.
+        """(q, q) layer of each pair's latest (deepest) common ancestor, node order.
 
         Counts the layers at which two nodes share an ancestor, one column
         of :attr:`node_ancestors` at a time; the diagonal is ``layer(x)``.
@@ -414,13 +378,6 @@ class Tree:
             f"Tree(root={self.root!r}, depth={self.depth}, "
             f"nodes={1 + self.q}, leaves={self.n_leaf})"
         )
-
-    def _lineage(self, node: str) -> np.ndarray:
-        """Order indices from the root down to ``node``, both included."""
-        i = self._order_pos[node]
-        if not i:
-            return np.zeros(1, dtype=np.intp)
-        return self._node_ancestors[i - 1, : self._node_layers[i]]
 
 
 def parse_tree(text: str) -> Tree:

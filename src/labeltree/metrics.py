@@ -18,7 +18,6 @@ from .hierarchy import Tree
 
 __all__ = [
     "EvaluationReport",
-    "zero_one_loss",
     "symmetric_loss",
     "hierarchical_loss",
     "h_fmeasure",
@@ -31,13 +30,6 @@ Pair = tuple[tuple[str, ...], tuple[str, ...]]
 def _check_pairs(pairs: Sequence[Pair]) -> None:
     if not pairs:
         raise ValueError("no evaluation pairs given")
-
-
-def zero_one_loss(pairs: Sequence[Pair]) -> float:
-    """Fraction of samples whose predicted path is not exactly the true one."""
-    _check_pairs(pairs)
-    wrong = sum(1 for true, pred in pairs if tuple(pred) != tuple(true))
-    return wrong / len(pairs)
 
 
 def symmetric_loss(pairs: Sequence[Pair]) -> float:

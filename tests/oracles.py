@@ -30,7 +30,10 @@ adaptive weights from norms of the ``(n, dimension)`` score matrix,
 before they were read from the coefficients' Gram, and ``embed``'s
 certificate over the whole dissimilarity and distance matrices, with
 the audits' groups as whole-matrix masks and the distances from one
-product, before it went a row block at a time.  The property
+product, before it went a row block at a time.  The paper's pairwise
+dissimilarity and the hinge objective, once public functions of the
+package, are here as the references for the dissimilarity matrix and
+the hinge solvers.  The property
 tests in ``test_oracles.py`` check the fast paths against them on random
 trees.
 """
@@ -45,6 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import labeltree.classifier as clf
 from labeltree.classifier import (
     HINGE_TOL,
     MODEL_FORMAT,
@@ -69,7 +73,7 @@ from labeltree.dissimilarity import (
 )
 from labeltree.dual import STEP_FRACTION, _grams_by_child
 from labeltree.embedding import simplex, table_to_json_dict
-from labeltree.metrics import symmetric_loss, zero_one_loss
+from labeltree.metrics import symmetric_loss
 
 
 def descend(table, F) -> list[tuple[str, ...]]:
@@ -85,7 +89,7 @@ def descend(table, F) -> list[tuple[str, ...]]:
             kids = tree.children(node)
             mat = child_mats.get(node)
             if mat is None:
-                mat = np.stack([table.vector(c) for c in kids])
+                mat = np.stack([table.vectors[c] for c in kids])
                 child_mats[node] = mat
             choice = np.argmax(F[idx] @ mat.T, axis=1)
             for j, child in enumerate(kids):
@@ -157,7 +161,7 @@ def label_coefficients(table, dataset) -> np.ndarray:
         for parent, node in zip(path, path[1:]):
             for sib in tree.children(parent):
                 if sib != node:
-                    u += table.vector(sib) - table.vector(node)
+                    u += table.vectors[sib] - table.vectors[node]
         per_leaf[leaf] = u
     return np.stack([per_leaf[label] for label in dataset.labels])
 
@@ -181,7 +185,7 @@ def hinge_terms(table, codes) -> tuple[np.ndarray, np.ndarray]:
         for parent, node in zip(path, path[1:]):
             for sib in tree.children(parent):
                 if sib != node:
-                    rows.append(table.vector(node) - table.vector(sib))
+                    rows.append(table.vectors[node] - table.vectors[sib])
                     owners.append(code)
     D = np.stack(rows)
     return D, np.array(owners)[:, None] == codes
@@ -637,12 +641,22 @@ def per_sample_risk(model, dataset, fn) -> np.ndarray:
         path = tree.path_of_leaf(label)
         total = 0.0
         for parent, node in zip(path, path[1:]):
-            own = float(F[i] @ table.vector(node))
+            own = float(F[i] @ table.vectors[node])
             for sib in tree.children(parent):
                 if sib != node:
-                    total += float(fn(own - float(F[i] @ table.vector(sib))))
+                    total += float(fn(own - float(F[i] @ table.vectors[sib])))
         out[i] = total
     return out
+
+
+def hinge_objective(A, dataset, table, lam) -> float:
+    """Ridge-penalized mean hinge surrogate at coefficient matrix ``A``.
+
+    The package's per-sample hinge risk, averaged, plus ``lam * |A|^2``:
+    the primal objective the hinge solvers minimize.
+    """
+    risk = clf.per_sample_risk(LinearModel(A, table, "hinge"), dataset, "hinge")
+    return float(np.mean(risk)) + lam * float(np.vdot(A, A))
 
 
 def hierarchical_losses(pairs, tree) -> tuple[float, float]:
@@ -656,11 +670,12 @@ def hierarchical_losses(pairs, tree) -> tuple[float, float]:
     for node in tree.node_order:
         parent = tree.parent(node)
         sib[node] = sib[parent] / len(tree.children(parent))
-    coef = np.array([(sib[v], tree.subtree_size(v) / tree.q) for v in tree.nodes])
+    sizes, pos = dict_tree(tree).subtree_size, order_positions(tree)
+    coef = np.array([(sib[v], sizes(v) / tree.q) for v in tree.nodes])
     first = []
     for true, pred in pairs:
-        true_idx = {tree.order_index(node) for node in true[1:]}
-        pred_idx = {tree.order_index(node) for node in pred[1:]}
+        true_idx = {pos[node] for node in true[1:]}
+        pred_idx = {pos[node] for node in pred[1:]}
         if true_idx != pred_idx:
             first.append(min(true_idx ^ pred_idx))
     h_sib, h_sub = coef[np.array(first, dtype=np.intp)].sum(axis=0)
@@ -675,11 +690,13 @@ def hierarchical_loss(pairs, tree, weighting: str = "sib") -> float:
             parent_coef = 1.0 if parent == tree.root else coef[parent]
             coef[node] = parent_coef / len(tree.children(parent))
     else:
-        coef = {node: tree.subtree_size(node) / tree.q for node in tree.node_order}
+        sizes = dict_tree(tree).subtree_size
+        coef = {node: sizes(node) / tree.q for node in tree.node_order}
+    pos = order_positions(tree)
     total = 0.0
     for true, pred in pairs:
-        true_idx = {tree.order_index(node) for node in true[1:]}
-        pred_idx = {tree.order_index(node) for node in pred[1:]}
+        true_idx = {pos[node] for node in true[1:]}
+        pred_idx = {pos[node] for node in pred[1:]}
         diverging = true_idx ^ pred_idx
         if diverging:
             total += coef[tree.node_order[min(diverging) - 1]]
@@ -702,7 +719,7 @@ def h_fmeasure(pairs) -> tuple[float, float, float]:
 def evaluate(pairs, tree) -> dict[str, float]:
     hp, hr, hf = h_fmeasure(pairs)
     return {
-        "l01": zero_one_loss(pairs),
+        "l01": sum(tuple(pred) != tuple(true) for true, pred in pairs) / len(pairs),
         "l_delta": symmetric_loss(pairs),
         "l_h_sib": hierarchical_loss(pairs, tree, "sib"),
         "l_h_sub": hierarchical_loss(pairs, tree, "sub"),
@@ -795,6 +812,13 @@ class DictTree:
     def index_tuple(self, node):
         return self._index_tuple[node]
 
+    def layer(self, node):
+        return len(self._index_tuple[node])
+
+    def subtree_size(self, node):
+        """Nodes in the subtree rooted at ``node``, itself included."""
+        return 1 + sum(map(self.subtree_size, self.children(node)))
+
     def lca_layer(self, a, b):
         t = 0
         for x, y in zip(self._index_tuple[a], self._index_tuple[b]):
@@ -820,15 +844,26 @@ class DictTree:
         return "\n".join(lines) + "\n"
 
 
+def dict_tree(tree) -> DictTree:
+    """The :class:`DictTree` of ``tree``'s root and ordered children."""
+    return DictTree(tree.root, {v: kids for v in tree.nodes if (kids := tree.children(v))})
+
+
+def order_positions(tree) -> dict[str, int]:
+    """Each node's order index, its position in ``tree.nodes`` (the root: 0)."""
+    return {node: i for i, node in enumerate(tree.nodes)}
+
+
 # -- the certificate before the node ancestor matrix ----------------------
 
 
 def lca_layer_matrix(tree) -> np.ndarray:
     """(q, q) LCA layers from index tuples padded with per-node sentinels."""
     q, k = tree.q, tree.depth
+    index_tuple = dict_tree(tree).index_tuple
     padded = np.zeros((q, k), dtype=np.int64)
     for i, node in enumerate(tree.node_order):
-        tup = tree.index_tuple(node)
+        tup = index_tuple(node)
         padded[i, : len(tup)] = tup
         padded[i, len(tup) :] = -(i + 1)
     eq = padded[:, None, :] == padded[None, :, :]
@@ -840,9 +875,35 @@ def lca_layer_matrix(tree) -> np.ndarray:
 def leaf_ancestors(tree) -> np.ndarray:
     """(n_leaf, depth) order indices along each leaf's path, -1 padded."""
     out = np.full((tree.n_leaf, tree.depth), -1, dtype=np.intp)
+    pos = order_positions(tree)
     for code, path in enumerate(tree.leaf_paths):
-        out[code, : len(path)] = [tree.order_index(n) for n in path]
+        out[code, : len(path)] = [pos[n] for n in path]
     return out
+
+
+def lineage(tree, node) -> list[str]:
+    """Nodes from the root down to ``node``, both included, by parent walks."""
+    line = [node]
+    while (up := tree.parent(line[-1])) is not None:
+        line.append(up)
+    return line[::-1]
+
+
+def dissimilarity(tree, schedule, a, b) -> float:
+    """The paper's closed-form dissimilarity of one pair of non-root nodes.
+
+    The formula of :func:`labeltree.dissimilarity.dissimilarity_matrix`
+    written out for one pair, with ``t`` the pair's latest-common-ancestor
+    layer from the two lineages.
+    """
+    la, lb = lineage(tree, a), lineage(tree, b)
+    m, l = len(la), len(lb)
+    t = sum(x == y for x, y in zip(la, lb))  # lineages part for good once they differ
+    w2 = [w * w for w in schedule.level_weights]
+    if t == min(m, l):
+        return math.sqrt(sum(w2[t - 1 : max(m, l) - 1]))
+    s = float(schedule.sibling_weights[tree.nodes.index(la[t - 1])])
+    return math.sqrt(s * s + sum(w2[: m - 1]) + sum(w2[: l - 1]) - 2 * sum(w2[:t]))
 
 
 def schedule_weights(tree, base_weight, decay) -> tuple[list, dict[str, float]]:

@@ -15,10 +15,7 @@ from labeltree.classifier import (
     LabeledDataset,
     LinearModel,
     adaptive_weights,
-    decision_values,
-    hierarchy_margin,
     hinge_fits,
-    hinge_objective,
     load_model,
     per_sample_risk,
     population_direction,
@@ -26,7 +23,6 @@ from labeltree.classifier import (
     predict_paths,
     predict_topdown,
     save_model,
-    surrogate_risk,
     train_hinge,
     train_linear,
     train_weighted_linear,
@@ -52,6 +48,22 @@ def random_dataset(table, n, p, rng):
     tree = table.tree
     labels = tuple(tree.leaves[i] for i in rng.integers(0, tree.n_leaf, size=n))
     return LabeledDataset(rng.normal(size=(n, p)), labels, tree)
+
+
+def decision_values(model, x, candidates) -> np.ndarray:
+    """Inner products of ``f(x)`` with the candidates' embedded points."""
+    f = model.score_matrix(np.reshape(x, (1, -1)))[0]
+    return np.array([float(f @ model.table.vectors[c]) for c in candidates])
+
+
+def path_margin(model, x, path) -> float:
+    """Smallest decision-value gap of each node of ``path`` over its siblings."""
+    gaps = []
+    for parent, node in zip(path, path[1:]):
+        kids = model.tree.children(parent)
+        values = dict(zip(kids, decision_values(model, x, kids)))
+        gaps += [values[node] - values[sib] for sib in kids if sib != node]
+    return min(gaps)
 
 
 def linear_risk_objective(A_flat, dataset, table, lam, weights=None):
@@ -112,6 +124,8 @@ class TestDataset:
 
 
 class TestDecisionValues:
+    """Decision values ``<f(x), v_c>``, the scores descent compares."""
+
     def test_zero_model(self, ref):
         model = LinearModel(np.zeros((5, 3)), ref, "linear")
         values = decision_values(model, [0.5, -1.0], ["feline", "raptor"])
@@ -124,11 +138,12 @@ class TestDecisionValues:
 
     def test_dimension_mismatch(self, ref):
         model = LinearModel(np.zeros((5, 3)), ref, "linear")
-        with pytest.raises(ValueError):
-            decision_values(model, [1.0, 2.0, 3.0], ["feline"])
+        with pytest.raises(ValueError, match="expected 2 features, got 3"):
+            predict_topdown(model, [1.0, 2.0, 3.0])
 
     def test_argmax_equals_distance_argmin(self, ref, reference_tree):
-        # equal sibling norms make the inner-product rule a distance rule
+        # equal sibling norms make the inner-product rule a distance rule,
+        # so descent takes the nearest child at every layer
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = rng.normal(size=5)
@@ -136,14 +151,19 @@ class TestDecisionValues:
             for parent in ("animal", "feline", "raptor", "lynx"):
                 kids = reference_tree.children(parent)
                 scores = decision_values(model, [], kids)
-                dists = [np.linalg.norm(f - ref.vector(c)) for c in kids]
+                dists = [np.linalg.norm(f - ref.vectors[c]) for c in kids]
                 assert int(np.argmax(scores)) == int(np.argmin(dists))
+            path = predict_topdown(model, [])
+            for parent, node in zip(path, path[1:]):
+                kids = reference_tree.children(parent)
+                dists = [np.linalg.norm(f - ref.vectors[c]) for c in kids]
+                assert kids[int(np.argmin(dists))] == node
 
 
 class TestPredictTopdown:
     def test_embedded_leaf_predicts_own_path(self, ref, reference_tree):
         for leaf in reference_tree.leaves:
-            model = LinearModel(ref.vector(leaf).reshape(-1, 1), ref, "linear")
+            model = LinearModel(ref.vectors[leaf].reshape(-1, 1), ref, "linear")
             assert predict_topdown(model, []) == reference_tree.path_of_leaf(leaf)
 
     def test_zero_scores_take_leftmost_path(self, ref):
@@ -168,25 +188,10 @@ class TestPredictTopdown:
             predict_topdown(model, [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_single_row_rejected(self, ref, reference_tree, bad):
-        # the single-row path behind decision_values and hierarchy_margin
+    def test_non_finite_single_row_rejected(self, ref, bad):
         model = LinearModel(np.ones((5, 3)), ref, "linear")
-        path = reference_tree.path_of_leaf("kestrel")
-        for call in (
-            model.scores,
-            lambda x: decision_values(model, x, ["feline"]),
-            lambda x: hierarchy_margin(model, x, path),
-        ):
-            with pytest.raises(ValueError, match="NaN or infinity"):
-                call([0.5, bad])
-
-    def test_single_row_scores_keep_their_expression(self, ref):
-        coef = np.random.default_rng(4).normal(size=(5, 3))
-        model = LinearModel(coef, ref, "linear")
-        x = np.array([0.3, -1.7])
-        np.testing.assert_array_equal(
-            model.scores(x), coef @ np.concatenate([[1.0], x])
-        )
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            predict_topdown(model, [0.5, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, ref, bad):
@@ -200,10 +205,12 @@ class TestPredictTopdown:
 
 
 class TestHierarchyMargin:
+    """The smallest own-minus-sibling gap along a path, against descent and the risk."""
+
     def test_zero_model_zero_margin(self, ref, reference_tree):
         model = LinearModel(np.zeros((5, 1)), ref, "linear")
         path = reference_tree.path_of_leaf("kestrel")
-        assert hierarchy_margin(model, [], path) == 0.0
+        assert path_margin(model, [], path) == 0.0
 
     def test_positive_iff_predicted(self, ref, reference_tree):
         rng = np.random.default_rng(5)
@@ -212,27 +219,24 @@ class TestHierarchyMargin:
             predicted = predict_topdown(model, [])
             for leaf in reference_tree.leaves:
                 path = reference_tree.path_of_leaf(leaf)
-                margin = hierarchy_margin(model, [], path)
+                margin = path_margin(model, [], path)
                 if margin > 0:
                     assert predicted == path
                 elif margin < 0:
                     assert predicted != path
 
     def test_two_layer_reduction(self, reference_tree):
-        # depth-2 tree: the margin is the multicategory inner-product gap
+        # depth-2 tree: the linear risk sums the multicategory inner-product gaps
         tree = parse_tree("r: a b c\n")
         table = embed_tree(tree)
         rng = np.random.default_rng(1)
         f = rng.normal(size=2)
         model = LinearModel(f.reshape(-1, 1), table, "linear")
-        own = float(f @ table.vector("a"))
-        expected = min(own - float(f @ table.vector(s)) for s in ("b", "c"))
-        assert hierarchy_margin(model, [], ("r", "a")) == pytest.approx(expected)
-
-    def test_invalid_path(self, ref):
-        model = LinearModel(np.zeros((5, 1)), ref, "linear")
-        with pytest.raises(ValueError):
-            hierarchy_margin(model, [], ("animal", "feline"))
+        own = float(f @ table.vectors["a"])
+        gaps = [own - float(f @ table.vectors[s]) for s in ("b", "c")]
+        assert path_margin(model, [], ("r", "a")) == pytest.approx(min(gaps))
+        ds = LabeledDataset(np.zeros((1, 0)), ("a",), tree)
+        assert per_sample_risk(model, ds, "linear")[0] == pytest.approx(-sum(gaps))
 
 
 class TestSurrogateRisk:
@@ -240,7 +244,7 @@ class TestSurrogateRisk:
         rng = np.random.default_rng(2)
         ds = random_dataset(ref, 12, 3, rng)
         model = LinearModel(np.zeros((5, 4)), ref, "linear")
-        assert surrogate_risk(model, ds, "linear") == 0.0
+        assert per_sample_risk(model, ds, "linear").tolist() == [0.0] * ds.n
 
     def test_zero_model_hinge_counts_terms(self, ref, reference_tree):
         ds = LabeledDataset(
@@ -248,18 +252,18 @@ class TestSurrogateRisk:
         )
         model = LinearModel(np.zeros((5, 2)), ref, "linear")
         # both paths carry three sibling gaps: 1+1+1 and 1+2
-        assert surrogate_risk(model, ds, "hinge") == pytest.approx(3.0)
+        assert per_sample_risk(model, ds, "hinge").tolist() == pytest.approx([3.0, 3.0])
 
     def test_single_sample_linear_value(self, two, two_leaf_tree):
         ds = LabeledDataset(np.zeros((1, 0)), ("left",), two_leaf_tree)
         model = LinearModel(np.array([[-1.0]]), two, "linear")
-        assert surrogate_risk(model, ds, "linear") == pytest.approx(-2.0)
+        assert per_sample_risk(model, ds, "linear").tolist() == pytest.approx([-2.0])
 
     def test_unknown_loss(self, two, two_leaf_tree):
         ds = LabeledDataset(np.zeros((1, 0)), ("left",), two_leaf_tree)
         model = LinearModel(np.array([[0.0]]), two, "linear")
         with pytest.raises(ValueError):
-            surrogate_risk(model, ds, "exponential")
+            per_sample_risk(model, ds, "exponential")
 
     def test_per_sample_risk_memory_linear_in_samples(self):
         # 1000 leaves (fan-out 10, four layers): 300 samples over ~260
@@ -519,10 +523,10 @@ class TestTrainHinge:
         model = train_hinge(ds, ref, lam=1e7)
         assert np.max(np.abs(model.coef)) < 1e-4
         # at zero coefficients the objective is the mean number of gaps
-        zero_obj = surrogate_risk(
+        zero_obj = per_sample_risk(
             LinearModel(np.zeros_like(model.coef), ref, "hinge"), ds, "hinge"
-        )
-        assert hinge_objective(model.coef, ds, ref, 1e7) == pytest.approx(
+        ).mean()
+        assert oracles.hinge_objective(model.coef, ds, ref, 1e7) == pytest.approx(
             zero_obj, rel=1e-3
         )
 
@@ -531,7 +535,7 @@ class TestTrainHinge:
         lam = 1.0
         hinge = train_hinge(ds, ref, lam=lam)
         linear = train_linear(ds, ref)
-        assert hinge_objective(hinge.coef, ds, ref, lam) <= hinge_objective(
+        assert oracles.hinge_objective(hinge.coef, ds, ref, lam) <= oracles.hinge_objective(
             linear.coef, ds, ref, lam
         )
 
@@ -539,11 +543,11 @@ class TestTrainHinge:
         ds = random_dataset(ref, 15, 2, np.random.default_rng(43))
         lam = 0.5
         model = train_hinge(ds, ref, lam=lam)
-        achieved = hinge_objective(model.coef, ds, ref, lam)
+        achieved = oracles.hinge_objective(model.coef, ds, ref, lam)
         rng = np.random.default_rng(44)
         for _ in range(25):
             other = rng.normal(scale=0.5, size=model.coef.shape)
-            assert achieved <= hinge_objective(other, ds, ref, lam) + 1e-9
+            assert achieved <= oracles.hinge_objective(other, ds, ref, lam) + 1e-9
 
     def test_deterministic(self, ref):
         ds = random_dataset(ref, 12, 2, np.random.default_rng(45))
@@ -563,28 +567,33 @@ class TestTrainHinge:
 
 
 class TestHingeObjectiveChecks:
+    """The hinge objective's inputs, checked where the package takes them."""
+
     def test_dataset_on_another_tree_rejected(self):
         # two 4-leaf trees share their leaf names, so the labels fit both
         table = embed_tree(parse_tree("r: a b\na: w x\nb: y z\n"))
         ds = LabeledDataset(np.ones((4, 1)), "wxyz", parse_tree("r: w x y z\n"))
+        model = LinearModel(np.ones((3, 2)), table, "hinge")
         with pytest.raises(ValueError, match="different trees"):
-            hinge_objective(np.ones((3, 2)), ds, table, 1.0)
+            per_sample_risk(model, ds, "hinge")
+        with pytest.raises(ValueError, match="different trees"):
+            train_hinge(ds, table, 1.0)
 
     @pytest.mark.parametrize("lam", [-0.5, 0.0, np.nan, np.inf])
     def test_bad_lambda_rejected(self, ref, lam):
         ds = random_dataset(ref, 6, 2, np.random.default_rng(47))
         with pytest.raises(ValueError, match="lam must be positive and finite"):
-            hinge_objective(np.zeros((ref.dimension, 3)), ds, ref, lam)
+            train_hinge(ds, ref, lam)
 
     def test_extra_coefficient_rows_rejected(self, ref):
-        ds = random_dataset(ref, 6, 2, np.random.default_rng(48))
         with pytest.raises(ValueError, match="coefficient rows"):
-            hinge_objective(np.zeros((ref.dimension + 1, 3)), ds, ref, 1.0)
+            LinearModel(np.zeros((ref.dimension + 1, 3)), ref, "hinge")
 
     def test_wrong_feature_width_rejected(self, ref):
         ds = random_dataset(ref, 6, 2, np.random.default_rng(49))
+        model = LinearModel(np.zeros((ref.dimension, 4)), ref, "hinge")
         with pytest.raises(ValueError, match="expected 3 features, got 2"):
-            hinge_objective(np.zeros((ref.dimension, 4)), ds, ref, 1.0)
+            per_sample_risk(model, ds, "hinge")
 
 
 def box_dual(ds, table, lam, fit_intercept):
@@ -643,7 +652,7 @@ class TestHingeCertificate:
         tol = HINGE_TOL * pairs / ds.n  # the objective at A = 0 is pairs / n
 
         model = train_hinge(ds, table, lam, fit_intercept=fit_intercept)
-        achieved = hinge_objective(model.coef, ds, table, lam)
+        achieved = oracles.hinge_objective(model.coef, ds, table, lam)
         assert achieved == pytest.approx(primal(model.coef), rel=1e-12)
         assert achieved >= dual(alpha) - 1e-12  # weak duality
         assert achieved <= primal(coef(alpha)) + tol
@@ -777,7 +786,7 @@ class TestPopulationDirection:
     def test_two_leaf_direction(self, two, two_leaf_tree):
         probs = {("root", "left"): 0.7, ("root", "right"): 0.3}
         v = population_direction(probs, two)
-        np.testing.assert_allclose(v, (0.7 - 0.3) * 2.0 * two.vector("left"))
+        np.testing.assert_allclose(v, (0.7 - 0.3) * 2.0 * two.vectors["left"])
         model = LinearModel(v.reshape(-1, 1), two, "linear")
         assert predict_topdown(model, []) == ("root", "left")
 
@@ -861,9 +870,7 @@ class TestPersistence:
         rng = np.random.default_rng(53)
         ds = random_dataset(table, 20, 3, rng)
         model = LinearModel(rng.normal(size=(table.dimension, 4)), table, "linear")
-        hierarchy_margin(model, ds.X[0], ds.paths()[0])
         per_sample_risk(model, ds, "hinge")
-        hinge_objective(model.coef, ds, table, 0.5)
         train_linear(ds, table)
         list(weighted_linear_fits(ds, table, (0.5, 2.0)))
         train_hinge(ds, table, lam=0.5)

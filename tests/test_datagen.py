@@ -31,7 +31,7 @@ class TestTrees:
         # ids are node-order positions, root is "0"
         assert tree.children("0") == ("1", "2", "3", "4")
         assert tree.children("1") == ("5", "6")
-        assert all(tree.order_index(n) == int(n) for n in tree.node_order)
+        assert all(tree.nodes.index(n) == int(n) for n in tree.node_order)
 
     def test_example1_depth4(self):
         tree = example1_tree(4)
@@ -43,10 +43,7 @@ class TestTrees:
         assert tree.depth == 5
         assert tree.q == 180
         assert tree.n_leaf == 96
-        assert len(tree.nodes_at_layer(2)) == 12
-        assert len(tree.nodes_at_layer(3)) == 24
-        assert len(tree.nodes_at_layer(4)) == 48
-        assert len(tree.nodes_at_layer(5)) == 96
+        assert np.bincount(tree.node_layers).tolist() == [0, 1, 12, 24, 48, 96]
         assert tree.n_leaf - 1 == 95
 
 
@@ -98,7 +95,7 @@ class TestExample1:
             expected = np.zeros(15)
             path = tree.path_of_leaf(leaf)
             for m, node in enumerate(path[1:], start=2):
-                expected[tree.order_index(node) - 1] = 1.0 / (m - 1)
+                expected[tree.nodes.index(node) - 1] = 1.0 / (m - 1)
             # 4.5 sigma: the max runs over 15 coords x 8 classes
             tol = 4.5 * math.sqrt(0.1 / mask.sum())
             assert np.max(np.abs(ds.X[mask].mean(axis=0) - expected)) < tol
@@ -156,7 +153,7 @@ class TestExample2:
             emp = ds.X[mask].mean(axis=0)
             # 4.5 sigma: the max runs over 95 coords x 10 classes
             tol = 4.5 * math.sqrt(0.1 / mask.sum())
-            worst = max(worst, float(np.max(np.abs(emp - table.vector(leaf)))))
+            worst = max(worst, float(np.max(np.abs(emp - table.vectors[leaf]))))
             assert worst < tol
 
     def test_generate_dispatch(self):

@@ -15,13 +15,13 @@ from labeltree.dissimilarity import (
     build_schedule,
     consistency_check,
     consistency_report_from_matrix,
-    dissimilarity,
     dissimilarity_matrix,
 )
 from labeltree.embedding import _certify, embed_tree, verify_isometry
 from labeltree.hierarchy import Tree, parse_tree
 
 from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
+from oracles import dissimilarity
 
 S5 = math.sqrt(5.0)
 
@@ -34,12 +34,11 @@ def shortest_path_dissimilarity(tree, schedule, a, b):
     breadth-first search, and accumulates the squared edge weights.
     """
     adj: dict[str, list[tuple[str, float]]] = {n: [] for n in tree.nodes}
-    for parent in tree.nodes:
+    for parent, s in zip(tree.nodes, schedule.sibling_weights.tolist()):
         kids = tree.children(parent)
         if not kids:
             continue
-        w = schedule.parent_edge(tree.layer(parent))
-        s = schedule.sibling_weight[parent]
+        w = schedule.level_weights[tree.layer(parent) - 1]
         for child in kids:
             adj[parent].append((child, w))
             adj[child].append((parent, w))
@@ -66,21 +65,33 @@ def shortest_path_dissimilarity(tree, schedule, a, b):
     return math.sqrt(total)
 
 
+def by_node_pair(tree, M):
+    """Entries of a (q, q) node-order matrix ``M``, keyed by node id pair."""
+    order = tree.node_order
+    return {(a, b): M[i, j] for i, a in enumerate(order) for j, b in enumerate(order)}
+
+
+def reference_dissimilarities(reference_tree):
+    return by_node_pair(
+        reference_tree, dissimilarity_matrix(reference_tree, build_schedule(reference_tree))
+    )
+
+
 class TestSchedule:
     def test_reference_schedule(self, reference_tree):
         sched = build_schedule(reference_tree, 1.0, S5)
-        assert sched.sibling_weight["animal"] == pytest.approx(2.0, abs=1e-12)
+        assert sched.sibling_weights[0] == pytest.approx(2.0, abs=1e-12)  # the root
         assert sched.level_weights[1] == pytest.approx(1 / S5, abs=1e-12)
         assert sched.level_weights[2] == pytest.approx(0.2, abs=1e-12)
 
     def test_two_children_hit_upper_bound(self, two_leaf_tree):
         sched = build_schedule(two_leaf_tree, 3.0, 2.0)
-        assert sched.sibling_weight["root"] == pytest.approx(6.0, abs=1e-12)
+        assert sched.sibling_weights[0] == pytest.approx(6.0, abs=1e-12)
 
     def test_many_children_limit(self):
         children = {"r": [f"c{i}" for i in range(200)]}
         sched = build_schedule(Tree("r", children), 1.0, S5)
-        assert sched.sibling_weight["r"] == pytest.approx(math.sqrt(2), rel=1e-2)
+        assert sched.sibling_weights[0] == pytest.approx(math.sqrt(2), rel=1e-2)
 
     def test_decay_must_exceed_one(self, reference_tree):
         with pytest.raises(ValueError):
@@ -119,11 +130,9 @@ class TestSchedule:
         assert psi.shape == (reference_tree.q + 1,) and not psi.flags.writeable
         with pytest.raises(ValueError):
             psi[0] = 1.0
-        by_id = [sched.sibling_weight.get(node, 0.0) for node in reference_tree.nodes]
-        assert psi.tolist() == by_id
-        assert list(sched.sibling_weight) == ["animal", "feline", "raptor", "lynx"]
-        with pytest.raises(TypeError):
-            sched.sibling_weight["animal"] = 1.0
+        # nonzero exactly at the parents: animal, feline, raptor and lynx
+        assert np.flatnonzero(psi).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(reference_tree.node_fanouts).tolist() == [0, 1, 2, 3]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -134,8 +143,10 @@ class TestSchedule:
             assert sched.level_weights[i] == pytest.approx(
                 sched.level_weights[i - 1] / sched.decay, rel=1e-12
             )
-        for parent, s in sched.sibling_weight.items():
-            w = sched.parent_edge(tree.layer(parent))
+        parents = np.flatnonzero(tree.node_fanouts)
+        assert np.flatnonzero(sched.sibling_weights).tolist() == parents.tolist()
+        for P in parents.tolist():
+            s, w = sched.sibling_weights[P], sched.level_weights[tree.node_layers[P] - 1]
             assert w < s <= 2 * w + 1e-12
 
 
@@ -147,7 +158,6 @@ class TestScheduleOfAnotherTree:
     @pytest.mark.parametrize(
         "entry",
         [
-            "dissimilarity",
             "dissimilarity_matrix",
             "consistency_check",
             "verify_isometry",
@@ -159,7 +169,6 @@ class TestScheduleOfAnotherTree:
         sched, table = build_schedule(other), embed_tree(tree)
         assert other.depth == tree.depth
         calls = {
-            "dissimilarity": lambda: dissimilarity(tree, sched, "x", "y"),
             "dissimilarity_matrix": lambda: dissimilarity_matrix(tree, sched),
             "consistency_check": lambda: consistency_check(tree, sched),
             "verify_isometry": lambda: verify_isometry(tree, sched, table),
@@ -212,34 +221,26 @@ REFERENCE_DISTANCES = {
 
 class TestDissimilarity:
     def test_cross_branch_deep_pair(self, reference_tree):
-        sched = build_schedule(reference_tree)
         # crosses at the root: sqrt(psi^2 + 2*w2^2 + w3^2)
-        assert dissimilarity(
-            reference_tree, sched, "iberian_lynx", "kestrel"
-        ) == pytest.approx(math.sqrt(111) / 5, abs=1e-12)
+        assert reference_dissimilarities(reference_tree)[
+            "iberian_lynx", "kestrel"
+        ] == pytest.approx(math.sqrt(111) / 5, abs=1e-12)
 
     def test_self_dissimilarity_zero(self, reference_tree):
-        sched = build_schedule(reference_tree)
+        got = reference_dissimilarities(reference_tree)
         for node in reference_tree.node_order:
-            assert dissimilarity(reference_tree, sched, node, node) == 0.0
+            assert got[node, node] == 0.0
 
     def test_parent_child_distance(self, reference_tree):
-        sched = build_schedule(reference_tree)
-        assert dissimilarity(reference_tree, sched, "feline", "lynx") == pytest.approx(
+        assert reference_dissimilarities(reference_tree)["feline", "lynx"] == pytest.approx(
             S5 / 5, abs=1e-12
         )
 
     def test_full_reference_table(self, reference_tree):
-        sched = build_schedule(reference_tree)
+        got = reference_dissimilarities(reference_tree)
         for (a, b), expected in REFERENCE_DISTANCES.items():
-            got = dissimilarity(reference_tree, sched, a, b)
-            assert got == pytest.approx(expected, abs=1e-12), (a, b)
-            assert dissimilarity(reference_tree, sched, b, a) == got
-
-    def test_root_rejected(self, reference_tree):
-        sched = build_schedule(reference_tree)
-        with pytest.raises(ValueError):
-            dissimilarity(reference_tree, sched, "animal", "feline")
+            assert got[a, b] == pytest.approx(expected, abs=1e-12), (a, b)
+            assert got[b, a] == got[a, b]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -262,15 +263,14 @@ class TestDissimilarity:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng)
         sched = build_schedule(tree)
+        M, order = dissimilarity_matrix(tree, sched), tree.node_order
         picks = rng.choice(tree.q, size=min(8, tree.q), replace=False)
-        nodes = [tree.node_order[i] for i in picks]
-        for a in nodes:
-            for b in nodes:
-                if a == b:
+        for i in picks:
+            for j in picks:
+                if i == j:
                     continue
-                closed = dissimilarity(tree, sched, a, b)
-                oracle = shortest_path_dissimilarity(tree, sched, a, b)
-                assert closed == pytest.approx(oracle, abs=1e-12)
+                oracle = shortest_path_dissimilarity(tree, sched, order[i], order[j])
+                assert M[i, j] == pytest.approx(oracle, abs=1e-12)
 
 
 class TestConsistency:
@@ -281,9 +281,8 @@ class TestConsistency:
         assert report.n_pairs == 36
 
     def test_shallower_ancestor_more_dissimilar(self, reference_tree):
-        sched = build_schedule(reference_tree)
-        top = dissimilarity(reference_tree, sched, "feline", "raptor")
-        deep = dissimilarity(reference_tree, sched, "lynx", "panther")
+        got = reference_dissimilarities(reference_tree)
+        top, deep = got["feline", "raptor"], got["lynx", "panther"]
         assert top == pytest.approx(2.0, abs=1e-12)
         assert deep == pytest.approx(2 * S5 / 5, abs=1e-12)
         assert top > deep
@@ -367,4 +366,4 @@ def test_submodule_is_not_shadowed_by_a_function():
     import labeltree.dissimilarity as module
 
     assert labeltree.dissimilarity is sys.modules["labeltree.dissimilarity"] is module
-    assert module.dissimilarity is dissimilarity
+    assert not hasattr(module, "dissimilarity")

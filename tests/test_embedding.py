@@ -50,6 +50,12 @@ SIX_POINT_MATRIX = np.array(
 )
 
 
+def distance(table, a, b) -> float:
+    """Entry of ``table.distance_matrix()`` for two node ids."""
+    order = table.tree.node_order
+    return float(table.distance_matrix()[order.index(a), order.index(b)])
+
+
 class TestSimplex:
     def test_two_points(self):
         np.testing.assert_allclose(simplex(2, 1.0), [[-1.0], [1.0]], atol=1e-15)
@@ -148,12 +154,12 @@ class TestEmbedTree:
 
     def test_parent_to_deep_leaf_distance(self, reference_tree):
         table = embed_tree(reference_tree)
-        assert table.distance("lynx", "iberian_lynx") == pytest.approx(0.2, abs=1e-12)
+        assert distance(table, "lynx", "iberian_lynx") == pytest.approx(0.2, abs=1e-12)
 
     def test_reference_distance_table(self, reference_tree):
         table = embed_tree(reference_tree)
         for (a, b), expected in REFERENCE_DISTANCES.items():
-            assert table.distance(a, b) == pytest.approx(expected, abs=1e-12)
+            assert distance(table, a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_offset_composition(self, reference_tree):
         table = embed_tree(reference_tree)
@@ -162,10 +168,10 @@ class TestEmbedTree:
             base = (
                 np.zeros(table.dimension)
                 if parent == reference_tree.root
-                else table.vector(parent)
+                else table.vectors[parent]
             )
             np.testing.assert_array_equal(
-                table.vector(node), base + table.offset(node)
+                table.vectors[node], base + table.offset(node)
             )
 
     def test_block_layout_disjoint_and_orthogonal(self, reference_tree):
@@ -184,13 +190,13 @@ class TestEmbedTree:
         table = embed_tree(reference_tree)
         for node in reference_tree.node_order:
             used = table.layer_dims[reference_tree.layer(node)]
-            assert np.all(table.vector(node)[used:] == 0.0)
+            assert np.all(table.vectors[node][used:] == 0.0)
 
     def test_sibling_norms_equal(self, reference_tree):
         table = embed_tree(reference_tree)
         for parent in table.block_layout:
             norms = [
-                np.linalg.norm(table.vector(c))
+                np.linalg.norm(table.vectors[c])
                 for c in reference_tree.children(parent)
             ]
             np.testing.assert_allclose(norms, norms[0], atol=1e-12)
@@ -198,7 +204,7 @@ class TestEmbedTree:
     def test_vectors_read_only(self, reference_tree):
         table = embed_tree(reference_tree)
         with pytest.raises(ValueError):
-            table.vector("feline")[0] = 9.0
+            table.vectors["feline"][0] = 9.0
 
     def test_bad_params(self, reference_tree):
         with pytest.raises(ValueError):
@@ -243,14 +249,14 @@ class TestIsometry:
         # dissimilarities equal twice the embedded distances
         assert verify_isometry(reference_tree, sched, table) < 1e-10
         assert math.sqrt(111) / 5 * 2 == pytest.approx(
-            2 * table.distance("iberian_lynx", "kestrel"), abs=1e-12
+            2 * distance(table, "iberian_lynx", "kestrel"), abs=1e-12
         )
 
     def test_sibling_pair_equals_sibling_weight(self, reference_tree):
         table = embed_tree(reference_tree)
         sched = build_schedule(reference_tree)
-        assert table.distance("kestrel", "harrier") == pytest.approx(
-            sched.sibling_weight["raptor"], abs=1e-12
+        assert distance(table, "kestrel", "harrier") == pytest.approx(
+            sched.sibling_weights[reference_tree.nodes.index("raptor")], abs=1e-12
         )
 
     def test_decay_mismatch_rejected(self, reference_tree):
@@ -269,11 +275,11 @@ class TestIsometry:
 class TestEmbeddedConsistency:
     def test_reference_values(self, reference_tree):
         table = embed_tree(reference_tree)
-        assert table.distance("feline", "raptor") == pytest.approx(2.0, abs=1e-12)
-        assert table.distance("lynx", "panther") == pytest.approx(
+        assert distance(table, "feline", "raptor") == pytest.approx(2.0, abs=1e-12)
+        assert distance(table, "lynx", "panther") == pytest.approx(
             2 * S5 / 5, abs=1e-12
         )
-        assert table.distance("panther", "kestrel") == pytest.approx(
+        assert distance(table, "panther", "kestrel") == pytest.approx(
             math.sqrt(110) / 5, abs=1e-12
         )
         report = embedded_consistency_check(table)
@@ -299,7 +305,7 @@ class TestExport:
         assert len(lines) == 1 + table.dimension
         # values round-trip exactly through the text form
         cell = lines[2].split(",")[3]
-        assert float(cell) == table.vector("lynx")[1]
+        assert float(cell) == table.vectors["lynx"][1]
 
     def test_json_view(self, reference_tree):
         table = embed_tree(reference_tree)
@@ -308,5 +314,5 @@ class TestExport:
         assert doc["dimension"] == 5
         parsed = json.loads(json.dumps(doc))
         np.testing.assert_array_equal(
-            np.array(parsed["vectors"]["kestrel"]), table.vector("kestrel")
+            np.array(parsed["vectors"]["kestrel"]), table.vectors["kestrel"]
         )

@@ -15,6 +15,7 @@ from labeltree.hierarchy import (
 )
 
 from conftest import REFERENCE_DOC, random_tree
+from oracles import dict_tree
 
 
 class TestParsing:
@@ -103,21 +104,25 @@ class TestParsing:
             parse_tree("# nothing here\n")
 
 
+def lca_layer(tree, a, b) -> int:
+    """Entry of ``tree.lca_layer_matrix()`` for two non-root node ids."""
+    i, j = tree.node_order.index(a), tree.node_order.index(b)
+    return int(tree.lca_layer_matrix()[i, j])
+
+
 class TestAncestry:
     def test_lca_layer_reference_values(self, reference_tree):
         t = reference_tree
         # the deep leaf and the three-way fan only meet at the root
-        assert t.lca_layer("iberian_lynx", "kestrel") == 1
-        assert t.lca_layer("feline", "lynx") == 2
-        assert t.lca_layer("animal", "osprey") == 1
+        assert lca_layer(t, "iberian_lynx", "kestrel") == 1
+        assert lca_layer(t, "feline", "lynx") == 2
+        assert lca_layer(t, "feline", "osprey") == 1
 
     def test_lca_layer_identity(self, reference_tree):
-        for node in reference_tree.nodes:
-            assert reference_tree.lca_layer(node, node) == reference_tree.layer(node)
-
-    def test_lca_layer_unknown_node(self, reference_tree):
-        with pytest.raises(KeyError):
-            reference_tree.lca_layer("feline", "gryphon")
+        lca = reference_tree.lca_layer_matrix()
+        assert np.diagonal(lca).tolist() == reference_tree.node_layers[1:].tolist()
+        for node in reference_tree.node_order:
+            assert lca_layer(reference_tree, node, node) == reference_tree.layer(node)
 
     def test_path_of_leaf(self, reference_tree, two_leaf_tree):
         assert reference_tree.path_of_leaf("kestrel") == ("animal", "raptor", "kestrel")
@@ -160,20 +165,23 @@ class TestAncestry:
 
     def test_ancestor_at_layer(self, reference_tree):
         t = reference_tree
-        assert t.ancestor_at_layer("iberian_lynx", 2) == "feline"
-        assert t.ancestor_at_layer("iberian_lynx", 4) == "iberian_lynx"
-        with pytest.raises(ValueError):
-            t.ancestor_at_layer("feline", 3)
+        row = t.node_ancestors[t.node_order.index("iberian_lynx")]
+        assert [t.nodes[k] for k in row] == ["animal", "feline", "lynx", "iberian_lynx"]
+        row = t.node_ancestors[t.node_order.index("feline")]
+        assert row.tolist() == [0, 1, -1, -1]  # nothing below its own layer
 
     def test_subtree_size(self, reference_tree):
-        assert reference_tree.subtree_size("feline") == 5
-        assert reference_tree.subtree_size("animal") == 10
-        assert reference_tree.subtree_size("osprey") == 1
+        sizes = dict(zip(reference_tree.nodes, reference_tree.subtree_sizes.tolist()))
+        assert sizes["feline"] == 5
+        assert sizes["animal"] == 10
+        assert sizes["osprey"] == 1
 
     def test_order_index(self, reference_tree):
-        assert reference_tree.order_index("animal") == 0
-        assert reference_tree.order_index("feline") == 1
-        assert reference_tree.order_index("eurasian_lynx") == 9
+        # the arrays are by position in ``nodes``: the root 0, then node order
+        t = reference_tree
+        assert t.nodes[0] == "animal" and t.node_parents[0] == -1
+        assert t.node_ancestors[-1].tolist() == [0, 1, 3, 9]  # eurasian_lynx
+        assert [t.nodes[k] for k in (1, 9)] == ["feline", "eurasian_lynx"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,19 +190,19 @@ def test_lca_layer_properties(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
     picks = rng.choice(len(tree.node_order), size=min(12, tree.q), replace=False)
-    nodes = [tree.node_order[i] for i in picks]
-    for a in nodes:
-        for b in nodes:
-            t = tree.lca_layer(a, b)
-            assert t == tree.lca_layer(b, a)
-            assert 1 <= t <= min(tree.layer(a), tree.layer(b))
-            is_ancestral = tree.ancestor_at_layer(
-                a, t
-            ) == tree.ancestor_at_layer(b, t) and t in (
-                tree.layer(a),
-                tree.layer(b),
-            )
-            assert (t == min(tree.layer(a), tree.layer(b))) == is_ancestral
+    lca, ancestors, layers = tree.lca_layer_matrix(), tree.node_ancestors, tree.node_layers[1:]
+    for a in picks:
+        for b in picks:
+            t = lca[a, b]
+            assert t == lca[b, a]
+            assert 1 <= t <= min(layers[a], layers[b])
+            # the pair shares its ancestor at layer t, and not one layer deeper
+            assert ancestors[a, t - 1] == ancestors[b, t - 1]
+            if t < min(layers[a], layers[b]):
+                assert ancestors[a, t] != ancestors[b, t]
+            # one is the other's ancestor exactly when t is the shallower's layer
+            shallow = a if layers[a] <= layers[b] else b
+            assert (t == layers[shallow]) == (ancestors[a, t - 1] == shallow + 1)
 
 
 def walks_root_to_leaf(tree, seq) -> bool:
@@ -219,7 +227,7 @@ def test_path_lookups_equal_structural_oracle(seed):
         k = int(rng.integers(len(path)))
         seqs.append(path[:k] + (nodes[rng.integers(len(nodes))],) + path[k + 1 :])
         seqs.append(path[:k] + ([path[k]],) + path[k + 1 :])
-        seqs.append(path[:k] + (tree.order_index(path[k]),) + path[k + 1 :])
+        seqs.append(path[:k] + (tree.nodes.index(path[k]),) + path[k + 1 :])
     seqs += [(), (tree.root,)]
     for i, seq in enumerate(seqs):
         want = walks_root_to_leaf(tree, seq)
@@ -237,16 +245,16 @@ def test_path_lookups_equal_structural_oracle(seed):
 def test_structural_invariants(seed):
     tree = random_tree(np.random.default_rng(seed))
     assert tree.q == len(tree.node_order)
-    per_layer = sum(len(tree.nodes_at_layer(m)) for m in range(2, tree.depth + 1))
-    assert per_layer == tree.q
+    per_layer = np.bincount(tree.node_layers, minlength=tree.depth + 1)
+    assert per_layer[1] == 1 and per_layer[2:].sum() == tree.q and per_layer[2:].all()
     assert tree.n_leaf == sum(1 for n in tree.node_order if tree.is_leaf(n))
     # node order: layers ascend, and within a layer document order is kept
     layers = [tree.layer(n) for n in tree.node_order]
     assert layers == sorted(layers)
-    # matrix lca agrees with the scalar
-    M = tree.lca_layer_matrix()
+    # matrix lca agrees with the dict oracle's
+    M, want = tree.lca_layer_matrix(), dict_tree(tree)
     order = tree.node_order
     idx = np.random.default_rng(seed + 1).integers(0, tree.q, size=min(40, tree.q))
     for i in idx:
         for j in idx:
-            assert M[i, j] == tree.lca_layer(order[i], order[j])
+            assert M[i, j] == want.lca_layer(order[i], order[j])

@@ -10,7 +10,6 @@ from labeltree.metrics import (
     h_fmeasure,
     hierarchical_loss,
     symmetric_loss,
-    zero_one_loss,
 )
 
 from conftest import random_tree
@@ -22,22 +21,24 @@ def paths(reference_tree):
 
 
 class TestZeroOne:
-    def test_all_correct(self, paths):
+    """The zero-one loss, as ``evaluate`` reports it."""
+
+    def test_all_correct(self, paths, reference_tree):
         pairs = [(p, p) for p in paths.values()]
-        assert zero_one_loss(pairs) == 0.0
+        assert evaluate(pairs, reference_tree).l01 == 0.0
 
-    def test_all_wrong(self, paths):
+    def test_all_wrong(self, paths, reference_tree):
         pairs = [(paths["kestrel"], paths["osprey"])] * 3
-        assert zero_one_loss(pairs) == 1.0
+        assert evaluate(pairs, reference_tree).l01 == 1.0
 
-    def test_one_of_four(self, paths):
+    def test_one_of_four(self, paths, reference_tree):
         p = paths["iberian_lynx"]
         pairs = [(p, p)] * 3 + [(p, paths["kestrel"])]
-        assert zero_one_loss(pairs) == 0.25
+        assert evaluate(pairs, reference_tree).l01 == 0.25
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, reference_tree):
         with pytest.raises(ValueError):
-            zero_one_loss([])
+            evaluate([], reference_tree)
 
 
 class TestSymmetric:

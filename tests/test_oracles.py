@@ -36,9 +36,7 @@ from labeltree.classifier import (
     _sibling_scale,
     _validation_errors,
     adaptive_weights,
-    hierarchy_margin,
     hinge_fits,
-    hinge_objective,
     per_sample_risk,
     population_direction,
     predict_codes,
@@ -332,7 +330,7 @@ def test_descent_equals_oracle_and_ties_take_first_child(seed):
         C = _child_coefs(table, a)
         np.testing.assert_allclose(C, offsets @ a, rtol=0, atol=1e-12 * np.abs(a).max())
         for b in np.flatnonzero(cut):
-            P = tree.order_index(blocks[b][0])
+            P = tree.nodes.index(blocks[b][0])
             assert not C[first[P] : first[P] + fanouts[P]].any()
     # and its transpose, A = O^T B, from node rows
     B = rng.normal(size=(tree.q + 1, p + 1))
@@ -352,7 +350,7 @@ def test_grid_descent_where_models_part_ways_equals_one_model_descents(seed):
     while True:  # fan-outs 2 and 3-4 below the root, 2 on the leftmost path
         tree = random_tree(rng)
         first, fanouts = tree.first_children, tree.node_fanouts
-        left = [tree.order_index(v) for v in leftmost_path(tree)[1:]]
+        left = [tree.nodes.index(v) for v in leftmost_path(tree)[1:]]
         inner = set(fanouts[1:].tolist()) - {0, 2}
         kids = range(first[0] + 1, first[0] + fanouts[0])
         c = next((k for k in kids if fanouts[k]), None)  # an internal later root child
@@ -459,7 +457,7 @@ def near_tie_rows(model, X) -> set[int]:
     rows = set()
     for i, path in enumerate(predict_paths(model, X)):
         for parent in path[:-1]:
-            start, stack = table.sibling_blocks[table.tree.order_index(parent)]
+            start, stack = table.sibling_blocks[table.tree.nodes.index(parent)]
             s = np.sort(F[i, start : start + stack.shape[1]] @ stack.T)
             bound = np.linalg.norm(F[i]) * np.linalg.norm(stack[0])
             if s[-1] - s[-2] <= TIE_RTOL * bound:
@@ -783,11 +781,11 @@ def test_per_sample_risk_matches_oracle(seed):
         )
     D, mask = oracles.hinge_terms(table, ds.codes)
     gaps = model.score_matrix(ds.X) @ D.T
+    linear = per_sample_risk(model, ds, "linear")
     for i, (x, path) in enumerate(zip(ds.X, ds.paths())):
-        margin = hierarchy_margin(model, x, path)
-        want = np.min(gaps[i, mask[:, i]])
-        assert margin == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert (margin > 0) == (predict_topdown(model, x) == path), i
+        want = gaps[i, mask[:, i]]
+        assert linear[i] == pytest.approx(-want.sum(), rel=1e-12, abs=1e-12)
+        assert (want.min() > 0) == (predict_topdown(model, x) == path), i
 
 
 @pytest.mark.parametrize("fit_intercept", [True, False])
@@ -813,9 +811,10 @@ def test_train_hinge_no_worse_than_subgradient_oracle(seed, lam, fit_intercept):
         )
     zero_obj = model.history[0]
     assert zero_obj == oracle.history[0]  # mean number of gaps per sample
-    achieved = hinge_objective(model.coef, ds, table, lam)
+    achieved = oracles.hinge_objective(model.coef, ds, table, lam)
     assert achieved == pytest.approx(model.history[-1], rel=1e-12)
-    assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * zero_obj
+    bound = oracles.hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * zero_obj
+    assert achieved <= bound
 
 
 @pytest.mark.parametrize("fit_intercept", [True, False])
@@ -837,9 +836,10 @@ def test_train_hinge_no_worse_than_fista_oracle(seed, lam, fit_intercept):
             ds, table, lam, max_iter=100_000, fit_intercept=fit_intercept
         )
     assert model.history[0] == oracle.history[0] == pairs / ds.n
-    achieved = hinge_objective(model.coef, ds, table, lam)
+    achieved = oracles.hinge_objective(model.coef, ds, table, lam)
     assert achieved == pytest.approx(model.history[-1], rel=1e-12)
-    assert achieved <= hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * pairs / ds.n
+    bound = oracles.hinge_objective(oracle.coef, ds, table, lam) + HINGE_TOL * pairs / ds.n
+    assert achieved <= bound
 
 
 # Largest coefficient difference between a lockstep grid fit and the
@@ -880,7 +880,7 @@ def test_hinge_grid_matches_the_per_lambda_oracle(seed, n, p, max_iter, fit_inte
         assert (lam in warned) == bool(oracle_warned), lam
         tol = HINGE_TOL * oracle.history[0]
         assert abs(model.history[-1] - oracle.history[-1]) <= tol
-        assert hinge_objective(model.coef, ds, table, lam) == pytest.approx(
+        assert oracles.hinge_objective(model.coef, ds, table, lam) == pytest.approx(
             model.history[-1], rel=1e-12
         )
         scale = np.abs(oracle.coef).max()
@@ -965,13 +965,14 @@ def test_ancestor_and_lca_matrices_equal_oracle(seed, reference_tree, two_leaf_t
         first, sizes, nodes = t.first_children, t.subtree_sizes, t.nodes
         for arr in (layers, parents, fanouts, first, sizes):
             assert arr.shape == (t.q + 1,) and not arr.flags.writeable
+        want = oracles.dict_tree(t)
         for i, node in enumerate(nodes):
             parent = t.parent(node)
-            assert parents[i] == (-1 if parent is None else t.order_index(parent))
+            assert parents[i] == (-1 if parent is None else nodes.index(parent))
             kids = range(first[i], first[i] + fanouts[i])
             assert tuple(nodes[k] for k in kids) == t.children(node)
-            assert layers[i] == t.layer(node) == len(t.index_tuple(node))
-            assert sizes[i] == t.subtree_size(node) == 1 + sum(sizes[k] for k in kids)
+            assert layers[i] == t.layer(node) == want.layer(node)
+            assert sizes[i] == want.subtree_size(node) == 1 + sum(sizes[k] for k in kids)
 
 
 def outcome(call, *args):
@@ -990,16 +991,23 @@ def test_tree_accessors_equal_dict_oracle(seed):
     tree, want = Tree("n0", children), oracles.DictTree("n0", children)
     assert tree.nodes == want.nodes
     for node in (*tree.nodes, "unknown"):
-        for name in ("children", "parent", "is_leaf", "index_tuple"):
+        for name in ("children", "parent", "is_leaf"):
             got = outcome(getattr(tree, name), node)
             assert got == outcome(getattr(want, name), node) and type(got) is not np.bool_
-        for t in range(-1, tree.depth + 2):
-            assert outcome(tree.ancestor_at_layer, node, t) == outcome(
-                want.ancestor_at_layer, node, t
-            )
-    for a, b in itertools.product((*tree.nodes, "unknown"), repeat=2):
-        got = outcome(tree.lca_layer, a, b)
-        assert got == outcome(want.lca_layer, a, b) and type(got) is not np.int64
+    # the integer arrays against the oracle's index tuples, ancestors and LCAs
+    first, nodes = tree.first_children, tree.nodes
+    lca = tree.lca_layer_matrix()
+    for i, node in enumerate(tree.node_order, start=1):
+        m = tree.node_layers[i]
+        assert m == want.layer(node)
+        line = tree.node_ancestors[i - 1, :m]
+        assert (1, *(line[1:] - first[line[:-1]] + 1).tolist()) == want.index_tuple(node)
+        ancestors = [want.ancestor_at_layer(node, t) for t in range(1, m + 1)]
+        assert [nodes[k] for k in line] == ancestors
+        assert (tree.node_ancestors[i - 1, m:] == -1).all()
+        assert tree.subtree_sizes[i] == want.subtree_size(node)
+    for (i, a), (j, b) in itertools.product(enumerate(tree.node_order), repeat=2):
+        assert lca[i, j] == want.lca_layer(a, b)
     doc = want.document().encode("utf-8")
     assert tree.document().encode("utf-8") == doc
     assert tree.sha256() == hashlib.sha256(doc).hexdigest()
@@ -1057,7 +1065,6 @@ def test_schedule_equals_per_parent_formula_bitwise(decay, seed, base_weight):
     schedule = build_schedule(tree, base_weight, decay)
     levels, sibling = oracles.schedule_weights(tree, base_weight, decay)
     assert schedule.level_weights == tuple(levels)
-    assert list(schedule.sibling_weight.items()) == list(sibling.items())
     by_index = np.array([sibling.get(node, 0.0) for node in tree.nodes])
     assert same_bits(schedule.sibling_weights, by_index)
     want = oracles.dissimilarity_matrix(tree, schedule)
@@ -1230,7 +1237,7 @@ def assert_views_equal_cursor_walk(tree, base_norm, decay):
     assert list(table.layer_dims.items()) == list(want.layer_dims.items())
     assert {type(v) for span in table.block_layout.values() for v in span} == {int}
     for node, row in zip(tree.node_order, table.node_matrix[1:]):
-        vec = table.vector(node)
+        vec = table.vectors[node]
         assert same_bits(vec, row) and np.shares_memory(vec, table.node_matrix)
 
 
