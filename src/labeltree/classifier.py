@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import HINGE_TOL, _packs, lockstep
-from .embedding import EmbeddingTable, _json_float_list, embed_tree
+from .embedding import EmbeddingTable, embed_tree
 from .hierarchy import Tree
 
 __all__ = [
@@ -767,13 +767,16 @@ _MODEL_KEYS = (
     "tree_sha256", "base_norm", "decay", "loss", "gamma", "lambda",
     "dimension", "n_features", "coef",
 )
+_COEF_CHUNK = 2**13  # coefficients save_model renders at once
 
 
 def save_model(model: LinearModel, path) -> None:
     """Serialize a model to JSON; floats round-trip exactly.
 
-    The text is what ``json.dump(doc, fh, indent=2)`` writes, with the
-    ``coef`` list laid out by the same helper as the embedding export.
+    The text is what ``json.dump(doc, fh, indent=2)`` writes.  The ``coef``
+    list is written in chunks of a fixed number of floats, so its text is
+    never held whole; a chunk of finite floats is formatted by ``repr``,
+    which is how :mod:`json` formats them, without its per-item cost.
     """
     head = {
         "format": MODEL_FORMAT,
@@ -786,12 +789,17 @@ def save_model(model: LinearModel, path) -> None:
         "dimension": model.table.dimension,
         "n_features": model.n_features,
     }
-    coef = _json_float_list(model.coef.ravel(order="C"), 1)
+    coef, sep = model.coef.ravel(order="C"), ",\n    "
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n")
         for key, value in head.items():
             fh.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
-        fh.write(f'  "coef": {coef}\n}}\n')
+        fh.write('  "coef": [')
+        for a in range(0, coef.size, _COEF_CHUNK):
+            chunk = coef[a : a + _COEF_CHUNK]
+            fmt = repr if np.isfinite(chunk).all() else json.dumps
+            fh.write((sep if a else sep[1:]) + sep.join(map(fmt, chunk.tolist())))
+        fh.write("\n  ]\n}\n" if coef.size else "]\n}\n")
 
 
 def load_model(path, tree: Tree) -> LinearModel:

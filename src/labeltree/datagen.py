@@ -200,11 +200,17 @@ def split_indices(
     )
 
 
+# features a chunk of rows holds while write_dataset_csv renders it
+_CSV_CHUNK_FLOATS = 2**14
+
+
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     """Write features and labels as CSV: columns ``f1..fp`` then ``label``.
 
     A row is the ``repr`` of its floats joined by commas, then its label's
     cell as ``csv.writer`` quotes it; each distinct label is quoted once.
+    Rows are rendered and written in chunks of a fixed number of floats,
+    so the file's text is never held whole.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -215,20 +221,20 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
         writer.writerow(fields)
         return buf.getvalue()
 
+    X, labels, p = dataset.X, dataset.labels, dataset.p
     # a leading empty field quotes the label as the last field of a row
     # with features and writes the comma before it
-    lead, labels = ([""] if dataset.p else []), dataset.labels
+    lead = [""] if p else []
     cells = {label: row_text([*lead, label]) for label in dict.fromkeys(labels)}
-    header = row_text([f"f{j + 1}" for j in range(dataset.p)] + ["label"])
-    rows = "".join(
-        [
-            ",".join(map(repr, row)) + cells[label]
-            for row, label in zip(dataset.X.tolist(), labels)
-        ]
-    )
+    header = row_text([f"f{j + 1}" for j in range(p)] + ["label"])
+    step = max(1, _CSV_CHUNK_FLOATS // max(p, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        fh.write(rows)
+        for a in range(0, len(labels), step):
+            rows = zip(X[a : a + step].tolist(), labels[a : a + step])
+            fh.write(
+                "".join([",".join(map(repr, row)) + cells[label] for row, label in rows])
+            )
 
 
 def read_dataset_csv(path, tree: Tree) -> LabeledDataset:

@@ -493,28 +493,6 @@ def table_to_json_dict(table: EmbeddingTable) -> dict:
     }
 
 
-def _json_list(items: list[str], level: int) -> str:
-    """Formatted items as ``json.dump(..., indent=2)`` lays out their list.
-
-    ``level`` is the list's nesting depth in the document.
-    """
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
-    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * level}]"
-
-
-def _json_float_list(values: np.ndarray, level: int) -> str:
-    """A float array as ``json.dump(..., indent=2)`` lays out its list.
-
-    :mod:`json` writes finite floats with ``float.__repr__``, so the text
-    is the same without the pure-Python encoder's per-item cost.
-    """
-    values = np.asarray(values, dtype=float)
-    fmt = repr if np.isfinite(values).all() else json.dumps
-    return _json_list(list(map(fmt, values.tolist())), level)
-
-
 def write_json(table: EmbeddingTable, path) -> None:
     """Write :func:`table_to_json_dict` as ``json.dump(..., indent=2)`` does.
 

@@ -349,13 +349,17 @@ class Tree:
         """(q, q) layer of each pair's latest (deepest) common ancestor, node order.
 
         Counts the layers at which two nodes share an ancestor, one column
-        of :attr:`node_ancestors` at a time; the diagonal is ``layer(x)``.
-        Entries take the smallest signed type holding ``±depth``, int8 to 127 layers.
+        of :attr:`node_ancestors` at a time into one reused (q, q) boolean
+        buffer; the diagonal is ``layer(x)``.  Entries take the smallest
+        signed type holding ``±depth``, int8 to 127 layers.
         """
         q = self.q
         out = np.zeros((q, q), dtype=np.min_scalar_type(-1 - self.depth))
+        same = np.empty((q, q), dtype=bool)
         for col in self._node_ancestors.T:
-            out += (col[:, None] == col[None, :]) & (col >= 0)[:, None]
+            np.equal(col[:, None], col[None, :], out=same)
+            same[col < 0] = False  # no ancestor at this layer
+            out += same
         return out
 
     # -- serialization -----------------------------------------------------

@@ -958,6 +958,17 @@ class TestPersistence:
         assert peak < 2 * max(n * (p + 1), (tree.q + 1) * (p + 1)) * 8, peak
         assert "node_matrix" not in table.__dict__
 
+    def test_saving_a_model_traces_under_two_mib(self, tmp_path):
+        # the (999, 96) coefficients' text is 2.7 MB; written in chunks, it
+        # is never held whole
+        tree = fanout10_tree()
+        table = embed_tree(tree)
+        coef = np.random.default_rng(57).normal(size=(table.dimension, 96))
+        model = LinearModel(coef, table, "linear")
+        peak = traced_peak(lambda: save_model(model, tmp_path / "model.json"))
+        assert load_model(tmp_path / "model.json", tree) == model
+        assert peak < 2 * 2**20, peak
+
     def test_wrong_tree_rejected(self, ref, two_leaf_tree, tmp_path):
         model = LinearModel(np.zeros((5, 2)), ref, "linear")
         path = tmp_path / "model.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import fanout10_tree, traced_peak
 from labeltree.classifier import LabeledDataset
 from labeltree.datagen import (
     SyntheticSpec,
@@ -217,6 +218,18 @@ class TestSplitAndCsv:
         ds_back = read_dataset_csv(data_path, tree_back)
         np.testing.assert_array_equal(ds_back.X, ds.X)
         assert ds_back.labels == ds.labels
+
+    def test_csv_write_traces_under_two_mib(self, tmp_path):
+        # 3000 x 95 rows are 5.8 MB of text; written in chunks, they are
+        # never held whole
+        tree = fanout10_tree()
+        rng = np.random.default_rng(58)
+        labels = [tree.leaves[c] for c in rng.integers(0, tree.n_leaf, size=3000)]
+        ds = LabeledDataset(rng.normal(size=(3000, 95)), labels, tree)
+        path = tmp_path / "data.csv"
+        peak = traced_peak(lambda: write_dataset_csv(ds, path))
+        assert read_dataset_csv(path, tree) == ds
+        assert peak < 2 * 2**20, peak
 
     def test_csv_errors(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from labeltree.hierarchy import (
     parse_tree,
 )
 
-from conftest import REFERENCE_DOC, random_tree
+from conftest import REFERENCE_DOC, fanout10_tree, random_tree, traced_peak
 from oracles import dict_tree
 
 
@@ -123,6 +123,14 @@ class TestAncestry:
         assert np.diagonal(lca).tolist() == reference_tree.node_layers[1:].tolist()
         for node in reference_tree.node_order:
             assert lca_layer(reference_tree, node, node) == reference_tree.layer(node)
+
+    def test_lca_layer_matrix_traces_the_result_and_one_boolean_square(self):
+        # one (q, q) int8 result and one reused (q, q) boolean buffer; the
+        # slack holds a ufunc's iteration buffers, not a second q-by-q array
+        tree = fanout10_tree()
+        peak = traced_peak(tree.lca_layer_matrix)
+        assert tree.lca_layer_matrix().dtype == np.int8
+        assert peak < 2 * tree.q**2 + 2**18, peak
 
     def test_path_of_leaf(self, reference_tree, two_leaf_tree):
         assert reference_tree.path_of_leaf("kestrel") == ("animal", "raptor", "kestrel")

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import labeltree.classifier as clf
+import labeltree.datagen
 import labeltree.dissimilarity
 import labeltree.embedding
 import oracles
@@ -1537,6 +1538,20 @@ CSV_LABELS = (
 CSV_CELLS = SPECIAL_VALUES + (2.5e-310, math.inf, -math.inf, math.nan)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 8])
+@pytest.mark.parametrize("p", [0, 3])
+def test_dataset_csv_chunks_equal_oracle_bytes(tmp_path, rows, p):
+    # 24 rows in chunks of one row, of seven (a ragged last chunk) and of
+    # eight (no partial chunk); non-finite cells need a plain namespace
+    rng = np.random.default_rng(1000 * rows + p)
+    X, labels = rng.choice(CSV_CELLS, size=(24, p)), rng.choice(CSV_LABELS, size=24)
+    data = SimpleNamespace(X=X, labels=tuple(labels.tolist()), p=p)
+    with mock.patch.object(labeltree.datagen, "_CSV_CHUNK_FLOATS", rows * max(p, 1)):
+        write_dataset_csv(data, tmp_path / "got.csv")
+    oracles.write_dataset_csv(data, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def csv_with_blank_lines(data, path, rng):
     """Write the rows of ``data`` one at a time, with blank lines between."""
     one = path.with_suffix(".row")
@@ -1679,3 +1694,25 @@ def test_save_model_equals_json_dump_bytes(tmp_path_factory, seed):
     save_model(model, tmp / "got.json")
     oracles.save_model(model, tmp / "want.json")
     assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 5])
+@pytest.mark.parametrize("last", [None, math.nan, -math.inf])
+def test_save_model_chunks_equal_json_dump_bytes(tmp_path, reference_tree, chunk, last):
+    # 20 coefficients in chunks of one, of seven (a ragged last chunk) and
+    # of five (no partial chunk); a non-finite value only in the last one
+    table = embed_tree(reference_tree)
+    coef = np.random.default_rng(chunk).normal(size=(table.dimension, 4))
+    if last is not None:
+        coef[-1, -1] = last
+    one = embed_tree(Tree("r", {"r": ["a", "b"]}))
+    models = [
+        LinearModel(coef, table, "linear"),
+        LinearModel(np.array([[0.5 if last is None else last]]), one, "linear"),
+    ]
+    for i, model in enumerate(models):
+        with mock.patch.object(clf, "_COEF_CHUNK", chunk):
+            save_model(model, tmp_path / f"got{i}.json")
+        oracles.save_model(model, tmp_path / f"want{i}.json")
+        got = (tmp_path / f"got{i}.json").read_bytes()
+        assert got == (tmp_path / f"want{i}.json").read_bytes()
