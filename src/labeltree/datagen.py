@@ -116,10 +116,6 @@ def _default_p(k: int, q: int) -> int:
     return q
 
 
-def _draw_paths(tree: Tree, n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, tree.n_leaf, size=n)
-
-
 def _apply_label_noise(
     tree: Tree, leaf_idx: np.ndarray, rate: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -133,6 +129,30 @@ def _apply_label_noise(
     return out
 
 
+# features of a chunk of rows that _sample adds the leaf means to at once
+_MEANS_CHUNK_FLOATS = 2**14
+
+
+def _sample(tree: Tree, means: np.ndarray, spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
+    """Uniform leaves, Gaussian features around the leaf means, then label noise.
+
+    ``means`` is by leaf code.  The features are ``means[leaves] +
+    NOISE_STD * rng.standard_normal(...)`` made in place: the draws fill
+    the result, which is scaled and then takes the means a chunk of rows at
+    a time, so no second array of its size is made.  Addition commutes, so
+    every bit is that of the sum written out.
+    """
+    rng = np.random.default_rng(spec.seed)
+    leaf_idx = rng.integers(0, tree.n_leaf, size=spec.n_total)
+    X = rng.standard_normal((spec.n_total, means.shape[1]))
+    X *= NOISE_STD
+    step = max(1, _MEANS_CHUNK_FLOATS // means.shape[1])
+    for a in range(0, spec.n_total, step):
+        X[a : a + step] += means[leaf_idx[a : a + step]]
+    leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
+    return tree, LabeledDataset._of_codes(X, leaf_idx, tree)
+
+
 def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
     """Sparse-indicator-mean Gaussian design with optional label noise."""
     if spec.example != 1:
@@ -143,19 +163,13 @@ def gen_example1(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
         raise ValueError(
             f"feature dimension {p} is smaller than the {tree.q} non-root nodes"
         )
-    rng = np.random.default_rng(spec.seed)
-    leaf_idx = _draw_paths(tree, spec.n_total, rng)
-
     # mean matrix indexed by leaf: coordinate (order index - 1) of the
     # path's layer-m node carries 1/(m-1)
     below_root = tree.leaf_ancestors[:, 1:]
     leaf, col = np.nonzero(below_root > 0)
     means = np.zeros((tree.n_leaf, p))
     means[leaf, below_root[leaf, col] - 1] = 1.0 / (col + 1)
-
-    X = means[leaf_idx] + NOISE_STD * rng.standard_normal((spec.n_total, p))
-    leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    return tree, LabeledDataset._of_codes(X, leaf_idx, tree)
+    return _sample(tree, means, spec)
 
 
 def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
@@ -167,14 +181,8 @@ def gen_example2(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:
         raise ValueError(
             f"design 2 fixes the feature dimension to {EXAMPLE2_FEATURES}"
         )
-    rng = np.random.default_rng(spec.seed)
-    leaf_idx = _draw_paths(tree, spec.n_total, rng)
     means = embed_tree(tree).node_matrix[tree.node_fanouts == 0]  # in leaf-code order
-    X = means[leaf_idx] + NOISE_STD * rng.standard_normal(
-        (spec.n_total, EXAMPLE2_FEATURES)
-    )
-    leaf_idx = _apply_label_noise(tree, leaf_idx, spec.noise_rate, rng)
-    return tree, LabeledDataset._of_codes(X, leaf_idx, tree)
+    return _sample(tree, means, spec)
 
 
 def generate(spec: SyntheticSpec) -> tuple[Tree, LabeledDataset]:

@@ -44,7 +44,6 @@ __all__ = [
     "verify_isometry",
     "embedded_consistency_check",
     "write_matrix_csv",
-    "table_to_json_dict",
     "write_json",
 ]
 
@@ -389,79 +388,77 @@ def _certify(
     )
 
 
-def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct float bit patterns of ``values`` and ``fmt`` of each.
+def _stack_texts(table: EmbeddingTable, fmt) -> dict[int, list[list[str]]]:
+    """``fmt`` of every entry of each distinct stack, keyed by the stack's id.
 
-    An embedding holds few distinct values, since every block is one
-    simplex pattern times a layer scale, so formatting each once and
-    looking entries up by their bits writes the same text as formatting
-    every entry.  Keys are bits, not values, so ``-0.0`` keeps its own
-    text; zero is always a key.
+    Parents of one (fan-out, layer) share a stack, so an entry is formatted
+    once for all of them.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    keys = np.unique(np.append(bits[bits != 0], 0))
-    texts = np.array([fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    return keys, texts
+    stacks = {id(s): s for _, s in table.sibling_blocks.values()}
+    return {key: [[fmt(v) for v in row] for row in s.tolist()] for key, s in stacks.items()}
 
 
-def _nonzero_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.nonzero`` of a 2-D array, row-major, found in its memory order.
+def _repeat(text: str, n: int, sep: str) -> str:
+    """``sep.join`` of ``n`` copies of ``text``; empty when ``n`` is 0."""
+    return ((sep + text) * n)[len(sep) :]
 
-    ``np.nonzero`` walks a transposed view entry by entry; a flat scan of
-    the memory, then a stable sort of the few hits by row, is cheaper.
+
+def _joined(pieces, sep: str) -> str:
+    """``sep.join`` of the nonempty ``pieces``."""
+    return sep.join([p for p in pieces if p])
+
+
+def _node_rows(table: EmbeddingTable, fmt, sep: str) -> Iterator[str]:
+    """Each node's vector as ``sep.join`` of the ``fmt`` of its entries, node order.
+
+    A node's vector is the offset rows of its path, each on the block of
+    the path node's parent, and zero elsewhere.  Blocks are laid out in
+    node order, so a path's blocks come in increasing column order.
     """
-    n_rows, n_cols = a.shape
-    if a.flags.f_contiguous and not a.flags.c_contiguous:
-        cols, rows = np.divmod(np.flatnonzero(a.T != 0), n_rows)
-        by_row = np.argsort(rows, kind="stable")
-        return rows[by_row], cols[by_row]
-    return np.divmod(np.flatnonzero(a != 0), n_cols)
+    tree, blocks, zero = table.tree, table.sibling_blocks, fmt(0.0)
+    rows = {key: [sep.join(r) for r in t] for key, t in _stack_texts(table, fmt).items()}
+    parents, first = tree.node_parents.tolist(), tree.first_children.tolist()
+    for path in tree.node_ancestors.tolist():
+        pieces, end = [], 0
+        for c in path[1:]:
+            if c < 0:
+                break
+            P = parents[c]
+            start, stack = blocks[P]
+            pieces += [_repeat(zero, start - end, sep), rows[id(stack)][c - first[P]]]
+            end = start + stack.shape[1]
+        pieces.append(_repeat(zero, table.dimension - end, sep))
+        yield _joined(pieces, sep)
 
 
-def _row_texts(mat: np.ndarray, fmt, sep: str) -> Iterator[str]:
-    """``sep.join`` of the ``fmt`` text of each entry, row by row of ``mat``.
+def _coordinate_rows(table: EmbeddingTable, fmt, sep: str) -> Iterator[str]:
+    """Each coordinate's row over the nodes as ``sep.join`` of the ``fmt`` of its entries.
 
-    A node's vector is zero off the blocks of its path, so nearly every
-    entry is zero.  Only the nonzero entries are looked up, by their bits
-    in :func:`_distinct_texts`; each run of zeros between them is one
-    repeated string.  Zero is tested by bits, so ``-0.0`` keeps its own
-    text.  ``mat`` may be any float64 view; no copy of it is made.
+    Coordinate ``k`` of parent ``P``'s block holds ``stack[j, k]`` on the
+    subtree of ``P``'s child ``j`` and zero elsewhere.  In node order the
+    subtrees' nodes on one layer are one range of order indices, child by
+    child, and the nodes a layer down are those between the first children
+    of the range's ends.  So every row of the block is the same runs: per
+    layer, a zero run, then a run of each child's entry.
     """
-    n_rows, n_cols = mat.shape
-    bits = mat.view(np.int64)
-    rows, cols = _nonzero_cells(bits)
-    nonzero = bits[rows, cols]
-    keys, texts = _distinct_texts(nonzero.view(np.float64), fmt)
-    counts = np.bincount(rows, minlength=n_rows)
-    ends = np.cumsum(counts)
-    starts, filled = ends - counts, counts > 0
-    before = np.empty_like(cols)  # the column of the previous nonzero entry
-    before[1:] = cols[:-1]
-    before[starts[filled]] = -1
-    last = np.full(n_rows, -1)
-    last[filled] = cols[ends[filled] - 1]
-    # the zero runs: one before each nonzero entry, then one ending each row
-    runs, which = np.unique(
-        np.concatenate([cols - before - 1, n_cols - 1 - last]), return_inverse=True
-    )
-    # A row is sep.join of its pieces: each nonzero entry after its run,
-    # then the row's last run.  A run of k zeros is sep.join of k zero
-    # texts, and an empty run is left out.  Codes index runs, then texts.
-    unit = sep + texts[np.searchsorted(keys, 0)]
-    zeros = [(unit * k)[len(sep) :] for k in runs.tolist()]
-    table = np.array([*zeros, *texts], dtype=object)
-    n = len(cols)
-    lead = 2 * starts + np.arange(n_rows)  # each row's first piece
-    run_at = np.concatenate([2 * np.arange(n) + rows, lead + 2 * counts])
-    code = np.empty(2 * n + n_rows, dtype=np.intp)
-    code[run_at] = which
-    code[run_at[:n] + 1] = len(runs) + np.searchsorted(keys, nonzero)
-    kept = np.ones(len(code), dtype=bool)
-    kept[run_at] = runs[which] > 0
-    pieces = table[code[kept]].tolist()
-    bounds = (np.cumsum(kept) - kept)[lead].tolist()  # kept pieces before each row
-    for a, b in zip(bounds, [*bounds[1:], len(pieces)]):
-        yield sep.join(pieces[a:b])
+    tree, zero = table.tree, fmt(0.0)
+    texts = _stack_texts(table, fmt)
+    first = [*tree.first_children.tolist(), tree.q + 1]
+    for P, (_, stack) in table.sibling_blocks.items():
+        # child j's nodes on a layer are order indices bounds[j]:bounds[j + 1]
+        bounds, end, layers = list(range(first[P], first[P] + len(stack) + 1)), 1, []
+        while bounds[0] < bounds[-1]:
+            counts = [b - a for a, b in zip(bounds, bounds[1:])]
+            layers.append((_repeat(zero, bounds[0] - end, sep), counts))
+            end, bounds = bounds[-1], [first[i] for i in bounds]
+        tail = _repeat(zero, tree.q + 1 - end, sep)
+        for column in zip(*texts[id(stack)]):
+            pieces = []
+            for gap, counts in layers:
+                pieces.append(gap)
+                pieces += [_repeat(t, n, sep) for t, n in zip(column, counts)]
+            pieces.append(tail)
+            yield _joined(pieces, sep)
 
 
 def write_matrix_csv(table: EmbeddingTable, path) -> None:
@@ -469,9 +466,9 @@ def write_matrix_csv(table: EmbeddingTable, path) -> None:
 
     The header goes through :mod:`csv`, which quotes node ids as needed;
     coordinate rows are written as the same text, one ``repr`` per float,
-    rendered by :func:`_row_texts` from a transposed view of the node matrix.
+    rendered by :func:`_coordinate_rows` from the stacks.
     """
-    rows = _row_texts(table.node_matrix[1:].T, repr, ",")
+    rows = _coordinate_rows(table, repr, ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["coordinate", *table.tree.node_order])
         for i, row in enumerate(rows, start=1):
@@ -480,28 +477,17 @@ def write_matrix_csv(table: EmbeddingTable, path) -> None:
             fh.write("\r\n")
 
 
-def table_to_json_dict(table: EmbeddingTable) -> dict:
-    """JSON-ready view of the table; vector keys follow node order."""
-    return {
-        "base_norm": table.base_norm,
-        "decay": table.decay,
-        "dimension": table.dimension,
-        "vectors": {
-            node: [float(v) for v in table.vectors[node]]
-            for node in table.tree.node_order
-        },
-    }
-
-
 def write_json(table: EmbeddingTable, path) -> None:
-    """Write :func:`table_to_json_dict` as ``json.dump(..., indent=2)`` does.
+    """Write the table as ``json.dump(..., indent=2)`` writes its JSON view.
 
-    Written one node at a time, so the file is never held as one string;
-    each vector is rendered by :func:`_row_texts`, its floats as :mod:`json`
-    formats them.
+    The view holds ``base_norm``, ``decay``, ``dimension`` and ``vectors``,
+    each node id's vector as a list of floats in node order.  Written one
+    node at a time, so the file is never held as one string; each vector
+    is rendered by :func:`_node_rows` from the stacks, its floats as
+    :mod:`json` formats them.
     """
     inner = "\n" + "  " * 3  # the indent of a vector's items
-    rows = _row_texts(table.node_matrix[1:], json.dumps, "," + inner)
+    rows = _node_rows(table, json.dumps, "," + inner)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n")
         for key in ("base_norm", "decay", "dimension"):

@@ -72,7 +72,7 @@ from labeltree.dissimilarity import (
     SymmetryViolation,
 )
 from labeltree.dual import STEP_FRACTION, _grams_by_child
-from labeltree.embedding import simplex, table_to_json_dict
+from labeltree.embedding import simplex
 from labeltree.metrics import symmetric_loss
 
 
@@ -1139,6 +1139,19 @@ def write_matrix_csv(table, path) -> None:
         writer.writerow(["coordinate", *table.tree.node_order])
         for i, row in enumerate(mat, start=1):
             writer.writerow([i, *[repr(float(v)) for v in row]])
+
+
+def table_to_json_dict(table) -> dict:
+    """JSON-ready view of the table; vector keys follow node order."""
+    return {
+        "base_norm": table.base_norm,
+        "decay": table.decay,
+        "dimension": table.dimension,
+        "vectors": {
+            node: [float(v) for v in table.vectors[node]]
+            for node in table.tree.node_order
+        },
+    }
 
 
 def write_json(table, path) -> None:

@@ -30,7 +30,7 @@ from labeltree.classifier import (
 )
 from labeltree import classifier
 from labeltree.cli import HINGE_LAMBDA_GRID, TUNING_GRID, run_benchmark, select_lambda
-from labeltree.embedding import embed_tree
+from labeltree.embedding import embed_tree, write_json, write_matrix_csv
 from labeltree.hierarchy import parse_tree
 
 
@@ -876,6 +876,12 @@ class TestPersistence:
         train_hinge(ds, table, lam=0.5)
         paths = [reference_tree.path_of_leaf(leaf) for leaf in reference_tree.leaves]
         population_direction(dict.fromkeys(paths, 1.0 / len(paths)), table)
+        assert "node_matrix" not in table.__dict__
+
+    def test_exports_never_build_the_node_matrix(self, tmp_path):
+        table = embed_tree(fanout10_tree())
+        write_matrix_csv(table, tmp_path / "embedding.csv")
+        write_json(table, tmp_path / "embedding.json")
         assert "node_matrix" not in table.__dict__
 
     def test_linear_training_memory_within_the_array_size_rule(self):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import labeltree.datagen
 import oracles
 from conftest import fanout10_tree, traced_peak
 from labeltree.classifier import LabeledDataset
 from labeltree.datagen import (
+    NOISE_STD,
     SyntheticSpec,
     example1_tree,
     example2_tree,
@@ -170,6 +172,41 @@ class TestExample2:
         _, d1 = gen_example2(noisy)
         flips = sum(a != b for a, b in zip(d0.labels, d1.labels))
         assert 94 <= flips <= 100
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec(example=1, n_total=700, seed=8, k=4),
+        SyntheticSpec(example=2, n_total=700, seed=8, noise_rate=0.1),
+    ],
+    ids=["design1", "design2"],
+)
+@pytest.mark.parametrize("chunk", [None, 1, 665])  # floats; 1 is a row a chunk
+def test_noise_drawn_in_place_keeps_every_bit(monkeypatch, spec, chunk):
+    # the sum written out, from a twin of the generator the draws come from
+    sample, wants = labeltree.datagen._sample, []
+
+    def spy(tree, means, spec):
+        rng = np.random.default_rng(spec.seed)
+        leaves = rng.integers(0, tree.n_leaf, size=spec.n_total)
+        draws = rng.standard_normal((spec.n_total, means.shape[1]))
+        wants.append(means[leaves] + NOISE_STD * draws)
+        return sample(tree, means, spec)
+
+    monkeypatch.setattr(labeltree.datagen, "_sample", spy)
+    if chunk is not None:
+        monkeypatch.setattr(labeltree.datagen, "_MEANS_CHUNK_FLOATS", chunk)
+    _, ds = generate(spec)
+    assert ds.X.tobytes() == wants[0].tobytes()
+
+
+def test_example2_traces_little_beyond_its_features():
+    # drawn, scaled and shifted in place: no second 8000 x 95 array
+    spec = SyntheticSpec(example=2, n_total=8000, seed=4)
+    peak = traced_peak(lambda: gen_example2(spec))
+    _, ds = gen_example2(spec)
+    assert peak < 1.5 * ds.X.nbytes, (peak, ds.X.nbytes)
 
 
 def assert_same_dataset(got, want):

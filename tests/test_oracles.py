@@ -9,7 +9,7 @@ import hashlib
 import itertools
 import math
 import warnings
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1413,12 +1413,49 @@ def test_non_finite_rows_reach_the_isometry_error(monkeypatch, rows_of, value):
                     assert math.isnan(err) if np.isnan(value) else err == np.inf
 
 
+def with_stacks(table, stacks):
+    """``table`` with ``stacks[P]`` as parent ``P``'s stack, read-only.
+
+    The stacks go in the table's cached slot before any view of them is
+    built, so the node matrix the dense oracles read is built from them.
+    """
+    assert "node_matrix" not in table.__dict__
+    for stack in stacks.values():
+        stack.setflags(write=False)
+    blocks = {P: (start, stacks[P]) for P, (start, _) in table.sibling_blocks.items()}
+    table.__dict__["sibling_blocks"] = MappingProxyType(blocks)
+    return table
+
+
+def special_stacks_table(rng, finite=True):
+    """A table whose stacks mix drawn values with :data:`SPECIAL_VALUES`.
+
+    Parents of one fan-out and parity share a stack.  Unless ``finite``,
+    the last parent's stack holds NaN and both infinities; the first two
+    nodes' first coordinates are ``-0.0`` and ``5e-324``.
+    """
+    table = embed_tree(random_tree(rng))
+    shared, stacks = {}, {}
+    for P, (_, stack) in table.sibling_blocks.items():
+        if (len(stack), P % 2) not in shared:
+            S = rng.choice(SPECIAL_VALUES, size=stack.shape)
+            S[rng.random(S.shape) < 0.5] = 0.0
+            S[:, 0] = rng.normal(size=len(S))
+            shared[len(stack), P % 2] = S
+        stacks[P] = shared[len(stack), P % 2]
+    if not finite:
+        last = stacks[max(stacks)]
+        last[0, -1], last[-1, 0], last[-1, -1] = np.nan, np.inf, -np.inf
+    stacks[0][0, 0], stacks[0][1, 0] = -0.0, 5e-324
+    return with_stacks(table, stacks)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, finite=st.booleans())
 def test_exports_of_special_values_equal_oracle_bytes(tmp_path_factory, seed, finite):
     rng = np.random.default_rng(seed)
     tmp = tmp_path_factory.mktemp("special")
-    assert_same_exports(tmp, hand_built_table(rng, finite))
+    assert_same_exports(tmp, special_stacks_table(rng, finite))
     rows = (tmp / "got-e.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].split(",")[1:3] == ["-0.0", "5e-324"]
 
@@ -1428,18 +1465,18 @@ def test_exports_of_special_values_equal_oracle_bytes(tmp_path_factory, seed, fi
 RUN_VALUES = (-0.0, 1e-310, -5e-324, 0.1, 2.0 / 3.0)
 
 
-def zero_run_rows(rng, shape):
+def zero_run_rows(rng, shape, start=0):
     """Rows of every zero-run shape the exports render, in turn.
 
-    With ``k`` the row index mod 6: no zeros; all zeros; a leading run; a
-    trailing run; one entry between two runs; ``-0.0`` and ``0.0`` in
-    alternation, so a negative zero sits between zero runs.
+    With ``k`` the row index plus ``start``, mod 6: no zeros; all zeros; a
+    leading run; a trailing run; one entry between two runs; ``-0.0`` and
+    ``0.0`` in alternation, so a negative zero sits between zero runs.
     """
     n_rows, n_cols = shape
     P = rng.choice(RUN_VALUES, size=shape)
     half = n_cols // 2
     for r in range(n_rows):
-        k = r % 6
+        k = (start + r) % 6
         if k == 1:
             P[r] = 0.0
         elif k == 2:
@@ -1455,16 +1492,21 @@ def zero_run_rows(rng, shape):
 
 
 def zero_run_table(tree, rng, by_coordinate):
-    """A table whose node rows, or coordinate rows, are :func:`zero_run_rows`."""
-    table = embed_tree(tree)
-    M = np.zeros_like(table.node_matrix)
-    if by_coordinate:
-        M[1:] = zero_run_rows(rng, M[1:].T.shape).T
-    else:
-        M[1:] = zero_run_rows(rng, M[1:].shape)
-    M.setflags(write=False)
-    table.__dict__["node_matrix"] = M
-    return table
+    """A table whose stacks' rows, or columns, are :func:`zero_run_rows`.
+
+    A node's row is its path's stack rows between zero runs, and a
+    coordinate's row is a stack column spread over the children's
+    subtrees.  The shapes run on from one parent's stack to the next, so
+    all six occur even where every stack has fewer than six rows.
+    """
+    table, stacks, start = embed_tree(tree), {}, 0
+    for P, (_, stack) in table.sibling_blocks.items():
+        if by_coordinate:
+            stacks[P] = np.ascontiguousarray(zero_run_rows(rng, stack.T.shape, start).T)
+        else:
+            stacks[P] = zero_run_rows(rng, stack.shape, start)
+        start += stack.shape[by_coordinate]
+    return with_stacks(table, stacks)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1481,6 +1523,26 @@ def test_exports_of_one_coordinate_equal_oracle_bytes(tmp_path, two_leaf_tree, b
     table = zero_run_table(two_leaf_tree, np.random.default_rng(5), by_coordinate)
     assert table.dimension == 1
     assert_same_exports(tmp_path, table)
+
+
+# A comb: the path to e, f and g crosses every block, so their rows have
+# a block at coordinate 0, path blocks with no zero between them and no
+# zero run after the last coordinate's entry; b's row ends in a zero run.
+COMB_DOC = "r: a b\na: c d\nc: e f g\n"
+
+
+@pytest.mark.parametrize("by_coordinate", [False, True])
+def test_exports_of_path_blocks_equal_oracle_bytes(tmp_path, by_coordinate):
+    tree = parse_tree(COMB_DOC)
+    table = embed_tree(tree)
+    M, b, e = table.node_matrix, tree.nodes.index("b"), tree.nodes.index("e")
+    assert [a for a, _ in table.sibling_blocks.values()] == [0, 1, 2]
+    assert np.all(M[e] != 0)
+    assert M[b, 0] != 0 and not np.any(M[b, 1:])
+    assert_same_exports(tmp_path, table)
+    for seed in range(6):
+        table = zero_run_table(tree, np.random.default_rng(seed), by_coordinate)
+        assert_same_exports(tmp_path, table)
 
 
 def test_exports_of_fanout10_tree_equal_oracle_bytes(tmp_path):

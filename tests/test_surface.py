@@ -16,13 +16,14 @@ import labeltree
 MODULES = sorted(info.name for info in pkgutil.iter_modules(labeltree.__path__))
 
 # Public functions and accessors that only their own unit tests read; the
-# pairwise ``dissimilarity`` and ``hinge_objective`` live on in
-# ``tests/oracles.py`` as references.
+# pairwise ``dissimilarity``, ``hinge_objective`` and ``table_to_json_dict``
+# live on in ``tests/oracles.py`` as references.
 REMOVED = {
     "classifier": ("decision_values", "hierarchy_margin", "surrogate_risk", "hinge_objective"),
     "classifier.LinearModel": ("scores",),
     "dissimilarity": ("dissimilarity",),
     "dissimilarity.WeightSchedule": ("sibling_weight", "parent_edge"),
+    "embedding": ("table_to_json_dict",),
     "embedding.EmbeddingTable": ("vector", "distance"),
     "hierarchy.Tree": (
         "index_tuple",
