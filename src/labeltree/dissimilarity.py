@@ -117,10 +117,10 @@ def build_schedule(
     return WeightSchedule(tree, base_weight, decay)
 
 
-def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule, lca: np.ndarray):
-    """``fill(rows, out)``: rows ``rows`` of :func:`dissimilarity_matrix`, into ``out``.
+def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule):
+    """``fill(rows, out, lca)``: rows ``rows`` of :func:`dissimilarity_matrix`, into ``out``.
 
-    ``lca`` is the tree's :meth:`~Tree.lca_layer_matrix`; raises for another
+    ``lca`` is the block's :meth:`~Tree.lca_layers`; raises for another
     tree's schedule.  The non-ancestral form is evaluated for every pair:
     its per-node terms are summed on the ``(q, depth)`` ancestor table,
     copied into the block by each pair's LCA layer and finished there in
@@ -165,8 +165,8 @@ def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule, lca: np.ndarray):
     pair_rows, pair_cols = pair_rows[by_row], pair_cols[by_row]
     pair_sq = np.concatenate([sq_anc, sq_anc])[by_row]
 
-    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
-        masks = [lca[rows] == t for t in depths]  # each serves both masked passes
+    def fill(rows: slice, out: np.ndarray, lca: np.ndarray) -> np.ndarray:
+        masks = [lca == t for t in depths]  # each serves both masked passes
         for t, mask in enumerate(masks):
             np.copyto(out, head[rows, t, None], where=mask)
         out += below
@@ -183,31 +183,35 @@ def _dissimilarity_rows(tree: Tree, schedule: WeightSchedule, lca: np.ndarray):
     return fill
 
 
-def _row_pass(lca: np.ndarray, fill) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """``(rows, fill(rows, out), lca[rows])`` for each row block of a q-by-q pass.
+def _row_pass(tree: Tree, *fills) -> Iterator[tuple]:
+    """``(rows, lca, *(fill(rows, out, lca) for fill in fills))`` for each row block.
 
-    ``out`` is a view of one buffer that every block reuses, so a block is
-    overwritten by the next: a consumer is done with it before it asks for
-    another.
+    A block's ``lca`` is its :meth:`~Tree.lca_layers`, made once for every
+    fill and consumer.  Each fill's ``out`` is a view of its own buffer that
+    every block reuses, so a block is overwritten by the next: a consumer
+    is done with it before it asks for another.
     """
-    q = len(lca)
+    q = tree.q
     blocks = _row_blocks(q, q)
-    buffer = np.empty((blocks[0].stop, q))
+    buffers = [np.empty((blocks[0].stop, q)) for _ in fills]
     for rows in blocks:
-        yield rows, fill(rows, buffer[: rows.stop - rows.start]), lca[rows]
+        lca, n = tree.lca_layers(rows), rows.stop - rows.start
+        yield rows, lca, *[fill(rows, out[:n], lca) for fill, out in zip(fills, buffers)]
 
 
-def _whole(q: int, fill) -> np.ndarray:
-    """The (q, q) matrix whose rows ``fill`` writes, a row block at a time."""
+def _whole(q: int, fill, tree: Tree | None = None) -> np.ndarray:
+    """The (q, q) matrix whose rows ``fill(rows, out, lca)`` writes, a row block at a time.
+
+    ``lca`` is the block's :meth:`~Tree.lca_layers` of ``tree``, or None
+    without a tree.
+    """
     out = np.empty((q, q))
     for rows in _row_blocks(q, q):
-        fill(rows, out[rows])
+        fill(rows, out[rows], None if tree is None else tree.lca_layers(rows))
     return out
 
 
-def dissimilarity_matrix(
-    tree: Tree, schedule: WeightSchedule, *, _lca: np.ndarray | None = None
-) -> np.ndarray:
+def dissimilarity_matrix(tree: Tree, schedule: WeightSchedule) -> np.ndarray:
     """(q, q) matrix of pairwise dissimilarities in node order.
 
     With ``t`` a pair's latest-common-ancestor layer, ``m`` and ``l`` the node
@@ -220,12 +224,10 @@ def dissimilarity_matrix(
       common ancestor at layer ``t``.
 
     Zero exactly on the diagonal; raises for another tree's schedule.
-    ``_lca`` is the tree's :meth:`~Tree.lca_layer_matrix`, for internal
-    callers that already hold it.  Built a row block at a time by the row
-    function the certificate uses, with no q-by-q float temporary.
+    Built a row block at a time by the row function the certificate uses,
+    with no q-by-q temporary.
     """
-    lca = tree.lca_layer_matrix() if _lca is None else _lca
-    return _whole(tree.q, _dissimilarity_rows(tree, schedule, lca))
+    return _whole(tree.q, _dissimilarity_rows(tree, schedule), tree)
 
 
 @dataclass(frozen=True)
@@ -336,8 +338,8 @@ class _Audit:
     def _upper(self, rows: slice) -> np.ndarray:
         return np.arange(rows.start, rows.stop)[:, None] < np.arange(self.tree.q)
 
-    def add(self, rows: slice, dist: np.ndarray, lca: np.ndarray) -> None:
-        """Reduce rows ``rows`` of the distance and LCA layer matrices."""
+    def add(self, rows: slice, lca: np.ndarray, dist: np.ndarray) -> None:
+        """Reduce rows ``rows`` of the LCA layer and distance matrices."""
         upper, lows, highs = self._upper(rows), [], []
         for t in range(1, self.tree.depth):
             member = lca == t
@@ -376,7 +378,7 @@ class _Audit:
         witness; each is ``(i, j, dist[i, j])``.
         """
         q, out = self.tree.q, {}
-        for rows, dist, lca in blocks() if wanted else ():
+        for rows, lca, dist in blocks() if wanted else ():
             upper = self._upper(rows)
             for t, value in wanted - out.keys():
                 at = (lca == t) & upper & (dist == value)
@@ -390,7 +392,7 @@ class _Audit:
     def report(self, decay_bound_met: bool, blocks) -> ConsistencyReport:
         """The audits' report once every block is added.
 
-        ``blocks()`` makes a fresh pass of ``(rows, dist rows, lca rows)``;
+        ``blocks()`` makes a fresh pass of ``(rows, lca rows, dist rows)``;
         it runs only if a monotonicity violation needs its witnesses.
         """
         order, q = self.tree.node_order, self.tree.q
@@ -451,19 +453,17 @@ def consistency_report_from_matrix(
     dist: np.ndarray,
     tol: float = 1e-10,
     decay_bound_met: bool = True,
-    *,
-    _lca: np.ndarray | None = None,
 ) -> ConsistencyReport:
     """Run both consistency checks against a precomputed distance matrix.
 
     The audit of :func:`consistency_check` and of the embedded points in
-    :mod:`labeltree.embedding`, over row-block views of ``dist``.  ``_lca``
-    is as in :func:`dissimilarity_matrix`; ``tol`` must be non-negative.
+    :mod:`labeltree.embedding`, over row-block views of ``dist``, each with
+    its :meth:`~Tree.lca_layers`; ``tol`` must be non-negative.
     """
-    lca = tree.lca_layer_matrix() if _lca is None else _lca
 
     def blocks():
-        return ((rows, dist[rows], lca[rows]) for rows in _row_blocks(tree.q, tree.q))
+        for rows in _row_blocks(tree.q, tree.q):
+            yield rows, tree.lca_layers(rows), dist[rows]
 
     return _audit(tree, tol, decay_bound_met, blocks)
 
@@ -480,6 +480,5 @@ def consistency_check(
     ``schedule.meets_decay_bound`` is true.  The dissimilarities are made
     and audited a row block at a time.
     """
-    lca = tree.lca_layer_matrix()
-    fill = _dissimilarity_rows(tree, schedule, lca)
-    return _audit(tree, tol, schedule.meets_decay_bound, lambda: _row_pass(lca, fill))
+    fill = _dissimilarity_rows(tree, schedule)
+    return _audit(tree, tol, schedule.meets_decay_bound, lambda: _row_pass(tree, fill))

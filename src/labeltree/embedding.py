@@ -69,44 +69,25 @@ def _simplex_centered(count: int, c: float) -> np.ndarray:
     return xi - xi.mean(axis=0)
 
 
-def simplex(
-    count: int,
-    norm: float,
-    offset: int = 0,
-    ambient: int | None = None,
-) -> np.ndarray:
+def simplex(count: int, norm: float) -> np.ndarray:
     """Vertices of a regular simplex with common norm ``norm``.
 
-    Returns a ``(count, ambient)`` array whose rows are supported on the
-    ``count - 1`` coordinates starting at ``offset``.  All rows have norm
-    ``norm``, all pairwise distances equal ``norm * sqrt(2*count/(count-1))``,
-    all pairwise angles have cosine ``-1/(count-1)``, and the centroid is
-    the origin.
+    Returns a ``(count, count - 1)`` array.  All rows have norm ``norm``,
+    all pairwise distances equal ``norm * sqrt(2*count/(count-1))``, all
+    pairwise angles have cosine ``-1/(count-1)``, and the centroid is the
+    origin.
 
     Raises
     ------
     ValueError
-        If ``count < 2``, ``norm`` is not positive and finite, or the ambient
-        dimension cannot hold the block.
+        If ``count < 2`` or ``norm`` is not positive and finite.
     """
     if count < 2:
         raise ValueError(f"a simplex needs at least 2 points, got {count}")
     if not 0.0 < norm < np.inf:
         raise ValueError(f"norm must be positive and finite, got {norm}")
-    if offset < 0:
-        raise ValueError(f"offset must be nonnegative, got {offset}")
-    if ambient is None:
-        ambient = offset + count - 1
-    if ambient < offset + count - 1:
-        raise ValueError(
-            f"ambient dimension {ambient} cannot hold {count - 1} coordinates "
-            f"at offset {offset}"
-        )
-    centered = _simplex_centered(count, 1.0)
     radius = np.sqrt((count - 1.0) / (2.0 * count))  # norm of the unit-c simplex
-    out = np.zeros((count, ambient))
-    out[:, offset : offset + count - 1] = centered * (norm / radius)
-    return out
+    return _simplex_centered(count, 1.0) * (norm / radius)
 
 
 @dataclass(frozen=True)
@@ -245,8 +226,9 @@ class EmbeddingTable:
 
 
 def _distance_rows(table: EmbeddingTable):
-    """``fill(rows, out)``: rows ``rows`` of :meth:`~EmbeddingTable.distance_matrix`.
+    """``fill(rows, out, lca)``: rows ``rows`` of :meth:`~EmbeddingTable.distance_matrix`.
 
+    ``lca``, the block's LCA layers in a certificate pass, is not read.
     ``|a|^2 + |b|^2 - 2<a, b>`` is finished in place in ``out``, which first
     takes the product ``pts[rows] @ pts.T``, read from the node matrix in
     place.  A row's bits depend on the block it is made in, as BLAS
@@ -261,7 +243,7 @@ def _distance_rows(table: EmbeddingTable):
     for r in _row_blocks(*pts.shape):
         sq[r] = np.square(pts[r]).cumsum(axis=1)[:, -1]
 
-    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
+    def fill(rows: slice, out: np.ndarray, lca) -> np.ndarray:
         gram = np.matmul(pts[rows], pts.T, out=out)
         gram *= 2.0
         np.subtract(np.add.outer(sq[rows], sq), gram, out=gram)
@@ -304,9 +286,8 @@ def verify_isometry(
         disagree on the decay.
     """
     _check_schedule(tree, schedule, table)
-    lca, ratio = tree.lca_layer_matrix(), schedule.base_weight / table.base_norm
-    fills = _dissimilarity_rows(tree, schedule, lca), _distance_rows(table)
-    blocks = _certificate_rows(lca, *fills)
+    ratio = schedule.base_weight / table.base_norm
+    blocks = _row_pass(tree, _dissimilarity_rows(tree, schedule), _distance_rows(table))
     return _largest([_isometry_error(ratio, target, dist) for _, _, target, dist in blocks])
 
 
@@ -316,20 +297,6 @@ def _check_schedule(tree: Tree, schedule: WeightSchedule, table: EmbeddingTable)
         raise ValueError(
             f"schedule decay {schedule.decay} != embedding decay {table.decay}"
         )
-
-
-def _certificate_rows(
-    lca: np.ndarray, target_fill, dist_fill
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(rows, lca rows, dissimilarity rows, distance rows)`` for each row block.
-
-    ``target_fill`` and ``dist_fill`` are :func:`_dissimilarity_rows` and
-    :func:`_distance_rows`.  Each array is a view of a buffer the next
-    block overwrites.
-    """
-    targets, dists = _row_pass(lca, target_fill), _row_pass(lca, dist_fill)
-    for (rows, target, lca_rows), (_, dist, _) in zip(targets, dists):
-        yield rows, lca_rows, target, dist
 
 
 def _isometry_error(ratio: float, target: np.ndarray, dist: np.ndarray) -> np.float64:
@@ -353,9 +320,9 @@ def embedded_consistency_check(
     whenever the decay meets the certification threshold.  The distances
     are made and audited a row block at a time.
     """
-    lca, fill = table.tree.lca_layer_matrix(), _distance_rows(table)
+    tree, fill = table.tree, _distance_rows(table)
     bound_met = _meets_decay_bound(table.decay)
-    return _audit(table.tree, tol, bound_met, lambda: _row_pass(lca, fill))
+    return _audit(tree, tol, bound_met, lambda: _row_pass(tree, fill))
 
 
 def _certify(
@@ -364,26 +331,26 @@ def _certify(
     """:func:`verify_isometry`, :func:`consistency_check` and
     :func:`embedded_consistency_check` at their defaults, in one pass.
 
-    Each row block of the dissimilarity and distance matrices is made
-    once, by the row functions those three use, and feeds the isometry
-    error and both audits before the next block is made.  No q-by-q float
-    array is held: beside the node matrix and the int8 LCA layer matrix
-    there are only row blocks.  A pass is made again only to locate the
-    witnesses of a monotonicity violation.
+    Each row block of the LCA layer, dissimilarity and distance matrices
+    is made once, by the row functions those three use, and feeds the
+    isometry error and both audits before the next block is made.  No
+    q-by-q array is held: beside the node matrix there are only row
+    blocks.  A pass is made again only to locate the witnesses of a
+    monotonicity violation.
     """
     _check_schedule(tree, schedule, table)
-    lca, ratio = tree.lca_layer_matrix(), schedule.base_weight / table.base_norm
-    target_fill, dist_fill = _dissimilarity_rows(tree, schedule, lca), _distance_rows(table)
+    ratio = schedule.base_weight / table.base_norm
+    target_fill, dist_fill = _dissimilarity_rows(tree, schedule), _distance_rows(table)
     tree_audit, point_audit, maxima = _Audit(tree, 1e-10), _Audit(tree, 1e-10), []
-    for rows, lca_rows, target, dist in _certificate_rows(lca, target_fill, dist_fill):
+    for rows, lca, target, dist in _row_pass(tree, target_fill, dist_fill):
         maxima.append(_isometry_error(ratio, target, dist))
-        tree_audit.add(rows, target, lca_rows)
-        point_audit.add(rows, dist, lca_rows)
+        tree_audit.add(rows, lca, target)
+        point_audit.add(rows, lca, dist)
     return (
         _largest(maxima),
-        tree_audit.report(schedule.meets_decay_bound, lambda: _row_pass(lca, target_fill)),
+        tree_audit.report(schedule.meets_decay_bound, lambda: _row_pass(tree, target_fill)),
         point_audit.report(
-            _meets_decay_bound(table.decay), lambda: _row_pass(lca, dist_fill)
+            _meets_decay_bound(table.decay), lambda: _row_pass(tree, dist_fill)
         ),
     )
 

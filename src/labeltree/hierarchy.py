@@ -345,22 +345,28 @@ class Tree:
         except TypeError:  # an unhashable node
             return False
 
-    def lca_layer_matrix(self) -> np.ndarray:
-        """(q, q) layer of each pair's latest (deepest) common ancestor, node order.
+    def lca_layers(self, rows: slice) -> np.ndarray:
+        """(len(rows), q) layer of the latest (deepest) common ancestor of
+        each node in ``rows`` with every node, node order.
 
         Counts the layers at which two nodes share an ancestor, one column
-        of :attr:`node_ancestors` at a time into one reused (q, q) boolean
-        buffer; the diagonal is ``layer(x)``.  Entries take the smallest
+        of :attr:`node_ancestors` at a time into one reused boolean block;
+        a node with itself gives its layer.  Entries take the smallest
         signed type holding ``±depth``, int8 to 127 layers.
         """
-        q = self.q
-        out = np.zeros((q, q), dtype=np.min_scalar_type(-1 - self.depth))
-        same = np.empty((q, q), dtype=bool)
-        for col in self._node_ancestors.T:
-            np.equal(col[:, None], col[None, :], out=same)
-            same[col < 0] = False  # no ancestor at this layer
+        ancestors = self._node_ancestors
+        block = ancestors[rows]
+        out = np.zeros((len(block), self.q), dtype=np.min_scalar_type(-1 - self.depth))
+        same = np.empty(out.shape, dtype=bool)
+        for mine, col in zip(block.T, ancestors.T):
+            np.equal(mine[:, None], col[None, :], out=same)
+            same[mine < 0] = False  # no ancestor at this layer
             out += same
         return out
+
+    def lca_layer_matrix(self) -> np.ndarray:
+        """(q, q) :meth:`lca_layers` of every node; the diagonal is ``layer(x)``."""
+        return self.lca_layers(slice(0, self.q))
 
     # -- serialization -----------------------------------------------------
 

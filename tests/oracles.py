@@ -748,7 +748,8 @@ def embed_tree(tree, base_norm=1.0, decay=DEFAULT_DECAY) -> SimpleNamespace:
     cursor = 0
     for P in np.flatnonzero(tree.node_fanouts).tolist():
         count, m = fanouts[P], layers[P]
-        offsets = simplex(count, layer_norms[m - 1], offset=cursor, ambient=dim)
+        offsets = np.zeros((count, dim))
+        offsets[:, cursor : cursor + count - 1] = simplex(count, layer_norms[m - 1])
         kids = slice(first[P], first[P] + count)
         M[kids] = M[P] + offsets
         block_layout[nodes[P]] = (cursor, cursor + count - 1)

@@ -94,6 +94,7 @@ class TestEmbedCommand:
 
     def test_builds_no_square_float_matrix_and_each_row_once(self, tmp_path, monkeypatch):
         calls, made = Counter(), {"_dissimilarity_rows": [], "_distance_rows": []}
+        layers = []  # (rows, LCA rows) of every block made
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -106,17 +107,23 @@ class TestEmbedCommand:
             def wrapper(*args):
                 fill = make(*args)
 
-                def recording_fill(rows, out):
-                    made[name].append((rows.start, rows.stop, out.shape))
-                    return fill(rows, out)
+                def recording_fill(rows, out, lca):
+                    given = lca is layers[-1][1]  # the block's LCA rows as made
+                    made[name].append((rows.start, rows.stop, out.shape, given))
+                    return fill(rows, out, lca)
 
                 return recording_fill
 
             return wrapper
 
+        def recorded_layers(tree, rows, make=Tree.lca_layers):
+            layers.append((rows, make(tree, rows)))
+            return layers[-1][1]
+
         monkeypatch.setattr(
             Tree, "lca_layer_matrix", counted("lca", Tree.lca_layer_matrix)
         )
+        monkeypatch.setattr(Tree, "lca_layers", recorded_layers)
         monkeypatch.setattr(
             EmbeddingTable,
             "distance_matrix",
@@ -146,12 +153,13 @@ class TestEmbedCommand:
         path = tmp_path / "tree.txt"
         path.write_text(tree.document())
         assert run_cli("embed", "--tree", path, "--out", tmp_path / "emb") == 0
-        assert calls == {"lca": 1}
+        assert not calls  # no whole LCA, distance or dissimilarity matrix
+        want = [(a, min(a + rows, q)) for a in range(0, q, rows)]
+        assert [(r.start, r.stop) for r, _ in layers] == want
+        assert all(lca.shape == (r.stop - r.start, q) for r, lca in layers)
         for blocks in made.values():
-            assert [(a, b) for a, b, _ in blocks] == [
-                (a, min(a + rows, q)) for a in range(0, q, rows)
-            ]
-            assert all(shape == (b - a, q) for a, b, shape in blocks)
+            assert [(a, b) for a, b, _, _ in blocks] == want
+            assert all(shape == (b - a, q) and given for a, b, shape, given in blocks)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("delta", [None, 1.3])

@@ -332,10 +332,10 @@ class TestConsistency:
                 children[node] = [f"{node}.{j}" for j in range(10)]
             frontier = [kid for node in frontier for kid in children[node]]
         tree = Tree("r", children)
-        dist, lca = embed_tree(tree).distance_matrix(), tree.lca_layer_matrix()
+        dist = embed_tree(tree).distance_matrix()
         tracemalloc.start()
         try:
-            report = consistency_report_from_matrix(tree, dist, _lca=lca)
+            report = consistency_report_from_matrix(tree, dist)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -345,13 +345,13 @@ class TestConsistency:
     def test_dissimilarity_matrix_traces_less_than_one_and_a_half_float_matrices(self):
         # the result, and row blocks in place of a q-by-q float lookup
         tree = fanout10_tree()
-        sched, lca = build_schedule(tree), tree.lca_layer_matrix()
-        peak = traced_peak(lambda: dissimilarity_matrix(tree, sched, _lca=lca))
+        sched = build_schedule(tree)
+        peak = traced_peak(lambda: dissimilarity_matrix(tree, sched))
         assert peak < 1.5 * 8 * tree.q**2, peak
 
     def test_certificate_traces_below_nodes_plus_one_float_matrix(self):
-        # the node matrix, built on first use here, the int8 LCA layer
-        # matrix and row blocks; no room for a q-by-q float array
+        # the node matrix, built on first use here, and row blocks; no
+        # room for a q-by-q float array
         tree = fanout10_tree()
         sched, table = build_schedule(tree), embed_tree(tree)
         certified = []

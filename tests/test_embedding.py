@@ -60,15 +60,13 @@ class TestSimplex:
     def test_two_points(self):
         np.testing.assert_allclose(simplex(2, 1.0), [[-1.0], [1.0]], atol=1e-15)
 
-    def test_three_points_in_offset_block(self):
-        got = simplex(3, 1 / S5, offset=2, ambient=5)
-        expected = np.zeros((3, 5))
-        expected[:, 2:4] = [
+    def test_three_points(self):
+        expected = [
             [-S15 / 10, -S5 / 10],
             [S15 / 10, -S5 / 10],
             [0, S5 / 5],
         ]
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(simplex(3, 1 / S5), expected, atol=1e-12)
 
     def test_six_points_golden(self):
         np.testing.assert_allclose(simplex(6, 1.0), SIX_POINT_MATRIX, atol=1e-12)
@@ -81,7 +79,8 @@ class TestSimplex:
     @pytest.mark.parametrize("count", range(2, 10))
     def test_geometry(self, count):
         norm = 0.7
-        pts = simplex(count, norm, offset=1, ambient=count + 2)
+        pts = simplex(count, norm)
+        assert pts.shape == (count, count - 1)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), norm, atol=1e-10)
         np.testing.assert_allclose(pts.mean(axis=0), 0.0, atol=1e-12)
         target = norm * math.sqrt(2 * count / (count - 1))
@@ -89,9 +88,6 @@ class TestSimplex:
             assert np.linalg.norm(a - b) == pytest.approx(target, abs=1e-10)
             cos = float(a @ b) / norm**2
             assert cos == pytest.approx(-1 / (count - 1), abs=1e-10)
-        # support confined to the requested block
-        assert np.all(pts[:, 0] == 0)
-        assert np.all(pts[:, count:] == 0)
 
     @pytest.mark.parametrize("count", range(2, 9))
     def test_pre_scaling_geometry(self, count):
@@ -106,11 +102,7 @@ class TestSimplex:
         with pytest.raises(ValueError):
             simplex(1, 1.0)
         with pytest.raises(ValueError):
-            simplex(4, 1.0, offset=0, ambient=2)
-        with pytest.raises(ValueError):
             simplex(3, 0.0)
-        with pytest.raises(ValueError):
-            simplex(3, 1.0, offset=-1)
 
     @pytest.mark.parametrize("norm", [math.nan, math.inf])
     def test_non_finite_norm_rejected(self, norm):

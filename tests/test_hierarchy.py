@@ -132,6 +132,15 @@ class TestAncestry:
         assert tree.lca_layer_matrix().dtype == np.int8
         assert peak < 2 * tree.q**2 + 2**18, peak
 
+    @pytest.mark.parametrize("n", [1, 7, 118])
+    def test_lca_layers_traces_the_block_and_one_boolean_block(self, n):
+        # (n, q) int8 rows and one reused (n, q) boolean block, with the
+        # same slack for a ufunc's iteration buffers as the whole matrix
+        tree = fanout10_tree()
+        for rows in (slice(0, n), slice(tree.q - n, tree.q)):
+            peak = traced_peak(lambda: tree.lca_layers(rows))
+            assert peak < 2 * n * tree.q + 2**18, peak
+
     def test_path_of_leaf(self, reference_tree, two_leaf_tree):
         assert reference_tree.path_of_leaf("kestrel") == ("animal", "raptor", "kestrel")
         assert reference_tree.path_of_leaf("iberian_lynx") == (

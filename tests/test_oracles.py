@@ -955,6 +955,12 @@ def test_ancestor_and_lca_matrices_equal_oracle(seed, reference_tree, two_leaf_t
     lca, want = tree.lca_layer_matrix(), oracles.lca_layer_matrix(tree)
     assert lca.dtype == np.int8  # entries never exceed the depth
     np.testing.assert_array_equal(lca, want)
+    for n in (1, 7, 118):
+        for a in range(0, tree.q, n):
+            rows = slice(a, min(a + n, tree.q))
+            block = tree.lca_layers(rows)
+            assert block.dtype == np.int8
+            np.testing.assert_array_equal(block, want[rows])
     want = oracles.leaf_ancestors(tree)
     assert tree.leaf_ancestors.dtype == want.dtype
     np.testing.assert_array_equal(tree.leaf_ancestors, want)
@@ -1398,8 +1404,8 @@ def test_non_finite_rows_reach_the_isometry_error(monkeypatch, rows_of, value):
         def poisoned(*args, i=i, j=j):
             fill = make(*args)
 
-            def poisoned_fill(rows, out):
-                fill(rows, out)
+            def poisoned_fill(rows, out, lca):
+                fill(rows, out, lca)
                 if rows.start <= i < rows.stop:
                     out[i - rows.start, j] = value
                 return out
