@@ -31,6 +31,7 @@ from .classifier import (
 )
 from .datagen import (
     SyntheticSpec,
+    _read_rows,
     generate,
     read_dataset_csv,
     read_feature_csv,
@@ -108,7 +109,7 @@ def read_predictions(path, tree: Tree) -> list[tuple[str, ...]]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if header[:2] != ["index", "path"]:
+        if header != ["index", "path"]:
             raise ValueError(f"{path}: expected an 'index,path' header")
         out = []
         for record in reader:
@@ -134,50 +135,24 @@ def read_predictions(path, tree: Tree) -> list[tuple[str, ...]]:
 def read_truth(path, tree: Tree) -> list[tuple[str, ...]]:
     """Read true paths from a predictions-format or labeled-dataset CSV.
 
-    Of a labeled dataset only the ``label`` column is read, as each row's
-    text after its last comma.  A quote, a wrong comma count or an
-    unknown label in a row sends the file through ``csv``; the first bad
-    row raises a ``ValueError`` naming the file, the row and its line.
+    A labeled dataset goes through the row parser of
+    :func:`read_feature_csv` with its feature cells counted but not
+    parsed, so they need not be numbers.  The first bad row, a wrong
+    field count or a label that is not a leaf, raises a ``ValueError``
+    naming the file, the row and its line.
     """
-    leaf_codes = tree.leaf_codes
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if header[:2] == ["index", "path"]:
+        if header == ["index", "path"]:
             return read_predictions(path, tree)
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: neither a predictions file nor a labeled CSV")
-        codes = [
-            leaf_codes.get(s.rpartition(",")[2])
-            if s.count(",") == len(header) - 1 and '"' not in s else None
-            for s in (line.rstrip("\r\n") for line in fh) if s
-        ]
-    if None in codes:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            codes = []
-            for record in reader:
-                if not record:
-                    continue
-                if len(record) != len(header):
-                    raise ValueError(
-                        f"{path}: row with {len(record)} fields, expected "
-                        f"{len(header)}, on line {reader.line_num}"
-                    )
-                code = leaf_codes.get(record[-1])
-                if code is None:
-                    raise ValueError(
-                        f"{path}: row {len(codes)} on line {reader.line_num}: label "
-                        f"{record[-1]!r} is not a leaf of the tree"
-                    )
-                codes.append(code)
-    if not codes:
-        raise ValueError(f"{path}: no data rows")
+        leaf_codes = tree.leaf_codes
+        labels = _read_rows(path, fh, header, "U1", leaf_codes)["label"].tolist()
     leaf_paths = tree.leaf_paths
-    return [leaf_paths[c] for c in codes]
+    return [leaf_paths[leaf_codes[label]] for label in labels]
 
 
 def _parse_grid(text: str | None, fallback: Sequence[float]) -> tuple[float, ...]:
@@ -492,7 +467,8 @@ def cmd_evaluate(args) -> int:
     truth = read_truth(args.truth, tree)
     if len(pred) != len(truth):
         raise ValueError(
-            f"{len(pred)} predictions but {len(truth)} true paths"
+            f"{args.pred} has {len(pred)} predictions but {args.truth} has "
+            f"{len(truth)} true paths"
         )
     t0 = time.perf_counter()
     report = evaluate(list(zip(truth, pred)), tree)

@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -256,64 +255,81 @@ def read_dataset_csv(path, tree: Tree) -> LabeledDataset:
         raise ValueError(f"{path}: {exc}") from None
 
 
-# How np.loadtxt names a failing row: a cell it cannot read by 0-based data
-# row and 1-based column, a wrong field count by 1-based data row; blank
-# lines are not counted.
+# How np.loadtxt names a cell it cannot read: by 0-based data row and
+# 1-based column; blank lines are not counted.
 _BAD_CELL = re.compile(r"could not convert .* at row (\d+), column (\d+)\.$", re.S)
-_BAD_COUNT = re.compile(r"requires \d+ columns but \d+ were found at row (\d+)")
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a feature CSV; the trailing ``label`` column is optional.
 
-    The header goes through ``csv`` and the rows through one ``np.loadtxt``
-    call, which reads quoted labels as ``csv.reader`` does.  Every error
-    names the file; a bad row is named by its line.
+    The header goes through ``csv`` and the rows through :func:`_read_rows`.
+    Every error names the file; a bad row is named by its line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        has_label = bool(header) and header[-1] == "label"
-        fields = [("x", float, (len(header) - has_label,))]
-        if has_label:
-            fields.append(("label", object))
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                rows = np.loadtxt(
-                    fh,
-                    dtype=fields,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    ndmin=1,
-                )
-        except ValueError as exc:
-            raise ValueError(_row_error(path, fh, header, str(exc))) from None
+        rows = _read_rows(path, fh, header, float)
+    X = np.ascontiguousarray(rows["x"])
+    return X, tuple(rows["label"].tolist()) if "label" in rows.dtype.names else None
+
+
+def _read_rows(path, fh, header: list[str], cell, leaf_codes=None) -> np.ndarray:
+    """Parse the rows after ``header`` in ``fh`` by one ``np.loadtxt`` call.
+
+    Field ``x`` holds the feature cells as ``cell`` (``"U1"`` counts them
+    without parsing a number) and ``label`` the trailing label column,
+    each label a key of ``leaf_codes`` when that is given.  Quoted cells
+    read as ``csv.reader`` reads them; the first bad row raises.
+    """
+    has_label = bool(header) and header[-1] == "label"
+    fields = [("x", cell, (len(header) - has_label,))]
+    if has_label:
+        fields.append(("label", object))
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            rows = np.loadtxt(
+                fh,
+                dtype=fields,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=1,
+            )
+    except ValueError as exc:
+        raise ValueError(_row_error(path, fh, header, str(exc), leaf_codes)) from None
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
-    X = np.ascontiguousarray(rows["x"])
-    return X, tuple(rows["label"].tolist()) if has_label else None
+    if leaf_codes is not None and not leaf_codes.keys() >= set(rows["label"].tolist()):
+        raise ValueError(_row_error(path, fh, header, "unknown label", leaf_codes))
+    return rows
 
 
-def _row_error(path, fh, header: list[str], message: str) -> str:
-    """Name the line and cell behind an ``np.loadtxt`` error message."""
-    cell, count = _BAD_CELL.search(message), _BAD_COUNT.search(message)
-    if cell or count:
-        row = int(cell[1]) if cell else int(count[1]) - 1
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        record = next(islice(filter(None, reader), row, None), None)
-        if record is not None and len(record) != len(header):
+def _row_error(path, fh, header: list[str], message: str, leaf_codes=None) -> str:
+    """Name the first bad row of ``fh`` by its line, in one ``csv`` pass:
+    a wrong field count, a label not in ``leaf_codes`` (if given), or the
+    cell that ``np.loadtxt``'s error ``message`` names."""
+    cell = _BAD_CELL.search(message)
+    bad = int(cell[1]) if cell else -1
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    for row, record in enumerate(filter(None, reader)):
+        if len(record) != len(header):
             return (
                 f"{path}: row with {len(record)} fields, expected {len(header)}, "
                 f"on line {reader.line_num}"
             )
-        if record is not None and cell:
+        if leaf_codes is not None and record[-1] not in leaf_codes:
+            return (
+                f"{path}: row {row} on line {reader.line_num}: label "
+                f"{record[-1]!r} is not a leaf of the tree"
+            )
+        if row == bad:
             col = int(cell[2]) - 1
             return (
                 f"{path}: row {row} on line {reader.line_num}, column "

@@ -350,15 +350,16 @@ class Tree:
         each node in ``rows`` with every node, node order.
 
         Counts the layers at which two nodes share an ancestor, one column
-        of :attr:`node_ancestors` at a time into one reused boolean block;
-        a node with itself gives its layer.  Entries take the smallest
-        signed type holding ``±depth``, int8 to 127 layers.
+        of :attr:`node_ancestors` at a time (copied contiguous: a strided
+        column compares ~3x slower) into one reused boolean block; a node
+        with itself gives its layer.  Entries take the smallest signed
+        type holding ``±depth``, int8 to 127 layers.
         """
-        ancestors = self._node_ancestors
-        block = ancestors[rows]
-        out = np.zeros((len(block), self.q), dtype=np.min_scalar_type(-1 - self.depth))
+        cols = np.ascontiguousarray(self._node_ancestors.T)
+        block = cols[:, rows]
+        out = np.zeros((block.shape[1], self.q), dtype=np.min_scalar_type(-1 - self.depth))
         same = np.empty(out.shape, dtype=bool)
-        for mine, col in zip(block.T, ancestors.T):
+        for mine, col in zip(block, cols):
             np.equal(mine[:, None], col[None, :], out=same)
             same[mine < 0] = False  # no ancestor at this layer
             out += same

@@ -798,6 +798,8 @@ class TestEvaluateCommand:
             )
             == 2
         )
+        err = capsys.readouterr().err
+        assert f"{pred} has 1 predictions but {truth} has 2 true paths" in err
 
     def test_invalid_path_exits_2(self, tmp_path, tree_file, reference_tree, capsys):
         pred = tmp_path / "pred.csv"
@@ -885,6 +887,15 @@ class TestEvaluateCommand:
             assert "on line 3 has more than two fields" in err
             assert not (out / "report.json").exists()
 
+    def test_predictions_header_must_be_exact(self, tmp_path, reference_tree):
+        # a third header field is not dropped, as a third row field is not
+        extra = tmp_path / "extra.csv"
+        extra.write_text("index,path,extra\n0,animal/raptor/kestrel\n")
+        with pytest.raises(ValueError, match="expected an 'index,path' header"):
+            read_predictions(extra, reference_tree)
+        with pytest.raises(ValueError, match="neither a predictions file nor a labeled"):
+            read_truth(extra, reference_tree)
+
 
 class TestDataFileErrors:
     """Every error in reading a data file names the file, and a bad row its line."""
@@ -899,6 +910,9 @@ class TestDataFileErrors:
         # float() reads 1_000, numpy's parser does not
         ("f1,f2,label\n1_000,1.0,kestrel\n",
          "row 0 on line 2, column 'f1': '1_000' is not a number"),
+        # the first bad row in file order is named, not the short one
+        ("f1,f2,label\n0.5,n/a,kestrel\n0.5,osprey\n",
+         "row 0 on line 2, column 'f2': 'n/a' is not a number"),
         ("f1,f2,label\n", "no data rows"),
     ]
 

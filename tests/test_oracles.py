@@ -1692,6 +1692,9 @@ def truth_outcome(read, path):
         "f1,f2,label\n0.5,1.0,plain\n0.5,plain\n",  # short row
         "f1,label\n0.5,plain\n0.5,1,plain\n",  # long row
         "f1,label\n\n0.5,plain\n1,nope\n",  # unknown label
+        "f1,label\n0.5,nope\n0.5,1,plain\n",  # unknown label before a long row
+        "f1,label\n١٢,plain\n",  # a non-ASCII first feature character
+        'f1,label\n"1,5",plain\n',  # a quoted feature cell holding a comma
         "f1,label\n0.5,plain \n",  # a trailing space is part of the label
         "f1,label\n0.5,a,b\n",  # an unquoted comma splits the label
         "f1,label\n",
