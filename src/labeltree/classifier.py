@@ -90,8 +90,7 @@ class LabeledDataset:
             raise ValueError(f"{X.shape[0]} feature rows but {len(labels)} labels")
         if X.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features contain NaN or infinity")
+        _check_finite(X)
         leaf_codes = tree.leaf_codes
         try:
             codes = np.array([leaf_codes[label] for label in labels])
@@ -196,10 +195,15 @@ class LinearModel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        if bad.size:
-            raise ValueError(f"feature row {bad[0]} contains NaN or infinity")
+        _check_finite(X)
         return X
+
+
+def _check_finite(X: np.ndarray) -> None:
+    """Reject a feature matrix by its first row that holds NaN or infinity."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {np.argmin(finite)} contains NaN or infinity")
 
 
 def _child_coefs(table: EmbeddingTable, A: np.ndarray) -> np.ndarray:
@@ -347,8 +351,7 @@ def _check_dataset(table: EmbeddingTable, dataset: LabeledDataset) -> None:
     """Reject a dataset on another tree, or whose features turned non-finite."""
     if table.tree != dataset.tree:
         raise ValueError("dataset and embedding table use different trees")
-    if not np.all(np.isfinite(dataset.X)):
-        raise ValueError("features contain NaN or infinity")
+    _check_finite(dataset.X)
 
 
 def _check_positive(name: str, *values) -> None:
@@ -717,8 +720,10 @@ def select_gamma(
     smaller gamma.  The fits come in chunks (:func:`weighted_linear_fits`)
     and scored in passes on the true paths (:func:`_select`): all 41 in
     one chunk and one pass on design 1, 13 chunks of three gammas and one
-    of two in passes of 21 and 20 on design 2.
+    of two in passes of 21 and 20 on design 2.  Every gamma is checked
+    before the validation set.
     """
+    _check_positive("gamma", *grid)
     fits = weighted_linear_fits(
         train, table, sorted(grid), fit_intercept=fit_intercept
     )

@@ -430,6 +430,11 @@ def cmd_train(args) -> int:
         # a validation file selects among fits on all of the data, so the
         # selected fit is the model; no second fit repeats it
         val = read_dataset_csv(args.val_data, tree) if needs_val else None
+        if val is not None and val.p != data.p:
+            raise ValueError(
+                f"{args.val_data}: expected {data.p} features as in {args.data}, "
+                f"got {val.p}"
+            )
         model, chosen = fit(
             args.loss, data, val, table, gamma_grid, lambda_grid,
             fit_intercept=fit_intercept,
@@ -448,13 +453,11 @@ def cmd_predict(args) -> int:
     tree = _load_tree(args.tree)
     model = load_model(args.model, tree)
     X, _ = read_feature_csv(args.data)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"data has {X.shape[1]} features but the model expects "
-            f"{model.n_features}"
-        )
     t0 = time.perf_counter()
-    paths = predict_paths(model, X)
+    try:  # the features' width and finiteness are checked first
+        paths = predict_paths(model, X)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     elapsed = time.perf_counter() - t0
     write_predictions(paths, args.out)
     print(f"predicted {len(paths)} paths in {elapsed:.3f}s -> {args.out}")

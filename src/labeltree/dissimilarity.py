@@ -306,19 +306,22 @@ class ConsistencyReport:
 class _Audit:
     """Both consistency audits of a distance matrix, fed its row blocks in order.
 
-    :meth:`add` keeps partial reductions of each block.  Monotonicity
-    groups pairs by ancestor layer: every value in a shallower-ancestor
-    group must strictly exceed every value in any deeper-ancestor group,
-    so comparing adjacent group extremes is enough.  Group t holds the
-    upper-triangle pairs meeting at layer t; none is empty, since every
-    layer above the leaves holds a parent.  A block adds its minimum and
-    maximum of each group, and :meth:`report` reduces them with
-    ``np.min``/``np.max``, so a NaN still reaches the extremes.  Symmetry
-    compares an anchor's partners at one layer that share the
-    common-ancestor layer, which is one row, so each block finds its own
-    violations and their witnesses.  Each group is a boolean mask and its
-    extremes are ``where=`` reductions, so no pair list and no float copy
-    is made; a witness is the first member at an extreme, row-major.
+    :meth:`add` folds each block into running reductions, in one pass.
+    Monotonicity groups pairs by ancestor layer: every value in a
+    shallower-ancestor group must strictly exceed every value in any
+    deeper-ancestor group, so comparing adjacent group extremes is enough.
+    Group t holds the upper-triangle pairs meeting at layer t; none is
+    empty, since every layer above the leaves holds a parent.  Each group's
+    running minimum and maximum are folded in by ``np.minimum`` and
+    ``np.maximum``, so a NaN still reaches the extremes.  A block whose
+    extreme beats the running one strictly, or comes first, moves that
+    extreme's witness to its first member at that value; a tie keeps the
+    earlier block's.  Symmetry compares an anchor's partners at one layer
+    that share the common-ancestor layer, which is one row, so each block
+    finds its own violations and their witnesses.  Each group is a boolean
+    mask and its extremes are ``where=`` reductions, so no pair list and no
+    float copy is made; a witness is the first member at an extreme,
+    row-major.
     """
 
     def __init__(self, tree: Tree, tol: float):
@@ -331,23 +334,33 @@ class _Audit:
             (m, *np.searchsorted(layers, [m, m + 1]).tolist())
             for m in range(2, tree.depth + 1)
         ]
-        self.lows: list[list] = []
-        self.highs: list[list] = []
+        groups = tree.depth - 1
+        self.lows, self.highs = np.full(groups, np.inf), np.full(groups, -np.inf)
+        # group t's witness (i, j, dist[i, j]) of each extreme, at t - 1
+        self.low_at: list = [None] * groups
+        self.high_at: list = [None] * groups
         self.found: list[tuple] = []
-
-    def _upper(self, rows: slice) -> np.ndarray:
-        return np.arange(rows.start, rows.stop)[:, None] < np.arange(self.tree.q)
 
     def add(self, rows: slice, lca: np.ndarray, dist: np.ndarray) -> None:
         """Reduce rows ``rows`` of the LCA layer and distance matrices."""
-        upper, lows, highs = self._upper(rows), [], []
+        q = self.tree.q
+        upper = np.arange(rows.start, rows.stop)[:, None] < np.arange(q)
         for t in range(1, self.tree.depth):
             member = lca == t
             member &= upper
-            lows.append(np.min(dist, where=member, initial=np.inf))
-            highs.append(np.max(dist, where=member, initial=-np.inf))
-        self.lows.append(lows)
-        self.highs.append(highs)
+            lo = np.min(dist, where=member, initial=np.inf)
+            hi = np.max(dist, where=member, initial=-np.inf)
+            for value, ahead, at in (
+                (lo, lo < self.lows[t - 1], self.low_at),
+                (hi, hi > self.highs[t - 1], self.high_at),
+            ):
+                # strictly beyond the running extreme, or the group's first
+                # members (lo <= hi), which may all equal the infinite start
+                if ahead or (at[t - 1] is None and lo <= hi):
+                    i, j = divmod(int(np.argmax(member & (dist == value))), q)
+                    at[t - 1] = (rows.start + i, j, float(dist[i, j]))
+            self.lows[t - 1] = np.minimum(self.lows[t - 1], lo)
+            self.highs[t - 1] = np.maximum(self.highs[t - 1], hi)
 
         # Each anchor's extremes in a group are masked row reductions over
         # the partner layer's columns, a view.  At t = m the only node is
@@ -371,52 +384,23 @@ class _Audit:
                     values = float(dist[i, j_min]), float(dist[i, j_max])
                     self.found.append((rows.start + i, j0, m, t, j_min, j_max, *values))
 
-    def _first_pairs(self, wanted: set, blocks) -> dict:
-        """Each ``(t, value)`` of ``wanted`` to its first pair in group t at ``value``.
-
-        ``blocks()`` passes over the row blocks again, as far as the last
-        witness; each is ``(i, j, dist[i, j])``.
-        """
-        q, out = self.tree.q, {}
-        for rows, lca, dist in blocks() if wanted else ():
-            upper = self._upper(rows)
-            for t, value in wanted - out.keys():
-                at = (lca == t) & upper & (dist == value)
-                if at.any():
-                    i, j = divmod(int(np.argmax(at)), q)
-                    out[t, value] = (rows.start + i, j, float(dist[i, j]))
-            if len(out) == len(wanted):
-                break
-        return out
-
-    def report(self, decay_bound_met: bool, blocks) -> ConsistencyReport:
-        """The audits' report once every block is added.
-
-        ``blocks()`` makes a fresh pass of ``(rows, lca rows, dist rows)``;
-        it runs only if a monotonicity violation needs its witnesses.
-        """
+    def report(self, decay_bound_met: bool) -> ConsistencyReport:
+        """The audits' report once every block is added."""
         order, q = self.tree.node_order, self.tree.q
-        lows, highs = np.min(self.lows, axis=0), np.max(self.highs, axis=0)
-        flagged = [
-            (t, lows[t - 1], t + 1, highs[t])
-            for t in range(1, self.tree.depth - 1)
-            if lows[t - 1] <= highs[t]
-        ]
-        wanted = {key for t, low, u, high in flagged for key in ((t, low), (u, high))}
-        at = self._first_pairs(wanted, blocks)
         mono = []
-        for t_low, low, t_high, high in flagged:
-            (i, j, value_low), (k, l, value_high) = at[t_low, low], at[t_high, high]
-            mono.append(
-                MonotonicityViolation(
-                    pair_low=(order[i], order[j]),
-                    lca_low=t_low,
-                    value_low=value_low,
-                    pair_high=(order[k], order[l]),
-                    lca_high=t_high,
-                    value_high=value_high,
+        for t in range(1, self.tree.depth - 1):
+            if self.lows[t - 1] <= self.highs[t]:
+                (i, j, value_low), (k, l, value_high) = self.low_at[t - 1], self.high_at[t]
+                mono.append(
+                    MonotonicityViolation(
+                        pair_low=(order[i], order[j]),
+                        lca_low=t,
+                        value_low=value_low,
+                        pair_high=(order[k], order[l]),
+                        lca_high=t + 1,
+                        value_high=value_high,
+                    )
                 )
-            )
         # anchors in node order, then each anchor's groups by first partner
         self.found.sort(key=lambda f: f[:2])
         sym = [
@@ -441,11 +425,11 @@ class _Audit:
 
 
 def _audit(tree: Tree, tol: float, decay_bound_met: bool, blocks) -> ConsistencyReport:
-    """Both audits over the row blocks of ``blocks()``, a fresh pass per call."""
+    """Both audits, folded over ``blocks``: ``(rows, lca rows, dist rows)`` in order."""
     audit = _Audit(tree, tol)
-    for block in blocks():
+    for block in blocks:
         audit.add(*block)
-    return audit.report(decay_bound_met, blocks)
+    return audit.report(decay_bound_met)
 
 
 def consistency_report_from_matrix(
@@ -457,15 +441,14 @@ def consistency_report_from_matrix(
     """Run both consistency checks against a precomputed distance matrix.
 
     The audit of :func:`consistency_check` and of the embedded points in
-    :mod:`labeltree.embedding`, over row-block views of ``dist``, each with
-    its :meth:`~Tree.lca_layers`; ``tol`` must be non-negative.
+    :mod:`labeltree.embedding`, folded in one pass over row-block views of
+    ``dist``, each with its :meth:`~Tree.lca_layers`; ``tol`` must be
+    non-negative.
     """
-
-    def blocks():
-        for rows in _row_blocks(tree.q, tree.q):
-            yield rows, tree.lca_layers(rows), dist[rows]
-
-    return _audit(tree, tol, decay_bound_met, blocks)
+    blocks = _row_blocks(tree.q, tree.q)
+    return _audit(
+        tree, tol, decay_bound_met, ((r, tree.lca_layers(r), dist[r]) for r in blocks)
+    )
 
 
 def consistency_check(
@@ -481,4 +464,4 @@ def consistency_check(
     and audited a row block at a time.
     """
     fill = _dissimilarity_rows(tree, schedule)
-    return _audit(tree, tol, schedule.meets_decay_bound, lambda: _row_pass(tree, fill))
+    return _audit(tree, tol, schedule.meets_decay_bound, _row_pass(tree, fill))

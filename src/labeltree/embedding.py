@@ -320,9 +320,8 @@ def embedded_consistency_check(
     whenever the decay meets the certification threshold.  The distances
     are made and audited a row block at a time.
     """
-    tree, fill = table.tree, _distance_rows(table)
-    bound_met = _meets_decay_bound(table.decay)
-    return _audit(tree, tol, bound_met, lambda: _row_pass(tree, fill))
+    tree, bound_met = table.tree, _meets_decay_bound(table.decay)
+    return _audit(tree, tol, bound_met, _row_pass(tree, _distance_rows(table)))
 
 
 def _certify(
@@ -335,23 +334,20 @@ def _certify(
     is made once, by the row functions those three use, and feeds the
     isometry error and both audits before the next block is made.  No
     q-by-q array is held: beside the node matrix there are only row
-    blocks.  A pass is made again only to locate the witnesses of a
-    monotonicity violation.
+    blocks.  Monotonicity witnesses are found in the same pass.
     """
     _check_schedule(tree, schedule, table)
     ratio = schedule.base_weight / table.base_norm
-    target_fill, dist_fill = _dissimilarity_rows(tree, schedule), _distance_rows(table)
+    blocks = _row_pass(tree, _dissimilarity_rows(tree, schedule), _distance_rows(table))
     tree_audit, point_audit, maxima = _Audit(tree, 1e-10), _Audit(tree, 1e-10), []
-    for rows, lca, target, dist in _row_pass(tree, target_fill, dist_fill):
+    for rows, lca, target, dist in blocks:
         maxima.append(_isometry_error(ratio, target, dist))
         tree_audit.add(rows, lca, target)
         point_audit.add(rows, lca, dist)
     return (
         _largest(maxima),
-        tree_audit.report(schedule.meets_decay_bound, lambda: _row_pass(tree, target_fill)),
-        point_audit.report(
-            _meets_decay_bound(table.decay), lambda: _row_pass(tree, dist_fill)
-        ),
+        tree_audit.report(schedule.meets_decay_bound),
+        point_audit.report(_meets_decay_bound(table.decay)),
     )
 
 

@@ -29,7 +29,13 @@ from labeltree.classifier import (
     weighted_linear_fits,
 )
 from labeltree import classifier
-from labeltree.cli import HINGE_LAMBDA_GRID, TUNING_GRID, run_benchmark, select_lambda
+from labeltree.cli import (
+    HINGE_LAMBDA_GRID,
+    TUNING_GRID,
+    run_benchmark,
+    select_gamma,
+    select_lambda,
+)
 from labeltree.embedding import embed_tree, write_json, write_matrix_csv
 from labeltree.hierarchy import parse_tree
 
@@ -766,6 +772,14 @@ class TestNonFiniteHyperparameters:
         model = LinearModel(np.array([[1.0]]), two, "linear")
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             adaptive_weights(model, np.zeros((1, 0)), gamma=value)
+
+    @pytest.mark.parametrize("select, name", [(select_gamma, "gamma"), (select_lambda, "lam")])
+    def test_selectors_check_the_grid_before_the_validation_set(
+        self, ref, value, select, name
+    ):
+        ds = random_dataset(ref, 5, 2, np.random.default_rng(64))
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            select(ds, None, ref, (1.0, value))
 
 
 class TestPopulationDirection:

@@ -422,7 +422,8 @@ class TestTrainPredictEvaluate:
             "--data", data_path, "--out", pred_path,
         )
         assert code == 2
-        assert "row 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{data_path}: feature row 1 contains NaN or infinity" in err
         assert not pred_path.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "[]"])
@@ -914,22 +915,43 @@ class TestDataFileErrors:
         ("f1,f2,label\n0.5,n/a,kestrel\n0.5,osprey\n",
          "row 0 on line 2, column 'f2': 'n/a' is not a number"),
         ("f1,f2,label\n", "no data rows"),
+        ("f1,f2,label\n0.5,1.0,kestrel\n0.5,inf,osprey\n",
+         "feature row 1 contains NaN or infinity"),
     ]
 
-    @pytest.mark.parametrize("text, message", CASES)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            *CASES,
+            # a (training, validation) pair: the validation file is the bad
+            # one, refused before any fit
+            pytest.param(
+                ("f1,label\n0.5,kestrel\n0.5,osprey\n", "f1,f2,label\n0.5,1.0,kestrel\n"),
+                "expected 1 features as in {train}, got 2",
+                id="validation-width",
+            ),
+        ],
+    )
     def test_train_exits_2(self, tmp_path, tree_file, capsys, text, message):
-        data = tmp_path / "data.csv"
+        data = train = tmp_path / "data.csv"
+        flags = ["--loss", "linear"]
+        if isinstance(text, tuple):
+            train, (train_text, text) = tmp_path / "train.csv", text
+            train.write_text(train_text)
+            flags = ["--loss", "wlinear", "--val-data", data]
         data.write_text(text)
         model = tmp_path / "model.json"
         code = run_cli(
-            "train", "--tree", tree_file, "--data", data, "--loss", "linear",
-            "--out", model,
+            "train", "--tree", tree_file, "--data", train, *flags, "--out", model,
         )
         assert code == 2
-        assert f"{data}: {message}" in capsys.readouterr().err
+        assert f"{data}: {message.format(train=train)}" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("text, message", CASES)
+    @pytest.mark.parametrize(
+        "text, message",
+        [*CASES, ("f1,label\n0.5,kestrel\n", "expected 2 features, got 1")],
+    )
     def test_predict_exits_2(
         self, tmp_path, tree_file, reference_tree, capsys, text, message
     ):

@@ -1348,7 +1348,7 @@ def test_certificate_rows_equal_whole_matrix_oracle(seed, decay):
     """``_certify`` at the default blocks and at one and seven rows a block.
 
     Decays below the bound break monotonicity, so both reports locate
-    witnesses in a second pass.  The dissimilarities keep every bit.  The
+    witnesses as the blocks pass.  The dissimilarities keep every bit.  The
     distances' products round by their blocks' shape, so the point report
     is held to the oracle's verdicts, and bit for bit to the whole-matrix
     audit of the same rows.
@@ -1378,17 +1378,27 @@ def test_certificate_rows_equal_whole_matrix_oracle(seed, decay):
             )
 
 
-def test_certificate_rows_meet_monotonicity_witnesses():
-    # the draws above reach the second pass: at decay 1.1 every one of
-    # these trees breaks monotonicity in both reports
+def test_certificate_rows_meet_monotonicity_witnesses(monkeypatch):
+    # the draws above locate witnesses: at decay 1.1 every one of these
+    # trees breaks monotonicity in both reports, and still each block's
+    # LCA layers are made once, in the one pass
+    lca_layers, made = Tree.lca_layers, []
+
+    def counted(tree, rows):
+        made.append(rows)
+        return lca_layers(tree, rows)
+
+    monkeypatch.setattr(Tree, "lca_layers", counted)
     for seed in range(5):
         tree = random_tree(np.random.default_rng(seed))
         schedule, table = build_schedule(tree, decay=1.1), embed_tree(tree, decay=1.1)
         for blocks in row_block_sizes(tree.q, 1, 7):
             with blocks:
+                made.clear()
                 _, tree_report, point_report = _certify(tree, schedule, table)
                 assert tree_report.monotonicity_violations
                 assert point_report.monotonicity_violations
+                assert len(made) == len(_row_blocks(tree.q, tree.q))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
